@@ -3,12 +3,10 @@
 Hanson's follow-up (MSR-TR-99-4) singles out a compact block-oriented
 protocol as the key to making the nub fast.  This bench drives the same
 breakpoint -> backtrace -> expression-eval -> print -> registers
-workload on all four ISAs three ways:
+workload on all four ISAs two ways:
 
 * ``uncached`` — the paper's Sec. 4.1 baseline, one FETCH per access;
-* ``cached`` — the write-through CachingMemory over BLOCKFETCH;
-* ``legacy`` — the caching debugger against a nub built without the
-  block extension, proving the per-word fallback works.
+* ``cached`` — the write-through CachingMemory over BLOCKFETCH.
 
 It asserts the cached run produces byte-identical output with >= 5x
 fewer nub round-trips, and emits ``BENCH_wire_traffic.json`` at the
@@ -38,11 +36,11 @@ REDUCTION_FLOOR = 5.0
 _OUT = Path(__file__).resolve().parent.parent / "BENCH_wire_traffic.json"
 
 
-def run_workload(arch: str, cache: bool, block_nub: bool = True):
+def run_workload(arch: str, cache: bool):
     """One full debug conversation; returns (results, stats dict)."""
     exe = compile_and_link({"fib.c": FIB_C}, arch, debug=True)
     ldb = Ldb(stdout=io.StringIO())
-    target = ldb.load_program(exe, cache=cache, block_nub=block_nub)
+    target = ldb.load_program(exe, cache=cache)
     ldb.break_at_stop("fib", STOP_INDEX)
     started = time.perf_counter()
     ldb.run_to_stop()
@@ -69,11 +67,11 @@ def run_workload(arch: str, cache: bool, block_nub: bool = True):
     return results, stats
 
 
-def _timed(arch: str, cache: bool, block_nub: bool = True, reps: int = 3):
+def _timed(arch: str, cache: bool, reps: int = 3):
     """Best-of-``reps`` wall clock; counters from the last rep."""
     best = None
     for _ in range(reps):
-        results, stats = run_workload(arch, cache, block_nub)
+        results, stats = run_workload(arch, cache)
         if best is None or stats["seconds"] < best[1]["seconds"]:
             best = (results, stats)
     return best
@@ -91,8 +89,6 @@ def measure(reps: int) -> dict:
     for arch in ARCHS:
         base_results, base = _timed(arch, cache=False, reps=reps)
         cached_results, cached = _timed(arch, cache=True, reps=reps)
-        legacy_results, legacy = _timed(arch, cache=True, block_nub=False,
-                                        reps=reps)
         reduction = base["round_trips"] / max(1, cached["round_trips"])
         out["archs"][arch] = {
             "uncached": {"round_trips": base["round_trips"],
@@ -106,10 +102,8 @@ def measure(reps: int) -> dict:
                            cached["counters"].get("session.bytes_out", 0),
                        "bytes_in":
                            cached["counters"].get("session.bytes_in", 0)},
-            "legacy_fallback": {"round_trips": legacy["round_trips"]},
             "reduction": round(reduction, 2),
             "identical": cached_results == base_results,
-            "legacy_identical": legacy_results == base_results,
         }
     return out
 
@@ -125,28 +119,21 @@ def test_wire_traffic_reduction():
     report("", "W1. Wire traffic: block transfers vs. per-word FETCH",
            "  workload: %s" % data["workload"])
     for arch, row in data["archs"].items():
-        report("  %-7s %4d -> %3d round-trips (%.1fx), legacy fallback %4d, "
-               "identical=%s/%s"
+        report("  %-7s %4d -> %3d round-trips (%.1fx), identical=%s"
                % (arch, row["uncached"]["round_trips"],
                   row["cached"]["round_trips"], row["reduction"],
-                  row["legacy_fallback"]["round_trips"],
-                  row["identical"], row["legacy_identical"]))
+                  row["identical"]))
         assert row["identical"], "%s: cached output differs" % arch
-        assert row["legacy_identical"], "%s: legacy output differs" % arch
         assert row["reduction"] >= REDUCTION_FLOOR, (
             "%s: only %.1fx round-trip reduction" % (arch, row["reduction"]))
-        # a legacy nub costs the failed negotiation nothing: the session
-        # never sends a block message on a no-FEATURE_BLOCK connection
-        assert (row["legacy_fallback"]["round_trips"]
-                <= row["uncached"]["round_trips"] + 2)
 
 
 if __name__ == "__main__":
     data = measure(reps=1 if os.environ.get("BENCH_QUICK") else 3)
     emit(data)
     for arch, row in data["archs"].items():
-        print("%-7s %4d -> %3d round-trips (%.1fx) identical=%s legacy=%d"
+        print("%-7s %4d -> %3d round-trips (%.1fx) identical=%s"
               % (arch, row["uncached"]["round_trips"],
                  row["cached"]["round_trips"], row["reduction"],
-                 row["identical"], row["legacy_fallback"]["round_trips"]))
+                 row["identical"]))
     print("wrote %s" % _OUT)

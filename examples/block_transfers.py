@@ -7,12 +7,12 @@ compact block-oriented protocol.  This example shows the reproduction's
 version of that story:
 
   1. every target talks to its nub through an explicit Transport — a
-     NubSession (retries, reconnect, HELLO negotiation) or a
+     NubSession (retries, reconnect, hardened framing) or a
      ChannelTransport (one lockstep exchange over a bare channel);
-  2. the session negotiates FEATURE_BLOCK; a stack walk then pulls the
-     saved context with one BLOCKFETCH instead of dozens of FETCHes;
-  3. against a legacy nub built without the extension the same debugger
-     silently falls back to per-word traffic.
+  2. blocks are base protocol: with the cache on, a stack walk pulls
+     the saved context with one BLOCKFETCH instead of dozens of
+     FETCHes; with it off, every access is its own FETCH (the paper's
+     Sec. 4.1 baseline).
 
 Run:  python examples/block_transfers.py
 """
@@ -54,15 +54,13 @@ def workload(ldb, target):
     return target.stats.round_trips()
 
 
-def run(label, cache, block_nub):
+def run(label, cache):
     exe = compile_and_link({"fib.c": FIB_C}, "rsparc", debug=True)
     ldb = Ldb(stdout=io.StringIO())
-    target = ldb.load_program(exe, cache=cache, block_nub=block_nub)
+    target = ldb.load_program(exe, cache=cache)
     trips = workload(ldb, target)
-    session = target.session
-    print("%-28s round-trips: %4d   (FEATURE_BLOCK %s)"
-          % (label, trips,
-             "negotiated" if session.block_active else "refused"))
+    print("%-28s round-trips: %4d   (%d BLOCKFETCH)"
+          % (label, trips, target.stats.of("wire", "blockfetch")))
     target.kill()
 
 
@@ -83,16 +81,16 @@ def bare_channel_target():
     ldb.current = target
     target.wait_for_stop()
     trips = workload(ldb, target)
-    print("%-28s round-trips: %4d   (no negotiation: probe, then blocks)"
-          % ("bare ChannelTransport", trips))
+    print("%-28s round-trips: %4d   (%d BLOCKFETCH, plain frames)"
+          % ("bare ChannelTransport", trips,
+             target.stats.of("wire", "blockfetch")))
     target.kill()
 
 
 def main():
-    print("=== the same workload, three transports ===")
-    run("uncached per-word FETCH", cache=False, block_nub=True)
-    run("cached BLOCKFETCH", cache=True, block_nub=True)
-    run("legacy nub (fallback)", cache=True, block_nub=False)
+    print("=== the same workload, three ways ===")
+    run("uncached per-word FETCH", cache=False)
+    run("cached BLOCKFETCH", cache=True)
     bare_channel_target()
 
 

@@ -56,9 +56,9 @@ def main():
     ldb.break_at_stop("fib", 9)
     ldb.break_at_stop("fib", 6)
     planted = sorted(target.breakpoints.planted)
-    print("planted: %s (session features: crc=%s seq=%s ack=%s)"
-          % ([hex(a) for a in planted], target.session.crc_active,
-             target.session.seq_active, target.session.ack_active))
+    print("planted: %s (session framing: crc=%s seq=%s)"
+          % ([hex(a) for a in planted], target.channel.crc,
+             target.channel.seq_mode))
 
     print("\n=== the connection dies mid-session ===")
     target.channel.sock.close()

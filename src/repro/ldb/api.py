@@ -301,7 +301,7 @@ class DebugAPI:
             try:
                 out["icount"] = target.current_icount()
             except (TargetError, TransportError):
-                pass  # a nub without FEATURE_TIMETRAVEL has no icount
+                pass  # a dead nub leaves the icount unknown, not fatal
         return out
 
     def _cmd_registers(self, args, timeout) -> dict:

@@ -34,14 +34,14 @@ Commands::
     stats
     sim
     trace on | trace off | trace dump [file]
-    triage <dir|manifest.json|artifact> [workers]
+    triage <dir|manifest.json|artifact>
     targets / target <name>
     kill / quit
 
 Batch mode::
 
-    ldb triage <dir|manifest.json> [--workers N] [--mode thread|process]
-        [--json report.json] [--top N]
+    ldb triage <dir|manifest.json> [--workers N] [--json report.json]
+        [--top N]
 
 See docs/ldb.md for the full command reference.
 """
@@ -440,16 +440,17 @@ class Cli:
 
     def cmd_triage(self, rest: str) -> None:
         """Batch-triage a corpus of crash artifacts from inside the
-        REPL: `triage <dir|manifest.json|artifact> [workers]`.  The
-        full flag surface lives on the `ldb triage` subcommand."""
+        REPL, serially in this process:
+        `triage <dir|manifest.json|artifact>`.  The full flag surface
+        (a process pool included) lives on the `ldb triage`
+        subcommand."""
         from ..triage import TriageEngine, TriageError
         words = rest.split()
-        if not words:
-            self.say("usage: triage <dir|manifest.json|artifact> [workers]")
+        if len(words) != 1:
+            self.say("usage: triage <dir|manifest.json|artifact>")
             return
-        workers = int(words[1]) if len(words) > 1 else 4
         # share the debugger's registry so `stats` shows triage.*
-        engine = TriageEngine(workers=workers, obs=self.ldb.obs)
+        engine = TriageEngine(obs=self.ldb.obs)
         try:
             report = engine.triage(words[0])
         except TriageError as err:
@@ -497,11 +498,9 @@ def triage_main(argv: List[str]) -> int:
     ap.add_argument("corpus",
                     help="a directory of artifacts, a JSON manifest, "
                          "or a single artifact file")
-    ap.add_argument("--workers", type=int, default=4,
-                    help="parallel triage workers (default 4; 1 = serial)")
-    ap.add_argument("--mode", default="thread",
-                    choices=["thread", "process"],
-                    help="worker pool flavor (default thread)")
+    ap.add_argument("--workers", type=int, default=1,
+                    help="worker processes (default 1: serial, in this "
+                         "process)")
     ap.add_argument("--json", metavar="FILE",
                     help="also write the full report as JSON")
     ap.add_argument("--top", type=int, default=10,
@@ -511,8 +510,8 @@ def triage_main(argv: List[str]) -> int:
     args = ap.parse_args(argv)
 
     from ..triage import TriageEngine, TriageError
-    engine = TriageEngine(workers=args.workers, mode=args.mode)
     try:
+        engine = TriageEngine(workers=args.workers)
         report = engine.triage(args.corpus)
     except TriageError as err:
         sys.stderr.write("ldb triage: %s\n" % err)

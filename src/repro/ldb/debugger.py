@@ -79,20 +79,14 @@ class Ldb:
 
     def load_program(self, exe: Executable, stop_at_entry: bool = True,
                      table_ps: Optional[str] = None,
-                     cache: bool = True, block_nub: bool = True,
-                     timetravel_nub: bool = True, core_nub: bool = True,
+                     cache: bool = True,
                      core_path: Optional[str] = None,
                      fault_schedule=None, engine=None) -> Target:
         """Start a target process as a "child": the fork analog.
 
-        ``block_nub=False`` simulates a legacy nub without the
-        block-transfer extension; the debugger falls back per-word.
-        ``timetravel_nub=False`` simulates one without the checkpoint
-        messages; reverse commands then fail with a clear error while
-        forward debugging is unaffected.  ``core_nub=False`` simulates
-        one without DUMPCORE.  ``core_path`` tells the nub where to
-        auto-write a core when the target takes a fatal signal or the
-        nub itself dies.  ``fault_schedule`` injects a seeded
+        ``core_path`` tells the nub where to auto-write a core when the
+        target takes a fatal signal or the nub itself dies.
+        ``fault_schedule`` injects a seeded
         :class:`~repro.nub.faults.FaultSchedule` into the *nub's* sends
         — the hook the session server's chaos harness uses to kill,
         hang, or corrupt hosted sessions.  ``engine`` picks the
@@ -104,10 +98,8 @@ class Ldb:
         if table_ps is None:
             table_ps = getattr(exe, "loader_ps", None) or loader_table_ps(exe)
         nub = Nub(process, channel=nub_end, stop_at_entry=stop_at_entry,
-                  block_extension=block_nub,
-                  timetravel_extension=timetravel_nub,
-                  core_extension=core_nub, core_path=core_path,
-                  loader_ps=table_ps, fault_schedule=fault_schedule)
+                  core_path=core_path, loader_ps=table_ps,
+                  fault_schedule=fault_schedule)
         runner = NubRunner(nub).start()
         target = self.adopt_channel(debugger_end, table_ps, wait=stop_at_entry,
                                     cache=cache)

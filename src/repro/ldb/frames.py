@@ -243,7 +243,7 @@ def prefetch_alias_targets(wire, aliases: Dict[Tuple[str, int], Location],
     but a single min..max span would drag in everything between a low
     context address and a high stack address, so near neighbours
     (within ``_PREFETCH_GAP``) coalesce and distant ones get their own
-    span.  On an uncached or legacy path ``prefetch`` is a no-op.
+    span.  On an uncached path ``prefetch`` is a no-op.
     """
     per_space: Dict[str, list] = {}
     for (space, _reg), loc in aliases.items():

@@ -81,11 +81,6 @@ class MemoryStats:
         return sum(v for k, v in self.counts.items() if k.startswith("wire."))
 
 
-class BlockUnsupported(Exception):
-    """The peer cannot move memory blocks (a legacy nub, or a connection
-    negotiated without FEATURE_BLOCK); callers fall back per-word."""
-
-
 class WireMemory(AbstractMemory):
     """Forwards fetches and stores to the nub through a
     :class:`~repro.nub.session.Transport`.
@@ -141,60 +136,18 @@ class WireMemory(AbstractMemory):
                        expect=(protocol.MSG_OK,),
                        what="storing %s+%d" % (loc.space, loc.offset))
 
-    # -- block transfers (FEATURE_BLOCK) -----------------------------------
+    # -- block transfers ---------------------------------------------------
 
     def fetch_block(self, space: str, address: int, length: int) -> bytes:
         """Raw memory-image bytes for ``[address, address+length)``.
 
         The nub may answer with a shorter readable prefix when the span
-        runs off mapped memory.  Raises :class:`BlockUnsupported` when
-        the connection was negotiated without blocks or the peer answers
-        ``ERR_UNSUPPORTED``; the caller falls back to per-word FETCH.
-        """
-        if self.transport.block_active is False:
-            raise BlockUnsupported("connection negotiated without blocks")
+        runs off mapped memory."""
         self.stats.note("wire", "blockfetch")
-        try:
-            reply = self.transport.transact(
-                protocol.blockfetch(space, address, length),
-                expect=(protocol.MSG_DATA,))
-        except NubError as err:
-            if err.code in (protocol.ERR_UNSUPPORTED, protocol.ERR_BAD_MESSAGE):
-                raise BlockUnsupported("nub error %d" % err.code)
-            raise PSError("invalidaccess", "nub error %d for block %s+%d"
-                          % (err.code, space, address))
-        except DeadlineExceeded:
-            raise  # the supervisor's time bound: never masked as an ioerror
-        except TransportError as err:
-            ps = PSError("ioerror", "nub request failed: %s" % err)
-            # tag the wrapped cause: callers that can answer typed (the
-            # command API) map this to "target died", not "bad expression"
-            ps.transport_error = err
-            raise ps
+        reply = self._transact(protocol.blockfetch(space, address, length),
+                               expect=(protocol.MSG_DATA,),
+                               what="for block %s+%d" % (space, address))
         return reply.payload
-
-    def store_block(self, space: str, address: int, data: bytes) -> None:
-        """Write raw memory-image bytes verbatim (no byte-order or
-        fixup interpretation — that is the caller's business)."""
-        if self.transport.block_active is False:
-            raise BlockUnsupported("connection negotiated without blocks")
-        self.stats.note("wire", "blockstore")
-        try:
-            self.transport.transact(protocol.blockstore(space, address, data),
-                                    expect=(protocol.MSG_OK,))
-        except NubError as err:
-            if err.code in (protocol.ERR_UNSUPPORTED, protocol.ERR_BAD_MESSAGE):
-                raise BlockUnsupported("nub error %d" % err.code)
-            raise PSError("invalidaccess", "nub error %d for block %s+%d"
-                          % (err.code, space, address))
-        except DeadlineExceeded:
-            raise  # the supervisor's time bound: never masked as an ioerror
-        except TransportError as err:
-            ps = PSError("ioerror", "nub request failed: %s" % err)
-            # tag the wrapped cause: callers that can answer typed (the
-            # command API) map this to "target died", not "bad expression"
-            ps.transport_error = err
-            raise ps
 
 
 def decode_value(raw_le: bytes, kind: str):
@@ -242,10 +195,7 @@ class CachingMemory(AbstractMemory):
 
     The cache must be dropped whenever the target can have run:
     :class:`~repro.ldb.target.Target` calls :meth:`invalidate` on every
-    resume, stop, and reconnect.  When the peer cannot do blocks —
-    negotiated off, or a legacy nub answering ERR_UNSUPPORTED — the
-    cache disables itself permanently and every access falls through
-    per-word, so debugging a legacy nub keeps working.
+    resume, stop, and reconnect.
     """
 
     spaces = "cd"
@@ -265,7 +215,6 @@ class CachingMemory(AbstractMemory):
         #: (space, block_start) -> raw bytes; short when the block runs
         #: off mapped memory
         self.blocks: Dict[Tuple[str, int], bytes] = {}
-        self._block_ok = True
 
     # -- invalidation ------------------------------------------------------
 
@@ -293,7 +242,7 @@ class CachingMemory(AbstractMemory):
         context, or the cluster of saved-register slots, in a single
         BLOCKFETCH before the per-register fetches hit the cache.
         """
-        if not self._block_ok or length <= 0:
+        if length <= 0:
             return
         first = (start // self.BLOCK) * self.BLOCK
         end = start + length
@@ -304,9 +253,6 @@ class CachingMemory(AbstractMemory):
             return
         try:
             raw = self.wire.fetch_block(space, first, span)
-        except BlockUnsupported:
-            self._block_ok = False
-            return
         except PSError:
             return  # unmapped start etc.; the demand path will surface it
         self.stats.note("cache", "prefetch")
@@ -360,18 +306,14 @@ class CachingMemory(AbstractMemory):
     def fetch_absolute(self, loc: Location, kind: str):
         self.stats.note("cache", "fetch")
         size = KIND_BYTES[kind]
-        raw_img = None
-        if self._block_ok:
-            misses = self.stats.of("cache", "miss")
-            try:
-                raw_img = self._read_span(loc.space, loc.offset, size)
-            except BlockUnsupported:
-                self._block_ok = False
-            except PSError:
-                raw_img = None  # block start unmapped; retry per-word
-            else:
-                if raw_img is not None and self.stats.of("cache", "miss") == misses:
-                    self.stats.note("cache", "hit")
+        misses = self.stats.of("cache", "miss")
+        try:
+            raw_img = self._read_span(loc.space, loc.offset, size)
+        except PSError:
+            raw_img = None  # block start unmapped; retry per-word
+        else:
+            if raw_img is not None and self.stats.of("cache", "miss") == misses:
+                self.stats.note("cache", "hit")
         if raw_img is None:
             self.stats.note("cache", "fallback")
             return self.wire.fetch_absolute(loc, kind)

@@ -55,14 +55,9 @@ class CoreTransport(Transport):
     * everything mutating — STORE, BLOCKSTORE, PLANT, UNPLANT, and all
       controls — raises :class:`PostMortemError`.
 
-    ``block_active`` is True (the image is local; blocks are free) and
-    ``timetravel_active`` False (the future is over), so the cache runs
-    at full speed and reverse commands refuse before "sending".
+    Reverse commands never get here: the future is over, and the
+    target refuses them as post-mortem before "sending".
     """
-
-    block_active = True
-    timetravel_active = False
-    core_active = True
 
     def __init__(self, core: CoreFile):
         self.core = core

@@ -327,26 +327,12 @@ class Target:
     # -- time travel (checkpoint/replay over the nub) ----------------------
 
     def _tt_transact(self, msg, expect):
-        """One time-travel exchange, degrading to a clear error against
-        a nub that cannot time-travel.
-
-        A session that negotiated the feature away (legacy nub) is
-        refused before anything crosses the wire — sending would draw
-        ``ERR_BAD_MESSAGE``, which the retry engine treats as a mangled
-        frame.  A bare channel (no negotiation) tries the request and
-        maps the nub's error answer to the same :class:`TargetError`.
-        """
-        if getattr(self.transport, "timetravel_active", None) is False:
-            raise TargetError(
-                "nub does not support time travel "
-                "(FEATURE_TIMETRAVEL was not negotiated)")
+        """One time-travel exchange.  A core has no future to travel
+        to, so a post-mortem target refuses before anything is sent."""
+        self._require_live(protocol.type_name(msg.mtype).lower())
         try:
             return self.transport.transact(msg, expect=expect)
         except NubError as err:
-            if err.code in (protocol.ERR_UNSUPPORTED,
-                            protocol.ERR_BAD_MESSAGE):
-                raise TargetError(
-                    "nub does not support time travel (error %d)" % err.code)
             if err.code == protocol.ERR_BAD_CHECKPOINT:
                 raise TargetError("no such checkpoint on the nub")
             raise TargetError("time-travel request failed: nub error %d"
@@ -418,10 +404,6 @@ class Target:
         retired instructions (surfaces as a SIGTRAP/CODE_ICOUNT stop)."""
         self._require_live("run")
         self._require_stopped()
-        if getattr(self.transport, "timetravel_active", None) is False:
-            raise TargetError(
-                "nub does not support time travel "
-                "(FEATURE_TIMETRAVEL was not negotiated)")
         if at_pc is not None:
             self.wire.store(self.machdep.pc_context_location(self.context_addr),
                             "i32", at_pc)
@@ -448,27 +430,14 @@ class Target:
         """Ask the nub to serialize the stopped target (DUMPCORE) and
         write the image to ``path``; returns the parsed
         :class:`~repro.machines.core.CoreFile`.
-
-        Degrades like time travel: a session that negotiated the
-        feature away refuses before anything crosses the wire, and a
-        bare channel maps the nub's error answer to the same
-        :class:`TargetError`.
         """
         self._require_stopped()
-        if getattr(self.transport, "core_active", None) is False:
-            raise TargetError(
-                "nub does not support core dumps "
-                "(FEATURE_CORE was not negotiated)")
         from ..machines.core import CoreError, CoreFile
         self.stats.note("wire", "dumpcore")
         try:
             reply = self.transport.transact(protocol.dumpcore(),
                                             expect=(protocol.MSG_DATA,))
         except NubError as err:
-            if err.code in (protocol.ERR_UNSUPPORTED,
-                            protocol.ERR_BAD_MESSAGE):
-                raise TargetError(
-                    "nub does not support core dumps (error %d)" % err.code)
             raise TargetError("core dump failed: nub error %d" % err.code)
         except TransportError as err:
             raise TargetError("core dump failed: %s" % err)
@@ -491,10 +460,6 @@ class Target:
         """Ask the nub for the complete resumable machine state (SPILL)
         of the current stop; returns the parsed
         :class:`~repro.machines.machstate.MachineState`.
-
-        Degrades like the other time-travel verbs: a session that
-        negotiated FEATURE_TIMETRAVEL away refuses before anything
-        crosses the wire.
         """
         self._require_stopped()
         from ..machines.machstate import MachineState, StateError

@@ -14,7 +14,6 @@ restricted scheduling available under debugging costs 13% on MIPS).
 
 from __future__ import annotations
 
-import warnings
 from typing import Callable, Optional, Tuple
 
 from .engine import StopSpec, make_engine
@@ -74,17 +73,6 @@ class Cpu:
         #: accepts a name ("step", "block"), an engine class, an
         #: instance, or None for the configured default.
         self.engine = make_engine(engine, self)
-
-    _steps_warned = False
-
-    @property
-    def steps(self) -> int:
-        """Deprecated alias for :attr:`icount`; use that instead."""
-        if not Cpu._steps_warned:
-            Cpu._steps_warned = True
-            warnings.warn("Cpu.steps is deprecated; use Cpu.icount",
-                          DeprecationWarning, stacklevel=2)
-        return self.icount
 
     # -- snapshot/restore --------------------------------------------------
 

@@ -171,9 +171,6 @@ class Nub:
                  stop_at_entry: bool = True,
                  accept_timeout: Optional[float] = 30.0,
                  breakpoint_extension: bool = True,
-                 block_extension: bool = True,
-                 timetravel_extension: bool = True,
-                 core_extension: bool = True,
                  core_path: Optional[str] = None,
                  loader_ps: Optional[str] = None,
                  fault_schedule: Optional[FaultSchedule] = None,
@@ -208,14 +205,6 @@ class Nub:
         #: the Sec. 7.1 extension: remember instructions overwritten by
         #: PLANT stores so a new debugger can recover them after a crash
         self.breakpoint_extension = breakpoint_extension
-        #: block transfers (BLOCKFETCH/BLOCKSTORE): a legacy nub built
-        #: without them keeps working — the debugger falls back per-word
-        self.block_extension = block_extension
-        #: time travel (CHECKPOINT/RESTORE/ICOUNT/RUNTO): checkpoints
-        #: live here, nub-side, so images never cross the wire
-        self.timetravel_extension = timetravel_extension
-        #: post-mortem (DUMPCORE): serialize the stopped target on demand
-        self.core_extension = core_extension
         #: where to auto-write a core on a fatal fault or injected death
         #: (None: no automatic cores)
         self.core_path = core_path
@@ -227,6 +216,8 @@ class Nub:
         self._last_event: Optional[FaultEvent] = None
         #: last-folded execution-engine counters (see _fold_sim_metrics)
         self._sim_folded: dict = {}
+        #: time travel: checkpoints live here, nub-side, so images never
+        #: cross the wire
         self.checkpoints: dict = {}  # id -> (ProcessSnapshot, planted copy)
         self._next_checkpoint = 1
         #: seq/id of the last CHECKPOINT served, so a retried request
@@ -430,8 +421,6 @@ class Nub:
             self._do_spill(msg)
         elif msg.mtype == protocol.MSG_RUNTO:
             target = protocol.parse_runto(msg)
-            if not self._tt_enabled():
-                return None
             if self._stale_control(msg):
                 return None
             self._ack()
@@ -500,13 +489,9 @@ class Nub:
 
     def _do_hello(self, msg) -> None:
         _version, features = protocol.parse_hello(msg)
+        # only the framing trailers are negotiable; everything else is
+        # base protocol
         accepted = features & protocol.ALL_FEATURES
-        if not self.block_extension:
-            accepted &= ~protocol.FEATURE_BLOCK
-        if not self.timetravel_extension:
-            accepted &= ~protocol.FEATURE_TIMETRAVEL
-        if not self.core_extension:
-            accepted &= ~protocol.FEATURE_CORE
         self._reply(protocol.hello(protocol.PROTOCOL_VERSION, accepted))
         # frames after the reply carry the negotiated extras
         self.channel.crc = bool(accepted & protocol.FEATURE_CRC)
@@ -562,9 +547,6 @@ class Nub:
         prefix; a span that starts unmapped gets ERR_BAD_ADDRESS.
         """
         space, address, length = protocol.parse_blockfetch(msg)
-        if not self.block_extension:
-            self._reply(protocol.error(protocol.ERR_UNSUPPORTED))
-            return
         if space not in "cd":
             self._reply(protocol.error(protocol.ERR_BAD_SPACE))
             return
@@ -594,9 +576,6 @@ class Nub:
 
     def _do_blockstore(self, msg) -> None:
         space, address, raw = protocol.parse_blockstore(msg)
-        if not self.block_extension:
-            self._reply(protocol.error(protocol.ERR_UNSUPPORTED))
-            return
         if space not in "cd":
             self._reply(protocol.error(protocol.ERR_BAD_SPACE))
             return
@@ -653,21 +632,12 @@ class Nub:
             return
         self._reply(protocol.breaklist(sorted(self.planted.items())))
 
-    # -- the time-travel extension -------------------------------------------
-
-    def _tt_enabled(self) -> bool:
-        if not self.timetravel_extension:
-            # a legacy nub: the debugger must degrade gracefully
-            self._reply(protocol.error(protocol.ERR_UNSUPPORTED))
-            return False
-        return True
+    # -- time travel ------------------------------------------------------------
 
     def _do_checkpoint(self, msg) -> None:
         """Snapshot the whole process *nub-side*: CPU, COW memory pages,
         and the planted-trap table.  Only a small id and the retired
         instruction count cross the wire — never the image itself."""
-        if not self._tt_enabled():
-            return
         self._require_empty(msg)
         if (msg.seq is not None and msg.seq != protocol.NO_SEQ
                 and msg.seq == self._last_ckpt_seq
@@ -685,8 +655,6 @@ class Nub:
 
     def _do_restore(self, msg) -> None:
         cid = protocol.parse_restore(msg)
-        if not self._tt_enabled():
-            return
         entry = self.checkpoints.get(cid)
         if entry is None:
             self._reply(protocol.error(protocol.ERR_BAD_CHECKPOINT))
@@ -701,20 +669,16 @@ class Nub:
 
     def _do_dropckpt(self, msg) -> None:
         cid = protocol.parse_drop_checkpoint(msg)
-        if not self._tt_enabled():
-            return
         entry = self.checkpoints.pop(cid, None)
         if entry is not None:
             self.process.release_snapshot(entry[0])
         self._reply(protocol.ok())  # dropping twice is not an error
 
     def _do_icount(self, msg) -> None:
-        if not self._tt_enabled():
-            return
         self._require_empty(msg)
         self._reply(protocol.ckpt(protocol.NO_CKPT, self.process.cpu.icount))
 
-    # -- the post-mortem extension --------------------------------------------
+    # -- post-mortem --------------------------------------------------------------
 
     def _build_core(self, event: FaultEvent):
         return core_from_process(self.process, event.signo, event.code,
@@ -726,10 +690,6 @@ class Nub:
         """Serialize the stopped target into a core image, answered as
         DATA.  The context is already saved at ``context_addr``, so the
         core captures exactly what the live session sees."""
-        if not self.core_extension:
-            # a legacy nub: the debugger must degrade gracefully
-            self._reply(protocol.error(protocol.ERR_UNSUPPORTED))
-            return
         self._require_empty(msg)
         if self._last_event is None:
             self._reply(protocol.error(protocol.ERR_BAD_MESSAGE))
@@ -746,8 +706,6 @@ class Nub:
         a recording checkpoint needs *everything* — including simulator
         bookkeeping like the rmips load-delay slot that the saved
         context has no field for — so recording gets its own verb."""
-        if not self._tt_enabled():
-            return
         self._require_empty(msg)
         if self._last_event is None:
             self._reply(protocol.error(protocol.ERR_BAD_MESSAGE))

@@ -41,14 +41,11 @@ address order, exactly as the target stores them.  Interpreting values
 out of a block — byte-order reversal, the rmips saved-float word swap —
 is the debugger's job, which is what lets the cached path reproduce the
 per-value path byte for byte.  BLOCKSTORE writes raw memory-order bytes
-verbatim.  Both are negotiated with ``FEATURE_BLOCK`` in the HELLO
-handshake; a nub without the feature answers ``ERR_UNSUPPORTED`` and
-the debugger falls back to per-value messages.
+verbatim.
 
-Time travel (``FEATURE_TIMETRAVEL``): four messages give a debugger
-checkpoint/replay control over the deterministic simulated targets.
-Checkpoint images stay nub-side — only small ids and instruction counts
-cross the wire::
+Time travel: four messages give a debugger checkpoint/replay control
+over the deterministic simulated targets.  Checkpoint images stay
+nub-side — only small ids and instruction counts cross the wire::
 
     CHECKPOINT                           -> CKPT id(4) icount(8)
     RESTORE  id(4)                       -> CKPT id(4) icount(8) / ERROR
@@ -59,26 +56,23 @@ cross the wire::
                                           target: SIGNAL with
                                           code=CODE_ICOUNT)
 
-Post-mortem (``FEATURE_CORE``): one request message asks the nub to
-serialize the stopped target — registers, memory, icount, and the fault
-record — into a versioned core image (see ``repro.machines.core``)::
+``RUNTO`` is a control message like CONTINUE: acknowledged with OK
+under ``FEATURE_ACK``, deduplicated by sequence id, and followed by the
+usual unsolicited SIGNAL/EXITED when the target stops.
+
+Post-mortem: one request message asks the nub to serialize the stopped
+target — registers, memory, icount, and the fault record — into a
+versioned core image (see ``repro.machines.core``)::
 
     DUMPCORE                             -> DATA core bytes / ERROR
 
-A nub built without the feature answers ``ERR_UNSUPPORTED`` and the
-debugger reports core dumps unavailable.
-
-``RUNTO`` is a control message like CONTINUE: acknowledged with OK
-under ``FEATURE_ACK``, deduplicated by sequence id, and followed by the
-usual unsolicited SIGNAL/EXITED when the target stops.  A nub built
-without the feature answers the request messages with
-``ERR_UNSUPPORTED`` and the debugger reports time travel unavailable;
-forward debugging is unaffected.
+Blocks, time travel and cores are base protocol (version 2): every nub
+answers them, and nothing about them is negotiated.
 
 Hardened framing (the fault-tolerance layer): a debugger may open a
-session with HELLO, offering feature bits.  The nub answers with the
-bits it accepts, and *subsequent* frames on the connection carry the
-negotiated extras:
+session with HELLO, offering trailer bits.  The nub answers with its
+version and the offered bits it accepts, and *subsequent* frames on the
+connection carry the negotiated extras:
 
 * ``FEATURE_CRC`` — every frame is followed by a CRC32 trailer over the
   header and payload; a mismatch raises :class:`CrcError` (the frame is
@@ -88,6 +82,8 @@ negotiated extras:
   (duplicated or late frames);
 * ``FEATURE_ACK`` — CONTINUE, DETACH and KILL are acknowledged with OK
   before taking effect, making the control messages retryable.
+
+A client that never sends HELLO gets the paper's plain frames.
 
 Every payload reader validates its length and raises
 :class:`ProtocolError` naming the message — wire input can never surface
@@ -117,8 +113,8 @@ MSG_HELLO = 9
 # -- block transfers: a span of raw memory bytes per message
 MSG_BLOCKFETCH = 10
 MSG_BLOCKSTORE = 11
-# -- time travel (FEATURE_TIMETRAVEL): checkpoint ids are allocated and
-# -- held nub-side, so memory images never cross the wire
+# -- time travel: checkpoint ids are allocated and held nub-side, so
+# -- memory images never cross the wire
 MSG_CHECKPOINT = 12
 MSG_RESTORE = 13
 MSG_ICOUNT = 14
@@ -131,11 +127,11 @@ MSG_ERROR = 20
 MSG_BREAKLIST = 21
 MSG_CKPT = 22
 MSG_DROPCKPT = 23
-# -- post-mortem (FEATURE_CORE): ask the nub to serialize the stopped
-# -- target into a core image; the DATA reply carries the core bytes
+# -- post-mortem: ask the nub to serialize the stopped target into a
+# -- core image; the DATA reply carries the core bytes
 MSG_DUMPCORE = 24
-# -- recording (FEATURE_TIMETRAVEL): ask the nub to serialize the
-# -- complete resumable machine state (registers, delay slots, memory,
+# -- recording: ask the nub to serialize the complete resumable
+# -- machine state (registers, delay slots, memory,
 # -- planted table) of the stopped target; the DATA reply carries a
 # -- MachineState container (repro.machines.machstate)
 MSG_SPILL = 25
@@ -167,16 +163,13 @@ ERR_BAD_CHECKPOINT = 5
 #: value sizes the protocol carries (the abstract-memory sizes)
 VALUE_SIZES = (1, 2, 4, 8, 10)
 
-#: handshake version and negotiable feature bits
-PROTOCOL_VERSION = 1
+#: handshake version (2: blocks, time travel and cores are base
+#: protocol) and the negotiable framing trailers
+PROTOCOL_VERSION = 2
 FEATURE_CRC = 1 << 0
 FEATURE_SEQ = 1 << 1
 FEATURE_ACK = 1 << 2
-FEATURE_BLOCK = 1 << 3
-FEATURE_TIMETRAVEL = 1 << 4
-FEATURE_CORE = 1 << 5
-ALL_FEATURES = (FEATURE_CRC | FEATURE_SEQ | FEATURE_ACK | FEATURE_BLOCK
-                | FEATURE_TIMETRAVEL | FEATURE_CORE)
+ALL_FEATURES = FEATURE_CRC | FEATURE_SEQ | FEATURE_ACK
 
 #: the largest span one BLOCKFETCH/BLOCKSTORE may move (well under
 #: MAX_PAYLOAD, so block frames can never trip the framing cap)
@@ -336,7 +329,7 @@ def hello(version: int = PROTOCOL_VERSION,
     return Message(MSG_HELLO, struct.pack("<BI", version, features))
 
 
-# -- time travel (FEATURE_TIMETRAVEL) ----------------------------------------
+# -- time travel -------------------------------------------------------------
 
 def checkpoint() -> Message:
     """Ask the nub to snapshot the stopped target; answered with CKPT."""
@@ -372,15 +365,15 @@ def ckpt(checkpoint_id: int, current_icount: int) -> Message:
 
 
 def dumpcore() -> Message:
-    """Ask the nub to serialize the stopped target into a core image
-    (FEATURE_CORE); the DATA reply carries the serialized bytes."""
+    """Ask the nub to serialize the stopped target into a core image;
+    the DATA reply carries the serialized bytes."""
     return Message(MSG_DUMPCORE)
 
 
 def spill() -> Message:
     """Ask the nub for the complete resumable machine state of the
-    stopped target (FEATURE_TIMETRAVEL); the DATA reply carries a
-    serialized MachineState container."""
+    stopped target; the DATA reply carries a serialized MachineState
+    container."""
     return Message(MSG_SPILL)
 
 

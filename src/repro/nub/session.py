@@ -14,14 +14,13 @@ crashes — are absorbed instead of surfacing as exceptions.
   (``connector``), the nub re-announces the interrupted stop, and an
   ``on_reconnect`` hook lets the owner resynchronize state (ldb's
   :class:`Target` replays ``BREAKS`` to recover the breakpoint table);
-* the HELLO handshake negotiates hardened framing: CRC32 trailers,
+* the HELLO handshake turns on hardened framing: CRC32 trailers,
   sequence-numbered frames (stale replies from duplicated or timed-out
   exchanges are discarded by id), and acknowledged control messages so
-  CONTINUE/KILL/DETACH are retryable too;
-* against a legacy nub that answers HELLO with an error, the session
-  degrades to plain frames and best-effort controls — the baseline
-  debugger keeps working, exactly in the spirit of the paper's optional
-  protocol extensions;
+  CONTINUE/KILL/DETACH are retryable too.  The nub's reply travels
+  before any trailer protects it, so a reply that does not grant
+  exactly what was asked is a mangled handshake: the connection is
+  dropped like an unframeable stream and re-dialled;
 * every exchange is observable: the session feeds the unified
   :mod:`repro.obs` registry (``session.*`` counters, a round-trip
   latency histogram) and, when tracing is enabled, records each frame
@@ -79,18 +78,6 @@ class Transport(abc.ABC):
     or raises :class:`TransportError` when no usable reply arrives.
     """
 
-    #: Can this connection move raw memory blocks (BLOCKFETCH)?
-    #: True/False once known; None means "not negotiated yet — try it".
-    block_active: Optional[bool] = None
-
-    #: Can this connection time-travel (CHECKPOINT/RESTORE/RUNTO)?
-    #: True/False once known; None means "not negotiated yet — try it".
-    timetravel_active: Optional[bool] = None
-
-    #: Can this connection serialize a core (DUMPCORE)?
-    #: True/False once known; None means "not negotiated yet — try it".
-    core_active: Optional[bool] = None
-
     #: Observers of successful request/reply exchanges: callables
     #: ``tap(request, reply)`` fired after :meth:`transact` settles on a
     #: non-error reply.  The trace writer (repro.trace.writer) listens
@@ -128,12 +115,8 @@ class Transport(abc.ABC):
 
 class ChannelTransport(Transport):
     """A :class:`Transport` over a bare channel: one lockstep exchange
-    per request, no retries, no handshake.
-
-    ``block_active`` stays None — there is no negotiation on a bare
-    channel, so callers may *try* block transfers and let a legacy nub's
-    error answer settle the question.
-    """
+    per request, no retries, no handshake (so plain frames and
+    unacknowledged controls)."""
 
     def __init__(self, channel: Channel, reply_timeout: float = 15.0):
         self.channel = channel
@@ -228,9 +211,6 @@ class NubSession(Transport):
     def __init__(self, channel: Optional[Channel] = None,
                  connector: Optional[Callable[[], Channel]] = None,
                  policy: Optional[RetryPolicy] = None,
-                 want_crc: bool = True, want_seq: bool = True,
-                 want_ack: bool = True, want_block: bool = True,
-                 want_timetravel: bool = True, want_core: bool = True,
                  reply_timeout: float = 10.0,
                  on_reconnect: Optional[Callable[["NubSession"], None]] = None,
                  obs=None):
@@ -244,24 +224,11 @@ class NubSession(Transport):
         self.channel = channel
         self.connector = connector
         self.policy = policy if policy is not None else RetryPolicy()
-        self.want_crc = want_crc
-        self.want_seq = want_seq
-        self.want_ack = want_ack
-        self.want_block = want_block
-        self.want_timetravel = want_timetravel
-        self.want_core = want_core
         self.reply_timeout = reply_timeout
         self.on_reconnect = on_reconnect
-        #: negotiated state (HELLO handshake, per connection)
+        #: has this connection's HELLO turned on CRC, SEQ and ACK?
+        #: (each reconnect shakes hands again)
         self.hello_done = False
-        self.crc_active = False
-        self.seq_active = False
-        self.ack_active = False
-        #: None until the handshake settles it (each reconnect renegotiates)
-        self.block_active: Optional[bool] = None if want_block else False
-        self.timetravel_active: Optional[bool] = (None if want_timetravel
-                                                  else False)
-        self.core_active: Optional[bool] = None if want_core else False
         #: SIGNAL/EXITED frames that arrived while awaiting a reply
         self.pending_events: deque = deque()
         self.taps = []
@@ -373,30 +340,10 @@ class NubSession(Transport):
         return reply
 
     def control(self, msg: protocol.Message) -> None:
-        """Send a control message (CONTINUE/DETACH/KILL): acknowledged
-        and retried when the nub speaks FEATURE_ACK, best-effort
-        otherwise."""
-        try:
-            self._ensure_channel()
-            self._ensure_handshake()
-        except (ChannelClosed, protocol.ProtocolError):
-            # a dead connection under the handshake: one reconnect
-            # (the request engine below retries everything else)
-            self._drop_channel()
-            self._ensure_channel()
-            self._ensure_handshake()
-        if self.ack_active:
-            self.request(msg, expect=(protocol.MSG_OK,))
-        else:
-            self._trace_frame("wire.send", msg)
-            self.obs.metrics.inc("session.sends")
-            self.obs.metrics.inc("session.bytes_out", self._frame_size(msg))
-            self.channel.send(msg)
-
-    def send(self, msg: protocol.Message) -> None:
-        """A raw, unretried send (legacy escape hatch)."""
-        self._ensure_channel()
-        self.channel.send(msg)
+        """Send a control message (CONTINUE/DETACH/KILL/RUNTO): the
+        handshake turned on FEATURE_ACK, so the nub acknowledges it and
+        the request engine retries it like any other request."""
+        self.request(msg, expect=(protocol.MSG_OK,))
 
     def recv_event(self, timeout: Optional[float] = None) -> protocol.Message:
         """The next SIGNAL/EXITED notification (stale replies from
@@ -441,8 +388,8 @@ class NubSession(Transport):
         tracer.event(name, **dict(wiretap.describe(msg), **extra))
 
     def _frame_size(self, msg: protocol.Message) -> int:
-        return ((9 if self.seq_active else 5) + len(msg.payload)
-                + (4 if self.crc_active else 0))
+        # after HELLO: a 9-byte sequenced header and a CRC32 trailer
+        return 13 + len(msg.payload)
 
     def _count_event(self, msg: protocol.Message) -> None:
         self.obs.metrics.inc("session.events")
@@ -464,7 +411,7 @@ class NubSession(Transport):
             if reply.mtype in _EVENT_TYPES:
                 self._note_event(reply)
                 continue
-            if self.seq_active and reply.seq != msg.seq:
+            if reply.seq != msg.seq:
                 # a stale reply (duplicate or late after a timeout);
                 # ERR_BAD_MESSAGE means a mangled frame reached the nub
                 if (reply.mtype == protocol.MSG_ERROR
@@ -478,8 +425,8 @@ class NubSession(Transport):
                 return reply
             if reply.mtype in expect:
                 return reply
-            # without sequence ids a stale reply shows up as the wrong
-            # type: flush the stream and retry
+            # a reply of the wrong type under the right sequence id:
+            # flush the stream and retry
             raise _Transient("expected %s, got %r" % (expect, reply))
 
     def _note_event(self, msg: protocol.Message) -> None:
@@ -499,10 +446,6 @@ class NubSession(Transport):
             self.channel.close()
             self.channel = None
         self.hello_done = False
-        self.crc_active = self.seq_active = self.ack_active = False
-        self.block_active = None if self.want_block else False
-        self.timetravel_active = None if self.want_timetravel else False
-        self.core_active = None if self.want_core else False
 
     def _reconnect(self) -> None:
         if self.connector is None:
@@ -519,10 +462,6 @@ class NubSession(Transport):
                 continue
             self.channel = channel
             self.hello_done = False
-            self.crc_active = self.seq_active = self.ack_active = False
-            self.block_active = None if self.want_block else False
-            self.timetravel_active = None if self.want_timetravel else False
-            self.core_active = None if self.want_core else False
             got_signal = False
             try:
                 try:
@@ -563,43 +502,33 @@ class NubSession(Transport):
             self._in_callback = False
 
     def _ensure_handshake(self) -> None:
+        """Ask for CRC, SEQ and ACK; every later frame on this
+        connection carries them.
+
+        The nub's HELLO reply is the one frame no trailer protects.  A
+        reply that is not HELLO, names another version, or grants other
+        trailers than were asked was mangled on the way; a lost one
+        leaves the nub's framing unknown.  Either way the two ends may
+        disagree about framing, so raise
+        :class:`~repro.nub.protocol.FrameError`: that drops the
+        connection (and re-dials through the connector) like any
+        unframeable stream.
+        """
         if self.hello_done:
             return
-        features = ((protocol.FEATURE_CRC if self.want_crc else 0)
-                    | (protocol.FEATURE_SEQ if self.want_seq else 0)
-                    | (protocol.FEATURE_ACK if self.want_ack else 0)
-                    | (protocol.FEATURE_BLOCK if self.want_block else 0)
-                    | (protocol.FEATURE_TIMETRAVEL
-                       if self.want_timetravel else 0)
-                    | (protocol.FEATURE_CORE if self.want_core else 0))
-        if not features:
-            self.hello_done = True
-            return
-        self.channel.send(protocol.hello(protocol.PROTOCOL_VERSION, features))
-        while True:
+        self.channel.send(protocol.hello())
+        try:
             reply = self.channel.recv(self.reply_timeout)
-            if reply.mtype in _EVENT_TYPES:
+            while reply.mtype in _EVENT_TYPES:
                 self._note_event(reply)
-                continue
-            break
-        if reply.mtype == protocol.MSG_HELLO:
-            _version, accepted = protocol.parse_hello(reply)
-            self.crc_active = bool(accepted & protocol.FEATURE_CRC)
-            self.seq_active = bool(accepted & protocol.FEATURE_SEQ)
-            self.ack_active = bool(accepted & protocol.FEATURE_ACK)
-            self.block_active = bool(accepted & protocol.FEATURE_BLOCK)
-            self.timetravel_active = bool(accepted
-                                          & protocol.FEATURE_TIMETRAVEL)
-            self.core_active = bool(accepted & protocol.FEATURE_CORE)
-            self.channel.crc = self.crc_active
-            self.channel.seq_mode = self.seq_active
-        else:
-            # a legacy nub: plain frames, unacknowledged controls,
-            # per-word memory traffic only, no time travel
-            self.crc_active = self.seq_active = self.ack_active = False
-            self.block_active = False
-            self.timetravel_active = False
-            self.core_active = False
+                reply = self.channel.recv(self.reply_timeout)
+            granted = (protocol.parse_hello(reply)
+                       if reply.mtype == protocol.MSG_HELLO else None)
+        except (TimeoutError, protocol.ProtocolError) as err:
+            raise protocol.FrameError("no usable HELLO reply: %s" % err)
+        if granted != (protocol.PROTOCOL_VERSION, protocol.ALL_FEATURES):
+            raise protocol.FrameError("mangled HELLO reply %r" % (reply,))
+        self.channel.crc = self.channel.seq_mode = True
         self.hello_done = True
 
     def _flush(self) -> None:

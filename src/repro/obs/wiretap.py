@@ -41,8 +41,6 @@ _FEATURE_NAMES = (
     (protocol.FEATURE_CRC, "CRC"),
     (protocol.FEATURE_SEQ, "SEQ"),
     (protocol.FEATURE_ACK, "ACK"),
-    (protocol.FEATURE_BLOCK, "BLOCK"),
-    (protocol.FEATURE_TIMETRAVEL, "TIMETRAVEL"),
 )
 
 

@@ -223,10 +223,10 @@ class GatewayClient:
     def detach(self, session: str, token: str) -> dict:
         return self.request("detach", session=session, token=token)
 
-    def triage(self, path: str, **args) -> dict:
-        """Run a server-side triage batch; returns the report dict."""
-        args["path"] = path
-        return self.request("triage", args=args)["report"]
+    def triage(self, path: str) -> dict:
+        """Run a server-side (serial) triage batch; returns the report
+        dict."""
+        return self.request("triage", args={"path": path})["report"]
 
     def sessions(self) -> list:
         return self.request("sessions")["sessions"]

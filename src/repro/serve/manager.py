@@ -247,21 +247,24 @@ class SessionManager:
         server's registry, so ``stats`` exposes the ``triage.*``
         family next to ``serve.*``.  Batch-level failures answer with
         ``ERR_TRIAGE``; per-artifact failures are *results* (the
-        report's typed error ledger), not errors."""
+        report's typed error ledger), not errors.
+
+        The batch runs serially on the server: this process hosts the
+        session workers' and nubs' threads, so it must not fork a pool,
+        and a remote client does not get to choose how many processes
+        the server forks.  ``path`` is the only argument."""
         from ..triage import TriageEngine, TriageError
         args = args or {}
+        unknown = sorted(set(args) - {"path"})
+        if unknown:
+            raise GatewayError(ERR_TRIAGE, "unknown triage args: %s"
+                               % ", ".join(unknown))
         path = args.get("path")
         if not isinstance(path, str) or not path:
             raise GatewayError(ERR_TRIAGE,
                                "triage needs 'path' (a directory, "
                                "manifest, or artifact)")
-        workers = args.get("workers", 4)
-        mode = args.get("mode", "thread")
-        try:
-            engine = TriageEngine(workers=workers, mode=mode,
-                                  obs=self.obs)
-        except (TriageError, TypeError) as err:
-            raise GatewayError(ERR_TRIAGE, str(err))
+        engine = TriageEngine(obs=self.obs)
         loop = asyncio.get_event_loop()
         try:
             report = await loop.run_in_executor(

@@ -8,7 +8,7 @@ corpse: it holds *resumable* machine states, so this transport hosts a
 local simulated process, restores the latest spill into it, and serves
 the full live conversation: FETCH/BLOCKFETCH with the byte-order and
 saved-float fixups of the live nub, STORE/PLANT (replay targets are
-mutable), BREAKS, and the whole FEATURE_TIMETRAVEL family — CHECKPOINT/
+mutable), BREAKS, and the whole time-travel family — CHECKPOINT/
 RESTORE map onto the file's spilled checkpoints plus local snapshots,
 RUNTO re-executes the deterministic simulation, so reverse-continue/
 step/goto work on a file with no nub process at all.
@@ -66,16 +66,9 @@ class DivergenceError(TransportError):
 
 
 class ReplayTransport(Transport):
-    """A :class:`Transport` over a recording file.
-
-    ``block_active``/``timetravel_active``/``core_active`` are all True:
-    the image is local, the timeline is the whole point, and a replayed
-    session can re-serialize itself as a core.
-    """
-
-    block_active = True
-    timetravel_active = True
-    core_active = True
+    """A :class:`Transport` over a recording file: the image is local,
+    the timeline is the whole point, and a replayed session can
+    re-serialize itself as a core."""
 
     def __init__(self, recording: Recording, check_divergence: bool = True,
                  obs=None):

@@ -23,12 +23,11 @@ engine ingests a directory (or manifest) of artifacts and, for each:
 The batch contract mirrors the session server's: every artifact is
 *answered* — an :class:`~.report.ArtifactRecord` or a typed
 :class:`~.report.ArtifactError` — and a malformed, truncated, or
-actively hostile file never aborts the batch.  Work fans out over a
-pool of workers, each owning a whole debugger stack for the artifact
-it is triaging (the one-thread-per-stack pattern of ``repro/serve``);
-``mode="process"`` swaps the thread pool for processes when the
-symbolization load should escape the interpreter lock.  Everything
-observable lands in the shared registry under ``triage.*``.
+actively hostile file never aborts the batch.  Artifacts are triaged
+one after another, each through a fresh debugger stack; ``workers=N``
+fans them out over a pool of N processes instead (symbolization is
+interpreter-bound, so threads would only queue on the lock).
+Everything observable lands in the shared registry under ``triage.*``.
 """
 
 from __future__ import annotations
@@ -90,7 +89,7 @@ def triage_artifact(path: str,
     ``{"ok": True, ...record fields...}`` or ``{"ok": False, "kind":
     <error kind>, "message": ...}``.
 
-    This is the unit of work the pools fan out (a plain function over
+    This is the unit of work the pool fans out (a plain function over
     a path, so a process pool can run it unchanged), and the promise
     the corruption matrix tests: *whatever* is behind ``path``, this
     returns a dict — it never raises.
@@ -187,11 +186,8 @@ class TriageEngine:
     """Fan a corpus of crash artifacts through the post-mortem stack
     and bucket the results into ranked crash groups."""
 
-    def __init__(self, *, workers: int = 4, mode: str = "thread",
+    def __init__(self, *, workers: int = 1,
                  frame_limit: int = DEFAULT_FRAME_LIMIT, obs=None):
-        if mode not in ("thread", "process"):
-            raise TriageError("mode must be 'thread' or 'process', "
-                              "not %r" % mode)
         if workers < 1:
             raise TriageError("workers must be >= 1, not %r" % workers)
         if obs is None:
@@ -199,7 +195,6 @@ class TriageEngine:
             obs = Observability()
         self.obs = obs
         self.workers = workers
-        self.mode = mode
         self.frame_limit = frame_limit
 
     # -- ingestion ----------------------------------------------------------
@@ -257,7 +252,7 @@ class TriageEngine:
             raise TriageError("nothing to triage: no artifact paths")
         started = time.perf_counter()
         self.obs.tracer.event("triage.batch", artifacts=len(paths),
-                              workers=self.workers, mode=self.mode)
+                              workers=self.workers)
         results = self._map(paths)
         report = self._collect(results, len(paths),
                                time.perf_counter() - started)
@@ -270,14 +265,11 @@ class TriageEngine:
         if self.workers == 1:
             return [triage_artifact(path, self.frame_limit)
                     for path in paths]
-        # one artifact = one worker-owned debugger stack, the serve
-        # pattern; futures keep submission order so reports (and
-        # exemplar choice) are deterministic regardless of scheduling
-        from concurrent.futures import (ProcessPoolExecutor,
-                                        ThreadPoolExecutor)
-        pool_cls = (ProcessPoolExecutor if self.mode == "process"
-                    else ThreadPoolExecutor)
-        with pool_cls(max_workers=self.workers) as pool:
+        # one artifact = one worker-owned debugger stack; futures keep
+        # submission order so reports (and exemplar choice) are
+        # deterministic regardless of scheduling
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=self.workers) as pool:
             futures = [pool.submit(triage_artifact, path, self.frame_limit)
                        for path in paths]
             return [future.result() for future in futures]

@@ -170,10 +170,10 @@ class TriageReport:
         """The ranked crash-group report as terminal text."""
         lines: List[str] = []
         lines.append("triaged %d/%d artifacts into %d crash groups "
-                     "(%d errors) in %.2fs with %d workers"
+                     "(%d errors) in %.2fs with %d worker%s"
                      % (self.triaged, self.scanned, len(self.groups),
                         len(self.errors), self.elapsed_seconds,
-                        self.workers))
+                        self.workers, "" if self.workers == 1 else "s"))
         for rank, group in enumerate(self.groups[:top], 1):
             ex = group.exemplar
             lines.append("")

@@ -1,10 +1,9 @@
 """Block transfers end to end: byte identity, fallback, error parity.
 
-The block-transfer extension's contract is that it is *invisible*: a
-caching, batching debugger must produce byte-identical results to the
-per-word baseline on every architecture, fall back transparently
-against a legacy nub, and surface nub errors identically on every
-Transport implementation.
+Block transfers are base protocol, and their contract is that they are
+*invisible*: a caching, batching debugger must produce byte-identical
+results to the per-word baseline on every architecture, and surface nub
+errors identically on every Transport implementation.
 """
 
 import io
@@ -35,10 +34,9 @@ def exe_for(arch):
     return _EXES[arch]
 
 
-def stopped_target(arch, cache=True, block_nub=True, stop=9):
+def stopped_target(arch, cache=True, stop=9):
     ldb = Ldb(stdout=io.StringIO())
-    target = ldb.load_program(exe_for(arch), cache=cache,
-                              block_nub=block_nub)
+    target = ldb.load_program(exe_for(arch), cache=cache)
     ldb.break_at_stop("fib", stop)
     ldb.run_to_stop()
     return ldb, target
@@ -76,28 +74,12 @@ class TestWorkloadIdentity:
             cached.kill()
             uncached.kill()
 
-    @pytest.mark.parametrize("arch", ("rmips", "rvax"))
-    def test_legacy_nub_run_is_byte_identical(self, arch):
-        """block_nub=False: the whole workflow against a nub without the
-        extension — negotiation refuses blocks, per-word fallback."""
-        ldb_l, legacy = stopped_target(arch, cache=True, block_nub=False)
-        ldb_u, uncached = stopped_target(arch, cache=False)
-        try:
-            assert legacy.session.block_active is False
-            assert conversation(ldb_l, legacy) == conversation(ldb_u, uncached)
-            # at most one probe: the first block request is in flight
-            # while the handshake settles, then the cache disables itself
-            assert legacy.stats.of("wire", "blockfetch") <= 1
-            assert (legacy.stats.round_trips()
-                    <= uncached.stats.round_trips() + 2)
-        finally:
-            legacy.kill()
-            uncached.kill()
-
-    def test_modern_session_negotiates_blocks(self):
+    def test_session_moves_blocks(self):
+        # the handshake negotiates only the framing trailers; blocks
+        # need no negotiation
         ldb, target = stopped_target("rsparc")
         try:
-            assert target.session.block_active is True
+            assert target.channel.crc and target.channel.seq_mode
             assert target.stats.of("wire", "blockfetch") > 0
         finally:
             target.kill()
@@ -272,11 +254,10 @@ class TestTransportErrorParity:
                 == ("err", "ioerror")
 
     def test_channel_transport_probes_then_uses_blocks(self):
-        """No negotiation on a bare channel: block_active stays None,
-        the first block message settles it."""
+        """No HELLO on a bare channel: plain frames, and blocks from the
+        first request all the same."""
         ldb, target = self.channel_target()
         try:
-            assert target.transport.block_active is None
             ldb.break_at_stop("fib", 9)
             ldb.run_to_stop()
             assert ldb.evaluate("a[4]") == 5

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.ldb.memories import (
     AliasMemory,
-    BlockUnsupported,
     CachingMemory,
     JoinedMemory,
     LocalMemory,
@@ -30,11 +29,9 @@ class FakeNubTransport(Transport):
     nub's value semantics: FETCH replies little-endian values, BLOCK
     messages move raw memory images."""
 
-    def __init__(self, size=512, byteorder="little", blocks=True):
+    def __init__(self, size=512, byteorder="little"):
         self.mem = bytearray(size)
         self.byteorder = byteorder
-        self.blocks = blocks          # does the "nub" do block messages?
-        self.block_active = True      # what the connection negotiated
         self.dead = False
         self.log = []
 
@@ -64,8 +61,6 @@ class FakeNubTransport(Transport):
         if msg.mtype == protocol.MSG_BLOCKFETCH:
             space, address, length = protocol.parse_blockfetch(msg)
             self.log.append(("blockfetch", space, address, length))
-            if not self.blocks:
-                raise NubError(protocol.ERR_UNSUPPORTED, msg)
             if address >= len(self.mem):
                 raise NubError(protocol.ERR_BAD_ADDRESS, msg)
             return protocol.data(
@@ -289,24 +284,23 @@ class TestWireMemoryTransport:
             wire.fetch(loc("d", 0), "i32")
         assert err.value.errname == "ioerror"
 
-    def test_fetch_block_raises_when_negotiated_off(self):
-        fake = FakeNubTransport()
-        fake.block_active = False     # HELLO said no
-        wire = WireMemory(fake)
-        with pytest.raises(BlockUnsupported):
-            wire.fetch_block("d", 0, 64)
-        assert fake.log == []         # never even sent
-
     def test_fetch_block_maps_unsupported_answer(self):
-        wire = WireMemory(FakeNubTransport(blocks=False))
-        with pytest.raises(BlockUnsupported):
-            wire.fetch_block("d", 0, 64)
+        # blocks are base protocol: ERR_UNSUPPORTED is a nub error like
+        # any other, not a cue to fall back per-word
+        fake = FakeNubTransport()
+
+        def refuse(msg, expect=(), timeout=None):
+            raise NubError(protocol.ERR_UNSUPPORTED, msg)
+
+        fake.transact = refuse
+        with pytest.raises(PSError) as err:
+            WireMemory(fake).fetch_block("d", 0, 64)
+        assert err.value.errname == "invalidaccess"
 
 
 class TestCachingMemory:
-    def make(self, byteorder="little", fixup=None, size=512, blocks=True):
-        fake = FakeNubTransport(size=size, byteorder=byteorder,
-                                blocks=blocks)
+    def make(self, byteorder="little", fixup=None, size=512):
+        fake = FakeNubTransport(size=size, byteorder=byteorder)
         stats = MemoryStats()
         wire = WireMemory(fake, stats=stats)
         cache = CachingMemory(wire, byteorder=byteorder, fixup=fixup,
@@ -395,24 +389,6 @@ class TestCachingMemory:
         cache.fetch(loc("d", 180), "i32")
         assert len(fake.sent("blockfetch")) == 1      # all hits
         assert stats.of("cache", "prefetch") == 1
-
-    def test_legacy_nub_disables_cache_permanently(self):
-        fake, cache, stats = self.make(blocks=False)
-        fake.poke(8, (55).to_bytes(4, "little"))
-        assert cache.fetch(loc("d", 8), "i32") == 55  # per-word fallback
-        cache.fetch(loc("d", 8), "i32")
-        cache.prefetch("d", 0, 64)
-        assert len(fake.sent("blockfetch")) == 1      # one probe, ever
-        assert len(fake.sent("fetch")) == 2
-        assert not cache._block_ok
-
-    def test_negotiated_off_never_sends_a_block_message(self):
-        fake, cache, stats = self.make()
-        fake.block_active = False                     # HELLO settled it
-        fake.poke(8, (55).to_bytes(4, "little"))
-        assert cache.fetch(loc("d", 8), "i32") == 55
-        assert fake.sent("blockfetch") == []
-        assert len(fake.sent("fetch")) == 1
 
     def test_rejects_bad_byteorder(self):
         fake = FakeNubTransport()

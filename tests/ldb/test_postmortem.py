@@ -191,6 +191,25 @@ class TestPostMortemRefusals:
         # is still in sync for the next evaluation
         assert ldb.evaluate("g") == 15
 
+    def test_time_travel_refused_before_sending(self, post):
+        # a core has no future: reverse commands refuse as post-mortem
+        # before any time-travel message reaches the transport
+        ldb, target = post
+        sent = []
+        serve = target.transport.transact
+
+        def spy(msg, expect, timeout=None):
+            sent.append(msg.mtype)
+            return serve(msg, expect, timeout)
+
+        target.transport.transact = spy
+        with pytest.raises(TargetError, match="post-mortem"):
+            ldb.enable_time_travel()
+        with pytest.raises(TargetError, match="post-mortem"):
+            target.run_to_icount(10)
+        assert not {protocol.MSG_ICOUNT, protocol.MSG_CHECKPOINT,
+                    protocol.MSG_RUNTO} & set(sent)
+
     def test_raw_control_refused_with_typed_error(self, post):
         ldb, target = post
         with pytest.raises(PostMortemError, match="cannot continue"):
@@ -201,18 +220,6 @@ class TestPostMortemRefusals:
         assert target.frames()
         assert target.stop_pc() != 0
         assert ldb.evaluate("g + 1") is not None
-
-
-class TestLegacyNubDegrades:
-    def test_dumpcore_against_a_legacy_nub_is_a_clear_error(self):
-        ldb = Ldb(stdout=io.StringIO())
-        target = ldb.load_program(exe_for("rmips", "recur.c", RECUR),
-                                  core_nub=False)
-        with pytest.raises(TargetError, match="does not support core dumps"):
-            target.dump_core("/tmp/never-written.core")
-        # forward debugging is unaffected
-        ldb.break_at_function("down")
-        assert ldb.run_to_stop() == "stopped"
 
 
 class TestCoreFileDamage:

@@ -1,13 +1,12 @@
 """The tree ships warning-clean: nothing in the examples, benchmarks,
-or library still uses the deprecated ``Cpu.steps`` alias, and a
-representative workload runs without tripping any DeprecationWarning.
+or library uses the retired ``Cpu.steps`` alias (``Cpu.icount`` replaced
+it), and a representative workload runs without tripping any
+DeprecationWarning.
 """
 
 import pathlib
 import re
 import warnings
-
-import pytest
 
 from repro.cc.driver import compile_and_link
 from repro.machines import Process
@@ -25,14 +24,12 @@ SOURCE = """int main(void) {
 
 
 def test_no_source_still_uses_the_steps_alias():
-    # `cpu.steps` is the deprecated alias (engine blocks have their own,
+    # `cpu.steps` is the retired alias (engine blocks have their own,
     # unrelated `steps` attribute, so match the cpu access specifically)
     pattern = re.compile(r"\bcpu\.steps\b", re.IGNORECASE)
     offenders = []
     for tree in ("examples", "benchmarks", "src"):
         for path in (REPO / tree).rglob("*.py"):
-            if path.name == "cpu.py":
-                continue  # the shim's own definition
             for number, line in enumerate(path.read_text().splitlines(), 1):
                 if pattern.search(line):
                     offenders.append("%s:%d: %s"
@@ -49,13 +46,3 @@ def test_workload_runs_without_deprecation_warnings():
         event = process.run_until_event()
         assert process.cpu.icount > 0
         assert event is not None
-
-
-def test_the_alias_itself_still_warns_once():
-    exe = compile_and_link({"clean.c": SOURCE}, "rmips", debug=True)
-    process = Process(exe)
-    from repro.machines.cpu import Cpu
-    Cpu._steps_warned = False  # the once-latch may already be tripped
-    with pytest.warns(DeprecationWarning, match="icount"):
-        assert process.cpu.steps == process.cpu.icount
-    Cpu._steps_warned = False

@@ -8,7 +8,6 @@ self-modifying stores.  These tests enforce that contract on every
 target architecture.
 """
 
-import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -29,7 +28,6 @@ from repro.machines import (
     get_arch,
     make_engine,
 )
-from repro.machines.cpu import Cpu
 from repro.machines.isa import Insn, Label
 
 from ..cc.helpers import ALL_ARCHES
@@ -361,18 +359,3 @@ class TestStopSpec:
         cpu = Process(exe).cpu
         with pytest.raises(TypeError):
             cpu.run(100)  # positional max_steps retired with the redesign
-
-
-class TestStepsAliasRetired:
-    def test_steps_warns_and_returns_icount(self):
-        exe = build("rmips", [Label("__start"), Insn("syscall", imm=1)])
-        cpu = Process(exe).cpu
-        Cpu._steps_warned = False
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert cpu.steps == cpu.icount
-            assert cpu.steps == cpu.icount  # second read: no new warning
-        deprecations = [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert "icount" in str(deprecations[0].message)

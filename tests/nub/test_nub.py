@@ -203,34 +203,14 @@ class TestBlockService:
         assert int.from_bytes(chan.recv(10.0).payload, "little") == 123
         self.teardown_channel(chan, runner)
 
-    def test_legacy_nub_refuses_block_messages(self):
-        exe, process, nub, runner, chan = self.setup_stopped(
-            block_extension=False)
-        chan.send(protocol.blockfetch("d", 0x100, 16))
-        assert protocol.parse_error(chan.recv(10.0)) == \
-            protocol.ERR_UNSUPPORTED
-        chan.send(protocol.blockstore("d", 0x100, b"\x00" * 4))
-        assert protocol.parse_error(chan.recv(10.0)) == \
-            protocol.ERR_UNSUPPORTED
-        self.teardown_channel(chan, runner)
-
-    def test_legacy_nub_masks_feature_block_in_hello(self):
-        exe, process, nub, runner, chan = self.setup_stopped(
-            block_extension=False)
-        chan.send(protocol.hello(features=protocol.ALL_FEATURES))
-        _version, accepted = protocol.parse_hello(chan.recv(10.0))
-        assert not accepted & protocol.FEATURE_BLOCK
-        chan.crc = bool(accepted & protocol.FEATURE_CRC)
-        chan.seq_mode = bool(accepted & protocol.FEATURE_SEQ)
-        self.teardown_channel(chan, runner)
-
-    def test_modern_nub_accepts_feature_block(self):
+    def test_nub_grants_only_the_trailers(self):
+        # blocks, time travel and cores are base protocol: an offer of
+        # every bit is masked to the three framing trailers
         exe, process, nub, runner, chan = self.setup_stopped()
-        chan.send(protocol.hello(features=protocol.ALL_FEATURES))
-        _version, accepted = protocol.parse_hello(chan.recv(10.0))
-        assert accepted & protocol.FEATURE_BLOCK
-        chan.crc = bool(accepted & protocol.FEATURE_CRC)
-        chan.seq_mode = bool(accepted & protocol.FEATURE_SEQ)
+        chan.send(protocol.hello(features=0xFFFFFFFF))
+        assert protocol.parse_hello(chan.recv(10.0)) == \
+            (protocol.PROTOCOL_VERSION, protocol.ALL_FEATURES)
+        chan.crc = chan.seq_mode = True
         self.teardown_channel(chan, runner)
 
 

@@ -103,7 +103,6 @@ class TestBlockMessages:
                 p.MSG_KILL, p.MSG_SIGNAL, p.MSG_EXITED, p.MSG_DATA,
                 p.MSG_OK, p.MSG_ERROR}
         assert not core & {p.MSG_BLOCKFETCH, p.MSG_BLOCKSTORE}
-        assert p.FEATURE_BLOCK & p.ALL_FEATURES
 
     @pytest.mark.parametrize("length", [0, -1, p.MAX_BLOCK + 1])
     def test_bad_blockfetch_length_rejected(self, length):

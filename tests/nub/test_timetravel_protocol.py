@@ -1,6 +1,5 @@
-"""The time-travel protocol extension (FEATURE_TIMETRAVEL): message
-constructors and parsers, the nub-side CHECKPOINT/RESTORE/DROPCKPT/
-ICOUNT/RUNTO handlers, feature negotiation, and the legacy fallback."""
+"""The time-travel messages (base protocol): constructors and parsers,
+and the nub-side CHECKPOINT/RESTORE/DROPCKPT/ICOUNT/RUNTO handlers."""
 
 import pytest
 
@@ -83,23 +82,16 @@ class TestMessages:
 
 
 class TestNegotiation:
-    def test_hello_accepts_timetravel(self):
+    def test_time_travel_needs_no_hello(self):
+        # base protocol: a client that never shakes hands still gets
+        # checkpoints, on plain frames
         exe, process, nub, runner, chan = start_nub()
         chan.recv(10.0)  # the entry pause
-        reply = transact(chan, protocol.hello(
-            features=protocol.FEATURE_TIMETRAVEL))
-        _version, accepted = protocol.parse_hello(reply)
-        assert accepted & protocol.FEATURE_TIMETRAVEL
-        chan.send(protocol.kill())
-        runner.join()
-
-    def test_legacy_nub_masks_the_feature(self):
-        exe, process, nub, runner, chan = start_nub(timetravel_extension=False)
-        chan.recv(10.0)
-        reply = transact(chan, protocol.hello(
-            features=protocol.FEATURE_TIMETRAVEL))
-        _version, accepted = protocol.parse_hello(reply)
-        assert not accepted & protocol.FEATURE_TIMETRAVEL
+        reply = transact(chan, protocol.icount())
+        assert reply.mtype == protocol.MSG_CKPT
+        cid, _icount = protocol.parse_ckpt(transact(chan,
+                                                    protocol.checkpoint()))
+        assert cid in nub.checkpoints
         chan.send(protocol.kill())
         runner.join()
 
@@ -176,7 +168,7 @@ class TestNubHandlers:
         exe, process, nub, runner, chan = start_nub()
         chan.recv(10.0)
         reply = transact(chan, protocol.hello(
-            features=protocol.FEATURE_SEQ | protocol.FEATURE_TIMETRAVEL))
+            features=protocol.FEATURE_SEQ))
         _, accepted = protocol.parse_hello(reply)
         assert accepted & protocol.FEATURE_SEQ
         chan.seq_mode = True
@@ -199,31 +191,4 @@ class TestNubHandlers:
         kill = protocol.kill()
         kill.seq = 9
         chan.send(kill)
-        runner.join()
-
-
-class TestLegacyNub:
-    def test_every_time_travel_message_is_unsupported(self):
-        exe, process, nub, runner, chan = start_nub(timetravel_extension=False)
-        chan.recv(10.0)
-        for msg in (protocol.checkpoint(), protocol.restore(1),
-                    protocol.drop_checkpoint(1), protocol.icount(),
-                    protocol.runto(100)):
-            reply = transact(chan, msg)
-            assert reply.mtype == protocol.MSG_ERROR
-            assert protocol.parse_error(reply) == protocol.ERR_UNSUPPORTED
-        chan.send(protocol.kill())
-        runner.join()
-
-    def test_forward_debugging_still_works(self):
-        exe, process, nub, runner, chan = start_nub(timetravel_extension=False)
-        chan.recv(10.0)
-        tag = exe.symbols["_tag"]
-        data = transact(chan, protocol.fetch("d", tag, 4))
-        assert int.from_bytes(data.payload, "little") == 99
-        resume_past_pause(chan)
-        chan.send(protocol.cont())
-        msg = chan.recv(10.0)
-        assert msg.mtype == protocol.MSG_EXITED
-        assert protocol.parse_exited(msg) == 3
         runner.join()

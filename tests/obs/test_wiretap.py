@@ -26,7 +26,7 @@ class TestDescribe:
     def test_hello_renders_feature_names(self):
         d = describe(protocol.hello())
         assert d["version"] == protocol.PROTOCOL_VERSION
-        assert d["features"] == "CRC+SEQ+ACK+BLOCK+TIMETRAVEL"
+        assert d["features"] == "CRC+SEQ+ACK"
 
     def test_signal_and_exited(self):
         assert describe(protocol.signal(5, 0, 0xFF00)) == {

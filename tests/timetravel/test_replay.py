@@ -1,6 +1,6 @@
 """Acceptance tests for the time-travel engine: recording, the reverse
-commands, byte-identical landings on every architecture, survival over
-a faulty wire, and graceful degradation against a legacy nub.
+commands, byte-identical landings on every architecture, and survival
+over a faulty wire.
 
 The driver program hits a breakpoint in ``poke`` and then dies of
 SIGSEGV, so "reverse-continue from the fault" has a well-defined right
@@ -212,33 +212,3 @@ class TestFaultySession:
                 t2.process.cpu.icount, bytes(t2.process.mem.bytes))
         t.kill()
         runner.join()
-
-
-class TestLegacyNub:
-    def test_reverse_commands_degrade_with_a_clear_error(self):
-        ldb = Ldb(stdout=io.StringIO())
-        t = ldb.load_program(boom_exe("rmips"), timetravel_nub=False)
-        with pytest.raises(TargetError):
-            ldb.enable_time_travel()
-        with pytest.raises(TargetError):
-            ldb.reverse_continue()  # never enabled
-
-    def test_forward_debugging_is_unchanged(self):
-        ldb = Ldb(stdout=io.StringIO())
-        t = ldb.load_program(boom_exe("rmips"), timetravel_nub=False)
-        ldb.break_at_function("poke")
-        assert ldb.run_to_stop() == "stopped" and t.at_breakpoint()
-        # the handshake negotiated the feature off
-        assert t.session.timetravel_active is False
-        assert ldb.evaluate("g") == 15
-        ldb.run_to_stop()
-        assert t.signo == SIGSEGV
-
-    def test_session_can_opt_out_of_the_feature(self):
-        # a modern nub, but the debugger declines the extension: the
-        # session must refuse reverse commands *before* sending anything
-        ldb = Ldb(stdout=io.StringIO())
-        t = ldb.load_program(boom_exe("rmips"))
-        t.session.timetravel_active = False  # as if negotiated off
-        with pytest.raises(TargetError):
-            t.take_checkpoint()

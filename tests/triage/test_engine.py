@@ -14,7 +14,6 @@ from repro.triage import (ERROR_CORRUPT_CORE, ERROR_CORRUPT_RECORDING,
 
 
 def run_triage(directory, **kw):
-    kw.setdefault("workers", 1)
     return TriageEngine(**kw).triage_dir(directory)
 
 
@@ -108,22 +107,20 @@ def test_classify_by_magic(corpus, tmp_path):
     assert classify(str(alien)) == ERROR_NOT_ARTIFACT
 
 
-# -- pool modes and batch-level errors ------------------------------------
+# -- the process pool and batch-level errors ------------------------------
 
 def test_parallel_groups_match_serial(corpus):
     directory, _ = corpus
     serial = run_triage(directory)
-    threads = run_triage(directory, workers=3)
+    pool = run_triage(directory, workers=2)  # a process pool
     key = lambda r: [(g.stack_hash, sorted(m.path for m in g.members))
                      for g in r.groups]
-    assert key(threads) == key(serial)
-    assert ({e.path for e in threads.errors}
+    assert key(pool) == key(serial)
+    assert ({e.path for e in pool.errors}
             == {e.path for e in serial.errors})
 
 
 def test_engine_rejects_bad_configuration():
-    with pytest.raises(TriageError):
-        TriageEngine(mode="fleet")
     with pytest.raises(TriageError):
         TriageEngine(workers=0)
 

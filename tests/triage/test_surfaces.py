@@ -94,7 +94,7 @@ def test_repl_triage_verb(corpus):
     directory, manifest = corpus
     out = io.StringIO()
     cli = Cli(stdin=io.StringIO(), stdout=out)
-    cli.command("triage %s 2" % directory)
+    cli.command("triage %s" % directory)
     shown = out.getvalue()
     assert "crash groups" in shown
     # the REPL shares the debugger's registry: stats shows triage.*
@@ -108,6 +108,12 @@ def test_repl_triage_verb_usage_and_errors(tmp_path):
     cli = Cli(stdin=io.StringIO(), stdout=out)
     cli.command("triage")
     assert "usage: triage" in out.getvalue()
+    # the verb runs serially in the REPL's process: a worker count is
+    # an extra word, answered with the usage line, never an exception
+    for extra in ("abc", "0"):
+        out.truncate(0), out.seek(0)
+        cli.command("triage %s %s" % (tmp_path, extra))
+        assert "usage: triage" in out.getvalue()
     out.truncate(0), out.seek(0)
     cli.command("triage %s" % (tmp_path / "missing"))
     assert "ldb: triage:" in out.getvalue()
@@ -119,7 +125,7 @@ def test_gateway_triage_op(corpus):
     directory, manifest = corpus
     with server() as srv:
         client = srv.client()
-        report = client.triage(directory, workers=2)
+        report = client.triage(directory)
         assert report["scanned"] == len(manifest["artifacts"])
         assert report["triaged"] > 0 and report["groups"]
         kinds = {e["kind"] for e in report["errors"]}
@@ -139,6 +145,10 @@ def test_gateway_triage_typed_errors():
         with pytest.raises(RemoteError) as err:
             client.triage("/nonexistent/corpus")
         assert err.value.code == "ERR_TRIAGE"
-        with pytest.raises(RemoteError) as err:
-            client.triage("/tmp", mode="fleet")
-        assert err.value.code == "ERR_TRIAGE"
+        # the server runs batches serially: a pool size or mode from a
+        # remote client is refused by name, like an unknown fault key
+        for extra in ({"workers": 2}, {"mode": "process"}):
+            with pytest.raises(RemoteError) as err:
+                client.request("triage", args=dict(extra, path="/tmp"))
+            assert err.value.code == "ERR_TRIAGE"
+            assert next(iter(extra)) in str(err.value)
