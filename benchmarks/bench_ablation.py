@@ -21,9 +21,11 @@ from .workloads import FIB_C
 
 @pytest.fixture(scope="module")
 def stopped():
+    # cache=False: the paper's uncached setup, so every fetch counted
+    # here reaches the wire as its own FETCH message
     exe = compile_and_link({"fib.c": FIB_C}, "rmips", debug=True)
     ldb = Ldb(stdout=io.StringIO())
-    target = ldb.load_program(exe)
+    target = ldb.load_program(exe, cache=False)
     ldb.break_at_stop("fib", 9)
     ldb.run_to_stop()
     return ldb, target

@@ -110,7 +110,7 @@ class Ldb:
         return target
 
     def open_core(self, path: str, table_ps: Optional[str] = None,
-                  cache: bool = True, salvage: bool = True) -> Target:
+                  cache: bool = True) -> Target:
         """Open a core file for post-mortem debugging: no nub, no
         process — the whole debugger stack runs against the recorded
         memory image.
@@ -123,37 +123,42 @@ class Ldb:
 
         A truncated or tail-corrupt core opens on its longest valid
         prefix with a :class:`~repro.machines.atomicio.SalvagedArtifact`
-        warning (``salvage=False`` restores the strict behaviour: any
-        damage raises).
+        warning.
         """
         from ..machines.core import CoreError, CoreFile
         from .postmortem import CoreTransport
         try:
-            core = CoreFile.load(path, salvage=salvage)
+            core = CoreFile.load(path, salvage=True)
             transport = CoreTransport(core)
         except CoreError as err:
             raise TargetError("cannot open core %s: %s" % (path, err))
+        target = self._adopt_file("core", path, transport, core.arch_name,
+                                  table_ps or core.loader_ps, cache)
+        target.core = core
+        self.obs.tracer.event("ldb.open_core", path=path,
+                              arch=core.arch_name, signo=core.signo)
+        return target
+
+    def _adopt_file(self, kind: str, path: str, transport,
+                    arch_name: str, table_ps: Optional[str],
+                    cache: bool) -> Target:
+        """Debug a core or a recording: read its symbol table, check it
+        names the file's architecture, take the stop the file announces,
+        and adopt the breakpoints planted when it was written."""
         if table_ps is None:
-            table_ps = core.loader_ps
-            if table_ps is None:
-                raise TargetError(
-                    "core %s embeds no symbol table; pass table_ps" % path)
+            raise TargetError("%s %s embeds no symbol table; pass table_ps"
+                              % (kind, path))
         table = self.read_loader_table(table_ps)
         target = Target(self.interp, None, table, self._new_target_name(),
                         transport=transport, cache=cache, obs=self.obs)
-        if target.arch_name != core.arch_name:
-            raise TargetError(
-                "core %s is %s but the symbol table says %s"
-                % (path, core.arch_name, target.arch_name))
+        if target.arch_name != arch_name:
+            raise TargetError("%s %s is %s but the symbol table says %s"
+                              % (kind, path, arch_name, target.arch_name))
         self.targets[target.name] = target
         self.current = target
-        target.core = core
         target.loader_ps = table_ps
-        target.wait_for_stop()  # the recorded fault, re-announced
-        # adopt the planted-breakpoint table the dead debugger left
+        target.wait_for_stop()
         target.breakpoints.extension_available()
-        self.obs.tracer.event("ldb.open_core", path=path,
-                              arch=core.arch_name, signo=core.signo)
         return target
 
     def attach(self, host: str, port: int, table_ps: str,
@@ -423,9 +428,7 @@ class Ldb:
         return discarded
 
     def open_recording(self, path: str, table_ps: Optional[str] = None,
-                       cache: bool = True,
-                       check_divergence: bool = True,
-                       salvage: bool = True) -> Target:
+                       cache: bool = True) -> Target:
         """Reopen a saved recording: no nub, no live process — the
         whole debugger stack runs against re-executed machine states
         restored from the file's checkpoint spills.
@@ -439,40 +442,21 @@ class Ldb:
         A truncated or tail-corrupt file opens on its longest valid
         chunk prefix — the spills, stops, and inputs that survived —
         with a :class:`~repro.machines.atomicio.SalvagedArtifact`
-        warning; replay verifies up to the salvage horizon
-        (``salvage=False`` restores the strict behaviour)."""
+        warning; replay verifies up to the salvage horizon."""
         from ..timetravel import ReplayController
         from ..trace import Recording, ReplayTransport, TraceError
         from ..trace.format import SPILL_AUTO
         from ..timetravel.ring import Checkpoint
         try:
-            recording = Recording.load(path, salvage=salvage)
-            transport = ReplayTransport(recording,
-                                        check_divergence=check_divergence,
-                                        obs=self.obs)
+            recording = Recording.load(path, salvage=True)
+            transport = ReplayTransport(recording, obs=self.obs)
         except TraceError as err:
             raise TargetError("cannot open recording %s: %s" % (path, err))
         meta = recording.meta
-        if table_ps is None:
-            table_ps = meta.loader_ps
-            if table_ps is None:
-                raise TargetError(
-                    "recording %s embeds no symbol table; pass table_ps"
-                    % path)
-        table = self.read_loader_table(table_ps)
-        target = Target(self.interp, None, table, self._new_target_name(),
-                        transport=transport, cache=cache, obs=self.obs)
-        if target.arch_name != meta.arch_name:
-            raise TargetError(
-                "recording %s is %s but the symbol table says %s"
-                % (path, meta.arch_name, target.arch_name))
-        self.targets[target.name] = target
-        self.current = target
+        target = self._adopt_file("recording", path, transport,
+                                  meta.arch_name, table_ps or meta.loader_ps,
+                                  cache)
         target.recording = recording
-        target.loader_ps = table_ps
-        target.wait_for_stop()  # the final recorded stop, re-announced
-        # adopt the planted-breakpoint table the recorded session left
-        target.breakpoints.extension_available()
         # seed the reverse machinery with the file's spilled
         # checkpoints: every spill is restorable by its recorded cid
         controller = ReplayController(

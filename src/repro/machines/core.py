@@ -27,7 +27,7 @@ from typing import List, Optional, Tuple
 from .atomicio import SalvagedArtifact, atomic_write_bytes
 from .chunkio import (pack_container, salvage_container, sparse_segments,
                       unpack_container)
-from .memory import TargetMemory
+from .process import Process
 
 __all__ = ["MAGIC", "CORE_VERSION", "CoreError", "CoreFile",
            "SalvagedArtifact", "sparse_segments", "core_from_process"]
@@ -215,17 +215,26 @@ class CoreFile:
 
     # -- reconstruction ---------------------------------------------------
 
-    def memory(self) -> TargetMemory:
-        """Rebuild the target's memory image (unstored runs are zero,
-        exactly as they were when skipped by the sparse scan)."""
-        mem = TargetMemory(self.memsize, byteorder=self.byteorder)
+    def process(self) -> Process:
+        """Rebuild the dead target as a stopped process: the memory
+        image (unstored runs are zero, exactly as they were when skipped
+        by the sparse scan) and the retired-instruction count."""
+        from . import get_arch  # deferred: the package imports this module
+        try:
+            arch = get_arch(self.arch_name)
+        except KeyError:
+            raise CoreError("core names unknown architecture %r"
+                            % self.arch_name)
+        # a core never runs: the step engine keeps no per-byte code map
+        process = Process.blank(arch, self.memsize, engine="step")
         for start, raw in self.segments:
             if start < 0 or start + len(raw) > self.memsize:
                 raise CoreError("segment [0x%x, 0x%x) outside the %d-byte "
                                 "image" % (start, start + len(raw),
                                            self.memsize))
-            mem.write_bytes(start, raw)
-        return mem
+            process.mem.write_bytes(start, raw)
+        process.cpu.icount = self.icount
+        return process
 
 
 def core_from_process(process, signo: int, code: int, fault_pc: int,

@@ -119,6 +119,15 @@ class Process:
         self.cpu.set_reg(self.arch.sp, exe.stack_top)
         self.exited: Optional[int] = None
 
+    @classmethod
+    def blank(cls, arch, memsize: int, engine=None) -> "Process":
+        """A process with no program: ``memsize`` bytes of zeroed memory,
+        for hosting state rebuilt from a file (a core's image, a
+        recording's spill)."""
+        shell = Executable(arch, [])
+        shell.text_base = 0  # nothing to load, so any image size will do
+        return cls(shell, memsize=memsize, engine=engine)
+
     # -- events ------------------------------------------------------------
 
     def run_until_event(self, *, max_steps: Optional[int] = None,

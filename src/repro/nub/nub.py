@@ -213,13 +213,13 @@ class Nub:
         self.loader_ps = (loader_ps if loader_ps is not None
                           else getattr(process.exe, "loader_ps", None))
         #: the stop currently being served (the fault record a core records)
-        self._last_event: Optional[FaultEvent] = None
+        self.last_stop: Optional[FaultEvent] = None
         #: last-folded execution-engine counters (see _fold_sim_metrics)
         self._sim_folded: dict = {}
         #: time travel: checkpoints live here, nub-side, so images never
         #: cross the wire
         self.checkpoints: dict = {}  # id -> (ProcessSnapshot, planted copy)
-        self._next_checkpoint = 1
+        self.next_checkpoint = 1
         #: seq/id of the last CHECKPOINT served, so a retried request
         #: (lost reply) does not mint a second, leaked snapshot
         self._last_ckpt_seq = None
@@ -247,8 +247,8 @@ class Nub:
             # nothing survives but the core (when one is configured)
             self.obs.tracer.warn("nub.process_died")
             self.obs.metrics.inc("nub.process_deaths")
-            if self._last_event is not None:
-                self._write_auto_core(self._last_event)
+            if self.last_stop is not None:
+                self._write_auto_core(self.last_stop)
             if self.channel is not None:
                 try:
                     self.channel.close()
@@ -311,14 +311,26 @@ class Nub:
 
     # -- signal handling ---------------------------------------------------------
 
+    def stopped(self, event: FaultEvent) -> None:
+        """Save the context at a stop and make ``event`` the stop being
+        served (the fault record DUMPCORE writes)."""
+        self.md.save_context(self.process.cpu, self.process.mem,
+                             self.context_addr, event.pc)
+        self.last_stop = event
+
+    def resume(self) -> None:
+        """Load the saved context, which the debugger may have edited,
+        back into the CPU."""
+        cpu = self.process.cpu
+        cpu.pc = self.md.restore_context(cpu, self.process.mem,
+                                         self.context_addr)
+
     def handle_signal(self, event: FaultEvent) -> str:
         """Save a context, notify the debugger, service requests."""
-        cpu = self.process.cpu
         self.obs.metrics.inc("nub.stops")
         self.obs.tracer.event("nub.stop", signo=event.signo, code=event.code,
                               pc="0x%x" % event.pc)
-        self.md.save_context(cpu, self.process.mem, self.context_addr, event.pc)
-        self._last_event = event
+        self.stopped(event)
         if event.signo != SIGTRAP:
             # a fatal fault: leave a core behind before anything else can
             # go wrong (the debugger may never connect, or die with us)
@@ -347,9 +359,7 @@ class Nub:
                 self.ack_active = False
                 continue
             if outcome == "continue":
-                pc = self.md.restore_context(cpu, self.process.mem,
-                                             self.context_addr)
-                cpu.pc = pc
+                self.resume()
                 return "continued"
             if outcome == "killed":
                 return "killed"
@@ -390,35 +400,10 @@ class Nub:
                 return outcome
 
     def _dispatch(self, msg) -> Optional[str]:
-        if msg.mtype == protocol.MSG_FETCH:
-            self._do_fetch(msg)
-        elif msg.mtype == protocol.MSG_STORE:
-            self._do_store(msg)
-        elif msg.mtype == protocol.MSG_BLOCKFETCH:
-            self._do_blockfetch(msg)
-        elif msg.mtype == protocol.MSG_BLOCKSTORE:
-            self._do_blockstore(msg)
-        elif msg.mtype == protocol.MSG_PLANT:
-            self._do_plant(msg)
-        elif msg.mtype == protocol.MSG_UNPLANT:
-            self._do_unplant(msg)
-        elif msg.mtype == protocol.MSG_BREAKS:
-            self._require_empty(msg)
-            self._do_breaks()
+        if msg.mtype in self._ANSWERS:
+            self._reply(self.answer(msg))
         elif msg.mtype == protocol.MSG_HELLO:
             self._do_hello(msg)
-        elif msg.mtype == protocol.MSG_CHECKPOINT:
-            self._do_checkpoint(msg)
-        elif msg.mtype == protocol.MSG_RESTORE:
-            self._do_restore(msg)
-        elif msg.mtype == protocol.MSG_DROPCKPT:
-            self._do_dropckpt(msg)
-        elif msg.mtype == protocol.MSG_ICOUNT:
-            self._do_icount(msg)
-        elif msg.mtype == protocol.MSG_DUMPCORE:
-            self._do_dumpcore(msg)
-        elif msg.mtype == protocol.MSG_SPILL:
-            self._do_spill(msg)
         elif msg.mtype == protocol.MSG_RUNTO:
             target = protocol.parse_runto(msg)
             if self._stale_control(msg):
@@ -448,6 +433,21 @@ class Nub:
         else:
             self._reply(protocol.error(protocol.ERR_BAD_MESSAGE))
         return None
+
+    def answer(self, msg) -> protocol.Message:
+        """The reply to one request, with no channel involved.
+
+        Every fetch, store, breakpoint, time-travel and post-mortem
+        request is answered here, so a nub hosted over a process
+        rebuilt from a core or a recording answers exactly as a live
+        one.  HELLO and the controls act on the connection and stay in
+        the live loop; a nub asked for them here answers
+        ``ERR_UNSUPPORTED``.  A malformed payload raises
+        :class:`~repro.nub.protocol.ProtocolError`."""
+        handler = self._ANSWERS.get(msg.mtype)
+        if handler is None:
+            return protocol.error(protocol.ERR_UNSUPPORTED)
+        return handler(self, msg)
 
     def _require_empty(self, msg) -> None:
         # a control message carrying a payload is corruption, not intent
@@ -500,43 +500,38 @@ class Nub:
 
     # -- fetch/store ---------------------------------------------------------------
 
-    def _do_fetch(self, msg) -> None:
+    def _do_fetch(self, msg) -> protocol.Message:
         space, address, size = protocol.parse_fetch(msg)
         if space not in "cd":
             # the nub answers only for code and data (paper Sec. 4.1)
-            self._reply(protocol.error(protocol.ERR_BAD_SPACE))
-            return
+            return protocol.error(protocol.ERR_BAD_SPACE)
         if size == 10 and not self.arch.has_f80:
-            self._reply(protocol.error(protocol.ERR_UNSUPPORTED))
-            return
+            return protocol.error(protocol.ERR_UNSUPPORTED)
         try:
             raw = self.process.mem.read_bytes(address, size)
         except Exception:
-            self._reply(protocol.error(protocol.ERR_BAD_ADDRESS))
-            return
+            return protocol.error(protocol.ERR_BAD_ADDRESS)
         # the nub reads with the target's byte order and replies in
         # little-endian order (paper Sec. 4.1)
         raw_le = raw if self.arch.byteorder == "little" else raw[::-1]
         raw_le = self.md.fix_fetched(address, raw_le, self.context_addr)
-        self._reply(protocol.data(raw_le))
+        return protocol.data(raw_le)
 
-    def _do_store(self, msg) -> None:
+    def _do_store(self, msg) -> protocol.Message:
         space, address, raw_le = protocol.parse_store(msg)
         if space not in "cd":
-            self._reply(protocol.error(protocol.ERR_BAD_SPACE))
-            return
+            return protocol.error(protocol.ERR_BAD_SPACE)
         raw_le = self.md.fix_stored(address, raw_le, self.context_addr)
         raw = raw_le if self.arch.byteorder == "little" else raw_le[::-1]
         try:
             self.process.mem.write_bytes(address, raw)
         except Exception:
-            self._reply(protocol.error(protocol.ERR_BAD_ADDRESS))
-            return
-        self._reply(protocol.ok())
+            return protocol.error(protocol.ERR_BAD_ADDRESS)
+        return protocol.ok()
 
     # -- block transfers ------------------------------------------------------
 
-    def _do_blockfetch(self, msg) -> None:
+    def _do_blockfetch(self, msg) -> protocol.Message:
         """A span of raw memory in one round-trip.
 
         The reply is the memory image in ascending address order — no
@@ -548,13 +543,11 @@ class Nub:
         """
         space, address, length = protocol.parse_blockfetch(msg)
         if space not in "cd":
-            self._reply(protocol.error(protocol.ERR_BAD_SPACE))
-            return
+            return protocol.error(protocol.ERR_BAD_SPACE)
         raw = self._readable_prefix(address, length)
         if raw is None:
-            self._reply(protocol.error(protocol.ERR_BAD_ADDRESS))
-            return
-        self._reply(protocol.data(raw))
+            return protocol.error(protocol.ERR_BAD_ADDRESS)
+        return protocol.data(raw)
 
     def _readable_prefix(self, address: int, length: int):
         mem = self.process.mem
@@ -574,30 +567,22 @@ class Nub:
             return None
         return mem.read_bytes(address, lo)
 
-    def _do_blockstore(self, msg) -> None:
+    def _do_blockstore(self, msg) -> protocol.Message:
         space, address, raw = protocol.parse_blockstore(msg)
         if space not in "cd":
-            self._reply(protocol.error(protocol.ERR_BAD_SPACE))
-            return
+            return protocol.error(protocol.ERR_BAD_SPACE)
         try:
             self.process.mem.write_bytes(address, raw)
         except Exception:
-            self._reply(protocol.error(protocol.ERR_BAD_ADDRESS))
-            return
-        self._reply(protocol.ok())
+            return protocol.error(protocol.ERR_BAD_ADDRESS)
+        return protocol.ok()
 
     # -- the breakpoint extension (Sec. 7.1) ---------------------------------
 
-    def _extension_enabled(self) -> bool:
+    def _do_plant(self, msg) -> protocol.Message:
         if not self.breakpoint_extension:
             # a minimal nub: the debugger falls back to plain stores
-            self._reply(protocol.error(protocol.ERR_UNSUPPORTED))
-            return False
-        return True
-
-    def _do_plant(self, msg) -> None:
-        if not self._extension_enabled():
-            return
+            return protocol.error(protocol.ERR_UNSUPPORTED)
         address, trap = protocol.parse_plant(msg)
         size = len(trap)
         if address not in self.planted:
@@ -606,35 +591,35 @@ class Nub:
             try:
                 original = self.process.mem.read_bytes(address, size)
             except Exception:
-                self._reply(protocol.error(protocol.ERR_BAD_ADDRESS))
-                return
+                return protocol.error(protocol.ERR_BAD_ADDRESS)
             self.planted[address] = (original
                                      if self.arch.byteorder == "little"
                                      else original[::-1])
         raw = trap if self.arch.byteorder == "little" else trap[::-1]
         self.process.mem.write_bytes(address, raw)
-        self._reply(protocol.ok())
+        return protocol.ok()
 
-    def _do_unplant(self, msg) -> None:
-        if not self._extension_enabled():
-            return
+    def _do_unplant(self, msg) -> protocol.Message:
+        if not self.breakpoint_extension:
+            return protocol.error(protocol.ERR_UNSUPPORTED)
         address = protocol.parse_unplant(msg)
         original_le = self.planted.pop(address, None)
         if original_le is None:
-            self._reply(protocol.error(protocol.ERR_BAD_ADDRESS))
-            return
-        raw = original_le if self.arch.byteorder == "little"             else original_le[::-1]
+            return protocol.error(protocol.ERR_BAD_ADDRESS)
+        raw = (original_le if self.arch.byteorder == "little"
+               else original_le[::-1])
         self.process.mem.write_bytes(address, raw)
-        self._reply(protocol.ok())
+        return protocol.ok()
 
-    def _do_breaks(self) -> None:
-        if not self._extension_enabled():
-            return
-        self._reply(protocol.breaklist(sorted(self.planted.items())))
+    def _do_breaks(self, msg) -> protocol.Message:
+        self._require_empty(msg)
+        if not self.breakpoint_extension:
+            return protocol.error(protocol.ERR_UNSUPPORTED)
+        return protocol.breaklist(sorted(self.planted.items()))
 
     # -- time travel ------------------------------------------------------------
 
-    def _do_checkpoint(self, msg) -> None:
+    def _do_checkpoint(self, msg) -> protocol.Message:
         """Snapshot the whole process *nub-side*: CPU, COW memory pages,
         and the planted-trap table.  Only a small id and the retired
         instruction count cross the wire — never the image itself."""
@@ -644,39 +629,37 @@ class Nub:
                 and self._last_ckpt_id in self.checkpoints):
             # a retried CHECKPOINT (its reply was lost): answer again
             snap, _planted = self.checkpoints[self._last_ckpt_id]
-            self._reply(protocol.ckpt(self._last_ckpt_id, snap.icount))
-            return
-        cid = self._next_checkpoint
-        self._next_checkpoint += 1
+            return protocol.ckpt(self._last_ckpt_id, snap.icount)
+        cid = self.next_checkpoint
+        self.next_checkpoint += 1
         self.checkpoints[cid] = (self.process.snapshot(), dict(self.planted))
         self._last_ckpt_seq = msg.seq
         self._last_ckpt_id = cid
-        self._reply(protocol.ckpt(cid, self.process.cpu.icount))
+        return protocol.ckpt(cid, self.process.cpu.icount)
 
-    def _do_restore(self, msg) -> None:
+    def _do_restore(self, msg) -> protocol.Message:
         cid = protocol.parse_restore(msg)
         entry = self.checkpoints.get(cid)
         if entry is None:
-            self._reply(protocol.error(protocol.ERR_BAD_CHECKPOINT))
-            return
+            return protocol.error(protocol.ERR_BAD_CHECKPOINT)
         snap, planted = entry
         self.process.restore(snap)
         # memory came back with the checkpoint-time traps in place;
         # realign the bookkeeping with it (restore is idempotent, so a
         # retried RESTORE is harmless)
         self.planted = dict(planted)
-        self._reply(protocol.ckpt(cid, self.process.cpu.icount))
+        return protocol.ckpt(cid, self.process.cpu.icount)
 
-    def _do_dropckpt(self, msg) -> None:
+    def _do_dropckpt(self, msg) -> protocol.Message:
         cid = protocol.parse_drop_checkpoint(msg)
         entry = self.checkpoints.pop(cid, None)
         if entry is not None:
             self.process.release_snapshot(entry[0])
-        self._reply(protocol.ok())  # dropping twice is not an error
+        return protocol.ok()  # dropping twice is not an error
 
-    def _do_icount(self, msg) -> None:
+    def _do_icount(self, msg) -> protocol.Message:
         self._require_empty(msg)
-        self._reply(protocol.ckpt(protocol.NO_CKPT, self.process.cpu.icount))
+        return protocol.ckpt(protocol.NO_CKPT, self.process.cpu.icount)
 
     # -- post-mortem --------------------------------------------------------------
 
@@ -686,20 +669,19 @@ class Nub:
                                  planted=self.planted,
                                  loader_ps=self.loader_ps)
 
-    def _do_dumpcore(self, msg) -> None:
+    def _do_dumpcore(self, msg) -> protocol.Message:
         """Serialize the stopped target into a core image, answered as
         DATA.  The context is already saved at ``context_addr``, so the
         core captures exactly what the live session sees."""
         self._require_empty(msg)
-        if self._last_event is None:
-            self._reply(protocol.error(protocol.ERR_BAD_MESSAGE))
-            return
-        raw = self._build_core(self._last_event).to_bytes()
+        if self.last_stop is None:
+            return protocol.error(protocol.ERR_BAD_MESSAGE)
+        raw = self._build_core(self.last_stop).to_bytes()
         self.obs.metrics.inc("nub.core_dumps")
         self.obs.tracer.event("nub.core_dump", bytes=len(raw))
-        self._reply(protocol.data(raw))
+        return protocol.data(raw)
 
-    def _do_spill(self, msg) -> None:
+    def _do_spill(self, msg) -> protocol.Message:
         """Serialize the complete resumable machine state as DATA.
 
         A core (:meth:`_do_dumpcore`) carries what a dead target needs;
@@ -707,15 +689,31 @@ class Nub:
         bookkeeping like the rmips load-delay slot that the saved
         context has no field for — so recording gets its own verb."""
         self._require_empty(msg)
-        if self._last_event is None:
-            self._reply(protocol.error(protocol.ERR_BAD_MESSAGE))
-            return
+        if self.last_stop is None:
+            return protocol.error(protocol.ERR_BAD_MESSAGE)
         state = MachineState.capture(self.process, self.planted)
         raw = state.to_bytes()
         self.obs.metrics.inc("nub.spills")
         self.obs.tracer.event("nub.spill", bytes=len(raw),
                               icount=state.icount)
-        self._reply(protocol.data(raw))
+        return protocol.data(raw)
+
+    #: request type -> the handler whose reply :meth:`answer` returns
+    _ANSWERS = {
+        protocol.MSG_FETCH: _do_fetch,
+        protocol.MSG_STORE: _do_store,
+        protocol.MSG_BLOCKFETCH: _do_blockfetch,
+        protocol.MSG_BLOCKSTORE: _do_blockstore,
+        protocol.MSG_PLANT: _do_plant,
+        protocol.MSG_UNPLANT: _do_unplant,
+        protocol.MSG_BREAKS: _do_breaks,
+        protocol.MSG_CHECKPOINT: _do_checkpoint,
+        protocol.MSG_RESTORE: _do_restore,
+        protocol.MSG_DROPCKPT: _do_dropckpt,
+        protocol.MSG_ICOUNT: _do_icount,
+        protocol.MSG_DUMPCORE: _do_dumpcore,
+        protocol.MSG_SPILL: _do_spill,
+    }
 
     def _write_auto_core(self, event: FaultEvent) -> None:
         """Best-effort automatic core at ``core_path``; a failed write

@@ -170,8 +170,12 @@ class GatewayClient:
         self.sock.settimeout(timeout)
         self._file = self.sock.makefile("rb")
         self._next_id = 0
-        self._pending: dict = {}
         self._lock = threading.Lock()
+        #: one reader at a time; a reader files other callers' replies
+        #: in ``_pending`` before letting go, so a caller that checks
+        #: ``_pending`` under this lock never waits for a line already read
+        self._read_lock = threading.Lock()
+        self._pending: dict = {}
 
     def close(self) -> None:
         try:
@@ -188,17 +192,16 @@ class GatewayClient:
         payload.update(fields)
         self.sock.sendall(json.dumps(payload).encode("utf-8") + b"\n")
         while True:
-            with self._lock:
+            with self._read_lock:
                 reply = self._pending.pop(request_id, None)
-            if reply is None:
-                line = self._file.readline()
-                if not line:
-                    raise ConnectionError("server closed the connection")
-                reply = json.loads(line)
-                if reply.get("id") != request_id:
-                    with self._lock:
+                if reply is None:
+                    line = self._file.readline()
+                    if not line:
+                        raise ConnectionError("server closed the connection")
+                    reply = json.loads(line)
+                    if reply.get("id") != request_id:
                         self._pending[reply.get("id")] = reply
-                    continue
+                        continue
             if not reply.get("ok"):
                 raise RemoteError(reply.get("error") or {})
             return reply.get("result")

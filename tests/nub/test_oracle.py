@@ -1,0 +1,140 @@
+"""Live, core and replay give the same reply to every request.
+
+A crashed session (breakpoint planted, recording on) is saved both ways
+— ``record save`` and ``dumpcore`` — and both files are reopened.  The
+same requests then go to the live :class:`NubSession`, the core's
+:class:`CoreTransport` and the recording's :class:`ReplayTransport`.
+Each transport must answer every read exactly as the live nub does,
+errors included; the recording, which is mutable, must also answer
+stores and breakpoint patches alike, and the core must refuse them.
+"""
+
+import io
+
+import pytest
+
+from repro.cc.driver import compile_and_link
+from repro.ldb import Ldb
+from repro.ldb.postmortem import PostMortemError
+from repro.machines import ARCH_NAMES, SIGSEGV, get_arch
+from repro.nub import protocol
+from repro.nub.nub import nub_md_for
+from repro.nub.session import NubError
+
+BOOM = """int g;
+double d;
+void poke(int *p) { *p = 42; }
+int main(void) {
+    int i;
+    d = 1.5;
+    for (i = 0; i < 6; i++)
+        g = g + i;
+    poke((int *)0x7fffffff);
+    return 0;
+}
+"""
+
+UNMAPPED = 0x7FFFFF00
+
+_EXES = {}
+
+
+def boom_exe(arch):
+    if arch not in _EXES:
+        _EXES[arch] = compile_and_link({"boom.c": BOOM}, arch, debug=True)
+    return _EXES[arch]
+
+
+def outcome(transport, msg, expect):
+    """A reply as comparable data: its type and payload, or the error."""
+    try:
+        reply = transport.transact(msg, expect)
+    except NubError as err:
+        return ("error", err.code)
+    return (reply.mtype, reply.payload)
+
+
+def reads(arch, context_addr, memsize):
+    """The read requests every transport must answer like the live nub."""
+    context_size = get_arch(arch).context_size()
+    data = (protocol.MSG_DATA,)
+    out = [(protocol.fetch("d", context_addr + offset, 4), data)
+           for offset in range(0, context_size - 3, 4)]
+    out += [(protocol.fetch("d", context_addr + offset, 8), data)
+            for offset in range(0, context_size - 7, 8)]
+    out += [
+        (protocol.fetch("d", context_addr, 10), data),
+        (protocol.fetch("x", context_addr, 4), data),
+        (protocol.fetch("d", UNMAPPED, 4), data),
+        (protocol.blockfetch("d", memsize - 16, 64), data),
+        (protocol.blockfetch("d", UNMAPPED, 16), data),
+        (protocol.breaks(), (protocol.MSG_BREAKLIST,)),
+        (protocol.icount(), (protocol.MSG_CKPT,)),
+    ]
+    return out
+
+
+def writes(arch, target, context_addr):
+    """Stores and breakpoint patches, each followed by a read back."""
+    exe = target.process.exe
+    ok, data = (protocol.MSG_OK,), (protocol.MSG_DATA,)
+    trap = target.machdep.break_bytes_le
+    freg_lo, freg_hi = nub_md_for(get_arch(arch)).freg_region(context_addr)
+    out = [
+        (protocol.store("d", context_addr + 4, b"\x78\x56\x34\x12"), ok),
+        (protocol.fetch("d", context_addr + 4, 4), data),
+        (protocol.blockstore("d", exe.data_base, bytes(range(1, 17))), ok),
+        (protocol.blockfetch("d", exe.data_base, 16), data),
+        (protocol.store("d", UNMAPPED, b"\0\0\0\0"), ok),
+        (protocol.store("x", context_addr, b"\0\0\0\0"), ok),
+        (protocol.plant(exe.entry, trap), ok),
+        (protocol.breaks(), (protocol.MSG_BREAKLIST,)),
+        (protocol.fetch("c", exe.entry, len(trap)), data),
+        (protocol.unplant(exe.entry), ok),
+        (protocol.unplant(exe.entry), ok),
+        (protocol.fetch("c", exe.entry, len(trap)), data),
+        (protocol.breaks(), (protocol.MSG_BREAKLIST,)),
+    ]
+    if freg_hi > freg_lo:
+        # a saved double: the rmips nub swaps its words both ways
+        out[:0] = [(protocol.store("d", freg_lo, b"\x01\x02\x03\x04"
+                                   b"\x05\x06\x07\x08"), ok),
+                   (protocol.fetch("d", freg_lo, 8), data)]
+    return out
+
+
+@pytest.mark.parametrize("arch", ARCH_NAMES)
+def test_live_core_and_replay_answer_alike(arch, tmp_path):
+    rec_path = str(tmp_path / "boom.ldbrec")
+    core_path = str(tmp_path / "boom.core")
+    live = Ldb(stdout=io.StringIO())
+    target = live.load_program(boom_exe(arch))
+    live.start_recording(path=rec_path, interval=37)
+    live.break_at_function("poke")
+    assert live.run_to_stop() == "stopped" and target.at_breakpoint()
+    assert live.run_to_stop() == "stopped" and target.signo == SIGSEGV
+    live.record_save()
+    target.dump_core(core_path)
+
+    core = Ldb(stdout=io.StringIO()).open_core(core_path).transport
+    replay = Ldb(stdout=io.StringIO()).open_recording(rec_path).transport
+    context_addr = target.context_addr
+    requests = reads(arch, context_addr, target.process.mem.size)
+    for msg, expect in requests:
+        want = outcome(target.transport, msg, expect)
+        assert outcome(core, msg, expect) == want, msg
+        assert outcome(replay, msg, expect) == want, msg
+
+    with open(core_path, "rb") as handle:
+        written = handle.read()
+    for transport in (target.transport, core, replay):
+        reply = transport.transact(protocol.dumpcore(), (protocol.MSG_DATA,))
+        assert reply.payload == written
+
+    for msg, expect in writes(arch, target, context_addr):
+        assert outcome(replay, msg, expect) == outcome(
+            target.transport, msg, expect), msg
+        if msg.mtype in (protocol.MSG_STORE, protocol.MSG_BLOCKSTORE,
+                         protocol.MSG_PLANT, protocol.MSG_UNPLANT):
+            with pytest.raises(PostMortemError):
+                core.transact(msg, expect)

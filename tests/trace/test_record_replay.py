@@ -242,16 +242,6 @@ class TestDivergenceDetection:
         assert ldb.run_to_stop() == "stopped"
         assert t.signo == SIGSEGV
 
-    def test_checks_can_be_disabled(self, tmp_path):
-        path = str(tmp_path / "boom.ldbrec")
-        record_crash("rmips", path)
-        tampered, _bad = self.tampered(path, tmp_path)
-        ldb = Ldb(stdout=io.StringIO())
-        t = ldb.open_recording(tampered, check_divergence=False)
-        ldb.reverse_continue()
-        assert ldb.run_to_stop() == "stopped"  # no verification, no raise
-        assert t.signo == SIGSEGV
-
 
 class TestRecordingAsTarget:
     def test_corrupt_file_is_a_typed_target_error(self, tmp_path):
