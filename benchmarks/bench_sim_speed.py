@@ -5,9 +5,14 @@ replay re-executes windows, the fault matrix reruns programs, the
 session server hosts many simulations at once.  This bench measures
 retired instructions per second on a hot arithmetic loop for both
 execution engines on every target architecture, asserts the block
-engine's architectural state is byte-identical to the step engine's,
-and requires the advertised speedup (>= 5x on the hot loop, the
-tentpole acceptance bar) on each ISA.
+engine's architectural state is byte-identical to the step engine's
+(the rmips delay-slot state ``_pending_load``/``_wrote_reg``
+included), and requires the advertised speedup (>= 5x on the hot
+loop, the tentpole acceptance bar) on each ISA.
+
+A second row per ISA runs the same loop the way time travel does: a
+``Process.snapshot()`` every ``SNAPSHOT_EVERY`` retired instructions,
+all of them kept live, so every store pays the copy-on-write check.
 
 Timings interleave the two engines over ``reps`` repetitions and take
 each engine's best time (like timeit: noise only ever adds wall
@@ -25,13 +30,21 @@ import time
 from pathlib import Path
 
 from repro.cc.driver import compile_and_link
-from repro.machines import ExitEvent, FaultEvent, Process, SIGTRAP
+from repro.machines import (
+    ExitEvent,
+    FaultEvent,
+    IcountStopEvent,
+    Process,
+    SIGTRAP,
+)
 
 from .conftest import report
 
-ARCHES = ("rmips", "rsparc", "rm68k", "rvax")
+ARCHES = ("rmips", "rmipsel", "rsparc", "rm68k", "rvax")
 LOOPS = 300_000
 MIN_SPEEDUP = 2.0 if os.environ.get("BENCH_QUICK") else 5.0
+#: the ``reverse`` workload's checkpoint spacing (perfbench/reverse.py)
+SNAPSHOT_EVERY = 10_000
 
 HOT_C = """int main(void) {
     int i, s = 0;
@@ -51,8 +64,9 @@ def _exe(arch: str):
     return _EXES[arch]
 
 
-def _run(arch: str, engine: str):
-    """One full run under one engine; returns (seconds, icount, state).
+def _run(arch: str, engine: str, snapshot_every=None):
+    """One full run under one engine; returns (seconds, icount, state,
+    cost): ``cost`` is (snapshots taken, pages they copied).
 
     ``state`` is every architecturally visible bit — the equivalence
     check rides along with every timing rep for free."""
@@ -61,23 +75,35 @@ def _run(arch: str, engine: str):
     event = process.run_until_event()
     assert isinstance(event, FaultEvent) and event.signo == SIGTRAP
     process.cpu.pc = event.pc + exe.arch.noop_advance
+    snaps = []
     started = time.perf_counter()
-    event = process.run_until_event()
+    if snapshot_every is None:
+        event = process.run_until_event()
+    else:
+        event = None
+        while event is None or isinstance(event, IcountStopEvent):
+            snaps.append(process.snapshot())
+            event = process.run_until_event(
+                stop_at_icount=process.cpu.icount + snapshot_every)
     seconds = time.perf_counter() - started
     assert isinstance(event, ExitEvent), event
     cpu = process.cpu
     state = (event.status, cpu.pc, cpu.icount, tuple(cpu.regs),
-             tuple(cpu.fregs), bytes(process.mem.bytes))
-    return seconds, cpu.icount, state
+             tuple(cpu.fregs), cpu._pending_load, cpu._wrote_reg,
+             bytes(process.mem.bytes))
+    cost = (len(snaps), sum(snap.mem.cost_pages() for snap in snaps))
+    return seconds, cpu.icount, state, cost
 
 
-def measure_arch(arch: str, reps: int) -> dict:
+def measure_arch(arch: str, reps: int, snapshot_every=None) -> dict:
     step_times, block_times = [], []
     icount = None
     for _ in range(reps):
-        step_s, icount, step_state = _run(arch, "step")
-        block_s, block_icount, block_state = _run(arch, "block")
-        assert block_icount == icount
+        step_s, icount, step_state, cost = _run(arch, "step",
+                                                snapshot_every)
+        block_s, block_icount, block_state, block_cost = _run(
+            arch, "block", snapshot_every)
+        assert block_icount == icount and block_cost == cost
         assert block_state == step_state, \
             "%s: block engine state diverged from step engine" % arch
         step_times.append(step_s)
@@ -86,7 +112,7 @@ def measure_arch(arch: str, reps: int) -> dict:
     # is the cleanest estimate of each engine's true cost
     step_s = min(step_times)
     block_s = min(block_times)
-    return {
+    row = {
         "icount": icount,
         "step_seconds": step_s,
         "block_seconds": block_s,
@@ -95,6 +121,9 @@ def measure_arch(arch: str, reps: int) -> dict:
         "speedup": round(step_s / block_s, 2),
         "state_identical": True,
     }
+    if snapshot_every is not None:
+        row["snapshots"], row["pages_copied"] = cost
+    return row
 
 
 def measure(reps: int) -> dict:
@@ -103,11 +132,27 @@ def measure(reps: int) -> dict:
         "workload": "hot C loop: for (i = 0; i < %d; i++) s += i" % LOOPS,
         "reps": reps,
         "min_speedup": MIN_SPEEDUP,
+        "snapshot_every": SNAPSHOT_EVERY,
         "arches": {},
+        "with_snapshots": {},
     }
     for arch in ARCHES:
         out["arches"][arch] = measure_arch(arch, reps)
+        out["with_snapshots"][arch] = measure_arch(arch, reps,
+                                                   SNAPSHOT_EVERY)
     return out
+
+
+def _lines(data: dict):
+    for key, title in (("arches", "hot loop"),
+                       ("with_snapshots", "hot loop, a snapshot every "
+                        "%d instructions" % data["snapshot_every"])):
+        yield "  %s:" % title
+        for arch in ARCHES:
+            row = data[key][arch]
+            yield ("    %-7s %9d insns  step %8d i/s  block %8d i/s  %5.2fx"
+                   % (arch, row["icount"], row["step_ips"],
+                      row["block_ips"], row["speedup"]))
 
 
 def emit(data: dict) -> None:
@@ -119,13 +164,11 @@ def test_sim_speed():
     data = measure(reps)
     emit(data)
     report("", "S1. Simulator speed: block dispatch vs. single step",
-           "  workload: %s" % data["workload"])
+           "  workload: %s" % data["workload"], *_lines(data))
     for arch in ARCHES:
         row = data["arches"][arch]
-        report("  %-7s %9d insns  step %8d i/s  block %8d i/s  %5.2fx"
-               % (arch, row["icount"], row["step_ips"], row["block_ips"],
-                  row["speedup"]))
         assert row["state_identical"]
+        assert data["with_snapshots"][arch]["state_identical"]
         assert row["speedup"] >= MIN_SPEEDUP, \
             "%s: block engine only %.2fx over step (need >= %.1fx)" \
             % (arch, row["speedup"], MIN_SPEEDUP)
@@ -134,9 +177,6 @@ def test_sim_speed():
 if __name__ == "__main__":
     data = measure(reps=1 if os.environ.get("BENCH_QUICK") else 5)
     emit(data)
-    for arch in ARCHES:
-        row = data["arches"][arch]
-        print("%-7s %9d insns  step %8d i/s  block %8d i/s  %5.2fx"
-              % (arch, row["icount"], row["step_ips"], row["block_ips"],
-                 row["speedup"]))
+    for line in _lines(data):
+        print(line)
     print("wrote %s" % _OUT)

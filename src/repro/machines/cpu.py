@@ -66,7 +66,9 @@ class Cpu:
         #: trap is part of the timeline), so replays that plant and hit
         #: breakpoints stay icount-aligned with runs that do not.
         self.icount = 0
-        # Load-delay simulation (rmips): a pending (reg, value) commit.
+        # Load-delay simulation (rmips): a pending (reg, value) commit,
+        # and the register the current instruction wrote, which wins
+        # over a commit to the same register (None on other targets).
         self._pending_load: Optional[Tuple[int, int]] = None
         self._wrote_reg: Optional[int] = None
         #: The execution engine that drives :meth:`run`.  ``engine``
@@ -100,7 +102,10 @@ class Cpu:
         if index == 0 and self.arch.zero_reg:
             return  # the hardwired zero register
         self.regs[index] = value & 0xFFFFFFFF
-        self._wrote_reg = index
+        if self.arch.has_load_delay:
+            # only the delay-slot commit reads it; elsewhere it stays
+            # None under every engine
+            self._wrote_reg = index
 
     def get_reg_signed(self, index: int) -> int:
         value = self.regs[index]

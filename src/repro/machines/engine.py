@@ -11,17 +11,20 @@ interface:
   execute one instruction at a time, exactly ``Cpu.step`` in a loop.
 * :class:`BlockEngine` — a decoded-basic-block core in the spirit of
   the DiVM bitcode simulator (PAPERS.md): decode from the pc to the
-  next control transfer *once*, compile the block into a list of
-  prebuilt execute closures keyed by ``(addr, code-bytes generation)``,
-  and dispatch whole blocks between icount/stop checks.
+  next control transfer *once*, fuse the block's prebuilt execute
+  bodies into one generated function keyed by ``(addr, code-bytes
+  generation)``, and dispatch whole blocks between icount/stop checks.
 
 Both engines must produce byte-identical architectural state: the same
 stops, registers, memory, faults, and icount.  The subtle rules that
-make that true are concentrated in :meth:`BlockEngine._wrap`, which
-replays ``Cpu.step``'s exact prologue/epilogue per instruction — the
-rmips load-delay commit, the faulting-instruction-retires rule, and
-the decode-fault-does-not-retire rule (a decode fault drops the
-pending load and retires nothing; see the zero-step fault blocks).
+make that true are concentrated in :func:`_block_source`, which emits
+``Cpu.step``'s exact prologue/epilogue inline around every body — the
+rmips load-delay commit and ``_wrote_reg`` reset, the
+faulting-instruction-retires rule, and MemoryFault→SIGSEGV — and in
+the dispatch loop, which keeps the decode-fault-does-not-retire rule
+(a decode fault drops the pending load and retires nothing; see the
+zero-step fault blocks) and runs a block that a stop cuts short
+through ``Cpu.step`` itself.
 
 Cache invalidation: the engine marks every byte it decoded from in a
 per-byte code map and registers a write hook on the target memory.
@@ -30,11 +33,12 @@ BLOCKSTORE, a self-modifying store, or a checkpoint restore rewriting
 a code page — bumps the generation counter and drops every cached
 block, so the next dispatch re-decodes current bytes.  A store that
 lands inside the *currently executing* block is caught by a
-generation check between instructions.
+generation check after every instruction that may write memory.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -166,29 +170,107 @@ class StepEngine(ExecutionEngine):
         raise TargetFault(SIGILL, code=99, address=cpu.pc)  # runaway
 
 
-class _Invalidated(Exception):
-    """Internal control flow: a just-executed instruction wrote over
-    decoded code, so the rest of its block is stale.  Raised by the
-    writer wrapper *after* the instruction fully retires; the dispatch
-    loop swallows it and resumes from ``cpu.pc`` with fresh bytes."""
+#: Per-instruction shape flags (see :func:`_block_source`).
+_WRITES = 1  # may write target memory: re-check the generation after it
+_LOADS = 2   # a delayed load: the next instruction lands its commit
+
+
+def _block_source(shape: Tuple[int, ...], delay: bool,
+                  zero_reg: bool) -> str:
+    """Python source of the factory for one block *shape*.
+
+    ``make(engine, gen, b0, ..., bN)`` returns ``block(cpu)``, which
+    calls the bodies back to back with ``Cpu.step``'s bookkeeping
+    emitted inline, so that after it returns or raises the state is
+    exactly what N calls of ``Cpu.step`` would leave:
+
+    * icount: every retired instruction counts, and a faulting one
+      retires (``n`` tracks how many finished before it);
+    * a MemoryFault becomes SIGSEGV code 2, every other exception is
+      re-raised unchanged;
+    * with a load delay (``delay``), ``_wrote_reg`` is reset before
+      every instruction, and a pending load is taken and committed
+      around the first instruction (its state on entry is unknown) and
+      around every instruction that follows a load — the others cannot
+      have one;
+    * after a ``_WRITES`` instruction that is not the block's last, a
+      changed generation ends the block early (its store hit decoded
+      code; the dispatcher resumes at ``cpu.pc`` with fresh bytes).
+
+    The source depends only on ``shape`` (one flag word per
+    instruction) and the two arch flags, never on target bytes, so one
+    compiled template serves every block of that shape.
+    """
+    count = len(shape)
+    land = ["if commit is not None and commit[0]%s != cpu._wrote_reg:"
+            % (" and commit[0]" if zero_reg else ""),
+            "    cpu.regs[commit[0]] = commit[1]"]
+    body = []
+    for i, flags in enumerate(shape):
+        takes = delay and (i == 0 or shape[i - 1] & _LOADS)
+        if takes:
+            body += ["commit = cpu._pending_load",
+                     "cpu._pending_load = None"]
+        if delay:
+            body.append("cpu._wrote_reg = None")
+        body.append("b%d(cpu)" % i)
+        if i + 1 < count:
+            body.append("n = %d" % (i + 1))
+            if takes:
+                body += land + ["commit = None"]
+            if flags & _WRITES:
+                body += ["if engine.generation != gen:",
+                         "    cpu.icount += %d" % (i + 1),
+                         "    return"]
+    handler = ["cpu.icount += n + 1"] + (land if delay else []) + [
+        "if isinstance(exc, MemoryFault):",
+        "    raise TargetFault(SIGSEGV, code=2, address=exc.address)",
+        "raise"]
+    # ``takes`` is the last instruction's: its commit lands after it
+    tail = (land if takes else []) + ["cpu.icount += %d" % count]
+    lines = (["def make(engine, gen, %s):"
+              % ", ".join("b%d" % i for i in range(count)),
+              "    def block(cpu):",
+              "        n = 0",
+              "        try:"]
+             + ["            " + line for line in body]
+             + ["        except BaseException as exc:"]
+             + ["            " + line for line in handler]
+             + ["        " + line for line in tail]
+             + ["    return block"])
+    return "\n".join(lines) + "\n"
+
+
+@functools.lru_cache(maxsize=256)
+def _template(shape: Tuple[int, ...], delay: bool,
+              zero_reg: bool) -> Callable:
+    """The compiled factory for one shape; the memo holds code only
+    (a process meets a few dozen shapes, each compiled once)."""
+    namespace = {"MemoryFault": MemoryFault, "TargetFault": TargetFault,
+                 "SIGSEGV": SIGSEGV}
+    exec(compile(_block_source(shape, delay, zero_reg),
+                 "<block of %d>" % len(shape), "exec"), namespace)
+    return namespace["make"]
 
 
 class _Block:
     """One compiled basic block.
 
-    ``steps`` holds one prebuilt closure per instruction; an *empty*
-    ``steps`` with a non-None ``fault`` is a decode-fault terminator:
-    dispatching it replays ``Cpu.step``'s decode-fault path (the
-    pending load is dropped, nothing retires, the fault is raised).
+    ``run`` is the fused function executing all ``length``
+    instructions; a None ``run`` with a non-None ``fault`` is a
+    decode-fault terminator: dispatching it replays ``Cpu.step``'s
+    decode-fault path (the pending load is dropped, nothing retires,
+    the fault is raised).
     """
 
-    __slots__ = ("gen", "steps", "fault", "start", "size")
+    __slots__ = ("gen", "run", "length", "fault", "start", "size")
 
-    def __init__(self, gen: int, steps: List[Callable],
+    def __init__(self, gen: int, run: Optional[Callable], length: int,
                  fault: Optional[Tuple[int, int, int]],
                  start: int, size: int):
         self.gen = gen
-        self.steps = steps
+        self.run = run
+        self.length = length
         self.fault = fault
         self.start = start
         self.size = size
@@ -254,95 +336,15 @@ class BlockEngine(ExecutionEngine):
 
     # -- compilation ------------------------------------------------------
 
-    def _wrap(self, body: Callable, writer: bool, gen: int) -> Callable:
-        """Fuse ``body`` (the execute work of one instruction) with
-        ``Cpu.step``'s exact prologue/epilogue: pending-load commit,
-        wrote-reg tracking, MemoryFault conversion, and the
-        faulting-instruction-retires rule.
-
-        ``writer`` marks instructions that may write target memory
-        (:meth:`Arch.may_write_mem`, or any generic fallback): only
-        those re-check the cache generation, raising
-        :class:`_Invalidated` when their store clobbered decoded code.
-        Keeping that check out of non-writers keeps the dispatch loop
-        a bare closure call per instruction.
-        """
-        zero_reg = self.arch.zero_reg
-        if not self.arch.has_load_delay:
-            # no load delay slot: _pending_load is never set, so the
-            # commit bookkeeping is dead weight — the wrapper is just
-            # fault conversion + the faulting-instruction-retires rule
-            if not writer:
-                def step(cpu):
-                    try:
-                        body(cpu)
-                    except MemoryFault as fault:
-                        raise TargetFault(SIGSEGV, code=2,
-                                          address=fault.address)
-                    finally:
-                        cpu.icount += 1
-                return step
-
-            engine = self
-
-            def step(cpu):
-                try:
-                    body(cpu)
-                except MemoryFault as fault:
-                    raise TargetFault(SIGSEGV, code=2, address=fault.address)
-                finally:
-                    cpu.icount += 1
-                if engine.generation != gen:
-                    raise _Invalidated
-            return step
-
-        if not writer:
-            def step(cpu):
-                commit = cpu._pending_load
-                if commit is not None:
-                    cpu._pending_load = None
-                cpu._wrote_reg = None
-                try:
-                    body(cpu)
-                except MemoryFault as fault:
-                    raise TargetFault(SIGSEGV, code=2, address=fault.address)
-                finally:
-                    cpu.icount += 1
-                    if commit is not None and commit[0] != cpu._wrote_reg:
-                        reg, value = commit
-                        if not (reg == 0 and zero_reg):
-                            cpu.regs[reg] = value
-            return step
-
-        engine = self
-
-        def step(cpu):
-            commit = cpu._pending_load
-            if commit is not None:
-                cpu._pending_load = None
-            cpu._wrote_reg = None
-            try:
-                body(cpu)
-            except MemoryFault as fault:
-                raise TargetFault(SIGSEGV, code=2, address=fault.address)
-            finally:
-                cpu.icount += 1
-                if commit is not None and commit[0] != cpu._wrote_reg:
-                    reg, value = commit
-                    if not (reg == 0 and zero_reg):
-                        cpu.regs[reg] = value
-            if engine.generation != gen:
-                raise _Invalidated
-        return step
-
     def _compile(self, pc: int) -> _Block:
         arch = self.arch
         mem = self.mem
         gen = self.generation
-        steps: List[Callable] = []
+        bodies: List[Callable] = []
+        shape: List[int] = []
         fault: Optional[Tuple[int, int, int]] = None
         addr = pc
-        while len(steps) < self.MAX_BLOCK:
+        while len(bodies) < self.MAX_BLOCK:
             try:
                 insn = arch.decode(mem, addr)
             except MemoryFault as exc:
@@ -354,27 +356,36 @@ class BlockEngine(ExecutionEngine):
             body = arch.compile_insn(insn, addr)
             if body is None:
                 body = _generic_body(arch.execute, insn)
-                writer = True  # unknown semantics: stay conservative
+                flags = _WRITES  # unknown semantics: stay conservative
             else:
-                writer = arch.may_write_mem(insn)
-            steps.append(self._wrap(body, writer, gen))
+                flags = _WRITES if arch.may_write_mem(insn) else 0
+            if insn.op in arch.loads():
+                flags |= _LOADS
+            bodies.append(body)
+            shape.append(flags)
             addr += insn.size
             if arch.is_block_end(insn):
                 break
-        if steps:
+        if bodies:
             # A decode fault after at least one instruction is *not*
             # part of this block: execution may never get there (a
             # mid-block stop, an exception, a patched branch).  The
             # faulting pc gets its own zero-step fault block on demand.
             fault = None
             size = addr - pc
+            # nothing follows the last instruction inside the block, so
+            # its flags do not change the source: one template fewer
+            shape[-1] = 0
+            run = _template(tuple(shape), arch.has_load_delay,
+                            arch.zero_reg)(self, gen, *bodies)
         else:
             # Zero-step fault block.  Its *cause* is the undecodable
             # bytes at pc, so mark a conservative span: a write there
             # (e.g. self-modifying code repairing an illegal opcode)
             # must invalidate this block too.
             size = min(16, self.mem.size - pc) if pc < self.mem.size else 0
-        block = _Block(gen, steps, fault, pc, size)
+            run = None
+        block = _Block(gen, run, len(bodies), fault, pc, size)
         if size > 0:
             self._code_marks[pc:pc + size] = b"\x01" * size
             if pc < self._marks_lo:
@@ -403,8 +414,8 @@ class BlockEngine(ExecutionEngine):
                     stats.compiled += 1
                 else:
                     stats.hits += 1
-                steps = block.steps
-                if not steps:
+                run = block.run
+                if run is None:
                     # decode-fault terminator: replay Cpu.step's decode
                     # path exactly — the pending load is dropped and
                     # nothing retires
@@ -412,23 +423,17 @@ class BlockEngine(ExecutionEngine):
                     cpu._wrote_reg = None
                     signo, code, address = block.fault
                     raise TargetFault(signo, code=code, address=address)
-                count = len(steps)
-                if count > remaining:
-                    count = remaining
-                if target is not None:
+                due = remaining
+                if target is not None and target - icount < due:
                     due = target - icount
-                    if count > due:
-                        count = due
-                try:
-                    for fn in steps if count == len(steps) else steps[:count]:
-                        fn(cpu)
-                except _Invalidated:
-                    # a store inside the block clobbered decoded code;
-                    # its instruction fully retired — resume from
-                    # cpu.pc with freshly decoded bytes
-                    pass
-                # each wrapper bumps icount exactly once, so the delta
-                # is the number of retired instructions
+                if block.length <= due:
+                    run(cpu)
+                else:
+                    # the stop lands inside this block: run the prefix
+                    # through the reference, one instruction at a time
+                    for _ in range(due):
+                        cpu.step()
+                # the delta is the number of retired instructions
                 remaining -= cpu.icount - icount
         except Halt as halt:
             return halt.status

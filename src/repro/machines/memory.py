@@ -10,7 +10,7 @@ the nub catches.
 from __future__ import annotations
 
 import struct
-from typing import Dict, List, Union
+from typing import Dict, List, Set, Union
 
 from . import float80
 
@@ -38,6 +38,10 @@ class MemorySnapshot:
     that changed since the snapshot — restoring writes them back, which
     in turn COW-captures the pre-restore content into other live
     snapshots, so snapshots can be taken and restored in any order.
+
+    Because every write captures into *all* live snapshots, holding a
+    page is monotone in age: if a snapshot holds it, every older live
+    snapshot does too.
     """
 
     __slots__ = ("pages",)
@@ -65,8 +69,13 @@ class TargetMemory:
         self.size = size
         self.byteorder = byteorder
         self.bytes = bytearray(size)
-        #: live snapshots still owed copy-on-write page captures
+        #: live snapshots still owed copy-on-write page captures,
+        #: oldest first
         self._snapshots: List[MemorySnapshot] = []
+        #: pages every live snapshot already holds: a write to one
+        #: owes no capture (emptied by :meth:`snapshot`, whose new
+        #: snapshot holds nothing)
+        self._held: Set[int] = set()
         #: write observers ``hook(address, size)``, called after every
         #: mutation (typed writes, raw writes, and snapshot restores).
         #: The block-dispatching execution engine registers one to
@@ -101,6 +110,7 @@ class TargetMemory:
         lazily by the write paths (copy-on-write)."""
         snap = MemorySnapshot()
         self._snapshots.append(snap)
+        self._held = set()
         return snap
 
     def restore(self, snap: MemorySnapshot) -> None:
@@ -129,17 +139,26 @@ class TargetMemory:
 
     def _capture(self, address: int, size: int) -> None:
         """Before mutating ``[address, address+size)``: save the pages'
-        current content into every live snapshot that lacks them."""
+        current content into every live snapshot that lacks them.
+
+        The snapshots lacking a page are the newest ones (see
+        :class:`MemorySnapshot`), so the walk goes newest-first and
+        stops at the first that holds it."""
+        held = self._held
         first = address >> _PAGE_SHIFT
         last = (address + size - 1) >> _PAGE_SHIFT
         for page in range(first, last + 1):
+            if page in held:
+                continue
             start = page << _PAGE_SHIFT
             raw = None
-            for snap in self._snapshots:
-                if page not in snap.pages:
-                    if raw is None:
-                        raw = bytes(self.bytes[start:start + PAGE])
-                    snap.pages[page] = raw
+            for snap in reversed(self._snapshots):
+                if page in snap.pages:
+                    break
+                if raw is None:
+                    raw = bytes(self.bytes[start:start + PAGE])
+                snap.pages[page] = raw
+            held.add(page)
 
     # -- raw bytes -------------------------------------------------------
 
@@ -169,7 +188,10 @@ class TargetMemory:
 
     def write_int(self, address: int, size: int, value: int) -> None:
         self._check(address, size)
-        if self._snapshots:
+        # an integer spans at most two pages: held ones owe no capture
+        if self._snapshots and not (
+                address >> _PAGE_SHIFT in self._held
+                and (address + size - 1) >> _PAGE_SHIFT in self._held):
             self._capture(address, size)
         value &= (1 << (size * 8)) - 1
         self.bytes[address : address + size] = value.to_bytes(size, self.byteorder)

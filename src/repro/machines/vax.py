@@ -173,8 +173,8 @@ class Operand:
 #
 # Each builder pre-resolves one operand specifier into a closure over the
 # decoded mode/register/extension, replicating ``_address_of``/``_read``/
-# ``_write`` exactly (rvax has no zero register, so a register write is a
-# plain masked store plus ``_wrote_reg`` tracking).  A builder returns
+# ``_write`` exactly (rvax has no zero register and no load delay, so a
+# register write is a plain masked store).  A builder returns
 # ``None`` for specifiers the fast path does not handle — including the
 # modes ``execute`` faults on — sending that instruction to the generic
 # slow path so the fault (and its address) stays byte-identical.

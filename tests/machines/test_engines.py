@@ -51,6 +51,7 @@ def _snap(process, event):
         "fregs": list(cpu.fregs),
         "cc": (cpu.cc_lt, cpu.cc_eq, cpu.cc_ltu),
         "pending_load": cpu._pending_load,
+        "wrote_reg": cpu._wrote_reg,
         "mem": bytes(process.mem.bytes),
     }
 
@@ -155,6 +156,130 @@ class TestEquivalenceAllArches:
             for key in a:
                 assert a[key] == b[key], \
                     "stop %d: %s differs between engines" % (index, key)
+
+
+# -- the fused block: bookkeeping inside one generated function ---------------
+
+# twelve lines of branch-free arithmetic: main's body decodes into blocks
+# of MAX_BLOCK instructions and more on every ISA
+_STRAIGHT = """int g;
+int main(void) {
+    int a = 11, b = 40000;
+%s
+    g = a + b;
+    return g & 0xff;
+}
+""" % "\n".join("    a = (a + %d) ^ (b >> %d); b = b - (a & %d);"
+                % (i * 7 + 1, i % 5 + 1, 255 - i) for i in range(12))
+
+
+def _run_hand_built(exe, engine):
+    """Run a hand-assembled program (no entry pause) to its first event."""
+    process = Process(exe, engine=engine)
+    event = process.run_until_event()
+    return process, _snap(process, event)
+
+
+class TestFusedBlocks:
+    @pytest.mark.parametrize("between,r8", [
+        ([], 1234),                             # the store is the delay slot
+        ([Insn("addi", rd=11, rs=0, imm=0),     # the delay slot lands r8,
+          Insn("addi", rd=8, rs=8, imm=1)],     # which then moves on
+         1235),
+    ])
+    def test_load_then_faulting_store_matches_step(self, between, r8):
+        """A fault inside a block still retires the faulting store and
+        lands the load in its delay slot, as Cpu.step's finally does —
+        and only that load."""
+        text = [
+            Label("__start"),
+            Insn("addi", rd=9, rs=0, imm=1234),
+            Insn("sw", rd=9, rs=29, imm=-8),
+            Insn("lui", rd=10, imm=0x7FFF),         # far outside memory
+            Insn("lw", rd=8, rs=29, imm=-8),
+        ] + between + [
+            Insn("sw", rd=8, rs=10, imm=0),         # faults
+            Insn("addi", rd=4, rs=0, imm=0),
+            Insn("syscall", imm=1),
+        ]
+        exe = build("rmips", text)
+        _, step_state = _run_hand_built(exe, "step")
+        blocked, block_state = _run_hand_built(exe, "block")
+        assert block_state == step_state
+        assert block_state["event"] == "FaultEvent"
+        assert block_state["icount"] == 5 + len(between)  # the store retired
+        assert block_state["regs"][8] == r8
+        assert block_state["pending_load"] is None
+        assert blocked.cpu.engine.stats.compiled == 1  # one fused block
+
+    def test_load_before_the_block_end_commits_after_it(self):
+        """The last instruction of a block lands the load before it,
+        whether the load shares its block or a stop split them."""
+        text = [
+            Label("__start"),
+            Insn("addi", rd=9, rs=0, imm=55),
+            Insn("sw", rd=9, rs=29, imm=-4),
+            Insn("lw", rd=4, rs=29, imm=-4),
+            Insn("beq", rd=0, rs=0, imm=0),         # taken: the next insn
+            Insn("syscall", imm=1),                 # exit(r4)
+        ]
+        exe = build("rmips", text)
+        for split in (None, 3):
+            states = []
+            for engine in ("step", "block"):
+                process = Process(exe, engine=engine)
+                if split is not None:
+                    process.run_until_event(stop_at_icount=split)
+                states.append(_snap(process, process.run_until_event()))
+            assert states[1] == states[0]
+            assert states[1]["status"] == 55
+
+    def test_max_block_with_a_load_in_its_last_slot(self):
+        """A block of exactly MAX_BLOCK instructions whose last one is a
+        load: the commit lands inside the next block, after its first
+        instruction has read the old register value."""
+        fill = BlockEngine.MAX_BLOCK - 3
+        text = [
+            Label("__start"),
+            Insn("addi", rd=9, rs=0, imm=77),
+            Insn("sw", rd=9, rs=29, imm=-4),
+        ] + [Insn("addi", rd=8, rs=8, imm=1)] * fill + [
+            Insn("lw", rd=10, rs=29, imm=-4),       # the block's last slot
+            Insn("add", rd=4, rs=10, rt=0),         # delay slot: old r10
+            Insn("add", rd=4, rs=4, rt=10),         # now 0 + 77
+            Insn("syscall", imm=1),
+        ]
+        exe = build("rmips", text)
+        _, step_state = _run_hand_built(exe, "step")
+        blocked, block_state = _run_hand_built(exe, "block")
+        assert block_state == step_state
+        assert block_state["status"] == 77
+        assert block_state["regs"][8] == fill
+        first = blocked.cpu.engine._blocks[exe.entry]
+        assert first.length == BlockEngine.MAX_BLOCK
+
+    @pytest.mark.parametrize("arch", ALL_ARCHES)
+    def test_stop_inside_a_long_block(self, arch):
+        exe = compile_and_link({"t.c": _STRAIGHT}, arch, debug=True)
+        process = Process(exe, engine="block")
+        event = process.run_until_event()
+        process.cpu.pc = event.pc + exe.arch.noop_advance
+        process.run_until_event()
+        start, block = max(process.cpu.engine._blocks.items(),
+                           key=lambda item: item[1].length)
+        assert block.length >= 64
+        # the icount at which that block begins, by the reference
+        probe = Process(exe, engine="step")
+        event = probe.run_until_event()
+        probe.cpu.pc = event.pc + exe.arch.noop_advance
+        while probe.cpu.pc != start:
+            probe.cpu.step()
+        begin = probe.cpu.icount
+        splits = (begin + 1, begin + 2, begin + block.length // 2,
+                  begin + block.length - 1)
+        snaps = assert_equivalent(exe, splits=splits)
+        assert [s["icount"] for s in snaps[:-1]] == list(splits)
+        assert snaps[-1]["event"] == "ExitEvent"
 
 
 # -- hypothesis: random programs, random split points ------------------------

@@ -5,6 +5,8 @@ copy-on-write memory pages, whole-process checkpoints, and the
 import io
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cc.driver import compile_and_link
 from repro.machines import (
@@ -94,6 +96,15 @@ class TestMemorySnapshots:
         mem.write_bytes(PAGE - 2, b"\x01\x02\x03\x04")
         assert snap.cost_pages() == 2
 
+    def test_word_from_a_held_page_into_a_fresh_one(self):
+        mem = TargetMemory(4 * PAGE)
+        snap = mem.snapshot()
+        mem.write_u32(0, 1)                  # page 0 is captured
+        mem.write_u32(PAGE - 2, 0xFFFFFFFF)  # straddles into page 1
+        assert snap.cost_pages() == 2
+        mem.restore(snap)
+        assert mem.read_bytes(0, PAGE + 4) == bytes(PAGE + 4)
+
     def test_released_snapshot_rejected(self):
         mem = TargetMemory(2 * PAGE)
         snap = mem.snapshot()
@@ -101,6 +112,92 @@ class TestMemorySnapshots:
         with pytest.raises(ValueError):
             mem.restore(snap)
         mem.release(snap)  # double release is harmless
+
+
+# -- copy-on-write against a model that copies everything -------------------
+
+_PAGES = 3
+_PATTERN = bytes(range(256)) * (3 * PAGE // 256 + 2)
+
+#: addresses anywhere, and addresses hugging a page boundary (a word
+#: written there straddles it)
+_ADDRESS = st.one_of(
+    st.integers(0, _PAGES * PAGE - 1),
+    st.integers(1, _PAGES - 1).flatmap(
+        lambda p: st.integers(p * PAGE - 4, p * PAGE + 1)))
+
+_INT = st.tuples(st.just("int"), _ADDRESS, st.sampled_from([1, 2, 4]),
+                 st.integers(0, 0xFFFFFFFF))
+
+_OPS = st.lists(st.one_of(
+    st.just(("snapshot",)),
+    _INT,
+    _INT,
+    # short writes, and writes spanning up to three pages
+    st.tuples(st.just("bytes"), _ADDRESS,
+              st.one_of(st.integers(1, 8), st.integers(1, 2 * PAGE + 8)),
+              st.integers(0, 255)),
+    st.tuples(st.just("restore"), st.integers(0, 7)),
+    st.tuples(st.just("release"), st.integers(0, 7)),
+), max_size=40)
+
+
+def _rewinds_to(mem, snap):
+    """What restoring ``snap`` would leave, read without restoring:
+    its captured pages over the current memory."""
+    image = bytearray(mem.bytes)
+    for page, raw in snap.pages.items():
+        image[page * PAGE:page * PAGE + len(raw)] = raw
+    return image
+
+
+class TestCopyOnWriteModel:
+    @settings(max_examples=200, deadline=None)
+    @given(ops=_OPS)
+    def test_matches_whole_copy_model(self, ops):
+        """Any interleaving of snapshot/write/restore/release leaves the
+        memory, and every live snapshot, where full copies would."""
+        size = _PAGES * PAGE
+        mem = TargetMemory(size)
+        model = bytearray(size)
+        snaps, copies = [], []  # taken so far; a copy is None once released
+        for op in ops:
+            kind = op[0]
+            if kind == "snapshot":
+                snaps.append(mem.snapshot())
+                copies.append(bytes(model))
+            elif kind == "int":
+                _, address, width, value = op
+                address = min(address, size - width)
+                mem.write_int(address, width, value)
+                model[address:address + width] = (
+                    value & ((1 << 8 * width) - 1)).to_bytes(width, "little")
+            elif kind == "bytes":
+                _, address, length, skew = op
+                length = min(length, size - address)
+                data = _PATTERN[skew:skew + length]
+                mem.write_bytes(address, data)
+                model[address:address + length] = data
+            elif snaps:
+                index = op[1] % len(snaps)
+                if kind == "release":
+                    mem.release(snaps[index])
+                    copies[index] = None
+                elif copies[index] is None:
+                    with pytest.raises(ValueError):
+                        mem.restore(snaps[index])
+                else:
+                    mem.restore(snaps[index])
+                    model[:] = copies[index]
+            assert mem.bytes == model
+            for snap, copy in zip(snaps, copies):
+                if copy is not None:
+                    assert _rewinds_to(mem, snap) == copy
+        # every live snapshot still rewinds to its full copy
+        for snap, copy in zip(snaps, copies):
+            if copy is not None:
+                mem.restore(snap)
+                assert mem.bytes == copy
 
 
 class TestStopAtIcount:

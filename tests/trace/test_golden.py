@@ -44,3 +44,22 @@ def test_golden_recording_replays_to_the_fault():
     snap = ldb.obs.metrics.snapshot()
     assert snap.get("trace.replay.checks", 0) > 0
     assert snap.get("trace.replay.divergences", 0) == 0
+
+
+def test_golden_recording_replays_its_whole_history():
+    """Re-execute from the first spill to the fault: every auto spill on
+    the way is digest-checked, and their digests carry the rmips
+    delay-slot state (``_wrote_reg`` 11, 10, 15, 16), so either engine
+    must reproduce it exactly."""
+    ldb = Ldb(stdout=io.StringIO())
+    target = ldb.open_recording(str(GOLDEN))
+    recording = target.recording
+    stops = [stop.icount for stop in recording.stops]
+    assert ldb.goto_icount(recording.meta.base_icount) == "stopped"
+    assert ldb.run_to_stop() == "stopped" and target.at_breakpoint()
+    assert target.current_icount() == stops[-2]
+    assert ldb.run_to_stop() == "stopped" and target.signo == SIGSEGV
+    assert target.current_icount() == stops[-1]
+    snap = ldb.obs.metrics.snapshot()
+    assert snap.get("trace.replay.checks", 0) >= len(stops) - 1
+    assert snap.get("trace.replay.divergences", 0) == 0

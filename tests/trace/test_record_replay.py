@@ -14,7 +14,7 @@ from repro.cc.driver import compile_and_link
 from repro.ldb import Ldb
 from repro.ldb.api import ApiError, DebugAPI, ERR_DIVERGED
 from repro.ldb.target import TargetError
-from repro.machines import ARCH_NAMES, SIGSEGV, SIGTRAP
+from repro.machines import ARCH_NAMES, ENGINE_ENV, SIGSEGV, SIGTRAP
 from repro.trace import DivergenceError, Recording, TraceError
 
 BOOM = """int g;
@@ -123,6 +123,37 @@ class TestLiveVsReplayFidelity:
         assert ldb.run_to_stop() == "stopped"
         assert t.at_breakpoint()
         assert t.current_icount() < hit_icount
+
+
+class TestCrossEngineReplay:
+    """A recording's digests cover the whole register-level state, so a
+    file recorded under one execution engine must replay under the
+    other: their states are byte-identical, ``_wrote_reg`` included."""
+
+    @pytest.mark.parametrize("arch", ARCH_NAMES)
+    @pytest.mark.parametrize("recorded,replayed",
+                             [("step", "block"), ("block", "step")])
+    def test_replays_under_the_other_engine(self, arch, recorded, replayed,
+                                            tmp_path, monkeypatch):
+        path = str(tmp_path / "boom.ldbrec")
+        monkeypatch.setenv(ENGINE_ENV, recorded)
+        live, live_t, hit_icount = record_crash(arch, path)
+        live_bt = live.backtrace_text()
+        fault_icount = live_t.current_icount()
+
+        monkeypatch.setenv(ENGINE_ENV, replayed)
+        ldb = Ldb(stdout=io.StringIO())
+        t = ldb.open_recording(path)
+        assert t.transport.process.cpu.engine.name == replayed
+        hit = ldb.reverse_continue()
+        assert hit.icount == hit_icount
+        assert ldb.evaluate("g") == 15
+        assert ldb.run_to_stop() == "stopped" and t.signo == SIGSEGV
+        assert t.current_icount() == fault_icount
+        assert ldb.backtrace_text() == live_bt
+        snap = ldb.obs.metrics.snapshot()
+        assert snap.get("trace.replay.checks", 0) > 0
+        assert snap.get("trace.replay.divergences", 0) == 0
 
 
 class TestInputsAndWriter:
