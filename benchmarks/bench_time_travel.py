@@ -9,10 +9,14 @@ against the checkpoint interval on a loop-then-crash workload:
 * ``plain``  — the same forward run with recording off, the baseline;
 * per interval — recording overhead (wall clock, checkpoint count,
   wire round-trips) and the latency of a ``reverse-continue`` from the
-  crash back onto the last breakpoint hit.
+  crash back onto the last breakpoint hit, then of a ``reverse-step``
+  from that hit to the stopping point before it.  Each reverse command
+  reports every nub request it made (``session.requests``), breakpoint
+  bookkeeping included.
 
 It asserts every reverse-continue lands byte-position-exact on the
-final forward hit at every interval, and emits
+final forward hit at every interval, that every reverse-step lands on
+the same earlier stop, and emits
 ``BENCH_time_travel.json`` at the repository root.  ``BENCH_QUICK=1``
 runs a single timing repetition (the CI smoke mode).
 """
@@ -99,16 +103,23 @@ def run_recorded(interval: int):
     record_trips = metrics.total("wire.")
     crash_icount = target.current_icount()
 
-    started = time.perf_counter()
-    hit = ldb.reverse_continue()
-    reverse_seconds = time.perf_counter() - started
+    def timed(command):
+        """Run one reverse command: its landing, wall clock, and
+        every nub request it made."""
+        requests = metrics.get("session.requests")
+        started = time.perf_counter()
+        landing = command()
+        return (landing, time.perf_counter() - started,
+                metrics.get("session.requests") - requests)
+
+    hit, reverse_seconds, reverse_requests = timed(ldb.reverse_continue)
     stats = {
         "interval": interval,
         "record_seconds": record_seconds,
         "record_round_trips": record_trips,
         "checkpoints": len(replay.ring),
         "reverse_seconds": reverse_seconds,
-        "reverse_round_trips": metrics.total("wire.") - record_trips,
+        "reverse_requests": reverse_requests,
         "reverse_windows": metrics.get("replay.windows"),
         "reverse_restores": metrics.get("replay.restores"),
         "replayed_instructions": metrics.get("replay.instructions_replayed"),
@@ -117,6 +128,9 @@ def run_recorded(interval: int):
         "landed_icount": hit.icount,
         "landed_on_breakpoint": bool(target.at_breakpoint()),
     }
+    step, stats["reverse_step_seconds"], stats["reverse_step_requests"] = \
+        timed(ldb.reverse_step)
+    stats["reverse_step_icount"] = step.icount
     target.kill()
     return stats
 
@@ -165,14 +179,20 @@ def test_time_travel_latency():
     plain = data["plain"]
     for interval, row in sorted(data["intervals"].items(), key=lambda kv: int(kv[0])):
         report("  interval %-4s %2d ckpts, record %.3fs (%.1fx plain), "
-               "reverse-continue %.3fs / %d round-trips"
+               "reverse-continue %.3fs / %d requests, "
+               "reverse-step %.3fs / %d requests"
                % (interval, row["checkpoints"], row["record_seconds"],
                   row["record_overhead"], row["reverse_seconds"],
-                  row["reverse_round_trips"]))
+                  row["reverse_requests"], row["reverse_step_seconds"],
+                  row["reverse_step_requests"]))
         # correctness before speed: every landing is the real final hit
         assert row["landed_on_breakpoint"], interval
         assert row["landed_icount"] == plain["last_hit"] == row["last_hit"]
         assert row["crash_icount"] == plain["crash_icount"]
+        assert row["reverse_step_icount"] < row["landed_icount"]
+    # the reverse step lands on the same stop whatever the interval
+    assert len({row["reverse_step_icount"]
+                for row in data["intervals"].values()}) == 1
     # denser checkpoints can't mean fewer of them
     counts = [data["intervals"][str(i)]["checkpoints"] for i in INTERVALS]
     assert counts == sorted(counts, reverse=True)
@@ -186,8 +206,11 @@ if __name__ == "__main__":
           % (plain["seconds"], data["trace_instructions"]))
     for interval, row in sorted(data["intervals"].items(), key=lambda kv: int(kv[0])):
         print("interval %-4s %2d ckpts record %.3fs (%.1fx) "
-              "reverse %.3fs (%d trips) landed=%s"
+              "reverse %.3fs (%d requests) landed=%s "
+              "reverse-step %.3fs (%d requests) landed=%s"
               % (interval, row["checkpoints"], row["record_seconds"],
                  row["record_overhead"], row["reverse_seconds"],
-                 row["reverse_round_trips"], row["landed_icount"]))
+                 row["reverse_requests"], row["landed_icount"],
+                 row["reverse_step_seconds"], row["reverse_step_requests"],
+                 row["reverse_step_icount"]))
     print("wrote %s" % _OUT)

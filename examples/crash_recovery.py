@@ -5,8 +5,8 @@ The nub's half of the robustness story is old news: it preserves the
 target when a connection breaks.  This example shows the debugger's
 half — the fault-tolerant session layer:
 
-  1. a debugger attaches over TCP and plants breakpoints through the
-     PLANT extension, so the nub knows about them;
+  1. a debugger attaches over TCP and plants breakpoints with PLANT,
+     so the nub knows about them;
   2. the connection dies mid-session (the "debugger crash");
   3. the same Target calls ``reconnect()``: the session re-attaches
      through the nub's listener, the nub re-announces the preserved

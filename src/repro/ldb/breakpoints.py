@@ -1,16 +1,22 @@
-"""Breakpoints (paper Sec. 3, 6).
+"""Breakpoints (paper Sec. 3, 6, 7.1).
 
-Implemented entirely in the debugger with fetches and stores — the nub
-protocol never mentions breakpoints or single-stepping.  ldb plants a
-breakpoint at an instruction by overwriting it with the trap pattern;
-to resume, it "interprets" the instruction out of line.  In the interim
-scheme breakpoints go only at the no-op instructions the compiler
-placed at stopping points, so interpreting one means skipping it.
+ldb plants a breakpoint at an instruction by overwriting it with the
+trap pattern; to resume, it "interprets" the instruction out of line.
+In the interim scheme breakpoints go only at the no-op instructions
+the compiler placed at stopping points, so interpreting one means
+skipping it.
 
-The implementation is machine-independent but manipulates four items of
-machine-dependent data: the break and no-op bit patterns, the type used
-to fetch and store instructions, and the pc advance after interpreting
-the no-op.
+The nub does the overwriting, with the PLANT and UNPLANT stores of the
+paper's Sec. 7.1, and remembers every instruction a PLANT overwrote.  It
+therefore owns the planted set, which outlives a debugger (a successor
+adopts it with BREAKS) and a checkpoint RESTORE (the nub keeps today's
+traps over the restored image).
+
+The debugger still picks the sites and the trap pattern, so the
+implementation is machine-independent but manipulates the same four
+items of machine-dependent data: the break and no-op bit patterns, the
+type used to fetch and store instructions, and the pc advance after
+interpreting the no-op.
 """
 
 from __future__ import annotations
@@ -29,12 +35,10 @@ class BreakpointError(Exception):
 
 
 class Breakpoint:
-    __slots__ = ("address", "saved", "enabled", "note")
+    __slots__ = ("address", "note")
 
-    def __init__(self, address: int, saved: int, note: str = ""):
+    def __init__(self, address: int, note: str = ""):
         self.address = address
-        self.saved = saved
-        self.enabled = True
         self.note = note
 
     def __repr__(self) -> str:
@@ -42,7 +46,8 @@ class Breakpoint:
 
 
 class BreakpointTable:
-    """All breakpoints planted in one target."""
+    """All breakpoints planted in one target: the debugger's copy of
+    the nub's planted table."""
 
     def __init__(self, target):
         self.target = target
@@ -52,124 +57,30 @@ class BreakpointTable:
         self.break_pattern = int.from_bytes(md.break_bytes_le, "little")
         self.noop_advance = md.noop_advance
         self.planted: Dict[int, Breakpoint] = {}
-        #: does this nub speak the Sec. 7.1 breakpoint extension?
-        #: None = not yet probed; probing happens lazily because the
-        #: baseline debugger must work against a minimal nub
-        self._extension: Dict[str, bool] = {}
-
-    # -- the Sec. 7.1 protocol extension --------------------------------------
-
-    def _request(self, msg, expect):
-        """One exchange through the target's transport: session and
-        bare-channel targets surface errors identically."""
-        return self.target.transport.transact(msg, expect=expect)
-
-    def extension_available(self) -> bool:
-        """Probe the nub (once) for the breakpoint-aware protocol."""
-        if "ok" not in self._extension:
-            try:
-                reply = self._request(protocol.breaks(),
-                                      expect=(protocol.MSG_BREAKLIST,))
-            except NubError:
-                self._extension["ok"] = False  # a minimal nub
-            else:
-                self._extension["ok"] = True
-                self._adopt(protocol.parse_breaklist(reply))
-        return self._extension["ok"]
 
     def resync(self) -> None:
-        """After a reconnect: replay BREAKS and adopt whatever the nub
-        still has planted — the paper's Sec. 7.1 recovery, for a session
-        that survived its own connection's death."""
-        if not self._extension.get("ok"):
-            return  # never probed, or a minimal nub: nothing to replay
-        try:
-            reply = self._request(protocol.breaks(),
-                                  expect=(protocol.MSG_BREAKLIST,))
-        except NubError:
-            return
-        self._adopt(protocol.parse_breaklist(reply))
-
-    def resync_after_restore(self) -> None:
-        """After a checkpoint RESTORE: the target's memory (and the
-        nub's planted table) rewound to checkpoint time, but *this*
-        table is what the user sees — make the target match it.
-        Checkpoint-time traps the user has since removed are unplanted;
-        breakpoints set since the checkpoint are re-planted."""
-        if self.extension_available():
-            try:
-                reply = self._request(protocol.breaks(),
-                                      expect=(protocol.MSG_BREAKLIST,))
-            except NubError:
-                return
-            nub_has = {address for address, _ in
-                       protocol.parse_breaklist(reply)}
-            for address in nub_has - set(self.planted):
-                try:
-                    self._request(protocol.unplant(address),
-                                  expect=(protocol.MSG_OK,))
-                except NubError:
-                    pass  # the nub lost it on its own; nothing to undo
-                self._invalidate_insn(address,
-                                      len(self.target.machdep.nop_bytes_le))
-            for address in set(self.planted) - nub_has:
-                self._plant_via_extension(address)
-        else:
-            # plain stores: re-arm the current table (idempotent); traps
-            # the checkpoint held for since-removed breakpoints cannot
-            # be identified without the extension and stay planted
-            for address in self.planted:
-                self.store_insn(address, self.break_pattern)
-
-    def _adopt(self, entries) -> None:
-        """Recover breakpoints a previous (crashed) debugger planted."""
-        for address, original_le in entries:
+        """Adopt whatever the nub has planted: the paper's Sec. 7.1
+        recovery, for a debugger meeting a nub it did not start (an
+        attach, a reconnect, an opened core or recording)."""
+        reply = self.target.transport.transact(
+            protocol.breaks(), expect=(protocol.MSG_BREAKLIST,))
+        for address, _original in protocol.parse_breaklist(reply):
             if address not in self.planted:
-                saved = int.from_bytes(original_le, "little")
-                self.planted[address] = Breakpoint(address, saved,
-                                                   note="adopted")
+                self.planted[address] = Breakpoint(address, note="adopted")
 
-    def _plant_via_extension(self, address: int) -> bool:
-        if not self.extension_available():
-            return False
-        trap = self.break_pattern.to_bytes(len(self.target.machdep.nop_bytes_le),
-                                           "little")
-        try:
-            self._request(protocol.plant(address, trap),
-                          expect=(protocol.MSG_OK,))
-        except NubError:
-            raise BreakpointError("nub rejected plant at 0x%x" % address)
-        self._invalidate_insn(address, len(trap))
-        return True
-
-    def _remove_via_extension(self, address: int) -> bool:
-        if not self.extension_available():
-            return False
-        try:
-            self._request(protocol.unplant(address),
-                          expect=(protocol.MSG_OK,))
-        except NubError:
-            raise BreakpointError("nub rejected unplant at 0x%x" % address)
-        self._invalidate_insn(address, len(self.target.machdep.nop_bytes_le))
-        return True
-
-    def _invalidate_insn(self, address: int, length: int) -> None:
-        # the extension writes code behind the wire memory's back; the
-        # nub's code and data spaces address the same memory, so drop
-        # cached blocks under both names
+    def _invalidate_insn(self, address: int) -> None:
+        # PLANT and UNPLANT write code behind the wire memory's back;
+        # the nub's code and data spaces address the same memory, so
+        # drop cached blocks under both names
+        length = len(self.target.machdep.nop_bytes_le)
         self.target.wire.invalidate_range("c", address, length)
         self.target.wire.invalidate_range("d", address, length)
 
-    def _code_loc(self, address: int) -> Location:
-        return Location.absolute("c", address)
-
     def fetch_insn(self, address: int) -> int:
-        value = self.target.wire.fetch(self._code_loc(address), self.kind)
+        value = self.target.wire.fetch(Location.absolute("c", address),
+                                       self.kind)
         bits = 8 * len(self.target.machdep.nop_bytes_le)
         return value & ((1 << bits) - 1)
-
-    def store_insn(self, address: int, pattern: int) -> None:
-        self.target.wire.store(self._code_loc(address), self.kind, pattern)
 
     def _require_live(self) -> None:
         # planting patches target code; a core file has no code to patch
@@ -189,19 +100,27 @@ class BreakpointTable:
                 "0x%x does not hold a no-op (found 0x%x): the interim "
                 "scheme plants breakpoints only at stopping points"
                 % (address, original))
-        if not self._plant_via_extension(address):
-            self.store_insn(address, self.break_pattern)  # plain stores
-        bp = Breakpoint(address, original, note)
+        trap = self.target.machdep.break_bytes_le
+        try:
+            self.target.transport.transact(protocol.plant(address, trap),
+                                           expect=(protocol.MSG_OK,))
+        except NubError:
+            raise BreakpointError("nub rejected plant at 0x%x" % address)
+        self._invalidate_insn(address)
+        bp = Breakpoint(address, note)
         self.planted[address] = bp
         return bp
 
     def remove(self, address: int) -> None:
         self._require_live()
-        bp = self.planted.pop(address, None)
-        if bp is None:
+        if self.planted.pop(address, None) is None:
             raise BreakpointError("no breakpoint at 0x%x" % address)
-        if not self._remove_via_extension(address):
-            self.store_insn(address, bp.saved)
+        try:
+            self.target.transport.transact(protocol.unplant(address),
+                                           expect=(protocol.MSG_OK,))
+        except NubError:
+            raise BreakpointError("nub rejected unplant at 0x%x" % address)
+        self._invalidate_insn(address)
 
     def remove_all(self) -> None:
         for address in list(self.planted):

@@ -158,16 +158,21 @@ class Ldb:
         self.current = target
         target.loader_ps = table_ps
         target.wait_for_stop()
-        target.breakpoints.extension_available()
+        target.breakpoints.resync()
         return target
 
     def attach(self, host: str, port: int, table_ps: str,
                wait: bool = True, cache: bool = True) -> Target:
-        """Connect to a faulty process waiting on the network."""
+        """Connect to a faulty process waiting on the network, and
+        adopt the breakpoints a previous debugger left planted there
+        (paper Sec. 7.1) when the target is found stopped."""
         channel = connect(host, port)
         connector = lambda: connect(host, port)
-        return self.adopt_channel(channel, table_ps, wait=wait,
-                                  connector=connector, cache=cache)
+        target = self.adopt_channel(channel, table_ps, wait=wait,
+                                    connector=connector, cache=cache)
+        if target.state == "stopped":
+            target.breakpoints.resync()
+        return target
 
     def switch_target(self, name: str) -> Target:
         """Switch targets — possibly to a different architecture; the

@@ -366,10 +366,10 @@ class Target:
         """Rewind the target to a checkpoint; returns its icount.
 
         The whole machine state changed under the debugger, so this
-        resembles a reconnect: drop every cached block, forget the
-        frame chain, and reconcile the nub's (checkpoint-time) planted
-        traps with this session's breakpoint table — the table is the
-        source of truth.
+        resembles a reconnect: drop every cached block and forget the
+        frame chain.  Breakpoints are not history: the nub keeps the
+        traps planted now over the restored image, so the breakpoint
+        table needs no reconciling.
         """
         self._require_stopped()
         self.stats.note("wire", "restore")
@@ -389,7 +389,6 @@ class Target:
         self.signo = SIGTRAP
         self.sigcode = 0
         self.state = "stopped"
-        self.breakpoints.resync_after_restore()
         return icount
 
     def drop_checkpoint(self, cid: int) -> None:
@@ -488,20 +487,14 @@ class Target:
             self.signo, self.sigcode, self.context_addr = session.last_signal
             self.state = "stopped"
             self._top_frame = None
+            self.breakpoints.resync()
             if self.trace_writer is not None:
-                # recording survives the reconnect: the resync's
-                # replanting stores are recovery mechanics, not inputs —
-                # stitch the input log over the boundary instead of
-                # polluting it
-                with self.trace_writer.stitch_reconnect():
-                    self.breakpoints.resync()
-            else:
-                self.breakpoints.resync()
+                self.trace_writer.stitch_reconnect()
         # no stop announced: the nub answered with EXITED (queued as a
         # pending event) or nothing at all — there is no stopped target
-        # to replant traps into, so do NOT replay BREAKS here
+        # whose traps to adopt, so do NOT replay BREAKS here
         # the one warning per resync: a reconnect silently rewrites the
-        # target's stop state and replants traps, so leave a visible mark
+        # target's stop state and breakpoint table, so leave a visible mark
         self.obs.metrics.inc("target.reconnects")
         self.obs.tracer.warn("target.reconnect", target=self.name,
                              announced=announced,

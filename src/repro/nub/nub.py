@@ -27,7 +27,7 @@ Machine-dependent nub code is isolated in the ``*NubMD`` classes:
 from __future__ import annotations
 
 import threading
-from typing import Optional
+from typing import Callable, Optional
 
 from ..machines import ExitEvent, FaultEvent, Process, SIGTRAP
 from ..machines.core import core_from_process
@@ -170,7 +170,6 @@ class Nub:
                  listener: Optional[Listener] = None,
                  stop_at_entry: bool = True,
                  accept_timeout: Optional[float] = 30.0,
-                 breakpoint_extension: bool = True,
                  core_path: Optional[str] = None,
                  loader_ps: Optional[str] = None,
                  fault_schedule: Optional[FaultSchedule] = None,
@@ -202,9 +201,6 @@ class Nub:
         self.entry_pause = process.exe.symbols.get("__nub_pause")
         self.exit_status: Optional[int] = None
         self.killed = False
-        #: the Sec. 7.1 extension: remember instructions overwritten by
-        #: PLANT stores so a new debugger can recover them after a crash
-        self.breakpoint_extension = breakpoint_extension
         #: where to auto-write a core on a fatal fault or injected death
         #: (None: no automatic cores)
         self.core_path = core_path
@@ -217,8 +213,9 @@ class Nub:
         #: last-folded execution-engine counters (see _fold_sim_metrics)
         self._sim_folded: dict = {}
         #: time travel: checkpoints live here, nub-side, so images never
-        #: cross the wire
-        self.checkpoints: dict = {}  # id -> (ProcessSnapshot, planted copy)
+        #: cross the wire; id -> (ProcessSnapshot, planted copy), the
+        #: copy being what rewind needs for traps removed since
+        self.checkpoints: dict = {}
         self.next_checkpoint = 1
         #: seq/id of the last CHECKPOINT served, so a retried request
         #: (lost reply) does not mint a second, leaked snapshot
@@ -577,12 +574,15 @@ class Nub:
             return protocol.error(protocol.ERR_BAD_ADDRESS)
         return protocol.ok()
 
-    # -- the breakpoint extension (Sec. 7.1) ---------------------------------
+    # -- breakpoints (Sec. 7.1) ---------------------------------------------
+
+    def _write_le(self, address: int, raw_le: bytes) -> None:
+        """Store little-endian wire bytes in the target's byte order."""
+        self.process.mem.write_bytes(
+            address, raw_le if self.arch.byteorder == "little"
+            else raw_le[::-1])
 
     def _do_plant(self, msg) -> protocol.Message:
-        if not self.breakpoint_extension:
-            # a minimal nub: the debugger falls back to plain stores
-            return protocol.error(protocol.ERR_UNSUPPORTED)
         address, trap = protocol.parse_plant(msg)
         size = len(trap)
         if address not in self.planted:
@@ -595,27 +595,39 @@ class Nub:
             self.planted[address] = (original
                                      if self.arch.byteorder == "little"
                                      else original[::-1])
-        raw = trap if self.arch.byteorder == "little" else trap[::-1]
-        self.process.mem.write_bytes(address, raw)
+        self._write_le(address, trap)
         return protocol.ok()
 
     def _do_unplant(self, msg) -> protocol.Message:
-        if not self.breakpoint_extension:
-            return protocol.error(protocol.ERR_UNSUPPORTED)
         address = protocol.parse_unplant(msg)
         original_le = self.planted.pop(address, None)
         if original_le is None:
             return protocol.error(protocol.ERR_BAD_ADDRESS)
-        raw = (original_le if self.arch.byteorder == "little"
-               else original_le[::-1])
-        self.process.mem.write_bytes(address, raw)
+        self._write_le(address, original_le)
         return protocol.ok()
 
     def _do_breaks(self, msg) -> protocol.Message:
         self._require_empty(msg)
-        if not self.breakpoint_extension:
-            return protocol.error(protocol.ERR_UNSUPPORTED)
         return protocol.breaklist(sorted(self.planted.items()))
+
+    def rewind(self, restore: Callable[[], None], planted_then: dict) -> None:
+        """Bring back a past image with ``restore()`` but keep today's
+        breakpoints: they are not history.  The traps planted now go
+        back over the image, and a trap planted then but removed since
+        gets its original from ``planted_then``, the table the image was
+        taken with.  Rewinding twice gives the same result, so a retried
+        RESTORE is harmless.  A trap the image already holds is left
+        alone: any write to code drops the engine's compiled blocks."""
+        mem = self.process.mem
+        traps = {address: mem.read_bytes(address, len(original))
+                 for address, original in self.planted.items()}
+        restore()
+        for address, original_le in planted_then.items():
+            if address not in traps:
+                self._write_le(address, original_le)
+        for address, raw in traps.items():
+            if mem.read_bytes(address, len(raw)) != raw:
+                mem.write_bytes(address, raw)
 
     # -- time travel ------------------------------------------------------------
 
@@ -642,12 +654,8 @@ class Nub:
         entry = self.checkpoints.get(cid)
         if entry is None:
             return protocol.error(protocol.ERR_BAD_CHECKPOINT)
-        snap, planted = entry
-        self.process.restore(snap)
-        # memory came back with the checkpoint-time traps in place;
-        # realign the bookkeeping with it (restore is idempotent, so a
-        # retried RESTORE is harmless)
-        self.planted = dict(planted)
+        snap, planted_then = entry
+        self.rewind(lambda: self.process.restore(snap), planted_then)
         return protocol.ckpt(cid, self.process.cpu.icount)
 
     def _do_dropckpt(self, msg) -> protocol.Message:

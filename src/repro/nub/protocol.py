@@ -6,8 +6,9 @@ combinations of host and target byte orders and has been validated".
 
 Message frame: one type byte, a 4-byte little-endian payload length, and
 the payload.  The important property inherited from the paper: the
-protocol does **not** mention breakpoints or single-stepping — ldb
-implements breakpoints entirely with fetches and stores (Sec. 6).
+protocol does **not** mention single-stepping, and a breakpoint is a
+store — ldb picks the site and the trap (Sec. 6), and PLANT, the
+paper's Sec. 7.1 enrichment, is a store the nub remembers.
 
 Messages from the debugger::
 
@@ -103,8 +104,8 @@ MSG_STORE = 2
 MSG_CONTINUE = 3
 MSG_DETACH = 4
 MSG_KILL = 5
-# -- the Sec. 7.1 extension: breakpoint-aware stores, so a new debugger
-# -- can learn what a crashed one planted
+# -- the Sec. 7.1 breakpoint-aware stores, so a new debugger can learn
+# -- what a crashed one planted
 MSG_PLANT = 6
 MSG_UNPLANT = 7
 MSG_BREAKS = 8
@@ -462,7 +463,7 @@ def parse_ckpt(msg: Message) -> Tuple[int, int]:
     return struct.unpack("<IQ", _payload(msg, 12, "CKPT"))
 
 
-# -- the breakpoint extension (paper Sec. 7.1) --------------------------------
+# -- breakpoint-aware stores (paper Sec. 7.1) ---------------------------------
 
 def plant(address: int, trap_bytes: bytes) -> Message:
     """A store used only for planting breakpoints: the nub records the

@@ -25,8 +25,8 @@ the tracer honest:
   scripted session produce identical, diffable JSONL.
 
 Warning-level events are recorded even while tracing is off: a
-reconnect or a checkpoint-restore resync is operator-relevant whether
-or not anyone asked for a flight recording.
+reconnect or a checkpoint restore is operator-relevant whether or not
+anyone asked for a flight recording.
 """
 
 from __future__ import annotations

@@ -103,7 +103,12 @@ class ReplayTransport(Transport):
                                                 []).append(entry)
         self._marks = sorted(set(self._stops_by_icount)
                              | set(self._inputs_by_position))
-        self._restore_spill(recording.spills[-1])
+        # open where the recording ended, adopting the breakpoints it
+        # was written with; later spill restores keep the nub's table
+        final = recording.spills[-1]
+        final.state.restore_into(self.process)
+        self.nub.planted = dict(final.state.planted)
+        self.nub.last_stop = FaultEvent(final.signo, final.code, final.pc)
         self._announced = False
         self._pending: Optional[Tuple[str, Optional[int]]] = None
         self._killed = False
@@ -247,8 +252,11 @@ class ReplayTransport(Transport):
             self.obs.metrics.inc("trace.replay.inputs")
 
     def _restore_spill(self, spill: SpillRecord) -> None:
-        spill.state.restore_into(self.process)
-        self.nub.planted = dict(spill.state.planted)
+        """Rewind to a spilled state the way the nub rewinds to a
+        checkpoint: registers and memory come back, today's planted
+        table stays."""
+        self.nub.rewind(lambda: spill.state.restore_into(self.process),
+                        dict(spill.state.planted))
         self.nub.last_stop = FaultEvent(spill.signo, spill.code, spill.pc)
 
     # -- the nub's half of the conversation --------------------------------

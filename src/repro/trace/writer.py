@@ -137,31 +137,15 @@ class TraceWriter:
 
     # -- reconnect stitching -----------------------------------------------
 
-    def stitch_reconnect(self):
-        """A reconnect is about to resynchronize the target (replant
-        breakpoints, re-announce the stop): those exchanges are
-        recovery mechanics at an unchanged timeline position, not
-        debugger inputs.  Returns a context manager muting the tap for
-        the resync window and marking the stitch — a nub-connection
-        death no longer discards the recording."""
-        writer = self
-
-        class _Stitch:
-            def __enter__(self):
-                writer._muted = True
-                return self
-
-            def __exit__(self, exc_type, exc, tb):
-                writer._muted = False
-                writer.stitches += 1
-                writer.obs.metrics.inc("trace.reconnect_stitches")
-                writer.obs.tracer.event("trace.stitch",
-                                        position=writer._position,
-                                        spills=len(writer.spills),
-                                        pending=len(writer._pending))
-                return False
-
-        return _Stitch()
+    def stitch_reconnect(self) -> None:
+        """Count a reconnect the recording survived.  The reconnect's
+        only exchange is a BREAKS, which the tap does not log, so the
+        input log runs on across the boundary."""
+        self.stitches += 1
+        self.obs.metrics.inc("trace.reconnect_stitches")
+        self.obs.tracer.event("trace.stitch", position=self._position,
+                              spills=len(self.spills),
+                              pending=len(self._pending))
 
     # -- spills (fed by the ReplayController) ------------------------------
 

@@ -1,11 +1,11 @@
-"""The Sec. 7.1 breakpoint protocol extension, end to end.
+"""The Sec. 7.1 breakpoint messages, end to end.
 
 The paper: "We can solve this problem by enriching the protocol with a
 special store operation used only for planting breakpoints and by
 making the nub capable of reporting to a new debugger the instructions
 overwritten by such stores, in case the connection to the original
-debugger is lost" — and: ldb "should continue to function correctly
-when [extensions] are not available."
+debugger is lost."  Every nub answers PLANT/UNPLANT/BREAKS, so ldb
+plants through them and adopts a crashed debugger's table on attach.
 """
 
 import io
@@ -20,42 +20,18 @@ from repro.nub import Listener, Nub, NubRunner
 from ..ldb.helpers import FIB
 
 
-def start_listening_nub(breakpoint_extension=True, arch="rmips"):
+def start_listening_nub(arch="rmips"):
     exe = compile_and_link({"fib.c": FIB}, arch, debug=True)
     table_ps = loader_table_ps(exe)
     listener = Listener()
     process = Process(exe)
-    nub = Nub(process, listener=listener, accept_timeout=15.0,
-              breakpoint_extension=breakpoint_extension)
+    nub = Nub(process, listener=listener, accept_timeout=15.0)
     runner = NubRunner(nub).start()
     nub.debug_process = process
     return exe, table_ps, listener, nub, runner
 
 
 class TestExtension:
-    def test_probe_detects_support(self):
-        exe, table_ps, listener, nub, runner = start_listening_nub()
-        ldb = Ldb(stdout=io.StringIO())
-        target = ldb.attach("127.0.0.1", listener.port, table_ps)
-        assert target.breakpoints.extension_available()
-        target.kill()
-        runner.join()
-        listener.close()
-
-    def test_probe_detects_minimal_nub(self):
-        exe, table_ps, listener, nub, runner = start_listening_nub(
-            breakpoint_extension=False)
-        ldb = Ldb(stdout=io.StringIO())
-        target = ldb.attach("127.0.0.1", listener.port, table_ps)
-        assert not target.breakpoints.extension_available()
-        # the debugger still functions: plain-store breakpoints work
-        ldb.break_at_stop("fib", 9)
-        ldb.run_to_stop()
-        assert ldb.evaluate("a[4]") == 5
-        target.kill()
-        runner.join()
-        listener.close()
-
     def test_nub_records_planted_instructions(self):
         exe, table_ps, listener, nub, runner = start_listening_nub()
         ldb = Ldb(stdout=io.StringIO())
@@ -78,8 +54,7 @@ class TestExtension:
 
         second = Ldb(stdout=io.StringIO())
         t2 = second.attach("127.0.0.1", listener.port, table_ps)
-        # the probe reports the crashed debugger's breakpoint
-        assert t2.breakpoints.extension_available()
+        # attaching adopts the crashed debugger's breakpoint
         adopted = t2.breakpoints.at(planted)
         assert adopted is not None and adopted.note == "adopted"
         # the new debugger handles the hit and can REMOVE it cleanly

@@ -165,27 +165,32 @@ class TestNetworkDebugging:
 
         first = Ldb(stdout=io.StringIO())
         t1 = first.attach("127.0.0.1", listener.port, table_ps)
-        first.break_at_stop("fib", 9, target=t1)
+        planted = first.break_at_stop("fib", 9, target=t1)
         # the first debugger "crashes": its socket just dies
         t1.channel.sock.close()
 
         second = Ldb(stdout=io.StringIO())
         t2 = second.attach("127.0.0.1", listener.port, table_ps)
         assert t2.state == "stopped"
+        # attaching adopts the crashed debugger's trap from the nub's
+        # table (Sec. 7.1), before anything runs
+        adopted = t2.breakpoints.at(planted)
+        assert adopted is not None and adopted.note == "adopted"
         second.run_to_stop(target=t2)          # proceeds to the breakpoint
+        assert t2.stop_pc() == planted
         assert second.evaluate("a[4]", target=t2,
                                frame=t2.top_frame()) == 5
-        # The new debugger does not know the crashed one's breakpoints —
-        # the limitation the paper itself records (Sec. 7.1).  It can
-        # still recover by hand: it knows the trap and no-op patterns,
-        # so it restores the no-op and resumes.
-        trap_pc = t2.stop_pc()
-        assert t2.breakpoints.at(trap_pc) is None      # unknown to t2
-        t2.breakpoints.store_insn(trap_pc, t2.breakpoints.nop_pattern)
+        # each continue resumes past the known trap: every later hit is
+        # further along, and the run reaches its exit
+        icounts = [t2.current_icount()]
         for _ in range(50):
             if second.run_to_stop(target=t2) != "stopped":
                 break
+            assert t2.stop_pc() == planted
+            icounts.append(t2.current_icount())
         assert t2.state == "exited"
+        assert icounts == sorted(set(icounts)) and len(icounts) > 2
+        assert process.output() == "1 1 2 3 5 8 13 21 34 55 \n"
         runner.join()
         listener.close()
 

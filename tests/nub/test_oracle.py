@@ -138,3 +138,58 @@ def test_live_core_and_replay_answer_alike(arch, tmp_path):
                          protocol.MSG_PLANT, protocol.MSG_UNPLANT):
             with pytest.raises(PostMortemError):
                 core.transact(msg, expect)
+
+
+def restore_keeps_breakpoints(transport, a, b, trap, original_b,
+                              restore_to=None):
+    """PLANT b, CHECKPOINT, PLANT a, UNPLANT b, RESTORE: the program
+    rewinds but the planted table does not, so BREAKS lists a and not
+    b, the code at a holds the trap and the code at b its original.
+    ``restore_to`` names a checkpoint taken with b planted instead of
+    the CHECKPOINT (a recording's spill); every RESTORE goes twice, as
+    a retried one would."""
+    ok, ckpt = (protocol.MSG_OK,), (protocol.MSG_CKPT,)
+    transport.transact(protocol.plant(b, trap), ok)
+    if restore_to is None:
+        restore_to, _icount = protocol.parse_ckpt(
+            transport.transact(protocol.checkpoint(), ckpt))
+    transport.transact(protocol.plant(a, trap), ok)
+    transport.transact(protocol.unplant(b), ok)
+    for _ in range(2):
+        transport.transact(protocol.restore(restore_to), ckpt)
+        listed = protocol.parse_breaklist(transport.transact(
+            protocol.breaks(), (protocol.MSG_BREAKLIST,)))
+        assert a in dict(listed) and b not in dict(listed)
+        for address, want in ((a, trap), (b, original_b)):
+            fetched = transport.transact(
+                protocol.fetch("c", address, len(trap)), (protocol.MSG_DATA,))
+            assert fetched.payload == want, hex(address)
+    transport.transact(protocol.unplant(a), ok)
+
+
+@pytest.mark.parametrize("arch", ARCH_NAMES)
+def test_restore_rewinds_the_program_not_the_breakpoints(arch, tmp_path):
+    """RESTORE keeps the nub's planted table (PROTOCOL.md §3.5): on the
+    live nub, and on a reopened recording both for the nub's own
+    checkpoints and for a spill written while b was planted."""
+    rec_path = str(tmp_path / "boom.ldbrec")
+    live = Ldb(stdout=io.StringIO())
+    target = live.load_program(boom_exe(arch))
+    symtab = target.symtab
+    a = symtab.stop_address(symtab.first_stop_of(
+        symtab.extern_entry("main")))
+    trap = target.machdep.break_bytes_le
+    original_b = target.machdep.nop_bytes_le
+    live.start_recording(path=rec_path, interval=37)
+    b = live.break_at_function("poke")
+    assert live.run_to_stop() == "stopped" and target.at_breakpoint()
+    assert live.run_to_stop() == "stopped" and target.signo == SIGSEGV
+    live.record_save()
+
+    restore_keeps_breakpoints(target.transport, a, b, trap, original_b)
+    replay = Ldb(stdout=io.StringIO()).open_recording(rec_path).transport
+    restore_keeps_breakpoints(replay, a, b, trap, original_b)
+    spill = next(spill for spill in replay.recording.spills
+                 if b in dict(spill.state.planted))
+    restore_keeps_breakpoints(replay, a, b, trap, original_b,
+                              restore_to=spill.cid)

@@ -73,8 +73,9 @@ class TestMessages:
     def test_core_protocol_has_no_breakpoint_or_step_messages(self):
         """The key simplification (Sec. 6): the core protocol does not
         mention breakpoints or single-stepping.  PLANT/UNPLANT/BREAKS
-        are the paper's own Sec. 7.1 *extension*, optional by design —
-        a nub may reject them and the debugger falls back to stores."""
+        are the paper's own Sec. 7.1 enrichment, stores the nub
+        remembers, kept apart from the core messages; every nub answers
+        them, so the debugger neither probes nor falls back."""
         core = {p.MSG_FETCH, p.MSG_STORE, p.MSG_CONTINUE, p.MSG_DETACH,
                 p.MSG_KILL, p.MSG_SIGNAL, p.MSG_EXITED, p.MSG_DATA,
                 p.MSG_OK, p.MSG_ERROR}

@@ -364,8 +364,8 @@ class TestRecordingAcrossReconnect:
             assert target.state == "stopped"
             assert target.trace_writer is writer
             assert writer.stitches == 1
-            # the resync's breakpoint replants are recovery mechanics:
-            # the input log must not have grown
+            # the reconnect's BREAKS is recovery mechanics, not an
+            # input: the input log must not have grown
             assert len(writer.inputs) == inputs_before
             assert ldb.run_to_stop() == "stopped"
             assert target.signo == SIGSEGV
