@@ -8,8 +8,10 @@ workload on all four ISAs two ways:
 * ``uncached`` — the paper's Sec. 4.1 baseline, one FETCH per access;
 * ``cached`` — the write-through CachingMemory over BLOCKFETCH.
 
-It asserts the cached run produces byte-identical output with >= 5x
-fewer nub round-trips, and emits ``BENCH_wire_traffic.json`` at the
+The target runs behind a real wire (a nub on its own thread, over a
+socketpair), so the byte counts are the bytes framed.  It asserts the
+cached run produces byte-identical output with >= 5x fewer nub
+round-trips, and emits ``BENCH_wire_traffic.json`` at the
 repository root to seed the perf trajectory.  ``BENCH_QUICK=1`` runs a
 single timing repetition (the CI smoke mode).
 """
@@ -24,6 +26,7 @@ from pathlib import Path
 
 from repro.cc.driver import compile_and_link
 from repro.ldb import Ldb
+from repro.ldb.debugger import load_over_wire
 
 from .conftest import report
 from .workloads import FIB_C
@@ -40,7 +43,7 @@ def run_workload(arch: str, cache: bool):
     """One full debug conversation; returns (results, stats dict)."""
     exe = compile_and_link({"fib.c": FIB_C}, arch, debug=True)
     ldb = Ldb(stdout=io.StringIO())
-    target = ldb.load_program(exe, cache=cache)
+    target = load_over_wire(ldb, exe, cache=cache)
     ldb.break_at_stop("fib", STOP_INDEX)
     started = time.perf_counter()
     ldb.run_to_stop()

@@ -7,23 +7,23 @@ compact block-oriented protocol.  This example shows the reproduction's
 version of that story:
 
   1. every target talks to its nub through an explicit Transport — a
-     NubSession (retries, reconnect, hardened framing) or a
-     ChannelTransport (one lockstep exchange over a bare channel);
+     LocalTransport for a program started in the debugger's own
+     process (the nub answers on the debugger's thread, no wire), or a
+     NubSession over a wire (retries, reconnect, hardened framing);
   2. blocks are base protocol: with the cache on, a stack walk pulls
      the saved context with one BLOCKFETCH instead of dozens of
      FETCHes; with it off, every access is its own FETCH (the paper's
-     Sec. 4.1 baseline).
+     Sec. 4.1 baseline).  The message counts are the same on either
+     transport.
 
 Run:  python examples/block_transfers.py
 """
 
 import io
 
-from repro.cc.driver import compile_and_link, loader_table_ps
+from repro.cc.driver import compile_and_link
 from repro.ldb import Ldb
-from repro.ldb.target import Target
-from repro.machines import Process
-from repro.nub import ChannelTransport, Nub, NubRunner, pair
+from repro.ldb.debugger import load_over_wire
 
 FIB_C = """void fib(int n)
 {
@@ -54,44 +54,32 @@ def workload(ldb, target):
     return target.stats.round_trips()
 
 
-def run(label, cache):
+def run(label, start, cache=True):
     exe = compile_and_link({"fib.c": FIB_C}, "rsparc", debug=True)
     ldb = Ldb(stdout=io.StringIO())
-    target = ldb.load_program(exe, cache=cache)
+    target = start(ldb, exe, cache)
     trips = workload(ldb, target)
-    print("%-28s round-trips: %4d   (%d BLOCKFETCH)"
+    print("%-34s round-trips: %4d   (%d BLOCKFETCH)"
           % (label, trips, target.stats.of("wire", "blockfetch")))
     target.kill()
 
 
-def bare_channel_target():
-    """The ChannelTransport path: no session, still the same API."""
-    exe = compile_and_link({"fib.c": FIB_C}, "rsparc", debug=True)
-    debugger_end, nub_end = pair()
-    process = Process(exe)
-    NubRunner(Nub(process, channel=nub_end)).start()
-    ldb = Ldb(stdout=io.StringIO())
-    table = ldb.read_loader_table(loader_table_ps(exe))
-    # a Target over an explicit bare-channel transport: one lockstep
-    # exchange per request, no retries — and the identical Transport
-    # interface, so the whole debugger works unchanged on top of it
-    transport = ChannelTransport(debugger_end)
-    target = Target(ldb.interp, None, table, transport=transport)
-    ldb.targets[target.name] = target
-    ldb.current = target
-    target.wait_for_stop()
-    trips = workload(ldb, target)
-    print("%-28s round-trips: %4d   (%d BLOCKFETCH, plain frames)"
-          % ("bare ChannelTransport", trips,
-             target.stats.of("wire", "blockfetch")))
-    target.kill()
+def in_thread(ldb, exe, cache):
+    return ldb.load_program(exe, cache=cache)
+
+
+def over_the_wire(ldb, exe, cache):
+    # a nub on its own thread behind a socketpair, spoken to with the
+    # full byte protocol: the identical Transport interface, so the
+    # whole debugger works unchanged on top of it
+    return load_over_wire(ldb, exe, cache=cache)
 
 
 def main():
     print("=== the same workload, three ways ===")
-    run("uncached per-word FETCH", cache=False)
-    run("cached BLOCKFETCH", cache=True)
-    bare_channel_target()
+    run("uncached per-word FETCH", in_thread, cache=False)
+    run("cached BLOCKFETCH", in_thread)
+    run("cached BLOCKFETCH over a wire", over_the_wire)
 
 
 if __name__ == "__main__":

@@ -17,6 +17,7 @@ from ..cc.driver import loader_table_ps
 from ..machines import Executable, Process
 from ..nub.channel import Channel, connect, pair
 from ..nub.nub import Nub, NubRunner
+from ..nub.session import LocalTransport
 from ..obs import Observability
 from ..postscript import Interp, PSDict, new_interp
 from .breakpoints import BreakpointError
@@ -57,9 +58,9 @@ class Ldb:
         return name
 
     def adopt_channel(self, channel: Channel, table_ps: str,
-                      wait: bool = True, connector=None,
-                      cache: bool = True) -> Target:
-        """Debug over an existing connection (any transport).
+                      connector=None, cache: bool = True) -> Target:
+        """Debug over an existing connection (any transport), from the
+        stop the nub announces on it.
 
         ``connector`` — a zero-argument callable returning a fresh
         :class:`Channel` — gives the target a reconnect path: if the
@@ -67,46 +68,43 @@ class Ldb:
         ``cache=False`` turns off the block-transfer memory cache and
         sends every fetch as its own FETCH message.
         """
+        return self._adopt(table_ps, cache, channel=channel,
+                           connector=connector)
+
+    def load_program(self, exe: Executable, table_ps: Optional[str] = None,
+                     cache: bool = True,
+                     core_path: Optional[str] = None) -> Target:
+        """Start a target process as a "child": the fork analog.  Its
+        nub runs on this thread with no wire (a
+        :class:`~repro.nub.session.LocalTransport`) and reports into
+        this debugger's observability hub.  The target stops at the
+        entry pause before ``main``.
+
+        ``core_path`` tells the nub where to auto-write a core when the
+        target takes a fatal signal.
+        """
+        process = Process(exe)
+        table_ps = table_ps or _loader_ps(exe)
+        nub = Nub(process, core_path=core_path, loader_ps=table_ps,
+                  obs=self.obs)
+        target = self._adopt(table_ps, cache, transport=LocalTransport(nub))
+        target.process = process
+        target.nub = nub
+        target.core_path = core_path
+        return target
+
+    def _adopt(self, table_ps: str, cache: bool, channel=None,
+               connector=None, transport=None) -> Target:
+        """A new current target over ``channel`` or ``transport``, at
+        the stop its nub announces first."""
         table = self.read_loader_table(table_ps)
         target = Target(self.interp, channel, table, self._new_target_name(),
-                        connector=connector, cache=cache, obs=self.obs)
+                        connector=connector, transport=transport,
+                        cache=cache, obs=self.obs)
         target.loader_ps = table_ps
         self.targets[target.name] = target
         self.current = target
-        if wait:
-            target.wait_for_stop()
-        return target
-
-    def load_program(self, exe: Executable, stop_at_entry: bool = True,
-                     table_ps: Optional[str] = None,
-                     cache: bool = True,
-                     core_path: Optional[str] = None,
-                     fault_schedule=None, engine=None) -> Target:
-        """Start a target process as a "child": the fork analog.
-
-        ``core_path`` tells the nub where to auto-write a core when the
-        target takes a fatal signal or the nub itself dies.
-        ``fault_schedule`` injects a seeded
-        :class:`~repro.nub.faults.FaultSchedule` into the *nub's* sends
-        — the hook the session server's chaos harness uses to kill,
-        hang, or corrupt hosted sessions.  ``engine`` picks the
-        simulator's execution engine ("step", "block", or None for the
-        configured default; see :mod:`repro.machines.engine`).
-        """
-        debugger_end, nub_end = pair()
-        process = Process(exe, engine=engine)
-        if table_ps is None:
-            table_ps = getattr(exe, "loader_ps", None) or loader_table_ps(exe)
-        nub = Nub(process, channel=nub_end, stop_at_entry=stop_at_entry,
-                  core_path=core_path, loader_ps=table_ps,
-                  fault_schedule=fault_schedule)
-        runner = NubRunner(nub).start()
-        target = self.adopt_channel(debugger_end, table_ps, wait=stop_at_entry,
-                                    cache=cache)
-        target.process = process
-        target.nub = nub
-        target.runner = runner
-        target.core_path = core_path
+        target.wait_for_stop()
         return target
 
     def open_core(self, path: str, table_ps: Optional[str] = None,
@@ -162,14 +160,14 @@ class Ldb:
         return target
 
     def attach(self, host: str, port: int, table_ps: str,
-               wait: bool = True, cache: bool = True) -> Target:
+               cache: bool = True) -> Target:
         """Connect to a faulty process waiting on the network, and
         adopt the breakpoints a previous debugger left planted there
         (paper Sec. 7.1) when the target is found stopped."""
         channel = connect(host, port)
         connector = lambda: connect(host, port)
-        target = self.adopt_channel(channel, table_ps, wait=wait,
-                                    connector=connector, cache=cache)
+        target = self.adopt_channel(channel, table_ps, connector=connector,
+                                    cache=cache)
         if target.state == "stopped":
             target.breakpoints.resync()
         return target
@@ -183,9 +181,9 @@ class Ldb:
 
     def drop_target(self, name: str) -> None:
         """Forget a target and close its transport: the session-server
-        detach path.  Closing the debugger end of a spawned pair tells
-        the nub nobody is debugging, so a stopped target is released
-        rather than preserved forever."""
+        detach path.  Closing an in-thread host ends its target, and
+        closing a wire tells the nub nobody is debugging, so a stopped
+        target is released rather than preserved forever."""
         target = self.targets.pop(name, None)
         if target is None:
             return
@@ -589,3 +587,33 @@ def _read_back(stream, before: Optional[int]) -> str:
         return text
     except (OSError, io.UnsupportedOperation):
         return ""
+
+
+def _loader_ps(exe: Executable) -> str:
+    return getattr(exe, "loader_ps", None) or loader_table_ps(exe)
+
+
+def load_over_wire(ldb: Ldb, exe: Executable, cache: bool = True,
+                   core_path: Optional[str] = None,
+                   fault_schedule=None) -> Target:
+    """Start ``exe`` under a nub on its own thread, spoken to over a
+    socketpair with the full byte protocol (HELLO, retries, framing).
+
+    This is the wire counterpart of :meth:`Ldb.load_program` (same
+    ``cache`` and ``core_path``), for what only a wire can show: a seeded
+    :class:`~repro.nub.faults.FaultSchedule` on the nub's sends (the
+    session server's ``fault`` spawn argument, the fault-injection
+    tests), byte counts, and the replies the in-thread host must match.
+    """
+    debugger_end, nub_end = pair()
+    process = Process(exe)
+    table_ps = _loader_ps(exe)
+    nub = Nub(process, channel=nub_end, core_path=core_path,
+              loader_ps=table_ps, fault_schedule=fault_schedule)
+    runner = NubRunner(nub).start()
+    target = ldb.adopt_channel(debugger_end, table_ps, cache=cache)
+    target.process = process
+    target.nub = nub
+    target.runner = runner
+    target.core_path = core_path
+    return target

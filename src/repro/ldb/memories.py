@@ -4,8 +4,9 @@ An abstract memory represents the registers and memory of a target
 process as a collection of spaces.  ldb combines several instances to
 represent the state during one procedure activation:
 
-* the **wire** holds the connection to the nub and forwards fetch/store
-  requests for the code and data spaces;
+* the **wire** holds the transport to the nub — a connection, or the
+  nub itself when it runs on the debugger's thread — and forwards
+  fetch/store requests for the code and data spaces;
 * the **alias** memory translates register-space locations into code or
   data locations (the saved context) or immediate locations;
 * the **register** memory turns sub-word register accesses into
@@ -91,19 +92,19 @@ class WireMemory(AbstractMemory):
     by :class:`CachingMemory` above.
 
     The transport is explicit: a :class:`~repro.nub.session.NubSession`
-    for retry/backoff and crash-reconnect, or a
-    :class:`~repro.nub.session.ChannelTransport` for direct, unretried
-    access over a bare channel.  Both surface nub errors the same way,
-    so the PSError behaviour here is mode-independent.
+    for retry/backoff and crash-reconnect over a wire, a
+    :class:`~repro.nub.session.LocalTransport` for a nub on the
+    debugger's own thread, or a core's or a recording's transport.  All
+    surface nub errors the same way, so the PSError behaviour here is
+    transport-independent.
     """
 
     spaces = "cd"
 
     def __init__(self, transport: Transport, stats: Optional[MemoryStats] = None):
         if not isinstance(transport, Transport):
-            raise TypeError(
-                "WireMemory needs a Transport, not %r — wrap bare "
-                "channels in ChannelTransport" % (transport,))
+            raise TypeError("WireMemory needs a Transport, not %r"
+                            % (transport,))
         self.transport = transport
         self.stats = stats if stats is not None else MemoryStats()
 

@@ -29,7 +29,7 @@ from ..machines.core import CoreFile
 from ..nub import protocol
 from ..nub.channel import ChannelClosed
 from ..nub.nub import Nub
-from ..nub.session import NubError, Transport, TransportError
+from ..nub.session import Transport, TransportError
 
 
 class PostMortemError(TransportError):
@@ -72,20 +72,18 @@ class CoreTransport(Transport):
 
     def transact(self, msg: protocol.Message, expect: Iterable[int],
                  timeout: Optional[float] = None) -> protocol.Message:
-        expect = tuple(expect)
         if msg.mtype in _MUTATING:
             raise PostMortemError(
                 "target is post-mortem (a core file): core files are "
                 "read-only, cannot %s" % protocol.type_name(msg.mtype).lower())
         if msg.mtype in _SERVED:
-            reply = self.nub.answer(msg)
+            try:
+                reply = self.nub.answer(msg)
+            except protocol.ProtocolError:
+                reply = protocol.error(protocol.ERR_BAD_MESSAGE)
         else:
             reply = protocol.error(protocol.ERR_UNSUPPORTED)
-        if reply.mtype == protocol.MSG_ERROR:
-            raise NubError(protocol.parse_error(reply), request=msg)
-        if reply.mtype not in expect:
-            raise TransportError("unexpected reply %r to %r" % (reply, msg))
-        return reply
+        return self.settle(msg, reply, expect)
 
     def control(self, msg: protocol.Message) -> None:
         raise PostMortemError(

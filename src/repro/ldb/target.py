@@ -20,7 +20,6 @@ from ..nub.channel import Channel, ChannelClosed
 from ..nub.session import (
     NubError,
     NubSession,
-    RetryPolicy,
     SessionError,
     Transport,
     TransportError,
@@ -64,7 +63,6 @@ class Target:
 
     def __init__(self, interp: Interp, channel: Optional[Channel],
                  loader_table: PSDict, name: str = "t0", connector=None,
-                 retry_policy: Optional[RetryPolicy] = None,
                  transport: Optional[Transport] = None, cache: bool = True,
                  obs=None):
         self.interp = interp
@@ -77,7 +75,6 @@ class Target:
         self.obs = obs if obs is not None else Observability()
         if transport is None:
             transport = NubSession(channel=channel, connector=connector,
-                                   policy=retry_policy,
                                    on_reconnect=self._session_reconnected,
                                    obs=self.obs)
         elif isinstance(transport, NubSession):
@@ -87,7 +84,7 @@ class Target:
         #: how this target talks to its nub (the memory, breakpoint, and
         #: control paths all go through it)
         self.transport = transport
-        #: the session view of the transport, None for bare channels
+        #: the session view of the transport, None when there is no wire
         self.session = transport if isinstance(transport, NubSession) else None
         self.name = name
         self.table = loader_table

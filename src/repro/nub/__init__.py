@@ -5,7 +5,7 @@ from .channel import Channel, ChannelClosed, Listener, connect, pair
 from .faults import FaultInjectingChannel, FaultSchedule, NubKilled
 from .nub import Nub, NubMD, NubRunner, nub_md_for
 from .session import (
-    ChannelTransport,
+    LocalTransport,
     NubError,
     NubSession,
     RetryPolicy,
@@ -14,8 +14,8 @@ from .session import (
     TransportError,
 )
 
-__all__ = ["Channel", "ChannelClosed", "ChannelTransport",
-           "FaultInjectingChannel", "FaultSchedule", "Listener", "Nub",
+__all__ = ["Channel", "ChannelClosed", "FaultInjectingChannel",
+           "FaultSchedule", "Listener", "LocalTransport", "Nub",
            "NubError", "NubKilled", "NubMD", "NubRunner", "NubSession",
            "RetryPolicy",
            "SessionError", "Transport", "TransportError", "connect",

@@ -1,11 +1,15 @@
 """Byte channels between the debugger and the nub.
 
 The nub uses sockets because they are more uniform across systems than
-process-control facilities (paper Sec. 4.2).  Three connection styles
-mirror the paper's: a socketpair for the forked-child case, TCP over the
-network, and a listener the nub waits on so a faulty process can be
-picked up by a debugger started later — or by a *new* debugger after the
-first one crashed.
+process-control facilities (paper Sec. 4.2).  A simulated target in the
+debugger's own process needs neither: ``Ldb.load_program`` hosts its
+nub on the debugger's thread (:class:`~repro.nub.session.LocalTransport`).
+The byte protocol stays for remote targets, the chaos harness's fault
+schedules and the handshake tests, over three connection styles: a
+socketpair to a nub on its own thread, TCP over the network, and a
+listener the nub waits on so a faulty process can be picked up by a
+debugger started later — or by a *new* debugger after the first one
+crashed.
 
 Channels carry the framing state negotiated by the HELLO handshake
 (``crc``, ``seq_mode``): a fresh connection always starts with plain

@@ -29,7 +29,8 @@ from __future__ import annotations
 import threading
 from typing import Callable, Optional
 
-from ..machines import ExitEvent, FaultEvent, Process, SIGTRAP
+from ..machines import (DEFAULT_MAX_STEPS, ExitEvent, FaultEvent,
+                        IcountStopEvent, Process, SIGTRAP)
 from ..machines.core import core_from_process
 from ..machines.loader import NUB_AREA
 from ..machines.machstate import MachineState
@@ -179,10 +180,10 @@ class Nub:
             # a module-level import would be circular
             from ..obs import Observability
             obs = Observability()
-        #: tracing + metrics for the nub side (``nub.*`` names).  Kept
-        #: separate from the debugger's hub by default: the nub runs on
-        #: its own thread, and interleaving its records into the
-        #: debugger's trace would make transcripts racy.
+        #: tracing + metrics for the nub side (``nub.*`` names).  A nub
+        #: hosted on the debugger's thread shares the debugger's hub; one
+        #: on its own thread keeps its own, because interleaving its
+        #: records into the debugger's trace would make transcripts racy.
         self.obs = obs
         self.process = process
         self.arch = process.arch
@@ -222,7 +223,9 @@ class Nub:
         self._last_ckpt_seq = None
         self._last_ckpt_id = None
         #: a pending RUNTO target icount (None: plain CONTINUE)
-        self._runto: Optional[int] = None
+        self.runto: Optional[int] = None
+        #: icount at the last resume: the runaway guard counts from here
+        self._resumed_at = 0
         self.planted: dict = {}  # address -> original little-endian bytes
         #: negotiated per-connection: acknowledge control messages (HELLO)
         self.ack_active = False
@@ -275,36 +278,68 @@ class Nub:
                 folded[name] = value
 
     def _run_loop(self) -> Optional[int]:
+        if self.channel is None and self.listener is None:
+            self.stop_at_entry = False  # nobody can debug: run through
         while True:
-            stop_at = self._runto
-            self._runto = None
-            event = self.process.run_until_event(stop_at_icount=stop_at)
-            self._fold_sim_metrics()
+            event = self.advance()
             if isinstance(event, ExitEvent):
-                self.exit_status = event.status
-                self.obs.tracer.event("nub.exit", status=event.status)
                 self._send(protocol.exited(event.status))
                 if self.channel is not None:
                     self.channel.close()
                 return event.status
-            if self._is_entry_pause(event) and not self._should_stop_at_entry():
-                self._runto = stop_at  # the pause does not consume RUNTO
-                self.process.cpu.pc = event.pc + self.arch.noop_advance
-                continue
             outcome = self.handle_signal(event)
             if outcome == "killed":
                 self.killed = True
                 return None
 
+    def advance(self, budget: Optional[int] = None):
+        """Run the resumed target to the next stop the nub announces:
+        the entry pause (when ``stop_at_entry``), a trap, a fault, the
+        pending RUNTO bound, or an exit.
+
+        Answers the :class:`ExitEvent`, or the :class:`FaultEvent` of a
+        stop already made the one being served (context saved, and a
+        core written first for a fatal fault).  With ``budget``, at
+        most that many instructions run, and ``None`` means they ran
+        out first: call again to go on.  The runaway guard counts from
+        the resume, however many calls the run takes.
+        """
+        cpu = self.process.cpu
+        while True:
+            stop_at = self.runto
+            if budget is not None:
+                slice_end = cpu.icount + budget
+                if stop_at is None or slice_end < stop_at:
+                    stop_at = slice_end
+            guard = DEFAULT_MAX_STEPS - (cpu.icount - self._resumed_at)
+            event = self.process.run_until_event(max_steps=guard,
+                                                 stop_at_icount=stop_at)
+            self._fold_sim_metrics()
+            if isinstance(event, IcountStopEvent) and (
+                    self.runto is None or event.icount < self.runto):
+                return None  # the budget ran out, not the RUNTO bound
+            if isinstance(event, ExitEvent):
+                self.exit_status = event.status
+                self.obs.tracer.event("nub.exit", status=event.status)
+                return event
+            if self._is_entry_pause(event) and not self.stop_at_entry:
+                # the pause does not consume RUNTO
+                cpu.pc = event.pc + self.arch.noop_advance
+                self._resumed_at = cpu.icount
+                continue
+            self.runto = None
+            self.obs.metrics.inc("nub.stops")
+            self.obs.tracer.event("nub.stop", signo=event.signo,
+                                  code=event.code, pc="0x%x" % event.pc)
+            self.stopped(event)
+            if event.signo != SIGTRAP:
+                # a fatal fault: leave a core behind before anything else
+                # can go wrong (the debugger may never come, or die with us)
+                self._write_auto_core(event)
+            return event
+
     def _is_entry_pause(self, event: FaultEvent) -> bool:
         return event.signo == SIGTRAP and event.pc == self.entry_pause
-
-    def _should_stop_at_entry(self) -> bool:
-        return self.stop_at_entry and (self.channel is not None
-                                       or self.listener is not None)
-
-    def debuggable(self) -> bool:
-        return self.channel is not None or self.listener is not None
 
     # -- signal handling ---------------------------------------------------------
 
@@ -321,17 +356,11 @@ class Nub:
         cpu = self.process.cpu
         cpu.pc = self.md.restore_context(cpu, self.process.mem,
                                          self.context_addr)
+        self._resumed_at = cpu.icount
 
     def handle_signal(self, event: FaultEvent) -> str:
-        """Save a context, notify the debugger, service requests."""
-        self.obs.metrics.inc("nub.stops")
-        self.obs.tracer.event("nub.stop", signo=event.signo, code=event.code,
-                              pc="0x%x" % event.pc)
-        self.stopped(event)
-        if event.signo != SIGTRAP:
-            # a fatal fault: leave a core behind before anything else can
-            # go wrong (the debugger may never connect, or die with us)
-            self._write_auto_core(event)
+        """Notify the debugger of the stop :meth:`advance` made, and
+        service requests until it resumes, kills, or lets go."""
         while True:
             if self.channel is None:
                 if self.listener is None:
@@ -406,7 +435,7 @@ class Nub:
             if self._stale_control(msg):
                 return None
             self._ack()
-            self._runto = target
+            self.runto = target
             return "continue"
         elif msg.mtype == protocol.MSG_CONTINUE:
             self._require_empty(msg)

@@ -402,6 +402,8 @@ def error(code: int) -> Message:
 
 def parse_fetch(msg: Message) -> Tuple[str, int, int]:
     space, address, size = struct.unpack("<BII", _payload(msg, 9, "FETCH"))
+    if size not in VALUE_SIZES:
+        raise ProtocolError("bad FETCH size %d" % size)
     return chr(space), address, size
 
 

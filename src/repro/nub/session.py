@@ -1,4 +1,5 @@
-"""Fault-tolerant debugger sessions over a nub channel.
+"""How the debugger reaches a nub: fault-tolerant sessions over a
+channel, and the wire-less host for a nub on the debugger's thread.
 
 The paper's robustness story (Sec. 7.1) is that the *nub* survives a
 debugger crash: it preserves the target, keeps planted breakpoints, and
@@ -26,6 +27,12 @@ crashes — are absorbed instead of surfacing as exceptions.
   latency histogram) and, when tracing is enabled, records each frame
   *decoded* — opcode, fields, sequence id, byte size — so a session
   transcript is human-readable and diffable.
+
+A target simulated in the debugger's own process needs none of that:
+:class:`LocalTransport` hands each request straight to the nub's
+handlers and runs the target in bounded slices on the caller's thread,
+so a runaway target still answers a deadline.  It counts and traces
+requests under the same ``session.*`` and ``wire.*`` names.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ import time
 from collections import deque
 from typing import Callable, Iterable, Optional, Tuple
 
+from ..machines import ExitEvent
 from . import protocol
 from .channel import Channel, ChannelClosed
 
@@ -69,13 +77,15 @@ class NubError(Exception):
 class Transport(abc.ABC):
     """How a debugger talks to one nub.
 
-    The two implementations are :class:`NubSession` — the normal case,
-    adding retry/backoff, crash-reconnect, and negotiated hardened
-    framing — and :class:`ChannelTransport`, a thin adapter over a bare
-    :class:`Channel` for direct, unretried access.  Both surface nub
-    errors identically: :meth:`transact` either returns a reply of an
-    expected type, raises :class:`NubError` for a semantic ERROR reply,
-    or raises :class:`TransportError` when no usable reply arrives.
+    :class:`NubSession` talks over a channel, adding retry/backoff,
+    crash-reconnect, and negotiated hardened framing;
+    :class:`LocalTransport` hosts the nub on the debugger's thread with
+    no wire; cores and recordings have transports of their own
+    (:mod:`repro.ldb.postmortem`, :mod:`repro.trace.replay`).  All
+    surface nub errors identically: :meth:`transact` either returns a
+    reply of an expected type, raises :class:`NubError` for a semantic
+    ERROR reply, or raises :class:`TransportError` when no usable reply
+    arrives.
     """
 
     #: Observers of successful request/reply exchanges: callables
@@ -90,6 +100,19 @@ class Transport(abc.ABC):
                     reply: protocol.Message) -> None:
         for tap in self.taps:
             tap(msg, reply)
+
+    def settle(self, msg: protocol.Message, reply: protocol.Message,
+               expect: Iterable[int]) -> protocol.Message:
+        """What :meth:`transact` makes of the nub's ``reply`` to
+        ``msg``: the reply if its type is expected (the taps see it),
+        :class:`NubError` for an ERROR, :class:`TransportError` for
+        anything else."""
+        if reply.mtype == protocol.MSG_ERROR:
+            raise NubError(protocol.parse_error(reply), msg)
+        if reply.mtype not in tuple(expect):
+            raise TransportError("unexpected reply %r to %r" % (reply, msg))
+        self.notify_taps(msg, reply)
+        return reply
 
     @abc.abstractmethod
     def transact(self, msg: protocol.Message, expect: Iterable[int],
@@ -113,56 +136,94 @@ class Transport(abc.ABC):
         """Drop the connection."""
 
 
-class ChannelTransport(Transport):
-    """A :class:`Transport` over a bare channel: one lockstep exchange
-    per request, no retries, no handshake (so plain frames and
-    unacknowledged controls)."""
+#: instructions a :class:`LocalTransport` runs between looks at its
+#: deadline and at :meth:`~LocalTransport.close`
+SLICE_INSTRUCTIONS = 100_000
 
-    def __init__(self, channel: Channel, reply_timeout: float = 15.0):
-        self.channel = channel
-        self.reply_timeout = reply_timeout
-        self.pending_events: deque = deque()
+
+class LocalTransport(Transport):
+    """A :class:`Transport` that hosts a :class:`~repro.nub.nub.Nub` on
+    the caller's thread, with no wire: the fork analog for a simulated
+    target in the debugger's own process.
+
+    Requests go straight to :meth:`Nub.answer`; a malformed one is the
+    nub's ``ERR_BAD_MESSAGE``.  A control records the pending run (KILL
+    and DETACH end the target), and :meth:`recv_event` executes it in
+    slices of :data:`SLICE_INSTRUCTIONS` to the next stop, checking its
+    ``timeout`` and :meth:`close` between slices.  A run the timeout
+    cuts short stays pending, so the next :meth:`recv_event` goes on
+    from where it left off.  Requests and events are counted and traced
+    under the names :class:`NubSession` uses.
+    """
+
+    def __init__(self, nub):
+        self.nub = nub
+        self.obs = nub.obs
         self.taps = []
+        #: is a CONTINUE or RUNTO (or the start) waiting to be run?
+        self.running = True
+        self.closed = False
 
     def transact(self, msg: protocol.Message, expect: Iterable[int],
                  timeout: Optional[float] = None) -> protocol.Message:
-        expect = tuple(expect)
-        timeout = self.reply_timeout if timeout is None else timeout
+        self._send(msg)
         try:
-            self.channel.send(msg)
-            deadline = time.monotonic() + timeout
-            while True:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise TimeoutError("no reply within %s seconds" % timeout)
-                reply = self.channel.recv(remaining)
-                if reply.mtype in _EVENT_TYPES:
-                    self.pending_events.append(reply)
-                    continue
-                break
-        except (ChannelClosed, TimeoutError,
-                protocol.ProtocolError) as err:
-            raise TransportError("request %r failed: %s" % (msg, err))
-        if reply.mtype == protocol.MSG_ERROR:
-            raise NubError(protocol.parse_error(reply), msg)
-        if reply.mtype not in expect:
-            raise TransportError("expected %s, got %r" % (expect, reply))
-        self.notify_taps(msg, reply)
-        return reply
+            reply = self.nub.answer(msg)
+        except protocol.ProtocolError:
+            reply = protocol.error(protocol.ERR_BAD_MESSAGE)
+        _trace_frame(self.obs, "wire.recv", reply)
+        return self.settle(msg, reply, expect)
 
     def control(self, msg: protocol.Message) -> None:
-        self.channel.send(msg)
+        self._send(msg)
+        if msg.mtype == protocol.MSG_RUNTO:
+            self.nub.runto = protocol.parse_runto(msg)
+        elif msg.mtype in (protocol.MSG_KILL, protocol.MSG_DETACH):
+            self.closed = True
+            return
+        elif msg.mtype != protocol.MSG_CONTINUE:
+            raise TransportError("%r is not a control" % (msg,))
+        self.nub.resume()
+        self.running = True
 
     def recv_event(self, timeout: Optional[float] = None) -> protocol.Message:
-        if self.pending_events:
-            return self.pending_events.popleft()
+        deadline = None if timeout is None else time.monotonic() + timeout
         while True:
-            msg = self.channel.recv(timeout)
-            if msg.mtype in _EVENT_TYPES:
-                return msg
+            if self.closed:
+                raise ChannelClosed("the target was closed")
+            if not self.running:
+                raise TransportError("no run is pending")
+            event = self.nub.advance(SLICE_INSTRUCTIONS)
+            if event is not None:
+                break
+            if deadline is not None and time.monotonic() >= deadline:
+                raise TimeoutError("no stop within %s seconds" % timeout)
+        self.running = False
+        if isinstance(event, ExitEvent):
+            self.closed = True  # the process is gone
+            msg = protocol.exited(event.status)
+        else:
+            msg = protocol.signal(event.signo, event.code,
+                                  self.nub.context_addr)
+        self.obs.metrics.inc("session.events")
+        _trace_frame(self.obs, "wire.event", msg)
+        return msg
 
     def close(self) -> None:
-        self.channel.close()
+        self.closed = True
+
+    def _send(self, msg: protocol.Message) -> None:
+        if self.closed:
+            raise TransportError("%r to a closed target" % (msg,))
+        self.obs.metrics.inc("session.requests")
+        _trace_frame(self.obs, "wire.send", msg)
+
+
+def _trace_frame(obs, name: str, msg: protocol.Message, **extra) -> None:
+    """One decoded frame into the trace (only when tracing is on)."""
+    if obs.tracer.enabled:
+        from ..obs import wiretap  # deferred: obs decodes via this package
+        obs.tracer.event(name, **dict(wiretap.describe(msg), **extra))
 
 
 class _Transient(Exception):
@@ -297,7 +358,7 @@ class NubSession(Transport):
             try:
                 self._ensure_channel()
                 self._ensure_handshake()
-                self._trace_frame("wire.send", msg, attempt=attempt)
+                _trace_frame(self.obs, "wire.send", msg, attempt=attempt)
                 metrics.inc("session.sends")
                 metrics.inc("session.bytes_out", self._frame_size(msg))
                 started = time.perf_counter()
@@ -307,7 +368,7 @@ class NubSession(Transport):
                                 int((time.perf_counter() - started) * 1e6))
                 metrics.inc("session.replies")
                 metrics.inc("session.bytes_in", self._frame_size(reply))
-                self._trace_frame("wire.recv", reply)
+                _trace_frame(self.obs, "wire.recv", reply)
                 return reply
             except ChannelClosed as err:
                 last_err = err
@@ -331,13 +392,11 @@ class NubSession(Transport):
                  deadline: Optional[float] = None) -> protocol.Message:
         """The :class:`Transport` request: an expected reply, or
         :class:`NubError` for the nub's semantic ERROR answers —
-        identical surfacing to :class:`ChannelTransport`."""
+        identical surfacing to :class:`LocalTransport`."""
+        expect = tuple(expect)
         reply = self.request(msg, expect=expect, timeout=timeout,
                              deadline=deadline)
-        if reply.mtype == protocol.MSG_ERROR:
-            raise NubError(protocol.parse_error(reply), msg)
-        self.notify_taps(msg, reply)
-        return reply
+        return self.settle(msg, reply, expect)
 
     def control(self, msg: protocol.Message) -> None:
         """Send a control message (CONTINUE/DETACH/KILL/RUNTO): the
@@ -379,21 +438,13 @@ class NubSession(Transport):
 
     # -- internals ---------------------------------------------------------
 
-    def _trace_frame(self, name: str, msg: protocol.Message, **extra) -> None:
-        """One decoded frame into the trace (only when tracing is on)."""
-        tracer = self.obs.tracer
-        if not tracer.enabled:
-            return
-        from ..obs import wiretap  # deferred: obs decodes via this package
-        tracer.event(name, **dict(wiretap.describe(msg), **extra))
-
     def _frame_size(self, msg: protocol.Message) -> int:
         # after HELLO: a 9-byte sequenced header and a CRC32 trailer
         return 13 + len(msg.payload)
 
     def _count_event(self, msg: protocol.Message) -> None:
         self.obs.metrics.inc("session.events")
-        self._trace_frame("wire.event", msg)
+        _trace_frame(self.obs, "wire.event", msg)
 
     def _next_seq(self) -> int:
         self._seq += 1

@@ -179,12 +179,16 @@ class SessionManager:
 
         def factory():
             from ..ldb import Ldb
+            from ..ldb.debugger import load_over_wire
             exe = self._compiled(arch, source, filename)
             ldb = Ldb(stdout=io.StringIO())
-            schedule = (FaultSchedule.from_spec(fault)
-                        if fault is not None else None)
-            target = ldb.load_program(exe, core_path=core_path,
-                                      fault_schedule=schedule)
+            if fault is None:
+                target = ldb.load_program(exe, core_path=core_path)
+            else:
+                # a fault schedule acts on the nub's sends: a wire
+                target = load_over_wire(ldb, exe, core_path=core_path,
+                                        fault_schedule=FaultSchedule
+                                        .from_spec(fault))
             if record is not None:
                 ldb.start_recording(target, path=record)
             self._tune_session(target, worker)

@@ -1,30 +1,35 @@
 """One hosted debug session, under supervision.
 
 A :class:`SessionWorker` owns a whole debugger stack — an
-:class:`~repro.ldb.debugger.Ldb`, its target, and the nub thread behind
-it — and runs every command for it on one dedicated thread (the
-PostScript interpreter and the blocking transport are single-threaded
-by design, so the thread *is* the session).  Around that thread sits
-the supervision machinery this package exists for:
+:class:`~repro.ldb.debugger.Ldb`, its target, and the target's nub — and
+runs every command for it on one dedicated thread (the PostScript
+interpreter and the blocking transport are single-threaded by design,
+so the thread *is* the session).  A spawned target's nub runs on that
+thread too, between commands and in bounded slices within one; only a
+session spawned with a fault schedule gets a nub thread behind a wire.
+Around the worker thread sits the supervision machinery this package
+exists for:
 
 * a **bounded command queue**: when ``queue_limit`` commands are
   already waiting, new ones are rejected immediately with ``ERR_BUSY``
   — backpressure over unbounded buffering, so one slow session cannot
   absorb the server's memory;
 * **per-command deadlines**: a command that cannot finish inside its
-  deadline resolves to ``ERR_DEADLINE``; commands that were queued
-  behind it are aged against their own deadlines before they run;
+  deadline resolves to ``ERR_DEADLINE`` (a target still running stays
+  so, and the next ``continue`` goes on from there); commands that were
+  queued behind it are aged against their own deadlines before they
+  run;
 * a **watchdog hook** (:meth:`hung_for`): the manager's supervision
   loop detects a command stuck past its deadline plus grace and calls
   :meth:`force_expire`, which severs the transport under the stuck
   call — converting a wedged nub into a typed answer instead of a
   wedged connection;
 * **graceful degradation**: when the nub dies (injected kill, fatal
-  target fault) the worker joins the nub thread, looks for the core it
-  wrote on the way down, and — if one exists — reopens the session
-  **read-only over the core**.  Inspection keeps working; mutation
-  answers ``ERR_POST_MORTEM``.  Only when there is no core does the
-  session become plain ``dead``.
+  target fault) the worker joins the nub's thread if it has one, looks
+  for the core it wrote on the way down, and — if one exists — reopens
+  the session **read-only over the core**.  Inspection keeps working;
+  mutation answers ``ERR_POST_MORTEM``.  Only when there is no core
+  does the session become plain ``dead``.
 
 The session state machine (DESIGN.md Sec. 11)::
 
@@ -63,7 +68,7 @@ ALWAYS_ALLOWED = frozenset(("ping", "status"))
 
 class _Job:
     __slots__ = ("cmd", "args", "future", "deadline_abs", "deadline_s",
-                 "submitted")
+                 "submitted", "severed")
 
     def __init__(self, cmd: str, args: Optional[dict], deadline_s: float):
         self.cmd = cmd
@@ -72,6 +77,8 @@ class _Job:
         self.submitted = time.monotonic()
         self.deadline_abs = self.submitted + deadline_s
         self.future: Future = Future()
+        #: did the watchdog sever the transport under this job?
+        self.severed = False
 
 
 class SessionWorker:
@@ -105,7 +112,6 @@ class SessionWorker:
         self.busy_since: Optional[float] = None
         self._lock = threading.Lock()
         self._closing = False
-        self._force_expired = False
         self.commands_done = 0
         self.thread = threading.Thread(target=self._run, daemon=True,
                                        name="session-%s" % sid)
@@ -166,12 +172,15 @@ class SessionWorker:
 
     def force_expire(self, reason: str) -> None:
         """The watchdog's hammer: sever the transport under whatever is
-        stuck, so the blocking call unwinds with a channel error and
-        the session flips to ``expired``.  Idempotent."""
+        stuck, so the blocking call unwinds (a wire's channel error, or
+        an in-thread run seeing the close between slices), the command
+        answers ``ERR_SESSION_EXPIRED``, and the session flips to
+        ``expired``.  Idempotent."""
         with self._lock:
             if self.state in ("expired", "dead", "closed"):
                 return
-            self._force_expired = True
+            if self.busy_job is not None:
+                self.busy_job.severed = True
             self.state = "expired"
             self.state_reason = reason
         self.obs.metrics.inc("serve.hangs")
@@ -290,39 +299,28 @@ class SessionWorker:
         nub_session = getattr(self.target, "session", None)
         if nub_session is not None:
             nub_session.deadline_abs = job.deadline_abs
+        result = error = None
         try:
             result = self.api.execute(job.cmd, job.args, timeout=remaining)
             self._note_target_health(result)
             metrics.inc("serve.commands")
             metrics.observe("serve.cmd_latency_us",
                             int((time.monotonic() - now) * 1e6))
-            job.future.set_result(result)
         except ApiError as err:
             if err.code == ERR_TARGET_DIED:
                 self._degrade(str(err), err.core_path)
-            if self._force_expired:
-                job.future.set_exception(GatewayError(
-                    ERR_SESSION_EXPIRED,
-                    "session %s was force-expired: %s"
-                    % (self.sid, self.state_reason)))
-            else:
-                job.future.set_exception(err)
+            error = err
         except (TimeoutError, DeadlineExceeded):
             metrics.inc("serve.deadline_misses")
-            job.future.set_exception(GatewayError(
+            error = GatewayError(
                 ERR_DEADLINE, "command %r missed its %.3fs deadline"
-                % (job.cmd, job.deadline_s), retryable=True))
+                % (job.cmd, job.deadline_s), retryable=True)
         except Exception as err:
-            if self._force_expired:
-                job.future.set_exception(GatewayError(
-                    ERR_SESSION_EXPIRED,
-                    "session %s was force-expired: %s"
-                    % (self.sid, self.state_reason)))
-            else:
-                # the contract: *typed*, whatever happened
+            # the contract: *typed*, whatever happened
+            if not job.severed:
                 metrics.inc("serve.internal_errors")
-                job.future.set_exception(GatewayError(
-                    ERR_INTERNAL, "command %r failed: %s" % (job.cmd, err)))
+            error = GatewayError(ERR_INTERNAL, "command %r failed: %s"
+                                 % (job.cmd, err))
         finally:
             if nub_session is not None:
                 nub_session.deadline_abs = None
@@ -331,6 +329,16 @@ class SessionWorker:
                 self.busy_since = None
                 self.commands_done += 1
             self.last_activity = time.monotonic()
+        if job.severed:
+            # whatever the command answered on the way out, the
+            # session is gone
+            error = GatewayError(ERR_SESSION_EXPIRED,
+                                 "session %s was force-expired: %s"
+                                 % (self.sid, self.state_reason))
+        if error is None:
+            job.future.set_result(result)
+        else:
+            job.future.set_exception(error)
 
     # -- death and degradation ----------------------------------------------
 
@@ -345,9 +353,9 @@ class SessionWorker:
             self._degrade("nub connection lost", None)
 
     def _degrade(self, reason: str, core_path: Optional[str]) -> None:
-        """The nub is gone.  Join its thread (it may still be writing
-        the core), then flip to read-only core mode when a core exists,
-        plain ``dead`` otherwise."""
+        """The nub is gone.  Join its thread if it has one (it may still
+        be writing the core), then flip to read-only core mode when a
+        core exists, plain ``dead`` otherwise."""
         with self._lock:
             if self.state in ("core", "dead", "expired", "closed"):
                 return

@@ -35,6 +35,7 @@ from typing import List, Optional
 from ..machines.atomicio import SalvagedArtifact, atomic_write_bytes
 from ..machines.chunkio import pack_block, unpack_block
 from ..machines.machstate import MachineState, StateError
+from ..nub.protocol import MAX_BLOCK, VALUE_SIZES
 
 TRACE_MAGIC = b"LDBT"
 TRACE_VERSION = 1
@@ -390,6 +391,12 @@ class Recording:
             if len(data) != size:
                 raise TraceError("truncated input-log entry at icount %d"
                                  % position)
+            # only what the debugger could have sent: a STORE of one
+            # value, a BLOCKSTORE of one block
+            if not (op == OP_STORE and size in VALUE_SIZES
+                    or op == OP_BLOCKSTORE and 1 <= size <= MAX_BLOCK):
+                raise TraceError("malformed input-log entry at icount %d "
+                                 "(op %d, %d bytes)" % (position, op, size))
             offset += size
             inputs.append(InputRecord(position, op, chr(space), address,
                                       data))

@@ -35,7 +35,7 @@ from ..machines.machstate import live_digest
 from ..nub import protocol
 from ..nub.channel import ChannelClosed
 from ..nub.nub import Nub
-from ..nub.session import NubError, Transport, TransportError
+from ..nub.session import Transport, TransportError
 from .format import OP_STORE, Recording, SpillRecord, TraceError
 
 
@@ -120,14 +120,11 @@ class ReplayTransport(Transport):
 
     def transact(self, msg: protocol.Message, expect: Iterable[int],
                  timeout: Optional[float] = None) -> protocol.Message:
-        expect = tuple(expect)
-        reply = self._answer(msg)
-        if reply.mtype == protocol.MSG_ERROR:
-            raise NubError(protocol.parse_error(reply), request=msg)
-        if reply.mtype not in expect:
-            raise TransportError("unexpected reply %r to %r" % (reply, msg))
-        self.notify_taps(msg, reply)
-        return reply
+        try:
+            reply = self._answer(msg)
+        except protocol.ProtocolError:
+            reply = protocol.error(protocol.ERR_BAD_MESSAGE)
+        return self.settle(msg, reply, expect)
 
     def control(self, msg: protocol.Message) -> None:
         if msg.mtype == protocol.MSG_CONTINUE:

@@ -3,7 +3,7 @@
 Block transfers are base protocol, and their contract is that they are
 *invisible*: a caching, batching debugger must produce byte-identical
 results to the per-word baseline on every architecture, and surface nub
-errors identically on every Transport implementation.
+errors identically over the wire and on the in-thread host.
 """
 
 import io
@@ -12,11 +12,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.cc.driver import compile_and_link, loader_table_ps
+from repro.cc.driver import compile_and_link
 from repro.ldb import Ldb
-from repro.ldb.target import Target
+from repro.ldb.debugger import load_over_wire
 from repro.machines import Process
-from repro.nub import ChannelTransport, Nub, NubRunner, pair
+from repro.nub import LocalTransport, Nub, pair
 from repro.nub.session import NubSession, RetryPolicy
 from repro.postscript import Location, PSError
 
@@ -34,9 +34,12 @@ def exe_for(arch):
     return _EXES[arch]
 
 
-def stopped_target(arch, cache=True, stop=9):
+def stopped_target(arch, cache=True, stop=9, wire=False):
     ldb = Ldb(stdout=io.StringIO())
-    target = ldb.load_program(exe_for(arch), cache=cache)
+    if wire:
+        target = load_over_wire(ldb, exe_for(arch))
+    else:
+        target = ldb.load_program(exe_for(arch), cache=cache)
     ldb.break_at_stop("fib", stop)
     ldb.run_to_stop()
     return ldb, target
@@ -77,7 +80,7 @@ class TestWorkloadIdentity:
     def test_session_moves_blocks(self):
         # the handshake negotiates only the framing trailers; blocks
         # need no negotiation
-        ldb, target = stopped_target("rsparc")
+        ldb, target = stopped_target("rsparc", wire=True)
         try:
             assert target.channel.crc and target.channel.seq_mode
             assert target.stats.of("wire", "blockfetch") > 0
@@ -189,56 +192,40 @@ class TestCacheInvalidation:
 
 
 class TestTransportErrorParity:
-    """Satellite: nub errors surface identically in session mode and
-    bare-channel mode — same PSError name, same debuggability."""
-
-    def channel_target(self, arch="rsparc"):
-        exe = exe_for(arch)
-        debugger_end, nub_end = pair()
-        process = Process(exe)
-        NubRunner(Nub(process, channel=nub_end)).start()
-        ldb = Ldb(stdout=io.StringIO())
-        table = ldb.read_loader_table(loader_table_ps(exe))
-        target = Target(ldb.interp, None, table,
-                        transport=ChannelTransport(debugger_end))
-        ldb.targets[target.name] = target
-        ldb.current = target
-        target.wait_for_stop()
-        return ldb, target
+    """Satellite: nub errors surface identically over the wire and on
+    the in-thread host — same PSError name, same debuggability."""
 
     def test_bad_address_same_error_both_modes(self):
-        _ls, session_target = stopped_target("rsparc")
-        _lc, channel_target = self.channel_target()
+        _ls, session_target = stopped_target("rsparc", wire=True)
+        _ll, local_target = stopped_target("rsparc")
         bad = Location.absolute("d", 0x0FFFFFF0)
         try:
             results = [outcome(lambda t=t: t.wiremem.fetch(bad, "i32"))
-                       for t in (session_target, channel_target)]
+                       for t in (session_target, local_target)]
             assert results[0] == results[1] == ("err", "invalidaccess")
         finally:
             session_target.kill()
-            channel_target.kill()
+            local_target.kill()
 
     def test_bad_space_same_error_both_modes(self):
-        _ls, session_target = stopped_target("rsparc")
-        _lc, channel_target = self.channel_target()
+        _ls, session_target = stopped_target("rsparc", wire=True)
+        _ll, local_target = stopped_target("rsparc")
         bad = Location.absolute("q", 0)
         try:
             results = [outcome(lambda t=t: t.wiremem.fetch(bad, "i32"))
-                       for t in (session_target, channel_target)]
+                       for t in (session_target, local_target)]
             assert results[0] == results[1] == ("err", "invalidaccess")
         finally:
             session_target.kill()
-            channel_target.kill()
+            local_target.kill()
 
     def test_dead_transport_is_ioerror_both_modes(self):
         from repro.ldb.memories import WireMemory
 
-        # a bare channel whose peer is gone
-        dead_end, peer = pair()
-        peer.close()
-        dead_end.close()
-        channel_wire = WireMemory(ChannelTransport(dead_end,
-                                                   reply_timeout=0.2))
+        # an in-thread host whose target was closed
+        closed = LocalTransport(Nub(Process(exe_for("rsparc"))))
+        closed.close()
+        local_wire = WireMemory(closed)
         # a session with no reconnect path and a tiny retry budget
         gone, other = pair()
         other.close()
@@ -249,17 +236,16 @@ class TestTransportErrorParity:
                              reply_timeout=0.2)
         session_wire = WireMemory(session)
         spot = Location.absolute("d", 0)
-        for wire in (channel_wire, session_wire):
+        for wire in (local_wire, session_wire):
             assert outcome(lambda: wire.fetch(spot, "i32")) \
                 == ("err", "ioerror")
 
-    def test_channel_transport_probes_then_uses_blocks(self):
-        """No HELLO on a bare channel: plain frames, and blocks from the
-        first request all the same."""
-        ldb, target = self.channel_target()
+    def test_local_host_uses_blocks(self):
+        """No wire and no HELLO: blocks from the first request all the
+        same."""
+        ldb, target = stopped_target("rsparc")
         try:
-            ldb.break_at_stop("fib", 9)
-            ldb.run_to_stop()
+            assert target.channel is None and target.session is None
             assert ldb.evaluate("a[4]") == 5
             assert target.stats.of("wire", "blockfetch") > 0
         finally:

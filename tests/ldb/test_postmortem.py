@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from repro.cc.driver import compile_and_link, loader_table_ps
 from repro.ldb import Ldb
+from repro.ldb.debugger import load_over_wire
 from repro.ldb.breakpoints import BreakpointError
 from repro.ldb.exprserver import EvalError
 from repro.ldb.postmortem import CoreTransport, PostMortemError
@@ -406,7 +407,7 @@ class TestReconnectFindsTargetExited:
         used to replay BREAKS into the dead target (and pretend the
         session was healthy); it must raise the typed death instead."""
         ldb = Ldb(stdout=io.StringIO())
-        target = ldb.load_program(exe_for("rmips", "recur.c", RECUR))
+        target = load_over_wire(ldb, exe_for("rmips", "recur.c", RECUR))
         session = target.session
 
         resyncs = []
@@ -430,7 +431,7 @@ class TestReconnectFindsTargetExited:
         """The counterpart: a reconnect that *does* find a stopped
         target keeps the Sec. 7.1 BREAKS replay."""
         ldb = Ldb(stdout=io.StringIO())
-        target = ldb.load_program(exe_for("rmips", "recur.c", RECUR))
+        target = load_over_wire(ldb, exe_for("rmips", "recur.c", RECUR))
         session = target.session
 
         resyncs = []

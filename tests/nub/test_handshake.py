@@ -16,6 +16,7 @@ import pytest
 
 from repro.cc.driver import compile_and_link, loader_table_ps
 from repro.ldb import Ldb
+from repro.ldb.debugger import load_over_wire
 from repro.ldb.target import TargetError
 from repro.machines import Process, SIGSEGV, SIGTRAP
 from repro.nub import FaultSchedule, Listener, Nub, NubRunner, RetryPolicy
@@ -84,7 +85,8 @@ def transport_failure(err):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_mangled_hello_reply_without_a_connector(boom_exe, tmp_path, seed):
     ldb = Ldb(stdout=io.StringIO())
-    target = ldb.load_program(boom_exe, fault_schedule=mangled_hello(seed))
+    target = load_over_wire(ldb, boom_exe,
+                            fault_schedule=mangled_hello(seed))
     target.session.policy = RetryPolicy(max_attempts=3, base_delay=0.001)
     try:
         debug_through(ldb, target, str(tmp_path / "boom.core"))

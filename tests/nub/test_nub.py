@@ -102,6 +102,20 @@ class TestFetchStore:
         assert int.from_bytes(chan.recv(10.0).payload, "little") == 123
         self.teardown_channel(chan, runner)
 
+    def test_fetch_of_a_non_value_size_is_a_bad_message(self):
+        """PROTOCOL.md 3.1: a FETCH size MUST be one of VALUE_SIZES;
+        anything else, up to the whole image, is a malformed request."""
+        exe, process, nub, runner, chan = self.setup_stopped()
+        tag = exe.symbols["_tag"]
+        for address, size in ((tag, 0), (tag, 3), (tag, 5), (tag, 16),
+                              (tag, 4096), (0, process.mem.size)):
+            chan.send(protocol.Message(protocol.MSG_FETCH, struct.pack(
+                "<BII", ord("d"), address, size)))
+            reply = chan.recv(10.0)
+            assert reply.mtype == protocol.MSG_ERROR, size
+            assert protocol.parse_error(reply) == protocol.ERR_BAD_MESSAGE
+        self.teardown_channel(chan, runner)
+
     def test_register_space_rejected(self):
         """The nub answers only for code and data spaces (Sec. 4.1)."""
         exe, process, nub, runner, chan = self.setup_stopped()

@@ -1,20 +1,26 @@
-"""Live, core and replay give the same reply to every request.
+"""Every host of a nub gives the same reply to every request.
 
-A crashed session (breakpoint planted, recording on) is saved both ways
-— ``record save`` and ``dumpcore`` — and both files are reopened.  The
-same requests then go to the live :class:`NubSession`, the core's
+The reference is a live nub on its own thread, spoken to over the wire
+(a :class:`NubSession`).  The same crashed session (breakpoint planted,
+recording on) also runs on the in-thread host that ``load_program``
+gives (a :class:`LocalTransport`), and the wire session is saved both
+ways — ``record save`` and ``dumpcore`` — and both files are reopened.
+The same requests then go to the wire, the in-thread host, the core's
 :class:`CoreTransport` and the recording's :class:`ReplayTransport`.
-Each transport must answer every read exactly as the live nub does,
-errors included; the recording, which is mutable, must also answer
-stores and breakpoint patches alike, and the core must refuse them.
+Each must answer every read exactly as the wire nub does, errors
+included; the in-thread host and the recording, which are mutable, must
+also answer stores and breakpoint patches alike, and the core must
+refuse them.
 """
 
 import io
+import struct
 
 import pytest
 
 from repro.cc.driver import compile_and_link
 from repro.ldb import Ldb
+from repro.ldb.debugger import load_over_wire
 from repro.ldb.postmortem import PostMortemError
 from repro.machines import ARCH_NAMES, SIGSEGV, get_arch
 from repro.nub import protocol
@@ -103,41 +109,73 @@ def writes(arch, target, context_addr):
     return out
 
 
+def crash(ldb, target, rec_path):
+    """break poke -> run -> on to the fault, recording all the way."""
+    ldb.start_recording(path=rec_path, interval=37)
+    ldb.break_at_function("poke")
+    assert ldb.run_to_stop() == "stopped" and target.at_breakpoint()
+    assert ldb.run_to_stop() == "stopped" and target.signo == SIGSEGV
+    ldb.record_save()
+
+
 @pytest.mark.parametrize("arch", ARCH_NAMES)
 def test_live_core_and_replay_answer_alike(arch, tmp_path):
     rec_path = str(tmp_path / "boom.ldbrec")
     core_path = str(tmp_path / "boom.core")
     live = Ldb(stdout=io.StringIO())
-    target = live.load_program(boom_exe(arch))
-    live.start_recording(path=rec_path, interval=37)
-    live.break_at_function("poke")
-    assert live.run_to_stop() == "stopped" and target.at_breakpoint()
-    assert live.run_to_stop() == "stopped" and target.signo == SIGSEGV
-    live.record_save()
+    target = load_over_wire(live, boom_exe(arch))
+    crash(live, target, rec_path)
     target.dump_core(core_path)
+    in_thread = Ldb(stdout=io.StringIO())
+    local_target = in_thread.load_program(boom_exe(arch))
+    crash(in_thread, local_target, str(tmp_path / "local.ldbrec"))
 
+    wire = target.transport
+    local = local_target.transport
     core = Ldb(stdout=io.StringIO()).open_core(core_path).transport
     replay = Ldb(stdout=io.StringIO()).open_recording(rec_path).transport
     context_addr = target.context_addr
     requests = reads(arch, context_addr, target.process.mem.size)
     for msg, expect in requests:
-        want = outcome(target.transport, msg, expect)
-        assert outcome(core, msg, expect) == want, msg
-        assert outcome(replay, msg, expect) == want, msg
+        want = outcome(wire, msg, expect)
+        for other in (local, core, replay):
+            assert outcome(other, msg, expect) == want, (other, msg)
 
     with open(core_path, "rb") as handle:
         written = handle.read()
-    for transport in (target.transport, core, replay):
+    for transport in (wire, local, core, replay):
         reply = transport.transact(protocol.dumpcore(), (protocol.MSG_DATA,))
-        assert reply.payload == written
+        assert reply.payload == written, transport
 
     for msg, expect in writes(arch, target, context_addr):
-        assert outcome(replay, msg, expect) == outcome(
-            target.transport, msg, expect), msg
+        want = outcome(wire, msg, expect)
+        for other in (local, replay):
+            assert outcome(other, msg, expect) == want, (other, msg)
         if msg.mtype in (protocol.MSG_STORE, protocol.MSG_BLOCKSTORE,
                          protocol.MSG_PLANT, protocol.MSG_UNPLANT):
             with pytest.raises(PostMortemError):
                 core.transact(msg, expect)
+    target.kill()
+
+
+def test_fetch_of_a_non_value_size_is_a_bad_message(tmp_path):
+    """PROTOCOL.md 3.1: a FETCH size MUST be one of VALUE_SIZES.  The
+    wire-less hosts answer any other size as the wire nub does, with
+    ERR_BAD_MESSAGE, never with a raw exception."""
+    rec_path = str(tmp_path / "boom.ldbrec")
+    core_path = str(tmp_path / "boom.core")
+    ldb = Ldb(stdout=io.StringIO())
+    target = ldb.load_program(boom_exe("rmips"))
+    crash(ldb, target, rec_path)
+    target.dump_core(core_path)
+    core = Ldb(stdout=io.StringIO()).open_core(core_path).transport
+    replay = Ldb(stdout=io.StringIO()).open_recording(rec_path).transport
+    for size in (0, 3, 5, 16, 4096, target.process.mem.size):
+        msg = protocol.Message(protocol.MSG_FETCH, struct.pack(
+            "<BII", ord("d"), target.context_addr, size))
+        for transport in (target.transport, core, replay):
+            assert outcome(transport, msg, (protocol.MSG_DATA,)) == (
+                "error", protocol.ERR_BAD_MESSAGE), (transport, size)
 
 
 def restore_keeps_breakpoints(transport, a, b, trap, original_b,
@@ -170,23 +208,27 @@ def restore_keeps_breakpoints(transport, a, b, trap, original_b,
 @pytest.mark.parametrize("arch", ARCH_NAMES)
 def test_restore_rewinds_the_program_not_the_breakpoints(arch, tmp_path):
     """RESTORE keeps the nub's planted table (PROTOCOL.md §3.5): on the
-    live nub, and on a reopened recording both for the nub's own
-    checkpoints and for a spill written while b was planted."""
+    live nub over the wire and in-thread, and on a reopened recording
+    both for the nub's own checkpoints and for a spill written while b
+    was planted."""
     rec_path = str(tmp_path / "boom.ldbrec")
     live = Ldb(stdout=io.StringIO())
     target = live.load_program(boom_exe(arch))
     symtab = target.symtab
     a = symtab.stop_address(symtab.first_stop_of(
         symtab.extern_entry("main")))
+    b = symtab.stop_address(symtab.first_stop_of(
+        symtab.extern_entry("poke")))
     trap = target.machdep.break_bytes_le
     original_b = target.machdep.nop_bytes_le
-    live.start_recording(path=rec_path, interval=37)
-    b = live.break_at_function("poke")
-    assert live.run_to_stop() == "stopped" and target.at_breakpoint()
-    assert live.run_to_stop() == "stopped" and target.signo == SIGSEGV
-    live.record_save()
+    crash(live, target, rec_path)
+    wire_ldb = Ldb(stdout=io.StringIO())
+    wire_target = load_over_wire(wire_ldb, boom_exe(arch))
+    crash(wire_ldb, wire_target, str(tmp_path / "wire.ldbrec"))
 
     restore_keeps_breakpoints(target.transport, a, b, trap, original_b)
+    restore_keeps_breakpoints(wire_target.transport, a, b, trap, original_b)
+    wire_target.kill()
     replay = Ldb(stdout=io.StringIO()).open_recording(rec_path).transport
     restore_keeps_breakpoints(replay, a, b, trap, original_b)
     spill = next(spill for spill in replay.recording.spills

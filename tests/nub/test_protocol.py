@@ -121,6 +121,13 @@ class TestBlockMessages:
         with pytest.raises(p.ProtocolError):
             p.parse_blockfetch(raw)
 
+    @pytest.mark.parametrize("size", [0, 3, 5, 16, 4096, 1 << 20])
+    def test_fetch_of_a_non_value_size_rejected_by_parser(self, size):
+        # PROTOCOL.md 3.1: a FETCH size MUST be one of VALUE_SIZES
+        raw = p.Message(p.MSG_FETCH, struct.pack("<BII", ord("d"), 0, size))
+        with pytest.raises(p.ProtocolError):
+            p.parse_fetch(raw)
+
     @given(st.sampled_from("cd"), st.integers(0, 2**32 - 1),
            st.integers(1, p.MAX_BLOCK))
     def test_blockfetch_round_trip(self, space, address, length):

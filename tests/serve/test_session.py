@@ -9,6 +9,7 @@ import pytest
 from repro.cc.driver import compile_and_link
 from repro.ldb import Ldb
 from repro.ldb.api import ApiError
+from repro.ldb.debugger import load_over_wire
 from repro.serve import GatewayError, SessionWorker
 
 from tests.serve.helpers import COUNTER
@@ -19,8 +20,11 @@ def counter_factory(fault_schedule=None, core_path=None, arch="rmips"):
 
     def factory():
         ldb = Ldb(stdout=io.StringIO())
-        target = ldb.load_program(exe, core_path=core_path,
-                                  fault_schedule=fault_schedule)
+        if fault_schedule is None:
+            target = ldb.load_program(exe, core_path=core_path)
+        else:
+            target = load_over_wire(ldb, exe, core_path=core_path,
+                                    fault_schedule=fault_schedule)
         return ldb, target
     return factory
 
@@ -130,6 +134,54 @@ def test_force_expire_unwedges_blocked_command():
     assert err.value.code == "ERR_SESSION_EXPIRED"
     # ...but ping/status stay answerable on a dying session
     assert w.submit("ping").result(5.0) == {"pong": True}
+    w.close()
+
+
+RUNAWAY = """int spins;
+int main(void)
+{
+    for (;;)
+        spins = spins + 1;
+    return 0;
+}
+"""
+
+
+def test_runaway_target_under_deadline_and_watchdog():
+    exe = compile_and_link({"main.c": RUNAWAY}, "rmips", debug=True)
+
+    def factory():
+        ldb = Ldb(stdout=io.StringIO())
+        return ldb, ldb.load_program(exe)
+
+    w = worker(factory)
+    cpu = w.target.process.cpu
+    started = time.monotonic()
+    with pytest.raises(GatewayError) as err:
+        w.submit("continue", deadline=0.3).result(10.0)
+    assert err.value.code == "ERR_DEADLINE"
+    assert time.monotonic() - started < 0.5
+    assert w.submit("status").result(5.0)["target"]["state"] == "running"
+    # an idle session simulates nothing between commands
+    icount = cpu.icount
+    used = time.process_time()
+    time.sleep(1.0)
+    assert time.process_time() - used < 0.1
+    assert cpu.icount == icount
+    # the next continue resumes where the last one was cut off
+    with pytest.raises(GatewayError) as err:
+        w.submit("continue", deadline=0.3).result(10.0)
+    assert err.value.code == "ERR_DEADLINE"
+    assert cpu.icount > icount
+    # the watchdog's sever unwinds a long continue, typed
+    future = w.submit("continue", deadline=30.0)
+    deadline = time.monotonic() + 5.0
+    while w.busy_job is None and time.monotonic() < deadline:
+        time.sleep(0.01)
+    w.force_expire("watchdog test")
+    with pytest.raises(GatewayError) as err:
+        future.result(10.0)
+    assert err.value.code == "ERR_SESSION_EXPIRED"
     w.close()
 
 

@@ -25,6 +25,8 @@ from repro.machines.atomicio import (FaultyFS, FsFaultSchedule, PowerCut,
                                      SalvagedArtifact, use_fs)
 from repro.machines.core import CoreError, CoreFile
 from repro.trace import Recording, TraceError
+from repro.trace.format import OP_STORE, InputRecord
+from repro.triage.engine import triage_artifact
 
 from .test_format import tiny_recording
 
@@ -227,6 +229,58 @@ class TestSalvagedOpenThroughLdb:
         cli = Cli(stdout=out)
         cli.command("replay %s" % cut)
         assert "warning: recording salvaged" in out.getvalue()
+
+
+class TestMalformedInputLog:
+    """A logged STORE whose data is no value size is a damaged LOG
+    block: the recording opens salvaged without its log, and no surface
+    meets the raw error rebuilding that input would raise."""
+
+    @pytest.fixture
+    def bad_path(self, boom_exe, tmp_path):
+        path = str(tmp_path / "boom.ldbrec")
+        record_boom(boom_exe, path)
+        recording = Recording.load(path)
+        recording.inputs.append(InputRecord(
+            8, OP_STORE, "d", recording.meta.context_addr, b"\0" * 7))
+        bad = str(tmp_path / "bad.ldbrec")
+        recording.dump(bad)  # whole blocks: every CRC holds
+        return bad
+
+    def test_load_refuses_and_salvages(self, bad_path):
+        with pytest.raises(TraceError, match="malformed input-log entry"):
+            Recording.load(bad_path)
+        with warnings_mod.catch_warnings(record=True) as caught:
+            warnings_mod.simplefilter("always", SalvagedArtifact)
+            recording = Recording.load(bad_path, salvage=True)
+        assert recording.salvaged and recording.inputs == []
+        assert any(issubclass(entry.category, SalvagedArtifact)
+                   for entry in caught)
+
+    def test_cli_warns_and_keeps_going(self, bad_path):
+        out = io.StringIO()
+        cli = Cli(stdout=out)
+        for line in ("replay %s" % bad_path, "goto 3", "continue"):
+            cli.command(line)
+        text = out.getvalue()
+        assert "warning: recording salvaged" in text
+        assert "malformed input-log entry" in text
+        assert "now at icount 3" in text
+        assert "stopped in poke" in text
+
+    def test_api_answers_typed(self, bad_path):
+        ldb = Ldb(stdout=io.StringIO())
+        api = DebugAPI(ldb)
+        with warnings_mod.catch_warnings():
+            warnings_mod.simplefilter("ignore", SalvagedArtifact)
+            api.execute("replay_open", {"path": bad_path})
+        ldb.goto_icount(3)
+        assert api.execute("continue")["event"] == "breakpoint"
+
+    def test_triage_marks_it_salvaged(self, bad_path):
+        row = triage_artifact(bad_path)
+        assert row["ok"] and row["salvaged"]
+        assert row["signo"] == SIGSEGV
 
 
 class TestPartialSave:

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from repro.machines.chunkio import pack_block
 from repro.machines.machstate import MachineState
+from repro.nub.protocol import MAX_BLOCK, VALUE_SIZES
 from repro.trace.format import (
     BLOCK_END,
     BLOCK_LOG,
@@ -198,14 +199,20 @@ class TestCorruptionMatrix:
             Recording.from_bytes(raw)
 
 
+#: an input the debugger could have logged: a STORE of one value, or
+#: a BLOCKSTORE of one block
+INPUTS = st.one_of(
+    st.tuples(st.integers(0, 2**40), st.just(OP_STORE),
+              st.integers(0, 2**32 - 1),
+              st.sampled_from(VALUE_SIZES).flatmap(
+                  lambda n: st.binary(min_size=n, max_size=n))),
+    st.tuples(st.integers(0, 2**40), st.just(OP_BLOCKSTORE),
+              st.integers(0, 2**32 - 1), st.binary(min_size=1, max_size=32)))
+
+
 class TestProperties:
     @settings(max_examples=50, deadline=None)
-    @given(st.lists(
-        st.tuples(st.integers(0, 2**40), st.sampled_from([OP_STORE,
-                                                          OP_BLOCKSTORE]),
-                  st.integers(0, 2**32 - 1), st.binary(min_size=1,
-                                                       max_size=32)),
-        max_size=8))
+    @given(st.lists(INPUTS, max_size=8))
     def test_input_log_round_trips(self, entries):
         inputs = [InputRecord(pos, op, "d", addr, data)
                   for pos, op, addr, data in entries]
@@ -214,6 +221,16 @@ class TestProperties:
         want = sorted(entries, key=lambda e: e[0])
         got = [(i.position, i.op, i.address, i.data) for i in back.inputs]
         assert got == want
+
+    @pytest.mark.parametrize("op, size", [
+        (OP_STORE, 0), (OP_STORE, 3), (OP_STORE, 7), (OP_STORE, 16),
+        (OP_BLOCKSTORE, 0), (OP_BLOCKSTORE, MAX_BLOCK + 1), (9, 4)])
+    def test_malformed_input_entry_is_a_trace_error(self, op, size):
+        # nothing the debugger sends: replay could not rebuild it
+        rec = tiny_recording(inputs=[InputRecord(3, op, "d", 0x8000,
+                                                 b"\0" * size)])
+        with pytest.raises(TraceError, match="malformed input-log entry"):
+            Recording.from_bytes(rec.to_bytes())
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
