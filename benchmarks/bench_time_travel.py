@@ -12,11 +12,23 @@ against the checkpoint interval on a loop-then-crash workload:
   crash back onto the last breakpoint hit, then of a ``reverse-step``
   from that hit to the stopping point before it.  Each reverse command
   reports every nub request it made (``session.requests``), breakpoint
-  bookkeeping included.
+  bookkeeping included;
+* ``from_log`` — breakpoints on ``main`` and ``poke``, and a
+  reverse-continue from the ``poke`` hit back to the ``main`` hit,
+  across every window of the loop.  The forward run executed those
+  windows with the same breakpoints, so the controller's stop log
+  answers them with no replay;
+* ``planted_after`` — the forward run has only the ``poke``
+  breakpoint; then ``tick`` replaces it and a reverse-continue goes
+  back onto ``tick``'s last hit.  No logged run had that breakpoint,
+  so the log cannot help: this is what a replayed search still costs.
 
+Both rows report the windows replayed and the windows answered from
+the log, with the requests and the wall clock of the measured command.
 It asserts every reverse-continue lands byte-position-exact on the
 final forward hit at every interval, that every reverse-step lands on
-the same earlier stop, and emits
+the same earlier stop, that both new rows land where a plain forward
+run under the same breakpoints stops, and emits
 ``BENCH_time_travel.json`` at the repository root.  ``BENCH_QUICK=1``
 runs a single timing repetition (the CI smoke mode).
 """
@@ -135,6 +147,74 @@ def run_recorded(interval: int):
     return stats
 
 
+def _first_and_last_hits(function):
+    """Icounts of the first and last hits of ``function`` in a plain
+    forward run (no time travel): the landings the new rows expect."""
+    ldb = Ldb(stdout=io.StringIO())
+    target = ldb.load_program(_exe())
+    ldb.break_at_function(function)
+    hits = []
+    while ldb.run_to_stop() == "stopped" and target.signo == SIGTRAP:
+        hits.append(target.current_icount())
+    target.kill()
+    return hits[0], hits[-1]
+
+
+#: what a measured reverse-continue reports, by the counter it reads
+_COSTS = {"requests": "session.requests",
+          "windows_replayed": "replay.windows",
+          "windows_from_log": "replay.windows_from_log",
+          "replayed_instructions": "replay.instructions_replayed"}
+
+
+def _measured_reverse_continue(ldb, target):
+    """One reverse-continue: its landing, and what it cost."""
+    metrics = ldb.obs.metrics
+    before = {key: metrics.get(name) for key, name in _COSTS.items()}
+    started = time.perf_counter()
+    hit = ldb.reverse_continue()
+    row = {key: metrics.get(name) - before[key]
+           for key, name in _COSTS.items()}
+    row.update(seconds=time.perf_counter() - started,
+               landed_icount=hit.icount,
+               landed_on_breakpoint=bool(target.at_breakpoint()))
+    return row
+
+
+def run_from_log(interval: int):
+    """Reverse-continue from the ``poke`` hit to the ``main`` hit: every
+    window between them ran forward under the same breakpoints."""
+    ldb = Ldb(stdout=io.StringIO())
+    target = ldb.load_program(_exe())
+    ldb.enable_time_travel(interval=interval, capacity=64)
+    ldb.break_at_function("main")
+    ldb.break_at_function("poke")
+    while ldb.run_to_stop() == "stopped" and target.signo == SIGTRAP:
+        pass
+    ldb.reverse_continue()  # the crash back onto the poke hit
+    row = _measured_reverse_continue(ldb, target)
+    row["interval"] = interval
+    row["expected_icount"] = _first_and_last_hits("main")[0]
+    target.kill()
+    return row
+
+
+def run_planted_after(interval: int):
+    """Reverse-continue onto a breakpoint planted after the forward
+    run: no logged run had it, so every window is replayed."""
+    ldb = Ldb(stdout=io.StringIO())
+    target = ldb.load_program(_exe())
+    ldb.enable_time_travel(interval=interval, capacity=64)
+    _run_to_crash(ldb, target)
+    ldb.clear_breakpoints()
+    ldb.break_at_function("tick")
+    row = _measured_reverse_continue(ldb, target)
+    row["interval"] = interval
+    row["expected_icount"] = _first_and_last_hits("tick")[1]
+    target.kill()
+    return row
+
+
 def _timed(fn, *args, reps=3):
     """Best wall clock over ``reps`` runs (fresh session each time)."""
     best = None
@@ -156,12 +236,17 @@ def measure(reps: int) -> dict:
         "trace_instructions": plain["crash_icount"],
         "plain": plain,
         "intervals": {},
+        "from_log": {},
+        "planted_after": {},
     }
     for interval in INTERVALS:
         row = _timed(run_recorded, interval, reps=reps)
         row["record_overhead"] = (round(row["record_seconds"]
                                         / max(plain["seconds"], 1e-9), 2))
         out["intervals"][str(interval)] = row
+        for name, fn in (("from_log", run_from_log),
+                         ("planted_after", run_planted_after)):
+            out[name][str(interval)] = _timed(fn, interval, reps=reps)
     return out
 
 
@@ -196,6 +281,22 @@ def test_time_travel_latency():
     # denser checkpoints can't mean fewer of them
     counts = [data["intervals"][str(i)]["checkpoints"] for i in INTERVALS]
     assert counts == sorted(counts, reverse=True)
+    for name in ("from_log", "planted_after"):
+        for interval, row in sorted(data[name].items(),
+                                    key=lambda kv: int(kv[0])):
+            report("  %-13s interval %-4s reverse-continue %.4fs / %d "
+                   "requests, %d windows replayed, %d from the log"
+                   % (name, interval, row["seconds"], row["requests"],
+                      row["windows_replayed"], row["windows_from_log"]))
+            assert row["landed_on_breakpoint"], (name, interval)
+            assert row["landed_icount"] == row["expected_icount"], \
+                (name, interval)
+    # the log answers every window of a search it covers, and none of
+    # a search onto a breakpoint it never saw
+    for row in data["from_log"].values():
+        assert row["windows_replayed"] == 0 and row["windows_from_log"] > 1
+    for row in data["planted_after"].values():
+        assert row["windows_replayed"] > 0
 
 
 if __name__ == "__main__":
@@ -213,4 +314,12 @@ if __name__ == "__main__":
                  row["reverse_requests"], row["landed_icount"],
                  row["reverse_step_seconds"], row["reverse_step_requests"],
                  row["reverse_step_icount"]))
+    for name in ("from_log", "planted_after"):
+        for interval, row in sorted(data[name].items(),
+                                    key=lambda kv: int(kv[0])):
+            print("%-13s interval %-4s reverse %.4fs (%d requests) "
+                  "replayed %d windows, %d from the log, landed=%s"
+                  % (name, interval, row["seconds"], row["requests"],
+                     row["windows_replayed"], row["windows_from_log"],
+                     row["landed_icount"]))
     print("wrote %s" % _OUT)

@@ -354,7 +354,7 @@ class DebugAPI:
 
     def _cmd_record_stop(self, args, timeout) -> dict:
         # stop recording without saving: detach the writer, discard
-        # the accumulated spills and inputs (time travel stays on)
+        # the accumulated spills (time travel and its inputs stay on)
         target = self._target()
         if target.trace_writer is None:
             raise ApiError(ERR_TARGET_STATE,

@@ -244,7 +244,8 @@ class Cli:
             # `record stop`: detach the writer without saving
             spills, inputs = self.ldb.record_stop()
             self.say("recording stopped without saving (%d checkpoint "
-                     "spills, %d inputs discarded; time travel stays on)"
+                     "spills and %d inputs not saved; time travel stays "
+                     "on)"
                      % (spills, inputs))
             return
         if words and words[0] == "save":

@@ -485,6 +485,8 @@ class Target:
             self.state = "stopped"
             self._top_frame = None
             self.breakpoints.resync()
+            if self.replay is not None:
+                self.replay.reconnected()
             if self.trace_writer is not None:
                 self.trace_writer.stitch_reconnect()
         # no stop announced: the nub answered with EXITED (queued as a

@@ -5,7 +5,9 @@ metadata — the id it can pass to ``RESTORE``, where in execution the
 checkpoint sits (retired-instruction count, pc, sp), and what kind of
 stop it was taken at.  The ring is bounded: the **base** (oldest)
 checkpoint is never evicted, so the recorded history always reaches
-back to where recording began, and the rest recycle first-in-first-out.
+back to where recording began, and the rest recycle first-in-first-out
+in the order they were added, which is not icount order once the user
+has travelled back.
 """
 
 from __future__ import annotations
@@ -39,8 +41,9 @@ class CheckpointRing:
     """A bounded, icount-ordered collection of checkpoints.
 
     ``add`` returns the entries evicted to stay within ``capacity`` so
-    the caller can release them nub-side; the base entry (smallest
-    icount, normally where recording was enabled) is never evicted.
+    the caller can release them nub-side, oldest added first; neither
+    the base entry (smallest icount, normally where recording was
+    enabled) nor the entry being added is ever evicted.
     """
 
     def __init__(self, capacity: int = 32):
@@ -48,6 +51,7 @@ class CheckpointRing:
             raise ValueError("capacity must allow a base and one more")
         self.capacity = capacity
         self.entries: List[Checkpoint] = []  # ascending icount
+        self._added: List[Checkpoint] = []  # in the order added
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -61,9 +65,14 @@ class CheckpointRing:
         else:
             index = len(self.entries)
         self.entries.insert(index, ck)
+        self._added.append(ck)
         evicted = []
         while len(self.entries) > self.capacity:
-            evicted.append(self.entries.pop(1))  # keep the base at [0]
+            victim = next(old for old in self._added
+                          if old is not self.entries[0] and old is not ck)
+            self._added.remove(victim)
+            self.entries.remove(victim)
+            evicted.append(victim)
         return evicted
 
     def find(self, icount: int) -> Optional[Checkpoint]:
@@ -92,4 +101,5 @@ class CheckpointRing:
         may now diverge from the recorded future."""
         stale = [ck for ck in self.entries if ck.icount > icount]
         self.entries = [ck for ck in self.entries if ck.icount <= icount]
+        self._added = [ck for ck in self._added if ck.icount <= icount]
         return stale

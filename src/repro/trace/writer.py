@@ -9,12 +9,10 @@ state over the wire (the SPILL verb) and keeps it as a
 :class:`~repro.trace.format.StopRecord` with the normalized divergence
 digest.
 
-Debugger-injected writes (``set x = 5``) are observed through the
-transport's tap hook — no call site changes — and logged as
-:class:`~repro.trace.format.InputRecord` at the icount position they
-happened.  Stores wholly inside the nub's context save area are
-*mechanics*, not inputs (the resume-pc write, register pokes the resume
-path reproduces itself), and are not logged.
+Debugger-injected writes (``set x = 5``) are the controller's input
+log: it observes them through the transport's tap hook and re-applies
+them on its own replays, so the file saves that log as
+:class:`~repro.trace.format.InputRecord` entries.
 
 Nothing crosses the wire while recording: the nub already holds every
 checkpoint as a COW snapshot, so the writer only *registers* each one
@@ -31,10 +29,8 @@ from typing import Dict, List, Optional
 
 from ..machines import get_arch
 from ..machines.atomicio import atomic_write_bytes
-from ..nub import protocol
-from .format import (OP_BLOCKSTORE, OP_STORE, Recording, SPILL_AUTO,
-                     SPILL_STOP, InputRecord, SpillRecord, StopRecord,
-                     TraceError, TraceMeta)
+from .format import (Recording, SPILL_AUTO, SPILL_STOP, InputRecord,
+                     SpillRecord, StopRecord, TraceError, TraceMeta)
 
 
 class TraceWriter:
@@ -48,10 +44,8 @@ class TraceWriter:
         self.path = path
         self.interval = interval
         self.obs = target.obs
-        arch = get_arch(target.arch_name)
         self._ctx_lo = target.context_addr
-        self._ctx_hi = target.context_addr + arch.context_size()
-        self._context_size = arch.context_size()
+        self._context_size = get_arch(target.arch_name).context_size()
         #: spills and stop records keyed by icount (dedup: determinism
         #: means same icount, same state)
         self.spills: Dict[int, SpillRecord] = {}
@@ -60,90 +54,31 @@ class TraceWriter:
         #: their state still lives nub-side as a COW snapshot (keyed by
         #: icount, value is the timetravel Checkpoint holding the cid)
         self._pending: Dict[int, object] = {}
-        #: the most recently offered checkpoint: always the current
-        #: stop, and always live in the ring — the way home after
-        #: save-time restores
-        self._home = None
-        #: save-time restores are mechanics, not timeline movement:
-        #: the tap must not log them or drop inputs over them
-        self._muted = False
-        self.inputs: List[InputRecord] = []
-        #: the current timeline position, maintained passively from
-        #: CKPT replies (every stop is followed by an ICOUNT or
-        #: CHECKPOINT exchange before any user command runs)
-        self._position: int = 0
         #: reconnect boundaries stitched over (survived nub-connection
         #: deaths: the recording keeps accumulating across them)
         self.stitches = 0
-        self._attached = False
-        self.attach()
 
-    # -- transport tap -----------------------------------------------------
-
-    def attach(self) -> None:
-        if self._attached:
-            return
-        taps = getattr(self.target.transport, "taps", None)
-        if taps is None or isinstance(taps, tuple):
-            raise TraceError("transport %r does not support taps"
-                             % type(self.target.transport).__name__)
-        taps.append(self._tap)
-        self._attached = True
-
-    def detach(self) -> None:
-        if not self._attached:
-            return
-        try:
-            self.target.transport.taps.remove(self._tap)
-        except ValueError:
-            pass
-        self._attached = False
-
-    def _tap(self, msg, reply) -> None:
-        if self._muted:
-            return
-        if reply.mtype == protocol.MSG_CKPT:
-            _cid, icount = protocol.parse_ckpt(reply)
-            if msg.mtype == protocol.MSG_RESTORE:
-                # the checkpoint being restored predates any input
-                # injected at (or after) its position: those inputs are
-                # no longer part of the live timeline
-                self.inputs = [entry for entry in self.inputs
-                               if entry.position < icount]
-            self._position = icount
-            return
-        if msg.mtype == protocol.MSG_STORE:
-            space, address, data = protocol.parse_store(msg)
-            self._record_input(OP_STORE, space, address, data)
-        elif msg.mtype == protocol.MSG_BLOCKSTORE:
-            space, address, data = protocol.parse_blockstore(msg)
-            self._record_input(OP_BLOCKSTORE, space, address, data)
-
-    def _record_input(self, op: int, space: str, address: int,
-                      data: bytes) -> None:
-        if self._ctx_lo <= address and address + len(data) <= self._ctx_hi:
-            return  # resume mechanics, reproduced by replay itself
-        if self.inputs:
-            # a store retried across a reconnect taps twice (the
-            # session re-sends, the nub dedups); the log keeps one
-            last = self.inputs[-1]
-            if (last.position == self._position and last.op == op
-                    and last.space == space and last.address == address
-                    and last.data == data):
-                return
-        self.inputs.append(InputRecord(self._position, op, space, address,
-                                       data))
-        self.obs.metrics.inc("trace.inputs")
+    @property
+    def inputs(self) -> List[InputRecord]:
+        """The stores the file holds: the time-travel controller's input
+        log from the first position the file has a state for."""
+        known = list(self.spills) + list(self._pending)
+        if not known:
+            return []
+        first = min(known)
+        return [entry for entry in self.target.replay.inputs
+                if entry.position >= first]
 
     # -- reconnect stitching -----------------------------------------------
 
     def stitch_reconnect(self) -> None:
         """Count a reconnect the recording survived.  The reconnect's
-        only exchange is a BREAKS, which the tap does not log, so the
-        input log runs on across the boundary."""
+        only exchange is a BREAKS, which is no input, so the input log
+        runs on across the boundary."""
         self.stitches += 1
         self.obs.metrics.inc("trace.reconnect_stitches")
-        self.obs.tracer.event("trace.stitch", position=self._position,
+        self.obs.tracer.event("trace.stitch",
+                              position=self.target.replay.position,
                               spills=len(self.spills),
                               pending=len(self._pending))
 
@@ -155,30 +90,21 @@ class TraceWriter:
         *is* the state, and it is pulled lazily — at save, or by
         :meth:`materialize` if the ring is about to drop it.
         Idempotent per icount."""
-        self._home = ck  # spill is only ever offered at the current stop
-        self._position = ck.icount
         if ck.icount in self.spills or ck.icount in self._pending:
             return
         self._pending[ck.icount] = ck
         self.obs.metrics.inc("trace.spills")
         self.obs.tracer.event("trace.spill", icount=ck.icount, kind=ck.kind)
 
-    def materialize(self, ck, home) -> None:
+    def materialize(self, ck) -> None:
         """The ring is about to evict ``ck`` and drop its nub-side
-        snapshot; pull the state now if the file still needs it, then
-        restore ``home`` (the checkpoint at the current stop)."""
+        snapshot; pull the state now if the file still needs it, and
+        come back to the current stop."""
         if self._pending.pop(ck.icount, None) is None:
             return
-        target = self.target
-        signo, sigcode = target.signo, target.sigcode
-        self._muted = True
-        try:
-            target.restore_checkpoint(ck.cid)
+        with self.target.replay.excursion():
+            self.target.restore_checkpoint(ck.cid)
             self._capture(ck)
-            target.restore_checkpoint(home.cid)
-            target.signo, target.sigcode = signo, sigcode
-        finally:
-            self._muted = False
 
     def _capture(self, ck) -> None:
         """Pull the complete machine state of the *current* nub stop
@@ -197,8 +123,7 @@ class TraceWriter:
     def _materialize_pending(self) -> None:
         """Pull every still-pending checkpoint state over the wire:
         restore each snapshot in turn, spill it, and come back to the
-        current stop.  Runs muted — these restores are save mechanics,
-        not timeline movement."""
+        current stop exactly as it was, stores made there included."""
         if not self._pending:
             return
         target = self.target
@@ -206,33 +131,19 @@ class TraceWriter:
             raise TraceError(
                 "cannot pull %d pending checkpoint states: target is %s"
                 % (len(self._pending), target.state))
-        here = target.current_icount()
-        home = self._home
-        if home is None or home.icount != here:
-            home = self._pending.get(here)
-        if home is None and any(ck.icount != here
-                                for ck in self._pending.values()):
-            raise TraceError("no checkpoint at the current stop to come "
-                             "back to after spilling")
-        signo, sigcode = target.signo, target.sigcode
-        self._muted = True
-        try:
+        with target.replay.excursion():
             for ck in sorted(self._pending.values(),
                              key=lambda entry: entry.icount):
                 target.restore_checkpoint(ck.cid)
                 self._capture(ck)
-            if home is not None:
-                target.restore_checkpoint(home.cid)
-            target.signo, target.sigcode = signo, sigcode
-            self._pending.clear()
-        finally:
-            self._muted = False
+        self._pending.clear()
 
     def _drop_pending(self) -> None:
         """Forget pending checkpoints without pulling them (their
         states are unreachable — the nub is dead or the drain deadline
         has passed).  The recording shrinks to its materialized
-        prefix; stops and inputs past that horizon go with them."""
+        prefix; stops past that horizon go with them (and inputs:
+        the file holds none past its last spill)."""
         if not self._pending:
             return
         dropped = len(self._pending)
@@ -241,8 +152,6 @@ class TraceWriter:
             horizon = max(self.spills)
             self.stops = {key: value for key, value in self.stops.items()
                           if key <= horizon}
-            self.inputs = [entry for entry in self.inputs
-                           if entry.position <= horizon]
         self.obs.metrics.inc("trace.partial_drops", dropped)
         self.obs.tracer.event("trace.partial_drop", dropped=dropped,
                               kept=len(self.spills))
@@ -257,8 +166,6 @@ class TraceWriter:
         stale = [key for key in self._pending if key > icount]
         for key in stale:
             del self._pending[key]
-        self.inputs = [entry for entry in self.inputs
-                       if entry.position <= icount]
         if dropped or stale:
             self.obs.metrics.inc("trace.drops", len(dropped) + len(stale))
 
@@ -297,7 +204,9 @@ class TraceWriter:
             loader_ps=loader_ps,
         )
         stops = [self.stops[key] for key in sorted(self.stops)]
-        return Recording(meta, spills, stops, list(self.inputs))
+        inputs = [entry for entry in self.inputs
+                  if entry.position <= spills[-1].icount]
+        return Recording(meta, spills, stops, inputs)
 
     def _loader_ps(self) -> Optional[str]:
         process = getattr(self.target, "process", None)

@@ -212,3 +212,51 @@ class TestFaultySession:
                 t2.process.cpu.icount, bytes(t2.process.mem.bytes))
         t.kill()
         runner.join()
+
+
+class TestFailedSearchComesHome:
+    @pytest.mark.parametrize("arch", ARCH_NAMES)
+    def test_full_ring_after_goto_keeps_the_search_origin(self, arch):
+        # travelling back with a full ring: the origin checkpoint the
+        # search adds must survive to bring the target home
+        ldb = Ldb(stdout=io.StringIO())
+        t = ldb.load_program(boom_exe(arch))
+        ldb.enable_time_travel(interval=23, capacity=3)
+        assert ldb.run_to_stop() == "stopped" and t.signo == SIGSEGV
+        assert ldb.goto_icount(21) == "stopped"
+        pc, signo, sigcode = t.stop_pc(), t.signo, t.sigcode
+        with pytest.raises(TargetError, match="no earlier breakpoint hit"):
+            ldb.reverse_continue()
+        assert t.current_icount() == 21
+        assert (t.stop_pc(), t.signo, t.sigcode) == (pc, signo, sigcode)
+        assert len(t.nub.checkpoints) == len(t.replay.ring)
+
+    @pytest.mark.parametrize("arch", ARCH_NAMES)
+    def test_failed_search_from_a_trap_at_an_automatic_checkpoint(self, arch):
+        # an interval boundary checkpointed as an icount stop, reached
+        # again as a breakpoint trap: the way home must be the trap
+        ldb = Ldb(stdout=io.StringIO())
+        t = ldb.load_program(boom_exe(arch))
+        ldb.enable_time_travel(interval=3, capacity=256)
+        ldb.run_to_stop()
+        symtab = t.symtab
+        stops = {symtab.stop_address(stop) for proc in symtab.procs()
+                 for stop in symtab.loci(proc)} - {None}
+        for address in stops:
+            t.breakpoints.plant(address)
+        base = t.replay.ring.entries[0].icount
+        for ck in [ck for ck in t.replay.ring.entries if ck.kind == "auto"]:
+            ldb.goto_icount(base)
+            ldb.goto_icount(ck.icount)
+            if t.at_breakpoint() and t.current_icount() == ck.icount:
+                break
+        else:
+            pytest.fail("no trap at an automatic checkpoint's icount")
+        pc = t.stop_pc()
+        for address in stops - {pc}:
+            t.breakpoints.remove(address)
+        with pytest.raises(TargetError, match="no earlier breakpoint hit"):
+            ldb.reverse_continue()
+        assert t.current_icount() == ck.icount
+        assert (t.stop_pc(), t.signo, t.sigcode) == (pc, SIGTRAP, 0)
+        assert t.at_breakpoint()

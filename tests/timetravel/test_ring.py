@@ -77,3 +77,34 @@ class TestDropFuture:
         ring.add(ck(1, 10))
         assert ring.drop_future(10) == []
         assert len(ring) == 1
+
+
+class TestInsertionOrder:
+    def test_travelling_back_never_evicts_the_new_entry(self):
+        # a full ring, then a checkpoint below the others: the one
+        # added first goes, not the newcomer with the lowest icount
+        ring = CheckpointRing(3)
+        ring.add(ck(0, 5, kind="stop"))
+        ring.add(ck(1, 100))
+        ring.add(ck(2, 200))
+        evicted = ring.add(ck(3, 50))
+        assert [c.cid for c in evicted] == [1]
+        assert [c.icount for c in ring.entries] == [5, 50, 200]
+
+    def test_eviction_follows_the_order_added(self):
+        ring = CheckpointRing(3)
+        ring.add(ck(0, 5, kind="stop"))
+        ring.add(ck(1, 300))
+        ring.add(ck(2, 100))
+        assert [c.cid for c in ring.add(ck(3, 200))] == [1]
+        assert [c.cid for c in ring.add(ck(4, 400))] == [2]
+        assert [c.icount for c in ring.entries] == [5, 200, 400]
+
+    def test_drop_future_forgets_the_order_too(self):
+        ring = CheckpointRing(3)
+        ring.add(ck(0, 5, kind="stop"))
+        ring.add(ck(1, 300))
+        ring.add(ck(2, 100))
+        ring.drop_future(100)
+        ring.add(ck(3, 200))
+        assert [c.cid for c in ring.add(ck(4, 150))] == [2]
