@@ -90,8 +90,9 @@ class Transport(abc.ABC):
 
     #: Observers of successful request/reply exchanges: callables
     #: ``tap(request, reply)`` fired after :meth:`transact` settles on a
-    #: non-error reply.  The trace writer (repro.trace.writer) listens
-    #: here to log debugger-injected inputs without patching call sites.
+    #: non-error reply.  The time-travel controller
+    #: (repro.timetravel.replay) listens here to log debugger-injected
+    #: inputs without patching call sites.
     #: Class default is an immutable empty tuple; implementations that
     #: support taps replace it with a per-instance list.
     taps: tuple = ()
