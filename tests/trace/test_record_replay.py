@@ -319,3 +319,24 @@ class TestRecordingAsTarget:
         out = api.execute("replay_open", {"path": path})
         assert out["target"]["replaying"] is True
         assert out["final_icount"] == t.current_icount()
+
+
+class TestStoresAfterDivergence:
+    def test_a_store_at_the_divergent_stop_is_logged_there(self, tmp_path):
+        # the replay parks on the divergent state mid-run; a store made
+        # there must be logged at that position, not the run's start
+        path = str(tmp_path / "boom.ldbrec")
+        record_crash("rmips", path)
+        rec = Recording.load(path)
+        rec.stops[-1].digest ^= 0xDEADBEEF
+        tampered = str(tmp_path / "tampered.ldbrec")
+        rec.dump(tampered)
+        ldb = Ldb(stdout=io.StringIO())
+        t = ldb.open_recording(tampered)
+        ldb.goto_icount(t.recording.meta.base_icount)
+        with pytest.raises(DivergenceError) as info:
+            for _ in range(8):
+                ldb.run_to_stop()
+        ldb.assign("g = 77")
+        assert t.replay.inputs[-1].position == info.value.icount
+        assert t.current_icount() == info.value.icount
