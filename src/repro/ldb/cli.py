@@ -333,7 +333,12 @@ class Cli:
 
     def cmd_continue(self) -> None:
         # the event engine applies breakpoint conditions (Sec. 7.1)
-        event = self.ldb.events.wait()
+        try:
+            event = self.ldb.events.wait()
+        except TimeoutError as err:
+            self.say("target %s is still running (%s)"
+                     % (self.ldb.current.name, err))
+            return
         target = self.ldb.current
         if event.kind in ("breakpoint", "step"):
             proc, filename, line = self.ldb.where_am_i()

@@ -127,7 +127,7 @@ class Ldb:
         from .postmortem import CoreTransport
         try:
             core = CoreFile.load(path, salvage=True)
-            transport = CoreTransport(core)
+            transport = CoreTransport(core, obs=self.obs)
         except CoreError as err:
             raise TargetError("cannot open core %s: %s" % (path, err))
         target = self._adopt_file("core", path, transport, core.arch_name,
@@ -243,10 +243,14 @@ class Ldb:
                     timeout: float = 30.0) -> str:
         """Continue and wait for the next stop or exit."""
         target = target or self._need_target()
-        if target.replay is not None and target.state == "stopped":
+        replay = target.replay
+        if replay is not None and (target.state == "stopped"
+                                   or replay.cut is not None):
             # recording: the controller chunks execution with RUNTO and
-            # drops automatic checkpoints along the way
-            return target.replay.continue_forward(timeout=timeout)
+            # drops automatic checkpoints along the way, going on with
+            # a chunk the last command's deadline cut short
+            return self._reverse_op(
+                lambda: replay.continue_forward(timeout=timeout))
         if target.state == "stopped":
             if target.at_breakpoint() or self._at_entry_pause(target):
                 target.resume_from_breakpoint()
@@ -458,10 +462,12 @@ class Ldb:
                                   cache)
         target.recording = recording
         # seed the reverse machinery with the file's spilled
-        # checkpoints: every spill is restorable by its recorded cid
+        # checkpoints, every one restorable by its recorded cid, and
+        # its stores: the controller's runs re-apply them
         controller = ReplayController(
             target, interval=meta.interval,
             capacity=max(64, 2 * len(recording.spills) + 8))
+        controller.inputs = list(recording.inputs)
         for spill in recording.spills:
             controller.ring.add(Checkpoint(
                 spill.cid, spill.icount, spill.pc, None, spill.signo,

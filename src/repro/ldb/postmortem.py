@@ -4,20 +4,20 @@ A core file (:class:`repro.machines.core.CoreFile`) holds everything
 the nub knew at the moment the target died: the memory image, the saved
 context address, the fault record, and the planted-breakpoint table.
 :class:`CoreTransport` rebuilds the dead target as a stopped process
-and puts a :class:`~repro.nub.nub.Nub` with no wire over it, so the
-FETCH/BLOCKFETCH/BREAKS conversation is answered by the nub's own
-handlers — byte for byte, including the big-endian reversal and the
-machine's saved-context fixups — and the whole debugger stack above it
-(the wire cache, the register DAG, the stack walkers, the expression
+and hosts a :class:`~repro.nub.nub.Nub` over it on the debugger's
+thread, as :class:`~repro.nub.session.LocalTransport` hosts a live one,
+so the FETCH/BLOCKFETCH/BREAKS conversation is answered by the nub's
+own handlers — byte for byte, including the big-endian reversal and
+the machine's saved-context fixups — and the whole debugger stack above
+it (the wire cache, the register DAG, the stack walkers, the expression
 server, the printers) runs unchanged with no live target.
 
-The one synthetic event is the fault itself: the first
-:meth:`CoreTransport.recv_event` re-announces the recorded stop exactly
-as the nub announced it when the target died.  Everything that would
-*change* the target — stores, controls, breakpoint patches — draws
-:class:`PostMortemError`, which the layers above already map to their
-own typed errors: ``set x = 1`` fails with a clear message instead of
-silently patching a corpse.
+The one event is the fault itself: the nub is opened at the recorded
+stop, which the host announces exactly as the nub announced it when
+the target died.  Everything that would *change* the target — stores,
+controls, breakpoint patches — draws :class:`PostMortemError`, which
+the layers above already map to their own typed errors: ``set x = 1``
+fails with a clear message instead of silently patching a corpse.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from ..machines.core import CoreFile
 from ..nub import protocol
 from ..nub.channel import ChannelClosed
 from ..nub.nub import Nub
-from ..nub.session import Transport, TransportError
+from ..nub.session import LocalTransport, TransportError
 
 
 class PostMortemError(TransportError):
@@ -46,44 +46,42 @@ _MUTATING = (protocol.MSG_STORE, protocol.MSG_BLOCKSTORE, protocol.MSG_PLANT,
              protocol.MSG_UNPLANT)
 
 
-class CoreTransport(Transport):
-    """A read-only :class:`Transport` over a core file.
+class CoreTransport(LocalTransport):
+    """A read-only host over a core file.
 
     A nub over the core's rebuilt process answers FETCH, BLOCKFETCH,
     BREAKS (the planted table the dead debugger left, so the
     breakpoint layer adopts it), ICOUNT and DUMPCORE (a copy of the
     core).  STORE, BLOCKSTORE, PLANT, UNPLANT and every control raise
     :class:`PostMortemError`; time travel and SPILL are answered
-    ``ERR_UNSUPPORTED``.  Reverse commands never get here: the future
+    ``ERR_UNSUPPORTED``.  The fault is announced once; after it the
+    host has no events.  Reverse commands never get here: the future
     is over, and the target refuses them as post-mortem before
     "sending".
     """
 
-    def __init__(self, core: CoreFile):
+    def __init__(self, core: CoreFile, obs=None):
         self.core = core
-        self.nub = Nub(core.process(), loader_ps=core.loader_ps)
-        self.nub.context_addr = core.context_addr
-        self.nub.planted = dict(core.planted)
-        self.nub.last_stop = FaultEvent(core.signo, core.code, core.fault_pc)
-        self._announced = False
-        self.closed = False
+        nub = Nub(core.process(), loader_ps=core.loader_ps, obs=obs)
+        nub.context_addr = core.context_addr
+        nub.planted = dict(core.planted)
+        nub.last_stop = FaultEvent(core.signo, core.code, core.fault_pc)
+        super().__init__(nub)
 
-    # -- the Transport interface ------------------------------------------
-
+    # defined here because perfbench/spans.py wraps it by name from this
+    # class's own namespace (ROADMAP item 1)
     def transact(self, msg: protocol.Message, expect: Iterable[int],
                  timeout: Optional[float] = None) -> protocol.Message:
+        return super().transact(msg, expect, timeout)
+
+    def _answer(self, msg: protocol.Message) -> protocol.Message:
         if msg.mtype in _MUTATING:
             raise PostMortemError(
                 "target is post-mortem (a core file): core files are "
                 "read-only, cannot %s" % protocol.type_name(msg.mtype).lower())
         if msg.mtype in _SERVED:
-            try:
-                reply = self.nub.answer(msg)
-            except protocol.ProtocolError:
-                reply = protocol.error(protocol.ERR_BAD_MESSAGE)
-        else:
-            reply = protocol.error(protocol.ERR_UNSUPPORTED)
-        return self.settle(msg, reply, expect)
+            return self.nub.answer(msg)
+        return protocol.error(protocol.ERR_UNSUPPORTED)
 
     def control(self, msg: protocol.Message) -> None:
         raise PostMortemError(
@@ -92,11 +90,6 @@ class CoreTransport(Transport):
 
     def recv_event(self, timeout: Optional[float] = None) -> protocol.Message:
         # the one event a corpse has: the stop that killed it
-        if not self._announced:
-            self._announced = True
-            return protocol.signal(self.core.signo, self.core.code,
-                                   self.core.context_addr)
-        raise ChannelClosed("no further events from a core file")
-
-    def close(self) -> None:
-        self.closed = True
+        if self.opened_at is None:
+            raise ChannelClosed("no further events from a core file")
+        return super().recv_event(timeout)

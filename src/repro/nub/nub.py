@@ -214,8 +214,9 @@ class Nub:
         #: last-folded execution-engine counters (see _fold_sim_metrics)
         self._sim_folded: dict = {}
         #: time travel: checkpoints live here, nub-side, so images never
-        #: cross the wire; id -> (ProcessSnapshot, planted copy), the
-        #: copy being what rewind needs for traps removed since
+        #: cross the wire; id -> (ProcessSnapshot, planted copy, stop),
+        #: the copy being what rewind needs for traps removed since and
+        #: the stop the one a RESTORE serves again
         self.checkpoints: dict = {}
         self.next_checkpoint = 1
         #: seq/id of the last CHECKPOINT served, so a retried request
@@ -662,18 +663,20 @@ class Nub:
 
     def _do_checkpoint(self, msg) -> protocol.Message:
         """Snapshot the whole process *nub-side*: CPU, COW memory pages,
-        and the planted-trap table.  Only a small id and the retired
-        instruction count cross the wire — never the image itself."""
+        the planted-trap table and the stop being served.  Only a small
+        id and the retired instruction count cross the wire — never the
+        image itself."""
         self._require_empty(msg)
         if (msg.seq is not None and msg.seq != protocol.NO_SEQ
                 and msg.seq == self._last_ckpt_seq
                 and self._last_ckpt_id in self.checkpoints):
             # a retried CHECKPOINT (its reply was lost): answer again
-            snap, _planted = self.checkpoints[self._last_ckpt_id]
+            snap = self.checkpoints[self._last_ckpt_id][0]
             return protocol.ckpt(self._last_ckpt_id, snap.icount)
         cid = self.next_checkpoint
         self.next_checkpoint += 1
-        self.checkpoints[cid] = (self.process.snapshot(), dict(self.planted))
+        self.checkpoints[cid] = (self.process.snapshot(), dict(self.planted),
+                                 self.last_stop)
         self._last_ckpt_seq = msg.seq
         self._last_ckpt_id = cid
         return protocol.ckpt(cid, self.process.cpu.icount)
@@ -683,8 +686,9 @@ class Nub:
         entry = self.checkpoints.get(cid)
         if entry is None:
             return protocol.error(protocol.ERR_BAD_CHECKPOINT)
-        snap, planted_then = entry
+        snap, planted_then, stop = entry
         self.rewind(lambda: self.process.restore(snap), planted_then)
+        self.last_stop = stop  # what DUMPCORE records from here
         return protocol.ckpt(cid, self.process.cpu.icount)
 
     def _do_dropckpt(self, msg) -> protocol.Message:

@@ -28,11 +28,12 @@ crashes — are absorbed instead of surfacing as exceptions.
   *decoded* — opcode, fields, sequence id, byte size — so a session
   transcript is human-readable and diffable.
 
-A target simulated in the debugger's own process needs none of that:
-:class:`LocalTransport` hands each request straight to the nub's
-handlers and runs the target in bounded slices on the caller's thread,
-so a runaway target still answers a deadline.  It counts and traces
-requests under the same ``session.*`` and ``wire.*`` names.
+A target with no wire needs none of that: :class:`LocalTransport`
+hands each request straight to the nub's handlers and runs the target
+in bounded slices on the caller's thread, so a runaway target still
+answers a deadline.  It hosts every such target — a program simulated
+in the debugger's own process, a core, a recording — and counts and
+traces requests under the same ``session.*`` and ``wire.*`` names.
 """
 
 from __future__ import annotations
@@ -80,9 +81,9 @@ class Transport(abc.ABC):
     :class:`NubSession` talks over a channel, adding retry/backoff,
     crash-reconnect, and negotiated hardened framing;
     :class:`LocalTransport` hosts the nub on the debugger's thread with
-    no wire; cores and recordings have transports of their own
-    (:mod:`repro.ldb.postmortem`, :mod:`repro.trace.replay`).  All
-    surface nub errors identically: :meth:`transact` either returns a
+    no wire, and its subclasses add what a core or a recording file
+    needs (:mod:`repro.ldb.postmortem`, :mod:`repro.trace.replay`).
+    All surface nub errors identically: :meth:`transact` either returns a
     reply of an expected type, raises :class:`NubError` for a semantic
     ERROR reply, or raises :class:`TransportError` when no usable reply
     arrives.
@@ -145,35 +146,45 @@ SLICE_INSTRUCTIONS = 100_000
 class LocalTransport(Transport):
     """A :class:`Transport` that hosts a :class:`~repro.nub.nub.Nub` on
     the caller's thread, with no wire: the fork analog for a simulated
-    target in the debugger's own process.
+    target in the debugger's own process, and the host of every other
+    wire-less target (cores, recordings).
 
-    Requests go straight to :meth:`Nub.answer`; a malformed one is the
-    nub's ``ERR_BAD_MESSAGE``.  A control records the pending run (KILL
-    and DETACH end the target), and :meth:`recv_event` executes it in
-    slices of :data:`SLICE_INSTRUCTIONS` to the next stop, checking its
-    ``timeout`` and :meth:`close` between slices.  A run the timeout
-    cuts short stays pending, so the next :meth:`recv_event` goes on
-    from where it left off.  Requests and events are counted and traced
-    under the names :class:`NubSession` uses.
+    Requests go to :meth:`_answer`, the nub's own :meth:`Nub.answer`
+    here; a malformed one is the nub's ``ERR_BAD_MESSAGE``.  A nub
+    opened at a stop (``nub.last_stop`` set, as for a core or a
+    recording) announces that stop first, with nothing run.  A control
+    records the pending run (KILL and DETACH end the target), and
+    :meth:`recv_event` executes it in slices (:meth:`_advance`) to the
+    next stop, checking its ``timeout`` and :meth:`close` between
+    slices.  A run the timeout cuts short stays pending, so the next
+    :meth:`recv_event` goes on from where it left off.  Requests and
+    events are counted and traced under the names :class:`NubSession`
+    uses.
     """
 
     def __init__(self, nub):
         self.nub = nub
         self.obs = nub.obs
         self.taps = []
+        #: the stop a nub opened at is announced before anything runs
+        self.opened_at = nub.last_stop
         #: is a CONTINUE or RUNTO (or the start) waiting to be run?
-        self.running = True
+        self.running = self.opened_at is None
         self.closed = False
 
     def transact(self, msg: protocol.Message, expect: Iterable[int],
                  timeout: Optional[float] = None) -> protocol.Message:
         self._send(msg)
         try:
-            reply = self.nub.answer(msg)
+            reply = self._answer(msg)
         except protocol.ProtocolError:
             reply = protocol.error(protocol.ERR_BAD_MESSAGE)
         _trace_frame(self.obs, "wire.recv", reply)
         return self.settle(msg, reply, expect)
+
+    def _answer(self, msg: protocol.Message) -> protocol.Message:
+        """The host's reply to one request."""
+        return self.nub.answer(msg)
 
     def control(self, msg: protocol.Message) -> None:
         self._send(msg)
@@ -192,9 +203,11 @@ class LocalTransport(Transport):
         while True:
             if self.closed:
                 raise ChannelClosed("the target was closed")
-            if not self.running:
-                raise TransportError("no run is pending")
-            event = self.nub.advance(SLICE_INSTRUCTIONS)
+            event, self.opened_at = self.opened_at, None
+            if event is None:
+                if not self.running:
+                    raise TransportError("no run is pending")
+                event = self._advance()
             if event is not None:
                 break
             if deadline is not None and time.monotonic() >= deadline:
@@ -209,6 +222,11 @@ class LocalTransport(Transport):
         self.obs.metrics.inc("session.events")
         _trace_frame(self.obs, "wire.event", msg)
         return msg
+
+    def _advance(self):
+        """One slice of the pending run: the stop (or exit) it ended
+        in, or None when the slice ran out first."""
+        return self.nub.advance(SLICE_INSTRUCTIONS)
 
     def close(self) -> None:
         self.closed = True

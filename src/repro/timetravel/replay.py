@@ -19,10 +19,14 @@ window, which is why that window is replayed.
 Debugger stores (``set x = 5``) are *inputs*: each is logged at the
 position it was made, and every run that leaves a position re-applies
 the stores made there first, so replays re-make the history the user
-made.  A checkpoint holds the state a stop was reached in, before any
-store made there; landing on a position shows that state.  A store
-changes the future, so it drops the recorded future past its position
-as resuming forward after travelling back does.
+made — a register store too, before the resume loads it.  A checkpoint
+holds the state a stop was reached in, before any store made there;
+landing on a position shows that state.  The controller's log is the
+only one: a reopened recording seeds it from the file.  A store
+changes the future, so it drops the recorded future past its position,
+as a replay divergence does past the stop it parked at; resuming
+forward after travelling back re-makes the recorded future and keeps
+it.
 
 The controller also drives *recording*: forward execution is chunked
 with ``RUNTO`` so an automatic checkpoint is taken every ``interval``
@@ -31,10 +35,10 @@ retired instructions, plus one at every user-visible stop.
 
 from __future__ import annotations
 
+import time
 from contextlib import contextmanager
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
-from ..machines import get_arch
 from ..machines.isa import CODE_ICOUNT, SIGTRAP
 from ..nub import protocol
 from ..trace.format import OP_BLOCKSTORE, OP_STORE, InputRecord
@@ -82,9 +86,9 @@ class StopLog:
     """What the runs the controller drove found, by start position.
 
     A logged stop is a fact about the history until the history
-    changes: a store cuts the log at its position, as resuming forward
-    after travelling back does, and a run goes with the ring window it
-    started in when that window's checkpoint is evicted.
+    changes: a store cuts the log at its position, as a divergence or
+    a reconnect does, and a run goes with the ring window it started in
+    when that window's checkpoint is evicted.
     """
 
     def __init__(self):
@@ -189,7 +193,9 @@ class ReplayController:
         #: are the stores going out this controller's own re-applied
         #: inputs?
         self._reapplying = False
-        self._context_size = get_arch(target.arch_name).context_size()
+        #: the run a deadline cut short, still going on the target:
+        #: (start, limit, bound, planted) as :meth:`_advance` left it
+        self.cut: Optional[Tuple[int, int, int, FrozenSet[int]]] = None
         taps = getattr(target.transport, "taps", None)
         if isinstance(taps, list):
             taps.append(self._tap)
@@ -206,16 +212,23 @@ class ReplayController:
         """The recording 'continue': chunk execution with RUNTO, taking
         an automatic checkpoint at every interval boundary and one more
         at the stop that ends the chunk run.  Returns the target state
-        exactly like ``Target.wait_for_stop``."""
-        timeout = self.timeout if timeout is None else timeout
+        exactly like ``Target.wait_for_stop``.
+
+        ``timeout`` bounds the whole command: past it, the chunk under
+        way raises :exc:`TimeoutError` and stays running, and the next
+        call goes on with it.  Resuming forward after travelling back
+        keeps the recorded future: every run re-applies the stores made
+        where it starts, so it re-makes the history already recorded."""
+        deadline = time.monotonic() + (
+            self.timeout if timeout is None else timeout)
         t = self.target
-        self._require_stopped()
-        here = t.current_icount()
-        # resuming forward after time travel: the recorded future may
-        # diverge from what happens now, so forget it
-        self._drop_future(here)
+        if self.cut is None:
+            self._require_stopped()
+            here = t.current_icount()
+        else:
+            here = self.cut[0]  # a chunk the last deadline cut short
         for _ in range(self.max_stops):
-            run = self._advance(here, here + self.interval, timeout)
+            run = self._advance(here, here + self.interval, deadline)
             if run is None:
                 return t.state
             if t.at_icount_stop():
@@ -364,8 +377,9 @@ class ReplayController:
         self._restore(ck)
         hits: List[Hit] = []
         here = ck.icount
+        deadline = time.monotonic() + self.timeout
         for _ in range(self.max_stops):
-            run = self._advance(here, end, self.timeout)
+            run = self._advance(here, end, deadline)
             if run is None or run.end >= end or t.at_icount_stop():
                 # the origin exit, the RUNTO bound, or the origin event
                 # itself re-fired: the window is exhausted
@@ -386,10 +400,11 @@ class ReplayController:
         SIGTRAP stop."""
         t = self.target
         self.obs.metrics.inc("replay.landings")
+        deadline = time.monotonic() + self.timeout
         for _ in range(self.max_stops):
             if here >= icount or t.signo != SIGTRAP:
                 return "stopped"  # a fatal signal blocks the way forward
-            run = self._advance(here, icount, self.timeout)
+            run = self._advance(here, icount, deadline)
             if run is None:
                 return t.state
             here = run.end
@@ -399,27 +414,41 @@ class ReplayController:
     # -- runs and inputs ---------------------------------------------------
 
     def _advance(self, here: int, bound: int,
-                 timeout: float) -> Optional[Run]:
+                 deadline: float) -> Optional[Run]:
         """Resume from the stop at ``here`` and run toward ``bound``,
         logging each run.  A run first re-applies the stores made at its
         start and is bounded at the next position holding any, where it
         goes on as a new run.  Answers the run that ended in a real stop
-        or at ``bound``; None when the target did not stop."""
+        or at ``bound``; None when the target did not stop.  A run the
+        ``deadline`` cuts short is left going as :attr:`cut`, and the
+        next call waits for it instead of starting one."""
         t = self.target
-        planted = frozenset(t.breakpoints.planted)
         while True:
-            self._reapply(here)
-            limit = min((entry.position for entry in self.inputs
-                         if here < entry.position < bound), default=bound)
-            t.run_to_icount(limit, at_pc=self._skip_pc())
+            if self.cut is None:
+                planted = frozenset(t.breakpoints.planted)
+                self._reapply(here)
+                limit = min((entry.position for entry in self.inputs
+                             if here < entry.position < bound),
+                            default=bound)
+                t.run_to_icount(limit, at_pc=self._skip_pc())
+                self.cut = (here, limit, bound, planted)
+            here, limit, bound, planted = self.cut
             try:
-                if self._wait(timeout) != "stopped":
-                    return None
-            except Exception:
+                state = self._wait(deadline)
+            except TimeoutError:
+                raise  # still running: the cut run goes on next time
+            except Exception as err:
+                self.cut = None
                 # stopped somewhere unknown (a replay divergence parks
                 # the target mid-run): learn the position again
                 self.position = None
+                if getattr(err, "diverged", False):
+                    # the parked state is not the recorded one
+                    self._drop_future(err.icount)
                 raise
+            self.cut = None
+            if state != "stopped":
+                return None
             if t.at_icount_stop():
                 run = Run(here, limit, None, t.signo, t.sigcode, planted)
             else:
@@ -455,8 +484,9 @@ class ReplayController:
 
     def _tap(self, msg: protocol.Message, reply: protocol.Message) -> None:
         """Transport tap: follow the position, and log debugger stores
-        as inputs.  Stores wholly inside the nub's context save area
-        are resume mechanics (the resume-pc write), not inputs."""
+        as inputs.  The resume-pc write is how a run starts, not an
+        input; any other store into the nub's context save area sets a
+        register the resume loads, and is one."""
         if reply.mtype == protocol.MSG_CKPT:
             self.position = protocol.parse_ckpt(reply)[1]
             return
@@ -469,9 +499,9 @@ class ReplayController:
                                           protocol.parse_blockstore(msg))
         else:
             return
-        context = self.target.context_addr
-        if context <= address and address + len(data) <= (
-                context + self._context_size):
+        t = self.target
+        if (op == OP_STORE and address
+                == t.machdep.pc_context_location(t.context_addr).offset):
             return
         if self.position is None:
             self.target.current_icount()  # its CKPT reply comes here
@@ -543,12 +573,16 @@ class ReplayController:
             raise ReplayError("target %s is %s, not stopped"
                               % (self.target.name, self.target.state))
 
-    def _wait(self, timeout: float) -> str:
-        """Wait for a stop, riding out connection deaths: the nub keeps
-        the target (and every checkpoint) across a reconnect."""
+    def _wait(self, deadline: float) -> str:
+        """Wait for a stop until ``deadline`` (a ``time.monotonic``
+        time), riding out connection deaths: the nub keeps the target
+        (and every checkpoint) across a reconnect."""
         t = self.target
         for _ in range(8):
-            state = t.wait_for_stop(timeout)
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise TimeoutError("no stop before the deadline")
+            state = t.wait_for_stop(remaining)
             if state == "reconnecting":
                 t.reconnect()
                 if t.state != "running":

@@ -97,8 +97,7 @@ class CheckpointRing:
 
     def drop_future(self, icount: int) -> List[Checkpoint]:
         """Remove and return entries later than ``icount`` — called when
-        the user resumes forward after time-travelling, since execution
-        may now diverge from the recorded future."""
+        a store or a replay divergence changed the future past it."""
         stale = [ck for ck in self.entries if ck.icount > icount]
         self.entries = [ck for ck in self.entries if ck.icount <= icount]
         self._added = [ck for ck in self._added if ck.icount <= icount]

@@ -253,19 +253,13 @@ class Recording:
         Strict by default: any damage raises :class:`TraceError`.
         With ``salvage=True``, a truncated or tail-corrupt file is
         recovered on its longest valid block prefix instead — the
-        spills, stops, and inputs up to the first damaged block — and
-        a :class:`SalvagedArtifact` warning names what was lost.  A
-        file damaged before its first checkpoint spill (or one that is
+        spills, stops, and inputs before the first damage the strict
+        read would raise on — and a :class:`SalvagedArtifact` warning
+        names what was lost.  The salvage horizon is the last intact
+        spill's icount; stops and inputs past it are dropped so replay
+        never claims a timeline the file no longer proves.  A file
+        damaged before its first checkpoint spill (or one that is
         simply not a recording) still raises."""
-        try:
-            return cls._parse(raw)
-        except TraceError as err:
-            if not salvage:
-                raise
-            return cls._salvage(raw, err)
-
-    @classmethod
-    def _parse(cls, raw: bytes) -> "Recording":
         if raw[:4] != TRACE_MAGIC:
             raise TraceError("not a trace file (bad magic)")
         if len(raw) < 8:
@@ -282,13 +276,18 @@ class Recording:
         stops: List[StopRecord] = []
         inputs: List[InputRecord] = []
         saw_log = False
-        ended = False
+        blocks = 0  # intact blocks before END or the damage
+        damage: Optional[TraceError] = None
         try:
-            while offset < len(raw):
+            while True:
+                if offset >= len(raw):
+                    raise TraceError("truncated trace: no END block")
                 kind, body, offset = unpack_block(raw, offset, TraceError,
                                                   "trace")
                 if kind == BLOCK_END:
-                    ended = True
+                    if offset != len(raw):
+                        raise TraceError("%d trailing bytes after END block"
+                                         % (len(raw) - offset))
                     break
                 if kind == BLOCK_META:
                     if meta is not None:
@@ -304,70 +303,30 @@ class Recording:
                 else:
                     raise TraceError("unknown block kind %d at offset %d"
                                      % (kind, offset))
-        except (struct.error, IndexError, UnicodeDecodeError) as exc:
-            raise TraceError("malformed trace block: %s" % exc)
-        if not ended:
-            raise TraceError("truncated trace: no END block")
-        if offset != len(raw):
-            raise TraceError("%d trailing bytes after END block"
-                             % (len(raw) - offset))
-        if meta is None:
-            raise TraceError("trace has no META block")
-        if not spills:
-            raise TraceError("trace has no checkpoint spills")
-        return cls(meta, spills, stops, inputs)
-
-    @classmethod
-    def _salvage(cls, raw: bytes, err: TraceError) -> "Recording":
-        """Recover the longest valid block prefix of a damaged file.
-
-        The magic and version gates still apply (re-raising ``err``):
-        salvage serves *our* files that lost their tail, not alien
-        ones.  The salvage horizon is the last intact spill's icount;
-        stops and inputs past it are dropped so replay never claims a
-        timeline the file no longer proves."""
-        if raw[:4] != TRACE_MAGIC or len(raw) < 8:
-            raise err
-        version, _flags = _HEAD.unpack_from(raw, 4)
-        if version > TRACE_VERSION:
-            raise err
-        offset = 8
-        meta: Optional[TraceMeta] = None
-        spills: List[SpillRecord] = []
-        stops: List[StopRecord] = []
-        inputs: List[InputRecord] = []
-        blocks = 0
-        try:
-            while offset < len(raw):
-                kind, body, offset = unpack_block(raw, offset, TraceError,
-                                                  "trace")
-                if kind == BLOCK_END:
-                    break
-                if kind == BLOCK_META:
-                    if meta is not None:
-                        break  # a duplicate META: stop at the damage
-                    meta = TraceMeta.from_body(body)
-                elif kind == BLOCK_SPILL:
-                    spills.append(SpillRecord.from_body(body))
-                elif kind == BLOCK_LOG:
-                    stops, inputs = cls._unpack_log(body)
-                else:
-                    break  # unknown kind: the damage starts here
                 blocks += 1
-        except (TraceError, struct.error, IndexError, UnicodeDecodeError):
-            pass  # the prefix up to here is what survives
-        if meta is None or not spills:
-            raise err  # damage before the first spill: nothing to serve
+        except (struct.error, IndexError, UnicodeDecodeError) as exc:
+            damage = TraceError("malformed trace block: %s" % exc)
+        except TraceError as exc:
+            damage = exc
+        if damage is None:
+            if meta is None:
+                raise TraceError("trace has no META block")
+            if not spills:
+                raise TraceError("trace has no checkpoint spills")
+            return cls(meta, spills, stops, inputs)
+        if not salvage or meta is None or not spills:
+            raise damage  # damage before the first spill: nothing to serve
         horizon = max(spill.icount for spill in spills)
-        kept_stops = [stop for stop in stops if stop.icount <= horizon]
-        kept_inputs = [entry for entry in inputs if entry.position <= horizon]
-        recording = cls(meta, spills, kept_stops, kept_inputs)
+        recording = cls(meta, spills,
+                        [stop for stop in stops if stop.icount <= horizon],
+                        [entry for entry in inputs
+                         if entry.position <= horizon])
         recording.salvaged = True
-        recording.salvage_reason = str(err)
+        recording.salvage_reason = str(damage)
         warnings.warn(SalvagedArtifact(
             "recording salvaged on its valid prefix: %d block(s), %d "
             "checkpoint spill(s), horizon icount %d (%s)"
-            % (blocks, len(spills), horizon, err)), stacklevel=3)
+            % (blocks, len(spills), horizon, damage)), stacklevel=2)
         return recording
 
     @staticmethod

@@ -142,8 +142,7 @@ class TraceWriter:
         """Forget pending checkpoints without pulling them (their
         states are unreachable — the nub is dead or the drain deadline
         has passed).  The recording shrinks to its materialized
-        prefix; stops past that horizon go with them (and inputs:
-        the file holds none past its last spill)."""
+        prefix; stops past that horizon go with them."""
         if not self._pending:
             return
         dropped = len(self._pending)
@@ -157,8 +156,8 @@ class TraceWriter:
                               kept=len(self.spills))
 
     def drop_future(self, icount: int) -> None:
-        """Resuming forward after time travel: the recorded future is
-        stale (execution may diverge from it), mirror the ring."""
+        """A store or a replay divergence changed the future past
+        ``icount``: the recorded one is stale, mirror the ring."""
         dropped = [key for key in self.spills if key > icount]
         for key in dropped:
             del self.spills[key]
@@ -204,9 +203,9 @@ class TraceWriter:
             loader_ps=loader_ps,
         )
         stops = [self.stops[key] for key in sorted(self.stops)]
-        inputs = [entry for entry in self.inputs
-                  if entry.position <= spills[-1].icount]
-        return Recording(meta, spills, stops, inputs)
+        # stores past the last spill too: a session saved after
+        # travelling back still knows the future it made
+        return Recording(meta, spills, stops, self.inputs)
 
     def _loader_ps(self) -> Optional[str]:
         process = getattr(self.target, "process", None)

@@ -90,3 +90,32 @@ class TestCommands:
     def test_where(self):
         text = run_session(["break fib", "continue", "where"])
         assert "fib () at fib.c:" in text
+
+
+RUNAWAY = """int spins;
+int main(void)
+{
+    for (;;)
+        spins = spins + 1;
+    return 0;
+}
+"""
+
+
+@pytest.mark.parametrize("record", (False, True))
+def test_a_timed_out_continue_leaves_the_repl_running(record):
+    """A runaway target outlives ``continue``'s wait: the CLI says the
+    target is still running and goes on reading commands."""
+    exe = compile_and_link({"spin.c": RUNAWAY}, "rmips", debug=True)
+    commands = (["record"] if record else []) + ["continue", "continue",
+                                                 "targets"]
+    out = io.StringIO()
+    cli = Cli(stdin=io.StringIO("\n".join(commands) + "\nquit\n"),
+              stdout=out)
+    cli.start_program(exe)
+    wait = cli.ldb.events.wait
+    cli.ldb.events.wait = lambda *args, **kw: wait(*args, timeout=0.2, **kw)
+    cli.repl()
+    text = out.getvalue()
+    assert text.count("target t0 is still running") == 2
+    assert "* t0 (rmips) running" in text

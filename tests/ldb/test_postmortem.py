@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from repro.cc.driver import compile_and_link, loader_table_ps
 from repro.ldb import Ldb
+from repro.ldb.api import DebugAPI
 from repro.ldb.debugger import load_over_wire
 from repro.ldb.breakpoints import BreakpointError
 from repro.ldb.exprserver import EvalError
@@ -142,6 +143,28 @@ class TestCoreRoundTrip:
         # the recorded planted-breakpoint table rode along
         assert sorted(post.breakpoints.planted) \
             == sorted(live.breakpoints.planted)
+
+    @pytest.mark.parametrize("arch", ARCH_NAMES)
+    def test_dumpcore_after_travelling_back_records_that_stop(self, arch,
+                                                              tmp_path):
+        """Reverse-continue from the crash to ``poke`` restores a
+        checkpoint: the core then records the breakpoint stop, not the
+        SIGSEGV the target left, so triage cannot take it for the
+        crash."""
+        path = tmp_path / "back.core"
+        ldb = Ldb(stdout=io.StringIO())
+        live = ldb.load_program(exe_for(arch, "boom.c", BOOM))
+        ldb.enable_time_travel(interval=37)
+        ldb.break_at_function("poke")
+        assert ldb.run_to_stop() == "stopped" and live.at_breakpoint()
+        assert ldb.run_to_stop() == "stopped" and live.signo == SIGSEGV
+        ldb.reverse_continue()
+        core = live.dump_core(str(path))
+        assert (core.signo, core.fault_pc, core.icount) == (
+            SIGTRAP, live.stop_pc(), live.current_icount())
+        core_ldb, post = open_core(path)
+        assert DebugAPI(core_ldb).execute("fault")["signo"] == SIGTRAP
+        assert core_ldb.backtrace_text() == ldb.backtrace_text()
 
     def test_core_embeds_enough_to_open_standalone(self, tmp_path):
         # no executable, no explicit table: only the file

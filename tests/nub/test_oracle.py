@@ -22,7 +22,8 @@ from repro.cc.driver import compile_and_link
 from repro.ldb import Ldb
 from repro.ldb.debugger import load_over_wire
 from repro.ldb.postmortem import PostMortemError
-from repro.machines import ARCH_NAMES, SIGSEGV, get_arch
+from repro.machines import ARCH_NAMES, SIGSEGV, SIGTRAP, get_arch
+from repro.machines.core import CoreFile
 from repro.nub import protocol
 from repro.nub.nub import nub_md_for
 from repro.nub.session import NubError
@@ -235,3 +236,36 @@ def test_restore_rewinds_the_program_not_the_breakpoints(arch, tmp_path):
                  if b in dict(spill.state.planted))
     restore_keeps_breakpoints(replay, a, b, trap, original_b,
                               restore_to=spill.cid)
+
+
+@pytest.mark.parametrize("arch", ARCH_NAMES)
+def test_a_restore_serves_the_checkpoints_stop_again(arch, tmp_path):
+    """RESTORE brings back the stop record the checkpoint was taken at
+    (PROTOCOL.md §3.5), so DUMPCORE after it records that stop and not
+    the one the target left: alike on the wire nub, the in-thread host
+    and a recording's own (nub-minted) checkpoint."""
+    rec_path = str(tmp_path / "boom.ldbrec")
+    wire_ldb = Ldb(stdout=io.StringIO())
+    wire = load_over_wire(wire_ldb, boom_exe(arch))
+    crash(wire_ldb, wire, rec_path)
+    local_ldb = Ldb(stdout=io.StringIO())
+    local = local_ldb.load_program(boom_exe(arch))
+    crash(local_ldb, local, str(tmp_path / "local.ldbrec"))
+    replay_ldb = Ldb(stdout=io.StringIO())
+    replay = replay_ldb.open_recording(rec_path)
+    cores = []
+    for ldb, target in ((wire_ldb, wire), (local_ldb, local),
+                        (replay_ldb, replay)):
+        ldb.reverse_continue(target)
+        cid, icount = target.take_checkpoint()
+        stop = (target.stop_pc(), icount)
+        assert ldb.run_to_stop(target) == "stopped"
+        assert target.signo == SIGSEGV
+        target.restore_checkpoint(cid)
+        cores.append(target.transport.transact(
+            protocol.dumpcore(), (protocol.MSG_DATA,)).payload)
+        core = CoreFile.from_bytes(cores[-1])
+        assert (core.signo, core.fault_pc, core.icount) == (
+            (SIGTRAP,) + stop), target.transport
+    assert cores[1] == cores[0] and cores[2] == cores[0]
+    wire.kill()

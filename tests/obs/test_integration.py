@@ -73,6 +73,32 @@ class TestScriptedTranscript:
         assert ldb.obs.metrics.total("wire.") == target.stats.round_trips()
 
 
+class TestFileHosts:
+    def test_cores_and_recordings_report_into_the_debuggers_hub(
+            self, fib_exe, tmp_path):
+        """A core's and a recording's requests are counted and traced in
+        the debugger's hub as the in-thread host's are."""
+        live = Ldb(stdout=io.StringIO())
+        target = live.load_program(fib_exe)
+        live.start_recording(path=str(tmp_path / "fib.ldbrec"))
+        live.break_at_stop("fib", 9)
+        live.run_to_stop()
+        live.record_save()
+        target.dump_core(str(tmp_path / "fib.core"))
+        for opener, name in ((Ldb.open_core, "fib.core"),
+                             (Ldb.open_recording, "fib.ldbrec")):
+            ldb = Ldb(stdout=io.StringIO())
+            ldb.obs.tracer.enable()
+            opener(ldb, str(tmp_path / name))
+            ldb.backtrace_text()
+            assert ldb.obs.metrics.get("session.requests", 0) > 0, name
+            assert ldb.obs.metrics.get("session.events", 0) == 1, name
+            sends = [json.loads(line)
+                     for line in ldb.obs.tracer.dump().splitlines()]
+            assert "BLOCKFETCH" in {record.get("op") for record in sends
+                                    if record["name"] == "wire.send"}, name
+
+
 class TestCliVerbs:
     def _cli(self, exe):
         out = io.StringIO()

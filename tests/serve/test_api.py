@@ -115,6 +115,16 @@ def test_state_error_is_typed(api):
     assert err.value.code == ERR_TARGET_STATE
 
 
+def test_a_recording_continue_that_cannot_finish_is_typed(api):
+    # the time-travel controller gives up after max_stops chunks with no
+    # real stop: a state error like any other, not a raw ReplayError
+    api.ldb.enable_time_travel(interval=13).max_stops = 2
+    with pytest.raises(ApiError) as err:
+        api.execute("continue")
+    assert err.value.code == ERR_TARGET_STATE
+    assert "without a real stop" in str(err.value)
+
+
 def test_post_mortem_refuses_mutation(tmp_path):
     ldb, target = session()
     api = DebugAPI(ldb)

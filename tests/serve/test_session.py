@@ -154,8 +154,38 @@ def test_runaway_target_under_deadline_and_watchdog():
         ldb = Ldb(stdout=io.StringIO())
         return ldb, ldb.load_program(exe)
 
-    w = worker(factory)
-    cpu = w.target.process.cpu
+    check_runaway(worker(factory))
+
+
+@pytest.mark.parametrize("mode", ("record", "replay"))
+def test_runaway_time_travel_under_deadline_and_watchdog(mode, tmp_path):
+    """The same bounds when ``continue`` is the time-travel controller's
+    chunked run: on a live target with recording on, and on a recording
+    reopened where it ends, before the endless loop."""
+    exe = compile_and_link({"main.c": RUNAWAY}, "rmips", debug=True)
+    path = str(tmp_path / "runaway.ldbrec")
+    if mode == "replay":
+        ldb = Ldb(stdout=io.StringIO())
+        ldb.load_program(exe)
+        ldb.start_recording(path=path)
+        ldb.record_save()
+
+    def factory():
+        ldb = Ldb(stdout=io.StringIO())
+        if mode == "replay":
+            return ldb, ldb.open_recording(path)
+        target = ldb.load_program(exe)
+        ldb.enable_time_travel(target)
+        return ldb, target
+
+    check_runaway(worker(factory))
+
+
+def check_runaway(w):
+    """A continue that never stops answers ERR_DEADLINE in time and
+    leaves the target running; an idle session costs nothing; the next
+    continue goes on; the watchdog unwinds a long one."""
+    cpu = w.target.transport.nub.process.cpu
     started = time.monotonic()
     with pytest.raises(GatewayError) as err:
         w.submit("continue", deadline=0.3).result(10.0)

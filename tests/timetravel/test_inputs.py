@@ -201,3 +201,56 @@ def test_save_at_a_stop_with_no_checkpoint_after_a_store(arch, tmp_path):
     assert replay.evaluate("g") == 1
     assert replay.run_to_stop() == "stopped"
     assert replay.evaluate("g") == 101
+
+
+ARG = """int g;
+void mark(int k) { g = g + k; }
+int main(void) {
+    int i;
+    for (i = 0; i < 6; i++)
+        mark(i);
+    return 0;
+}
+"""
+
+
+def arg_session(arch, path):
+    """``mark(k)`` adds its argument to ``g``; ``k`` lives in a register
+    on rmips, rmipsel and rm68k and on the stack on rsparc and rvax.
+    Stops at the third hit after ``set k = 40`` at the second."""
+    key = (arch, "arg")
+    if key not in _EXES:
+        _EXES[key] = compile_and_link({"arg.c": ARG}, arch, debug=True)
+    ldb = Ldb(stdout=io.StringIO())
+    target = ldb.load_program(_EXES[key])
+    ldb.start_recording(path=path, interval=13)
+    ldb.break_at_function("mark")
+    to_hit(ldb, target)
+    to_hit(ldb, target)
+    ldb.assign("k = 40")
+    third = to_hit(ldb, target)
+    assert ldb.evaluate("g") == 40
+    return ldb, target, third
+
+
+@pytest.mark.parametrize("arch", ARCH_NAMES)
+def test_a_store_to_a_register_is_an_input(arch, tmp_path):
+    ldb, t, third = arg_session(arch, str(tmp_path / "k.ldbrec"))
+    ldb.reverse_continue()
+    assert ldb.evaluate("k") == 1  # the arrival state, before the store
+    assert ldb.goto_icount(third) == "stopped"
+    assert ldb.evaluate("g") == 40
+
+
+@pytest.mark.parametrize("arch", ARCH_NAMES)
+def test_a_recorded_register_store_replays(arch, tmp_path):
+    path = str(tmp_path / "k.ldbrec")
+    ldb, t, third = arg_session(arch, path)
+    assert len(ldb.record_save().inputs) == 1
+    replay = Ldb(stdout=io.StringIO())
+    reopened = replay.open_recording(path)
+    replay.goto_icount(reopened.recording.meta.base_icount)
+    for _ in range(3):
+        assert replay.run_to_stop() == "stopped"
+    assert reopened.current_icount() == third
+    assert replay.evaluate("g") == 40

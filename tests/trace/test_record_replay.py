@@ -7,6 +7,7 @@ The driver program is the time-travel suite's: a breakpoint hit in
 well-defined interesting past."""
 
 import io
+import time
 
 import pytest
 
@@ -181,7 +182,9 @@ class TestInputsAndWriter:
         assert ldb2.run_to_stop() == "stopped"
         assert t2.signo == SIGSEGV
         assert ldb2.evaluate("g") == 99
-        assert ldb2.obs.metrics.snapshot().get("trace.replay.inputs", 0) >= 1
+        # the controller, the one keeper of the input log, re-applied it
+        assert ldb2.obs.metrics.snapshot().get(
+            "replay.inputs_reapplied", 0) >= 1
 
     def test_record_save_without_recording_is_typed(self):
         ldb = Ldb(stdout=io.StringIO())
@@ -272,6 +275,82 @@ class TestDivergenceDetection:
         # fault (no marks left ahead, so no further checks fire)
         assert ldb.run_to_stop() == "stopped"
         assert t.signo == SIGSEGV
+
+
+    def test_a_divergence_cuts_the_history_past_its_stop(self, tmp_path):
+        # the parked state is not the recorded one, so what the file
+        # holds after it is no longer this session's history
+        path = str(tmp_path / "boom.ldbrec")
+        record_crash("rmips", path)
+        rec = Recording.load(path)
+        rec.stops[-2].digest ^= 0xDEADBEEF
+        tampered = str(tmp_path / "tampered.ldbrec")
+        rec.dump(tampered)
+        ldb = Ldb(stdout=io.StringIO())
+        t = ldb.open_recording(tampered)
+        assert max(ck.icount for ck in t.replay.ring.entries) > \
+            rec.stops[-2].icount
+        ldb.goto_icount(t.recording.meta.base_icount)
+        with pytest.raises(DivergenceError) as info:
+            for _ in range(8):
+                ldb.run_to_stop()
+        assert info.value.icount == rec.stops[-2].icount
+        assert all(ck.icount <= info.value.icount
+                   for ck in t.replay.ring.entries)
+        assert all(run.end <= info.value.icount
+                   for runs in t.replay.stop_log.runs.values()
+                   for run in runs)
+
+
+LONG = """int spins;
+void ready(void) { }
+int main(void) {
+    int i;
+    ready();
+    for (i = 0; i < 100000; i++)
+        spins = spins + 1;
+    ready();
+    return 0;
+}
+"""
+
+
+class TestReplayedRuns:
+    def test_a_replayed_run_honours_its_timeout_and_close(self, tmp_path):
+        """Runs between recorded stops go in slices: a wait times out
+        with the run still pending, the next wait goes on to the
+        recorded stop and checks it, and ``close()`` ends a run."""
+        path = str(tmp_path / "long.ldbrec")
+        live = Ldb(stdout=io.StringIO())
+        live.load_program(compile_and_link({"long.c": LONG}, "rmips",
+                                           debug=True))
+        live.start_recording(path=path, interval=10 ** 7)
+        live.break_at_function("ready")
+        live.run_to_stop()
+        live.run_to_stop()
+        second = live.current.current_icount()
+        live.record_save()
+        ldb = Ldb(stdout=io.StringIO())
+        t = ldb.open_recording(path)
+        cpu = t.transport.process.cpu
+        first = ldb.reverse_continue().icount
+        checks = ldb.obs.metrics.get("trace.replay.checks", 0)
+        t.resume_from_breakpoint()
+        with pytest.raises(TimeoutError):
+            t.wait_for_stop(0)
+        assert t.state == "running" and first < cpu.icount < second
+        assert t.wait_for_stop(30.0) == "stopped"
+        assert t.current_icount() == second and t.at_breakpoint()
+        assert ldb.obs.metrics.get("trace.replay.checks", 0) == checks + 1
+        ldb.reverse_continue()
+        t.resume_from_breakpoint()
+        with pytest.raises(TimeoutError):
+            t.wait_for_stop(0)
+        t.transport.close()
+        started = time.monotonic()
+        assert t.wait_for_stop(30.0) == "disconnected"
+        assert time.monotonic() - started < 0.1
+        assert cpu.icount < second
 
 
 class TestRecordingAsTarget:
