@@ -90,13 +90,16 @@ def live_phase(ldb, target, commands):
 
 
 def walk_alike(first, second, commands):
-    """Both sessions step off the recording's base and go back to it,
-    so both stand in its arrival state (stores made there are made
-    again on the way out); then they run ``commands``.  Every answer
-    and every stop must match."""
+    """Both sessions step off the recording's base and go back to it:
+    a goto from elsewhere restores the base's checkpoint, so both stand
+    in its arrival state, whatever stores either made where it stood.
+    Then they run ``commands``.  Every answer and every stop must
+    match."""
     recording = second[1].recording
     base = recording.meta.base_icount
-    steps = [("goto", base + 1), ("goto", base)] + [
+    for ldb, target in (first, second):
+        apply(ldb, target, "goto", base + 1)
+    steps = [("goto", base)] + [
         (command, along(base, recording.final_icount, arg)
          if command == "goto" else arg) for command, arg in commands]
     for command, arg in steps:
