@@ -25,6 +25,7 @@ byte-identical: same zlib level, same header layout, same CRC.
 
 from __future__ import annotations
 
+import re
 import struct
 import zlib
 from typing import List, Tuple, Type
@@ -32,6 +33,9 @@ from typing import List, Tuple, Type
 #: granularity of the sparse scan: a run of memory is kept when any of
 #: its bytes is non-zero; adjacent kept runs merge into one segment
 _CHUNK = 256
+#: a zero run long enough to hold a whole chunk, or one that ends the
+#: image (it may cover the short last chunk)
+_ZERO_RUN = re.compile(rb"\0{%d,}|\0+\Z" % _CHUNK)
 
 #: zlib level shared by every container/block (part of the format: core
 #: bytes must stay stable across refactors)
@@ -46,22 +50,28 @@ _CRC = struct.Struct("<I")
 _BLOCK_HEAD = struct.Struct("<BII")
 
 
-def sparse_segments(image: bytes, chunk: int = _CHUNK,
-                    ) -> List[Tuple[int, bytes]]:
-    """The non-zero runs of ``image``, chunk-aligned and merged."""
+def sparse_segments(image: bytes) -> List[Tuple[int, bytes]]:
+    """The non-zero runs of ``image``, chunk-aligned and merged.
+
+    A chunk (the last one may be short) is kept when any of its bytes is
+    non-zero.  One C-level search finds the zero runs that can hold a
+    whole chunk; each is snapped inwards to chunk boundaries, and what
+    lies between them is kept.
+    """
+    size = len(image)
     segments: List[Tuple[int, bytes]] = []
-    run_start = None
-    view = memoryview(image)
-    for start in range(0, len(image), chunk):
-        chunk_live = view[start:start + chunk].tobytes().strip(b"\0")
-        if chunk_live:
-            if run_start is None:
-                run_start = start
-        elif run_start is not None:
-            segments.append((run_start, bytes(view[run_start:start])))
-            run_start = None
-    if run_start is not None:
-        segments.append((run_start, bytes(view[run_start:])))
+    kept = 0  # start of the run being kept
+    for zeros in _ZERO_RUN.finditer(image):
+        lo = -(-zeros.start() // _CHUNK) * _CHUNK
+        hi = zeros.end()
+        if hi < size:
+            hi -= hi % _CHUNK
+        if lo < hi:
+            if kept < lo:
+                segments.append((kept, bytes(image[kept:lo])))
+            kept = hi
+    if kept < size:
+        segments.append((kept, bytes(image[kept:])))
     return segments
 
 

@@ -11,44 +11,77 @@ systemdict, exactly as in Adobe PostScript.
 Radix numbers (``16#000023d8``) are supported because the loader table
 (paper Sec. 3) uses them for addresses.
 
-The scanner has a deliberately fast path for string bodies: the paper
-(Sec. 5) defers the *lexical analysis* of quoted PostScript code by reading
-it as a string, which "the scanner reads quickly", cutting symbol-table read
-time by 40%.  ``bench_deferral.py`` measures that effect against this
-implementation.
+The scanner matches compiled patterns over a buffer rather than stepping
+through characters: one match skips whitespace and comments and takes the
+next token, and one match takes each run of string text up to a paren,
+escaped parens and backslashes included.  The string path matters most: the paper (Sec. 5) defers the
+*lexical analysis* of quoted PostScript code by reading it as a string,
+which "the scanner reads quickly", cutting symbol-table read time by 40%.
+``bench_deferral.py`` measures that effect against this implementation.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Any, Iterator, List, Optional, Union
 
 from .objects import Name, PSArray, PSError, String
 
 _WHITESPACE = " \t\r\n\f\0"
 _DELIMITERS = "()<>[]{}/%"
-_REGULAR_BREAK = set(_WHITESPACE) | set(_DELIMITERS)
+_SKIP = "[{0}]*(?:%[^\n]*[{0}]*)*".format(re.escape(_WHITESPACE))
+_REGULAR = "[^%s]" % re.escape(_WHITESPACE + _DELIMITERS)
+
+#: whitespace and comments, then at most one token; ``lastgroup`` names
+#: the token's kind (None: only skipped text, up to the buffer's end).
+#: A regular token that starts like a number (a decimal digit, a sign or
+#: a dot) is a ``number`` for :func:`_parse_number` to decide; any other
+#: is a ``name``.
+_TOKEN = re.compile(
+    _SKIP + r"(?:(?P<number>[\d+\-.]%s*)|(?P<name>%s+)|//?(?P<literal>%s*)"
+    r"|(?P<brace>[{}])|(?P<mark>[\[\]]|<<|>>)|(?P<string>\()|(?P<close>\))"
+    r"|(?P<angle>[<>]))?" % (_REGULAR, _REGULAR, _REGULAR))
+#: kinds whose match can go on past the buffer's end: a stream refills
+#: and matches again before taking them
+_OPEN_ENDED = frozenset((None, "number", "name", "literal", "angle"))
+
+#: a run of string text up to the next unescaped paren, taking the
+#: escapes that stand for the character after the backslash (``\\``,
+#: ``\(``, ``\)``, unknown ones) and stopping at the others
+_STRING_RUN = re.compile(r"(?:[^()\\]+|\\[^0-7nrt\n])*")
+_OCTAL = re.compile("[0-7]{0,3}")
+_ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "\n": ""}
 
 
 class CharSource:
-    """An incremental character source over a string or a readable stream.
+    """A buffered character source over a string or a readable stream.
 
     Stream input is buffered a line at a time so that scanning an open pipe
     makes progress as soon as the writer sends a newline-terminated chunk.
+    The scanner matches its compiled patterns at ``pos`` in ``buf``; a
+    match that reaches the buffer's end and could go on asks :meth:`fill`
+    for more.
     """
 
     def __init__(self, source: Union[str, Any], name: str = "<ps>"):
         self.name = name
         if isinstance(source, str):
-            self._buf = source
+            self.buf = source
             self._stream = None
         else:
-            self._buf = ""
+            self.buf = ""
             self._stream = source
-        self._pos = 0
-        self.line = 1
+        self.pos = 0
+        self._lines_dropped = 0
 
-    def _fill(self) -> bool:
-        """Refill the buffer from the stream; False at end of input."""
+    @property
+    def line(self) -> int:
+        """The line the read position is on, counting from 1."""
+        return 1 + self._lines_dropped + self.buf.count("\n", 0, self.pos)
+
+    def fill(self) -> bool:
+        """Append the stream's next line, dropping what is consumed;
+        False at end of input."""
         if self._stream is None:
             return False
         chunk = self._stream.readline()
@@ -56,41 +89,10 @@ class CharSource:
             chunk = chunk.decode("latin-1")
         if not chunk:
             return False
-        self._buf = self._buf[self._pos :] + chunk
-        self._pos = 0
+        self._lines_dropped += self.buf.count("\n", 0, self.pos)
+        self.buf = self.buf[self.pos :] + chunk
+        self.pos = 0
         return True
-
-    def peek(self) -> str:
-        """The next character, or '' at end of input."""
-        if self._pos >= len(self._buf) and not self._fill():
-            return ""
-        return self._buf[self._pos]
-
-    def next(self) -> str:
-        ch = self.peek()
-        if ch:
-            self._pos += 1
-            if ch == "\n":
-                self.line += 1
-        return ch
-
-    def take_while(self, pred) -> str:
-        """Consume and return the longest prefix satisfying ``pred``."""
-        pieces: List[str] = []
-        while True:
-            start = self._pos
-            buf = self._buf
-            n = len(buf)
-            i = start
-            while i < n and pred(buf[i]):
-                i += 1
-            if i > start:
-                pieces.append(buf[start:i])
-                self.line += buf.count("\n", start, i)
-                self._pos = i
-            if i < n or not self._fill():
-                break
-        return "".join(pieces)
 
 
 class Scanner:
@@ -112,118 +114,129 @@ class Scanner:
         ``{`` builds a complete (possibly nested) procedure body.
         """
         token = self._next_token()
-        if token is _EOF:
-            return _EOF
-        if token == "{":
-            return self._scan_procedure()
-        if token == "}":
+        if type(token) is str:  # a brace
+            if token == "{":
+                return self._scan_procedure()
             raise PSError("syntaxerror", "unmatched } at line %d" % self.src.line)
         return token
 
     def _scan_procedure(self) -> PSArray:
         items: List[Any] = []
+        next_token = self._next_token
         while True:
-            token = self._next_token()
-            if token is _EOF:
-                raise PSError("syntaxerror", "unterminated procedure")
-            if token == "}":
-                proc = PSArray(items)
-                proc.literal = False
-                return proc
-            if token == "{":
+            token = next_token()
+            if type(token) is str:  # a brace
+                if token == "}":
+                    return PSArray(items, literal=False)
                 items.append(self._scan_procedure())
+            elif token is _EOF:
+                raise PSError("syntaxerror", "unterminated procedure")
             else:
                 items.append(token)
 
     def _next_token(self) -> Any:
+        """The next token: an object, a brace, or the EOF sentinel."""
         src = self.src
         while True:
-            src.take_while(lambda c: c in _WHITESPACE)
-            ch = src.peek()
-            if ch == "":
-                return _EOF
-            if ch == "%":
-                src.take_while(lambda c: c != "\n")
-                continue
-            break
-        if ch == "(":
+            buf = src.buf
+            pos = src.pos
+            m = _TOKEN.match(buf, pos)
+            kind = m.lastgroup
+            end = m.end()
+            if end < len(buf) or kind not in _OPEN_ENDED:
+                break
+            # the skipped text or the token may go on in the stream: drop
+            # the lines passed (a token holds no newline, a comment ends
+            # at one) and match again over the longer buffer
+            src.pos = max(pos, buf.rfind("\n", pos, end) + 1)
+            if not src.fill():
+                if kind is None:
+                    return _EOF
+                break
+        src.pos = end
+        if kind == "name":
+            return Name(m.group(kind), False)
+        if kind == "literal":
+            # immediate names (//name) are treated as literal
+            return Name(m.group(kind), True)
+        if kind == "number":
+            text = m.group(kind)
+            number = _parse_number(text)
+            if number is not None:
+                return number
+            return Name(text, False)
+        if kind == "brace":
+            return m.group(kind)
+        if kind == "mark":
+            return Name(m.group(kind), False)
+        if kind == "string":
             return self._scan_string()
-        if ch == "/":
-            src.next()
-            if src.peek() == "/":  # immediate names are treated as literal
-                src.next()
-            text = src.take_while(lambda c: c not in _REGULAR_BREAK)
-            return Name(text, literal=True)
-        if ch in "{}":
-            src.next()
-            return ch
-        if ch in "[]":
-            src.next()
-            return Name(ch, literal=False)
-        if ch == "<":
-            src.next()
-            if src.peek() != "<":
-                raise PSError("syntaxerror", "hex strings are not in the dialect")
-            src.next()
-            return Name("<<", literal=False)
-        if ch == ">":
-            src.next()
-            if src.peek() != ">":
-                raise PSError("syntaxerror", "stray > at line %d" % src.line)
-            src.next()
-            return Name(">>", literal=False)
-        if ch == ")":
+        if kind == "close":
             raise PSError("syntaxerror", "unmatched ) at line %d" % src.line)
-        text = src.take_while(lambda c: c not in _REGULAR_BREAK)
-        number = _parse_number(text)
-        if number is not None:
-            return number
-        return Name(text, literal=False)
+        if m.group(kind) == "<":
+            raise PSError("syntaxerror", "hex strings are not in the dialect")
+        raise PSError("syntaxerror", "stray > at line %d" % src.line)
 
     def _scan_string(self) -> String:
-        """Scan a ``(...)`` string with nesting and backslash escapes.
+        """Scan the rest of a ``(...)`` string: nesting and backslash escapes.
 
-        This is the dialect's fast path: the common case (no escapes) is a
-        bulk scan for the matching parenthesis.
+        This is the dialect's fast path: each run of text up to an
+        unescaped paren is one compiled match, so a string of quoted code
+        costs a match per nested paren in it, not a step per character.
+        Only ``\\n``, ``\\t``, ``\\r``, octal escapes and line continuations
+        end a run early.
         """
         src = self.src
-        src.next()  # consume '('
         depth = 1
         pieces: List[str] = []
         while True:
-            run = src.take_while(lambda c: c not in "()\\")
-            if run:
+            buf = src.buf
+            pos = src.pos
+            end = _STRING_RUN.match(buf, pos).end()
+            if end > pos:
+                run = buf[pos:end]
+                if "\\" in run:
+                    # backslashes pair off from the left, as matched
+                    run = "\\".join(part.replace("\\", "")
+                                     for part in run.split("\\\\"))
                 pieces.append(run)
-            ch = src.next()
-            if ch == "":
-                raise PSError("syntaxerror", "unterminated string")
-            if ch == "(":
-                depth += 1
-                pieces.append("(")
-            elif ch == ")":
+            if end == len(buf):
+                src.pos = end
+                if not src.fill():
+                    raise PSError("syntaxerror", "unterminated string")
+                continue
+            ch = buf[end]
+            src.pos = end + 1
+            if ch == ")":
                 depth -= 1
                 if depth == 0:
                     return String("".join(pieces))
-                pieces.append(")")
-            else:  # backslash escape
-                esc = src.next()
-                if esc == "":
-                    raise PSError("syntaxerror", "unterminated string escape")
-                if esc == "n":
-                    pieces.append("\n")
-                elif esc == "t":
-                    pieces.append("\t")
-                elif esc == "r":
-                    pieces.append("\r")
-                elif esc == "\n":
-                    pass  # line continuation
-                elif esc in "01234567":
-                    digits = esc
-                    while len(digits) < 3 and src.peek() in "01234567":
-                        digits += src.next()
-                    pieces.append(chr(int(digits, 8)))
-                else:
-                    pieces.append(esc)  # \\, \(, \) and unknown escapes
+                pieces.append(ch)
+            elif ch == "(":
+                depth += 1
+                pieces.append(ch)
+            else:
+                pieces.append(self._scan_escape())
+
+    def _scan_escape(self) -> str:
+        """Consume the body of a backslash escape; answer its text."""
+        src = self.src
+        m = _OCTAL.match(src.buf, src.pos)
+        # up to three octal digits, which may go on in the stream
+        while (m.end() == len(src.buf) and m.end() - m.start() < 3
+               and src.fill()):
+            m = _OCTAL.match(src.buf, src.pos)
+        digits = m.group()
+        if digits:
+            src.pos = m.end()
+            return chr(int(digits, 8))
+        if src.pos == len(src.buf):
+            raise PSError("syntaxerror", "unterminated string escape")
+        esc = src.buf[src.pos]
+        src.pos += 1
+        # a backslash-newline continues the line; \\, \( and \) and
+        # unknown escapes stand for the character itself
+        return _ESCAPES.get(esc, esc)
 
 
 def _parse_number(text: str) -> Optional[Union[int, float]]:

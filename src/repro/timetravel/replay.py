@@ -124,10 +124,10 @@ class StopLog:
             del self.runs[start]
 
     def window(self, start: int, end: int, planted: FrozenSet[int],
-               uses_sp: bool) -> Optional[List[Hit]]:
-        """The breakpoint stops strictly inside ``(start, end)`` that a
-        replay with ``planted`` would make, or None when the log cannot
-        tell.
+               uses_sp: bool, closed: bool = False) -> Optional[List[Hit]]:
+        """The breakpoint stops inside ``(start, end)`` (``(start, end]``
+        when ``closed``) that a replay with ``planted`` would make, or
+        None when the log cannot tell.
 
         It needs a chain of logged runs from ``start``, each with every
         breakpoint in ``planted``: such a run stops at every planted
@@ -142,7 +142,8 @@ class StopLog:
                         if planted <= run.planted), None)
             if run is None:
                 return None
-            if run.end >= end or run.signo != SIGTRAP:
+            if run.end > end or (run.end == end and not closed) \
+                    or run.signo != SIGTRAP:
                 break
             if run.sigcode != CODE_ICOUNT and run.pc in planted:
                 if uses_sp and run.sp is None:
@@ -312,11 +313,15 @@ class ReplayController:
                  uses_sp: bool = False) -> Hit:
         """The search, newest checkpoint window first.
 
-        Each window ``(ck.icount, end)`` gets its breakpoint stops from
+        Each window ``(ck.icount, end]`` gets its breakpoint stops from
         the stop log or from one replay; the last hit ``keep`` accepts
-        wins and a targeted replay lands on it.  A window with no hits
+        wins and a targeted replay lands on it.  The newest window
+        leaves out its end, the search's origin.  A window with no hits
         shrinks ``end`` to its checkpoint, whose own stop is the
-        remaining candidate before moving to an older window.  A failed
+        remaining candidate before moving to an older window: a trap
+        retiring there is found by that older window when the
+        checkpoint was taken at another kind of stop at the same icount
+        (an interval boundary, before the trap was planted).  A failed
         search leaves the target as it found it.
         """
         self._require_stopped()
@@ -328,7 +333,8 @@ class ReplayController:
         end = origin
         try:
             for ck in self.ring.before(origin):
-                hits = [h for h in self._scan(ck, end, planted, uses_sp)
+                hits = [h for h in self._scan(ck, end, planted, uses_sp,
+                                              closed=end != origin)
                         if keep(h)]
                 if hits:
                     hit = hits[-1]
@@ -352,13 +358,15 @@ class ReplayController:
         raise ReplayError("no earlier %s in the recorded history" % what)
 
     def _scan(self, ck: Checkpoint, end: int, planted: FrozenSet[int],
-              uses_sp: bool) -> List[Hit]:
-        """The breakpoint stops in the window ``(ck.icount, end)``: from
-        the stop log when it covers the window, else from one replay."""
+              uses_sp: bool, closed: bool) -> List[Hit]:
+        """The breakpoint stops in the window ``(ck.icount, end)``, or
+        ``(ck.icount, end]`` when ``closed``: from the stop log when it
+        covers the window, else from one replay."""
         metrics = self.obs.metrics
         with self.obs.tracer.span("replay.scan", window_start=ck.icount,
                                   window_end=end) as span:
-            hits = self.stop_log.window(ck.icount, end, planted, uses_sp)
+            hits = self.stop_log.window(ck.icount, end, planted, uses_sp,
+                                        closed)
             replayed = hits is None
             if replayed:
                 metrics.inc("replay.windows")
@@ -366,13 +374,14 @@ class ReplayController:
                 # replays at most end - ck.icount instructions
                 metrics.inc("replay.instructions_replayed",
                             max(0, end - ck.icount))
-                hits = self._scan_window(ck, end)
+                hits = self._scan_window(ck, end, closed)
             else:
                 metrics.inc("replay.windows_from_log")
             span.note(hits=len(hits), replayed=replayed)
             return hits
 
-    def _scan_window(self, ck: Checkpoint, end: int) -> List[Hit]:
+    def _scan_window(self, ck: Checkpoint, end: int,
+                     closed: bool) -> List[Hit]:
         t = self.target
         self._restore(ck)
         hits: List[Hit] = []
@@ -380,7 +389,8 @@ class ReplayController:
         deadline = time.monotonic() + self.timeout
         for _ in range(self.max_stops):
             run = self._advance(here, end, deadline)
-            if run is None or run.end >= end or t.at_icount_stop():
+            if (run is None or (run.end == end and not closed)
+                    or t.at_icount_stop()):
                 # the origin exit, the RUNTO bound, or the origin event
                 # itself re-fired: the window is exhausted
                 return hits
@@ -389,6 +399,8 @@ class ReplayController:
                 hits.append(Hit(run.end, run.pc, run.sp))
             elif t.signo != SIGTRAP:
                 return hits  # a mid-window signal: scan no further
+            if run.end == end:
+                return hits  # a trap retiring at the window's end
             here = run.end
         raise ReplayError("replay scan exceeded %d stops" % self.max_stops)
 

@@ -6,6 +6,7 @@ they stay valid across zlib versions) and the sparse-segment scan, and
 prove CoreFile round-trips are unchanged by the extraction.
 """
 
+import pathlib
 import struct
 import zlib
 
@@ -20,6 +21,43 @@ from repro.machines.chunkio import (
     unpack_block,
     unpack_container,
 )
+from repro.trace import Recording
+
+GOLDEN = (pathlib.Path(__file__).resolve().parent.parent / "data"
+          / "golden_boom_rmips.ldbrec")
+CHUNK = 256
+
+
+def reference_segments(image):
+    """The format's rule chunk by chunk: a chunk (the last may be short)
+    is kept when any byte is non-zero, and kept neighbours merge."""
+    spans = []
+    for start in range(0, len(image), CHUNK):
+        stop = min(start + CHUNK, len(image))
+        if any(image[start:stop]):
+            if spans and spans[-1][1] == start:
+                spans[-1][1] = stop
+            else:
+                spans.append([start, stop])
+    return [(lo, image[lo:hi]) for lo, hi in spans]
+
+
+@st.composite
+def edgy_images(draw):
+    """Images of n chunks and a short last one, with non-zero bytes
+    drawn mostly at chunk edges and in the short chunk."""
+    length = draw(st.integers(0, 12)) * CHUNK + draw(st.integers(1, 255))
+    last = length - length % CHUNK
+    spots = st.one_of(
+        st.integers(0, length // CHUNK).map(lambda k: k * CHUNK),
+        st.integers(1, length // CHUNK + 1).map(lambda k: k * CHUNK - 1),
+        st.integers(last, length - 1),
+        st.integers(0, length - 1))
+    image = bytearray(length)
+    for spot in draw(st.lists(spots, max_size=8)):
+        if spot < length:
+            image[spot] = draw(st.integers(1, 255))
+    return bytes(image)
 
 
 class CodecError(Exception):
@@ -136,6 +174,17 @@ class TestSparseSegments:
         image[5000] = 2
         segments = sparse_segments(bytes(image))
         assert len(segments) == 2
+
+    @given(edgy_images())
+    def test_segments_follow_the_chunk_rule(self, image):
+        assert sparse_segments(image) == reference_segments(image)
+
+    def test_golden_spills_rescan_to_their_segments(self):
+        spills = Recording.load(str(GOLDEN)).spills
+        assert spills
+        for spill in spills:
+            state = spill.state
+            assert sparse_segments(bytes(state.image())) == state.segments
 
     @given(st.binary(max_size=2048))
     def test_segments_reconstruct_the_image(self, image):

@@ -80,6 +80,18 @@ class TestWindow:
         hits = log.window(0, 20, frozenset({0x40}), uses_sp=False)
         assert [hit.icount for hit in hits] == [4]
 
+    def test_a_closed_window_holds_a_trap_at_its_end(self):
+        log = self.log(Run(0, 10, 0x40, SIGTRAP, 0, frozenset({0x40})),
+                       Run(10, 20, None, SIGTRAP, CODE_ICOUNT,
+                           frozenset({0x40})))
+        assert log.window(0, 10, frozenset({0x40}), uses_sp=False) == []
+        hits = log.window(0, 10, frozenset({0x40}), uses_sp=False,
+                          closed=True)
+        assert [(hit.icount, hit.pc) for hit in hits] == [(10, 0x40)]
+        # an icount stop at the end is no hit, closed or not
+        assert log.window(10, 20, frozenset({0x40}), uses_sp=False,
+                          closed=True) == []
+
     def test_a_hit_without_its_sp_cannot_answer_a_depth_filter(self):
         log = self.log(Run(0, 4, 0x40, SIGTRAP, 0, frozenset({0x40})),
                        Run(4, 9, None, SIGTRAP, CODE_ICOUNT,
@@ -141,6 +153,30 @@ def test_a_breakpoint_planted_after_the_run_is_replayed(arch):
         seen.append(other.current_icount())
     assert rc.icount == max(icount for icount in seen
                             if icount < hits[-1])
+
+
+@pytest.mark.parametrize("arch", ARCH_NAMES)
+def test_a_hit_at_an_automatic_checkpoint_is_found(arch):
+    """The first hit of mark retires exactly where an automatic
+    checkpoint was taken before mark was planted: the window ending
+    there holds it, the checkpoint's own stop does not."""
+    _ldb, _t, hits = record_to_crash(arch)
+    ldb = Ldb(stdout=io.StringIO())
+    target = ldb.load_program(loop_exe(arch))
+    ldb.enable_time_travel(target,
+                           interval=hits[0] - target.current_icount())
+    assert ldb.run_to_stop(target) == "stopped"
+    assert target.signo == SIGSEGV
+    assert target.replay.ring.find(hits[0]).kind == "auto"
+    ldb.break_at_function("mark", target)
+    found = []
+    for _ in hits:
+        found.append(ldb.reverse_continue(target).icount)
+        assert target.at_breakpoint()
+    assert found == hits[::-1]
+    with pytest.raises(TargetError, match="no earlier breakpoint hit"):
+        ldb.reverse_continue(target)
+    assert target.current_icount() == hits[0]
 
 
 class Pair:
