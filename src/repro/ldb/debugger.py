@@ -29,8 +29,9 @@ class Ldb:
     """A retargetable debugger instance."""
 
     def __init__(self, stdout=None):
-        # "Modula-3 initialization" + "read initial PostScript": one
-        # embedded interpreter serves symbol tables and expressions
+        # "Modula-3 initialization" + the initial PostScript, read once
+        # per process and copied here: one embedded interpreter serves
+        # symbol tables and expressions
         self.stdout = stdout if stdout is not None else sys.stdout
         self.interp = new_interp(stdout=self.stdout)
         self.targets: Dict[str, Target] = {}

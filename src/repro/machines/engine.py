@@ -297,8 +297,10 @@ class BlockEngine(ExecutionEngine):
         #: per-byte map of decoded code: 1 where some cached block
         #: decoded from this address.  Byte-exact so that data packed
         #: right next to text (the linker aligns data to 16 bytes after
-        #: text) never false-invalidates on hot stores.
-        self._code_marks = bytearray(cpu.mem.size)
+        #: text) never false-invalidates on hot stores.  It grows only
+        #: up to the highest decoded byte: an address past its end is
+        #: unmarked by construction.
+        self._code_marks = bytearray()
         #: bounds of the marked region: stores outside [lo, hi) skip
         #: the byte-map scan entirely (the write hook runs per store)
         self._marks_lo = cpu.mem.size
@@ -387,7 +389,10 @@ class BlockEngine(ExecutionEngine):
             run = None
         block = _Block(gen, run, len(bodies), fault, pc, size)
         if size > 0:
-            self._code_marks[pc:pc + size] = b"\x01" * size
+            marks = self._code_marks
+            if pc + size > len(marks):
+                marks.extend(bytes(pc + size - len(marks)))
+            marks[pc:pc + size] = b"\x01" * size
             if pc < self._marks_lo:
                 self._marks_lo = pc
             if pc + size > self._marks_hi:

@@ -6,6 +6,8 @@ absent; ``cat`` builds a new string, the Modula-3 ``TEXT`` idiom.
 
 from __future__ import annotations
 
+import math
+
 from .objects import (
     Name,
     PSError,
@@ -16,6 +18,7 @@ from .objects import (
     to_string,
     type_name,
 )
+from .scanner import parse_number
 
 
 def op_cat(interp) -> None:
@@ -54,19 +57,25 @@ def op_cvs(interp) -> None:
     interp.push(String(to_string(interp.pop())))
 
 
+def _numeral(obj: String, op: str):
+    number = parse_number(obj.text)
+    if number is None:
+        raise PSError("syntaxerror", "%s of %r" % (op, obj.text))
+    return number
+
+
 def op_cvi(interp) -> None:
     obj = interp.pop()
     if isinstance(obj, bool):
         raise PSError("typecheck", "cvi of boolean")
+    if isinstance(obj, String):
+        obj = _numeral(obj, "cvi")
     if isinstance(obj, int):
         interp.push(obj)
     elif isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise PSError("rangecheck", "cvi of %r" % obj)
         interp.push(int(obj))
-    elif isinstance(obj, String):
-        try:
-            interp.push(int(float(obj.text)) if "." in obj.text else int(obj.text, 0))
-        except ValueError:
-            raise PSError("syntaxerror", "cvi of %r" % obj.text)
     else:
         raise PSError("typecheck", "cvi of %r" % (obj,))
 
@@ -75,15 +84,14 @@ def op_cvr(interp) -> None:
     obj = interp.pop()
     if isinstance(obj, bool):
         raise PSError("typecheck", "cvr of boolean")
-    if isinstance(obj, (int, float)):
-        interp.push(float(obj))
-    elif isinstance(obj, String):
-        try:
-            interp.push(float(obj.text))
-        except ValueError:
-            raise PSError("syntaxerror", "cvr of %r" % obj.text)
-    else:
+    if isinstance(obj, String):
+        obj = _numeral(obj, "cvr")
+    if not isinstance(obj, (int, float)):
         raise PSError("typecheck", "cvr of %r" % (obj,))
+    try:
+        interp.push(float(obj))
+    except OverflowError:
+        raise PSError("rangecheck", "cvr of an integer beyond the reals")
 
 
 def op_cvn(interp) -> None:

@@ -35,7 +35,7 @@ _REGULAR = "[^%s]" % re.escape(_WHITESPACE + _DELIMITERS)
 #: whitespace and comments, then at most one token; ``lastgroup`` names
 #: the token's kind (None: only skipped text, up to the buffer's end).
 #: A regular token that starts like a number (a decimal digit, a sign or
-#: a dot) is a ``number`` for :func:`_parse_number` to decide; any other
+#: a dot) is a ``number`` for :func:`parse_number` to decide; any other
 #: is a ``name``.
 _TOKEN = re.compile(
     _SKIP + r"(?:(?P<number>[\d+\-.]%s*)|(?P<name>%s+)|//?(?P<literal>%s*)"
@@ -161,7 +161,7 @@ class Scanner:
             return Name(m.group(kind), True)
         if kind == "number":
             text = m.group(kind)
-            number = _parse_number(text)
+            number = parse_number(text)
             if number is not None:
                 return number
             return Name(text, False)
@@ -239,36 +239,51 @@ class Scanner:
         return _ESCAPES.get(esc, esc)
 
 
-def _parse_number(text: str) -> Optional[Union[int, float]]:
-    """Parse ``text`` as a PostScript number, or return None.
+#: the dialect's numerals, ASCII only: a signed integer, a real with a
+#: decimal point, an exponent or both, or ``base#digits``
+_NUMERAL = re.compile(r"(?P<int>[+-]?[0-9]+)"
+                      r"|(?P<real>[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)"
+                      r"(?:[eE][+-]?[0-9]+)?)"
+                      r"|0*(?P<base>[0-9]{1,2})#(?P<digits>.*)", re.DOTALL)
+_RADIX_DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
-    Handles integers, reals, and radix numbers like ``16#000023d8``.
+
+def parse_number(text: str) -> Optional[Union[int, float]]:
+    """The number ``text`` spells, or None if it spells none.
+
+    The scanner and ``cvi``/``cvr`` share this rule.  Integers, reals
+    and radix numbers like ``16#000023d8`` count, in ASCII only; a radix
+    number (base 2 to 36, no sign) whose digits do not fit its base is a
+    syntaxerror.
     """
-    if not text:
-        return None
-    first = text[0]
-    if not (first.isdigit() or first in "+-."):
-        return None
-    try:
-        return int(text, 10)
-    except ValueError:
-        pass
-    if "#" in text:
-        base_text, _, digits = text.partition("#")
+    if text.isascii() and text.isdigit():
+        kind = "int"  # most numbers in a loader table: no match needed
+    else:
+        m = _NUMERAL.fullmatch(text)
+        if m is None:
+            return None
+        kind = m.lastgroup
+    if kind == "int":
         try:
-            base = int(base_text, 10)
+            return int(text)
         except ValueError:
-            return None
-        if not 2 <= base <= 36 or not digits:
-            return None
+            # more digits than int() converts: PostScript makes an
+            # integer too large for it a real
+            return float(text)
+    if kind == "real":
+        return float(text)
+    base = int(m.group("base"))
+    digits = m.group("digits")
+    if not 2 <= base <= 36 or not digits:
+        return None
+    # the strip leaves what is not a digit of the base; int() alone would
+    # also take underscores, signs, 0x prefixes and other scripts' digits
+    if digits.isascii() and not digits.lower().strip(_RADIX_DIGITS[:base]):
         try:
             return int(digits, base)
-        except ValueError:
-            raise PSError("syntaxerror", "bad radix number %r" % text)
-    try:
-        return float(text)
-    except ValueError:
-        return None
+        except ValueError:  # more digits than int() converts
+            pass
+    raise PSError("syntaxerror", "bad radix number %r" % text)
 
 
 class _Eof:

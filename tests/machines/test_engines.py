@@ -408,6 +408,46 @@ class TestHostWriteInvalidation:
         assert engine.generation == after
 
 
+class TestCodeMarks:
+    """The code-mark map grows only up to the highest decoded byte."""
+
+    def _started(self, arch):
+        exe = compile_and_link({"t.c": _WORKLOAD}, arch, debug=True)
+        process = Process(exe, engine="block")
+        event = process.run_until_event()
+        process.cpu.pc = event.pc + exe.arch.noop_advance
+        process.run_until_event(stop_at_icount=process.cpu.icount + 200)
+        return process, process.cpu.engine
+
+    @pytest.mark.parametrize("arch", ALL_ARCHES)
+    def test_map_ends_at_the_decoded_code(self, arch):
+        process, engine = self._started(arch)
+        marks = engine._code_marks
+        assert engine.generation == 0 and engine.stats.compiled > 0
+        assert len(marks) == engine._marks_hi < process.mem.size
+        assert marks[-1] == 1
+        # a store just past the map invalidates nothing
+        end = len(marks)
+        process.mem.write_bytes(end, bytes(process.mem.read_bytes(end, 4)))
+        assert engine.generation == 0 and len(engine._code_marks) == end
+
+    @pytest.mark.parametrize("arch", ALL_ARCHES)
+    def test_store_and_restore_over_code_invalidate(self, arch):
+        process, engine = self._started(arch)
+        mem = process.mem
+        pc = process.cpu.pc
+        snap = mem.snapshot()
+        mem.write_bytes(pc, bytes(mem.read_bytes(pc, 1)))
+        assert engine.generation == 1
+        # decode the block at pc again, then rewind its page: the
+        # restore's write lands on decoded code
+        process.run_until_event(stop_at_icount=process.cpu.icount + 1)
+        assert engine._code_marks[pc] == 1
+        mem.restore(snap)
+        assert engine.generation == 2
+        mem.release(snap)
+
+
 # -- the engine-selection API -------------------------------------------------
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.postscript.interp import Interp
 from repro.postscript.objects import Name, PSArray, PSError, String
 from repro.postscript.scanner import EOF, Scanner
 
@@ -371,3 +372,100 @@ class TestOracle:
             assert not thread.is_alive(), "the scan did not finish"
             (err,) = outcome
             assert (err.errname, err.detail) == ("syntaxerror", message)
+
+
+# -- number syntax, shared by the scanner and cvi/cvr --------------------------
+
+#: (token, what it scans as): ASCII PostScript numerals are numbers, and
+#: any other token that starts like one is a name
+NUMERALS = [
+    ("0", ("int", 0)), ("-0", ("int", 0)), ("+5", ("int", 5)),
+    ("007", ("int", 7)), ("1.", ("float", 1.0)), ("-.5", ("float", -0.5)),
+    ("1e3", ("float", 1000.0)), ("+1.5E-2", ("float", 0.015)),
+    ("16#ff", ("int", 255)), ("16#FF", ("int", 255)),
+    ("36#zz", ("int", 1295)), ("2#101", ("int", 5)),
+] + [(text, ("name", text, False)) for text in [
+    "1_0", "1_000.5", "+inf", "-inf", "-nan", "+infinity", "٣",
+    "١٢", "0x10", "1e", "1e+", ".", "+", "-.", "1.2.3", "1e1.5",
+    "+16#ff", "16#", "37#1", "1#1",
+]]
+
+#: radix numbers whose digits do not fit the base
+BAD_RADIX = ["16#zz", "2#102", "16#f_f", "16#-1", "16#0x10", "2#0b1", "8#0o7",
+             "10#٣"]
+
+
+def number_sources(text):
+    """The four oracle sources; a stream of bytes is read as Latin-1,
+    which holds no other script's digits, so those skip it."""
+    cuts = range(1, len(text))
+    if text.isascii():
+        return four_sources(text, cuts)
+    return [text, io.StringIO(text), Pieces(text, cuts)]
+
+
+def convert(text, op):
+    """``(text) op`` on a bare interpreter: the value, or the error."""
+    interp = Interp(stdout=io.StringIO())
+    interp.push(String(text))
+    try:
+        interp.execute(interp.systemdict[op])
+    except PSError as err:
+        return err
+    return interp.pop()
+
+
+class TestNumberSyntax:
+    @pytest.mark.parametrize("text, scanned", NUMERALS)
+    def test_every_source_scans_the_same(self, text, scanned):
+        for source in number_sources(text):
+            assert [shape(obj) for obj in Scanner(source)] == [scanned]
+
+    @pytest.mark.parametrize("text", BAD_RADIX)
+    def test_bad_radix_digits_raise_from_every_source(self, text):
+        for source in number_sources(text):
+            with pytest.raises(PSError) as info:
+                list(Scanner(source))
+            assert (info.value.errname, info.value.detail) == \
+                ("syntaxerror", "bad radix number %r" % text)
+
+    @pytest.mark.parametrize("text, scanned", NUMERALS)
+    def test_cvi_and_cvr_take_what_the_scanner_takes(self, text, scanned):
+        if scanned[0] == "name":
+            for op in ("cvi", "cvr"):
+                err = convert(text, op)
+                assert isinstance(err, PSError)
+                assert (err.errname, err.detail) == \
+                    ("syntaxerror", "%s of %r" % (op, text))
+            return
+        value = scanned[1]
+        assert convert(text, "cvi") == int(value)
+        real = convert(text, "cvr")
+        assert real == float(value) and isinstance(real, float)
+
+    @pytest.mark.parametrize("text", BAD_RADIX)
+    def test_cvi_and_cvr_reject_bad_radix_digits(self, text):
+        for op in ("cvi", "cvr"):
+            err = convert(text, op)
+            assert (err.errname, err.detail) == \
+                ("syntaxerror", "bad radix number %r" % text)
+
+    @pytest.mark.parametrize("source, errname", [
+        ("(1e999) cvi", "rangecheck"),
+        ("1e999 cvi", "rangecheck"),
+        ("(%s) cvr" % ("9" * 400), "rangecheck"),
+    ])
+    def test_conversions_out_of_range(self, source, errname):
+        interp = Interp(stdout=io.StringIO())
+        with pytest.raises(PSError) as info:
+            interp.run(source)
+        assert info.value.errname == errname
+
+    def test_numbers_past_the_digit_limit(self):
+        (obj,) = scan_all("9" * 5000)
+        assert obj == float("inf")
+        (obj,) = scan_all("1" * 5000 + "#1")
+        assert isinstance(obj, Name)
+        with pytest.raises(PSError) as info:
+            scan_all("10#" + "9" * 5000)
+        assert info.value.detail.startswith("bad radix number")
