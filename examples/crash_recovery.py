@@ -10,7 +10,7 @@ half — the fault-tolerant session layer:
   2. the connection dies mid-session (the "debugger crash");
   3. the same Target calls ``reconnect()``: the session re-attaches
      through the nub's listener, the nub re-announces the preserved
-     stop, the HELLO handshake renegotiates hardened framing, and a
+     stop, HELLO checks the nub's protocol version again, and a
      BREAKS replay recovers the exact planted-breakpoint set;
   4. for good measure, a *fresh* debugger instance then adopts the
      target the classic way and runs it to a clean exit.
@@ -56,9 +56,7 @@ def main():
     ldb.break_at_stop("fib", 9)
     ldb.break_at_stop("fib", 6)
     planted = sorted(target.breakpoints.planted)
-    print("planted: %s (session framing: crc=%s seq=%s)"
-          % ([hex(a) for a in planted], target.channel.crc,
-             target.channel.seq_mode))
+    print("planted: %s" % [hex(a) for a in planted])
 
     print("\n=== the connection dies mid-session ===")
     target.channel.sock.close()

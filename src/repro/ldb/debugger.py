@@ -66,6 +66,9 @@ class Ldb:
         ``connector`` — a zero-argument callable returning a fresh
         :class:`Channel` — gives the target a reconnect path: if the
         connection dies, ``Target.reconnect()`` re-attaches through it.
+        When the first stop announcement (or the HELLO reply after it)
+        is lost, the target re-dials once through it, and the nub
+        announces its stop again.
         ``cache=False`` turns off the block-transfer memory cache and
         sends every fetch as its own FETCH message.
         """
@@ -105,7 +108,8 @@ class Ldb:
         target.loader_ps = table_ps
         self.targets[target.name] = target
         self.current = target
-        target.wait_for_stop()
+        if target.wait_for_stop() == "reconnecting":
+            target.reconnect()
         return target
 
     def open_core(self, path: str, table_ps: Optional[str] = None,

@@ -199,10 +199,10 @@ class CoreFile:
                    planted=planted, loader_ps=table or None)
         return (core, complete) if tolerate else core
 
-    def dump(self, path: str, fs=None) -> None:
+    def dump(self, path: str) -> None:
         """Write the core crash-consistently: after this returns (or
         fails, or the process dies) ``path`` is never torn."""
-        atomic_write_bytes(path, self.to_bytes(), fs=fs)
+        atomic_write_bytes(path, self.to_bytes())
 
     @classmethod
     def load(cls, path: str, salvage: bool = False) -> "CoreFile":
@@ -225,8 +225,7 @@ class CoreFile:
         except KeyError:
             raise CoreError("core names unknown architecture %r"
                             % self.arch_name)
-        # a core never runs: the step engine keeps no per-byte code map
-        process = Process.blank(arch, self.memsize, engine="step")
+        process = Process.blank(arch, self.memsize)
         for start, raw in self.segments:
             if start < 0 or start + len(raw) > self.memsize:
                 raise CoreError("segment [0x%x, 0x%x) outside the %d-byte "

@@ -120,13 +120,13 @@ class Process:
         self.exited: Optional[int] = None
 
     @classmethod
-    def blank(cls, arch, memsize: int, engine=None) -> "Process":
+    def blank(cls, arch, memsize: int) -> "Process":
         """A process with no program: ``memsize`` bytes of zeroed memory,
         for hosting state rebuilt from a file (a core's image, a
         recording's spill)."""
         shell = Executable(arch, [])
         shell.text_base = 0  # nothing to load, so any image size will do
-        return cls(shell, memsize=memsize, engine=engine)
+        return cls(shell, memsize=memsize)
 
     # -- events ------------------------------------------------------------
 

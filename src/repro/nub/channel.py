@@ -9,11 +9,8 @@ schedules and the handshake tests, over three connection styles: a
 socketpair to a nub on its own thread, TCP over the network, and a
 listener the nub waits on so a faulty process can be picked up by a
 debugger started later — or by a *new* debugger after the first one
-crashed.
-
-Channels carry the framing state negotiated by the HELLO handshake
-(``crc``, ``seq_mode``): a fresh connection always starts with plain
-frames, and both peers flip the flags after the handshake round-trip.
+crashed.  Every frame on a channel is sequenced and CRC-checked
+(:func:`~repro.nub.protocol.encode`), from the first byte on.
 """
 
 from __future__ import annotations
@@ -35,13 +32,10 @@ class Channel:
     def __init__(self, sock: socket.socket):
         self.sock = sock
         self._buffer = b""
-        #: negotiated framing extras (HELLO handshake); plain by default
-        self.crc = False
-        self.seq_mode = False
 
     def send(self, msg: Message) -> None:
         try:
-            self.sock.sendall(encode(msg, crc=self.crc, seq_mode=self.seq_mode))
+            self.sock.sendall(encode(msg))
         except OSError as err:
             raise ChannelClosed(str(err))
 
@@ -54,8 +48,7 @@ class Channel:
         try:
             while True:
                 try:
-                    msg, self._buffer = decode(self._buffer, crc=self.crc,
-                                               seq_mode=self.seq_mode)
+                    msg, self._buffer = decode(self._buffer)
                 except CrcError as err:
                     # the bad frame is consumed; the stream stays framed
                     self._buffer = err.rest

@@ -11,13 +11,13 @@ Fault kinds (per outgoing frame):
 
 * ``drop``      — the frame is silently discarded (a lost datagram /
   half-dead connection); the peer never sees the request;
-* ``corrupt``   — one payload byte is flipped; with CRC framing the
-  receiver detects it and answers ``ERROR ERR_BAD_MESSAGE``;
+* ``corrupt``   — one bit after the header is flipped; the receiver's
+  CRC check catches it (the nub answers ``ERROR ERR_BAD_MESSAGE``);
 * ``truncate``  — only a prefix of the frame is written and the socket
   is closed: a connection cut mid-frame (the "debugger crash" of paper
   Sec. 7.1 at its least convenient moment);
 * ``duplicate`` — the frame is sent twice (a retransmit gone wrong);
-  sequence-numbered framing lets the receiver discard the echo;
+  its sequence id lets the receiver discard the echo;
 * ``delay``     — the frame is delivered after ``latency`` seconds of
   artificial latency.
 
@@ -40,7 +40,7 @@ import time
 from typing import Dict, List, Optional
 
 from .channel import Channel, ChannelClosed
-from .protocol import Message, encode
+from .protocol import HEADER_SIZE, Message, encode
 
 #: every *recoverable* fault kind a schedule can inject; process death
 #: ("kill") is separate — it is terminal, not absorbable by retries
@@ -174,30 +174,12 @@ class FaultInjectingChannel:
         self.inner = channel
         self.schedule = schedule
 
-    # the negotiated framing state lives on the wrapped channel, so the
-    # wrapper stays transparent to the HELLO handshake
     @property
     def sock(self):
         return self.inner.sock
 
-    @property
-    def crc(self) -> bool:
-        return self.inner.crc
-
-    @crc.setter
-    def crc(self, value: bool) -> None:
-        self.inner.crc = value
-
-    @property
-    def seq_mode(self) -> bool:
-        return self.inner.seq_mode
-
-    @seq_mode.setter
-    def seq_mode(self, value: bool) -> None:
-        self.inner.seq_mode = value
-
     def send(self, msg: Message) -> None:
-        raw = encode(msg, crc=self.inner.crc, seq_mode=self.inner.seq_mode)
+        raw = encode(msg)
         action = self.schedule.next_action()
         if action == "kill":
             # process death: the socket dies with the process, and the
@@ -213,8 +195,7 @@ class FaultInjectingChannel:
             time.sleep(self.schedule.latency)
         try:
             if action == "corrupt":
-                self.inner.sock.sendall(_flip_byte(raw, self.inner.seq_mode,
-                                                   self.schedule))
+                self.inner.sock.sendall(_flip_bit(raw, self.schedule))
             elif action == "truncate":
                 cut = max(1, len(raw) // 2)
                 self.inner.sock.sendall(raw[:cut])
@@ -237,13 +218,10 @@ class FaultInjectingChannel:
         self.inner.close()
 
 
-def _flip_byte(raw: bytes, seq_mode: bool, schedule: FaultSchedule) -> bytes:
-    """Flip one bit of a frame, sparing the length field so the stream
-    stays framed (length corruption is the serve-loop fuzz tests' job)."""
-    header = 9 if seq_mode else 5
-    if len(raw) > header:
-        index = header + schedule._rng.randrange(len(raw) - header)
-    else:
-        index = 0  # no payload and no trailer: the type byte it is
+def _flip_bit(raw: bytes, schedule: FaultSchedule) -> bytes:
+    """Flip one bit of a frame's payload or trailer, sparing the header
+    so the stream stays framed (length corruption is the serve-loop
+    fuzz tests' job)."""
+    index = HEADER_SIZE + schedule._rng.randrange(len(raw) - HEADER_SIZE)
     bit = 1 << schedule._rng.randrange(8)
     return raw[:index] + bytes([raw[index] ^ bit]) + raw[index + 1:]

@@ -228,9 +228,7 @@ class Nub:
         #: icount at the last resume: the runaway guard counts from here
         self._resumed_at = 0
         self.planted: dict = {}  # address -> original little-endian bytes
-        #: negotiated per-connection: acknowledge control messages (HELLO)
-        self.ack_active = False
-        #: sequence id of the request being served (FEATURE_SEQ)
+        #: sequence id of the request being served
         self._reply_seq = None
         #: seq of the last control acted on: a duplicated CONTINUE can
         #: arrive after the *next* stop (in flight past the drain), and
@@ -371,7 +369,6 @@ class Nub:
                     accepted = FaultInjectingChannel(accepted,
                                                      self.fault_schedule)
                 self.channel = accepted
-                self.ack_active = False
                 self._last_control_seq = None
             try:
                 # the conversation is lockstep, so input queued from
@@ -383,7 +380,6 @@ class Nub:
             except ChannelClosed:
                 # debugger crash: preserve state, wait for a new debugger
                 self.channel = None
-                self.ack_active = False
                 continue
             if outcome == "continue":
                 self.resume()
@@ -393,7 +389,6 @@ class Nub:
             # detached, or an unframeable stream was dropped: keep the
             # target stopped and await a new connection
             self.channel = None
-            self.ack_active = False
 
     def serve(self) -> str:
         """Service fetch/store requests until continue/kill/detach.
@@ -467,10 +462,10 @@ class Nub:
         Every fetch, store, breakpoint, time-travel and post-mortem
         request is answered here, so a nub hosted over a process
         rebuilt from a core or a recording answers exactly as a live
-        one.  HELLO and the controls act on the connection and stay in
-        the live loop; a nub asked for them here answers
-        ``ERR_UNSUPPORTED``.  A malformed payload raises
-        :class:`~repro.nub.protocol.ProtocolError`."""
+        one.  HELLO checks a connection's version and the controls
+        act on the connection, so both stay in the live loop; a nub
+        asked for them here answers ``ERR_UNSUPPORTED``.  A malformed
+        payload raises :class:`~repro.nub.protocol.ProtocolError`."""
         handler = self._ANSWERS.get(msg.mtype)
         if handler is None:
             return protocol.error(protocol.ERR_UNSUPPORTED)
@@ -487,7 +482,7 @@ class Nub:
         drain and arrive after the next stop; act on it once only.  The
         duplicate is re-acknowledged so a still-waiting debugger gets
         its reply, and the echo is discarded as stale otherwise."""
-        if msg.seq is None or msg.seq == protocol.NO_SEQ:
+        if msg.seq == protocol.NO_SEQ:
             return False
         if msg.seq == self._last_control_seq:
             self._ack()
@@ -496,8 +491,7 @@ class Nub:
         return False
 
     def _ack(self) -> None:
-        if self.ack_active:
-            self._reply(protocol.ok())
+        self._reply(protocol.ok())
 
     def _reply(self, msg) -> None:
         """Send a reply echoing the request's sequence id, so a
@@ -515,15 +509,10 @@ class Nub:
         tracer.event(name, **wiretap.describe(msg))
 
     def _do_hello(self, msg) -> None:
-        _version, features = protocol.parse_hello(msg)
-        # only the framing trailers are negotiable; everything else is
-        # base protocol
-        accepted = features & protocol.ALL_FEATURES
-        self._reply(protocol.hello(protocol.PROTOCOL_VERSION, accepted))
-        # frames after the reply carry the negotiated extras
-        self.channel.crc = bool(accepted & protocol.FEATURE_CRC)
-        self.channel.seq_mode = bool(accepted & protocol.FEATURE_SEQ)
-        self.ack_active = bool(accepted & protocol.FEATURE_ACK)
+        # whatever version the debugger speaks, the nub answers with its
+        # own: the debugger decides whether they can talk
+        protocol.parse_hello(msg)
+        self._reply(protocol.hello())
 
     # -- fetch/store ---------------------------------------------------------------
 

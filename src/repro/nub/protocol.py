@@ -4,11 +4,13 @@ The protocol between ldb and the nub is little-endian regardless of host
 and target byte order; the paper notes it "has been used on all
 combinations of host and target byte orders and has been validated".
 
-Message frame: one type byte, a 4-byte little-endian payload length, and
-the payload.  The important property inherited from the paper: the
-protocol does **not** mention single-stepping, and a breakpoint is a
-store — ldb picks the site and the trap (Sec. 6), and PLANT, the
-paper's Sec. 7.1 enrichment, is a store the nub remembers.
+Message frame, in both directions and from a connection's first byte:
+a type byte, a 4-byte little-endian payload length, a 4-byte sequence
+id, the payload, and a CRC32 trailer over everything before it.  The
+important property inherited from the paper: the protocol does **not**
+mention single-stepping, and a breakpoint is a store — ldb picks the
+site and the trap (Sec. 6), and PLANT, the paper's Sec. 7.1
+enrichment, is a store the nub remembers.
 
 Messages from the debugger::
 
@@ -16,10 +18,10 @@ Messages from the debugger::
     STORE  space(1) addr(4) bytes        -> OK / ERROR
     BLOCKFETCH space(1) addr(4) len(4)   -> DATA raw memory bytes / ERROR
     BLOCKSTORE space(1) addr(4) bytes    -> OK / ERROR
-    CONTINUE                             (restore context, resume)
-    DETACH                               (break connection, stay stopped)
-    KILL                                 (terminate the target)
-    HELLO  version(1) features(4)        -> HELLO (hardened-framing handshake)
+    CONTINUE                             -> OK (restore context, resume)
+    DETACH                               -> OK (break connection, keep target)
+    KILL                                 -> OK (terminate the target)
+    HELLO  version(1)                    -> HELLO the nub's version(1)
 
 Messages from the nub::
 
@@ -52,14 +54,14 @@ nub-side — only small ids and instruction counts cross the wire::
     RESTORE  id(4)                       -> CKPT id(4) icount(8) / ERROR
     DROPCKPT id(4)                       -> OK / ERROR
     ICOUNT                               -> CKPT NO_CKPT icount(8)
-    RUNTO    icount(8)                   (resume; stop when the retired-
-                                          instruction count reaches the
-                                          target: SIGNAL with
-                                          code=CODE_ICOUNT)
+    RUNTO    icount(8)                   -> OK (resume; stop when the
+                                          retired-instruction count
+                                          reaches the target: SIGNAL
+                                          with code=CODE_ICOUNT)
 
-``RUNTO`` is a control message like CONTINUE: acknowledged with OK
-under ``FEATURE_ACK``, deduplicated by sequence id, and followed by the
-usual unsolicited SIGNAL/EXITED when the target stops.
+``RUNTO`` is a control message like CONTINUE: acknowledged with OK,
+deduplicated by sequence id, and followed by the usual unsolicited
+SIGNAL/EXITED when the target stops.
 
 Post-mortem: one request message asks the nub to serialize the stopped
 target — registers, memory, icount, and the fault record — into a
@@ -67,24 +69,19 @@ versioned core image (see ``repro.machines.core``)::
 
     DUMPCORE                             -> DATA core bytes / ERROR
 
-Blocks, time travel and cores are base protocol (version 2): every nub
-answers them, and nothing about them is negotiated.
+Every message is base protocol: every nub answers it, and nothing is
+negotiated.  The framing is what makes the wire fault-tolerant:
 
-Hardened framing (the fault-tolerance layer): a debugger may open a
-session with HELLO, offering trailer bits.  The nub answers with its
-version and the offered bits it accepts, and *subsequent* frames on the
-connection carry the negotiated extras:
+* the CRC32 trailer: a frame that fails it raises :class:`CrcError`
+  (the frame is consumed, the stream stays framed);
+* the sequence id: replies echo the request's id, so a retrying
+  debugger can discard stale replies (duplicated or late frames);
+  unsolicited frames (SIGNAL, EXITED) carry :data:`NO_SEQ`;
+* CONTINUE, DETACH, KILL and RUNTO are acknowledged with OK before
+  taking effect, which makes the controls retryable.
 
-* ``FEATURE_CRC`` — every frame is followed by a CRC32 trailer over the
-  header and payload; a mismatch raises :class:`CrcError` (the frame is
-  consumed, the stream stays framed);
-* ``FEATURE_SEQ`` — the header grows a 4-byte sequence id; replies echo
-  the request's id so a retrying debugger can discard stale replies
-  (duplicated or late frames);
-* ``FEATURE_ACK`` — CONTINUE, DETACH and KILL are acknowledged with OK
-  before taking effect, making the control messages retryable.
-
-A client that never sends HELLO gets the paper's plain frames.
+HELLO checks the version: the debugger sends its own and the nub
+answers with its own.
 
 Every payload reader validates its length and raises
 :class:`ProtocolError` naming the message — wire input can never surface
@@ -109,7 +106,7 @@ MSG_KILL = 5
 MSG_PLANT = 6
 MSG_UNPLANT = 7
 MSG_BREAKS = 8
-# -- the fault-tolerance handshake: version + feature negotiation
+# -- the version check a debugger makes on every new connection
 MSG_HELLO = 9
 # -- block transfers: a span of raw memory bytes per message
 MSG_BLOCKFETCH = 10
@@ -164,13 +161,15 @@ ERR_BAD_CHECKPOINT = 5
 #: value sizes the protocol carries (the abstract-memory sizes)
 VALUE_SIZES = (1, 2, 4, 8, 10)
 
-#: handshake version (2: blocks, time travel and cores are base
-#: protocol) and the negotiable framing trailers
-PROTOCOL_VERSION = 2
-FEATURE_CRC = 1 << 0
-FEATURE_SEQ = 1 << 1
-FEATURE_ACK = 1 << 2
-ALL_FEATURES = FEATURE_CRC | FEATURE_SEQ | FEATURE_ACK
+#: the version HELLO carries (3: one framing, every frame sequenced
+#: and CRC-checked, every control acknowledged)
+PROTOCOL_VERSION = 3
+
+#: the frame header, type(1) length(4) seq(4), and the CRC32 trailer
+HEADER_SIZE = 9
+TRAILER_SIZE = 4
+_HEADER = struct.Struct("<BII")
+_TRAILER = struct.Struct("<I")
 
 #: the largest span one BLOCKFETCH/BLOCKSTORE may move (well under
 #: MAX_PAYLOAD, so block frames can never trip the framing cap)
@@ -180,8 +179,8 @@ MAX_BLOCK = 1024
 #: corrupt or hostile length field, and the stream cannot be reframed
 MAX_PAYLOAD = 1 << 20
 
-#: the sequence id carried by unsolicited frames (SIGNAL, EXITED) when
-#: sequence numbering is active
+#: the sequence id carried by unsolicited frames (SIGNAL, EXITED) and
+#: by any frame sent without one
 NO_SEQ = 0xFFFFFFFF
 
 #: the checkpoint id carried by a CKPT reply that answers ICOUNT (no
@@ -214,7 +213,7 @@ class Message:
                  seq: Optional[int] = None):
         self.mtype = mtype
         self.payload = payload
-        #: sequence id (FEATURE_SEQ); None outside sequenced framing
+        #: sequence id; None until the sender stamps one (sent as NO_SEQ)
         self.seq = seq
 
     def __eq__(self, other) -> bool:
@@ -225,47 +224,38 @@ class Message:
         return "<msg %s %r>" % (_NAMES.get(self.mtype, self.mtype), self.payload)
 
 
-def encode(msg: Message, crc: bool = False, seq_mode: bool = False) -> bytes:
-    if seq_mode:
-        seq = NO_SEQ if msg.seq is None else msg.seq
-        frame = struct.pack("<BII", msg.mtype, len(msg.payload), seq)
-    else:
-        frame = struct.pack("<BI", msg.mtype, len(msg.payload))
-    frame += msg.payload
-    if crc:
-        frame += struct.pack("<I", zlib.crc32(frame) & 0xFFFFFFFF)
-    return frame
+def encode(msg: Message) -> bytes:
+    seq = NO_SEQ if msg.seq is None else msg.seq
+    frame = _HEADER.pack(msg.mtype, len(msg.payload), seq) + msg.payload
+    return frame + _TRAILER.pack(zlib.crc32(frame))
 
 
-def decode(data: bytes, crc: bool = False,
-           seq_mode: bool = False) -> Tuple[Optional[Message], bytes]:
+def decode(data: bytes) -> Tuple[Optional[Message], bytes]:
     """Decode one message from ``data``; returns (message, rest).
 
     Returns (None, data) when the buffer holds an incomplete frame.
     Raises :class:`FrameError` on an insane declared length and
     :class:`CrcError` (carrying the remaining bytes) on a bad trailer.
     """
-    header = 9 if seq_mode else 5
-    if len(data) < header:
+    if len(data) < HEADER_SIZE:
         return None, data
-    if seq_mode:
-        mtype, length, seq = struct.unpack("<BII", data[:9])
-    else:
-        mtype, length = struct.unpack("<BI", data[:5])
-        seq = None
+    mtype, length, seq = _HEADER.unpack_from(data)
     if length > MAX_PAYLOAD:
         raise FrameError("declared payload length %d exceeds the %d-byte cap"
                          % (length, MAX_PAYLOAD))
-    total = header + length + (4 if crc else 0)
+    end = HEADER_SIZE + length
+    total = end + TRAILER_SIZE
     if len(data) < total:
         return None, data
-    if crc:
-        declared = struct.unpack("<I", data[header + length:total])[0]
-        actual = zlib.crc32(data[:header + length]) & 0xFFFFFFFF
-        if declared != actual:
-            raise CrcError("CRC mismatch on %s frame"
-                           % _NAMES.get(mtype, mtype), rest=data[total:])
-    return Message(mtype, data[header:header + length], seq), data[total:]
+    if _TRAILER.unpack_from(data, end)[0] != zlib.crc32(data[:end]):
+        raise CrcError("CRC mismatch on %s frame" % type_name(mtype),
+                       rest=data[total:])
+    return Message(mtype, data[HEADER_SIZE:end], seq), data[total:]
+
+
+def frame_size(msg: Message) -> int:
+    """The encoded size of a frame in bytes, without encoding it."""
+    return HEADER_SIZE + len(msg.payload) + TRAILER_SIZE
 
 
 def _payload(msg: Message, size: int, name: str, exact: bool = True) -> bytes:
@@ -324,10 +314,9 @@ def kill() -> Message:
     return Message(MSG_KILL)
 
 
-def hello(version: int = PROTOCOL_VERSION,
-          features: int = ALL_FEATURES) -> Message:
-    """Open (or answer) the hardened-framing handshake."""
-    return Message(MSG_HELLO, struct.pack("<BI", version, features))
+def hello(version: int = PROTOCOL_VERSION) -> Message:
+    """Ask for (or answer with) the peer's protocol version."""
+    return Message(MSG_HELLO, struct.pack("<B", version))
 
 
 # -- time travel -------------------------------------------------------------
@@ -443,9 +432,8 @@ def parse_error(msg: Message) -> int:
     return struct.unpack("<I", _payload(msg, 4, "ERROR"))[0]
 
 
-def parse_hello(msg: Message) -> Tuple[int, int]:
-    version, features = struct.unpack("<BI", _payload(msg, 5, "HELLO"))
-    return version, features
+def parse_hello(msg: Message) -> int:
+    return _payload(msg, 1, "HELLO")[0]
 
 
 def parse_restore(msg: Message) -> int:

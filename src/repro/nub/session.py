@@ -15,13 +15,15 @@ crashes — are absorbed instead of surfacing as exceptions.
   (``connector``), the nub re-announces the interrupted stop, and an
   ``on_reconnect`` hook lets the owner resynchronize state (ldb's
   :class:`Target` replays ``BREAKS`` to recover the breakpoint table);
-* the HELLO handshake turns on hardened framing: CRC32 trailers,
-  sequence-numbered frames (stale replies from duplicated or timed-out
-  exchanges are discarded by id), and acknowledged control messages so
-  CONTINUE/KILL/DETACH are retryable too.  The nub's reply travels
-  before any trailer protects it, so a reply that does not grant
-  exactly what was asked is a mangled handshake: the connection is
-  dropped like an unframeable stream and re-dialled;
+* every frame is sequenced and CRC-checked: stale replies from
+  duplicated or timed-out exchanges are discarded by id, and the nub
+  acknowledges every control, so CONTINUE/KILL/DETACH/RUNTO are
+  retried like any request.  A connection is checked with HELLO as
+  soon as its stop is announced; a nub of another protocol version is
+  a :class:`TransportError`, which no retry can mend;
+* a frame that fails its CRC while the session waits for a stop
+  counts as a lost announcement: the connection is dropped, so a
+  connector re-dials and the nub announces the stop again;
 * every exchange is observable: the session feeds the unified
   :mod:`repro.obs` registry (``session.*`` counters, a round-trip
   latency histogram) and, when tracing is enabled, records each frame
@@ -78,8 +80,8 @@ class NubError(Exception):
 class Transport(abc.ABC):
     """How a debugger talks to one nub.
 
-    :class:`NubSession` talks over a channel, adding retry/backoff,
-    crash-reconnect, and negotiated hardened framing;
+    :class:`NubSession` talks over a channel, adding retry/backoff and
+    crash-reconnect;
     :class:`LocalTransport` hosts the nub on the debugger's thread with
     no wire, and its subclasses add what a core or a recording file
     needs (:mod:`repro.ldb.postmortem`, :mod:`repro.trace.replay`).
@@ -306,8 +308,8 @@ class NubSession(Transport):
         self.policy = policy if policy is not None else RetryPolicy()
         self.reply_timeout = reply_timeout
         self.on_reconnect = on_reconnect
-        #: has this connection's HELLO turned on CRC, SEQ and ACK?
-        #: (each reconnect shakes hands again)
+        #: has this connection's HELLO shown the nub's version is ours?
+        #: (each reconnect checks again)
         self.hello_done = False
         #: SIGNAL/EXITED frames that arrived while awaiting a reply
         self.pending_events: deque = deque()
@@ -379,14 +381,14 @@ class NubSession(Transport):
                 self._ensure_handshake()
                 _trace_frame(self.obs, "wire.send", msg, attempt=attempt)
                 metrics.inc("session.sends")
-                metrics.inc("session.bytes_out", self._frame_size(msg))
+                metrics.inc("session.bytes_out", protocol.frame_size(msg))
                 started = time.perf_counter()
                 self.channel.send(msg)
                 reply = self._await_reply(msg, expect, timeout_now)
                 metrics.observe("session.latency_us",
                                 int((time.perf_counter() - started) * 1e6))
                 metrics.inc("session.replies")
-                metrics.inc("session.bytes_in", self._frame_size(reply))
+                metrics.inc("session.bytes_in", protocol.frame_size(reply))
                 _trace_frame(self.obs, "wire.recv", reply)
                 return reply
             except ChannelClosed as err:
@@ -418,14 +420,20 @@ class NubSession(Transport):
         return self.settle(msg, reply, expect)
 
     def control(self, msg: protocol.Message) -> None:
-        """Send a control message (CONTINUE/DETACH/KILL/RUNTO): the
-        handshake turned on FEATURE_ACK, so the nub acknowledges it and
-        the request engine retries it like any other request."""
+        """Send a control message (CONTINUE/DETACH/KILL/RUNTO): the nub
+        acknowledges it, so the request engine retries it like any
+        other request."""
         self.request(msg, expect=(protocol.MSG_OK,))
 
     def recv_event(self, timeout: Optional[float] = None) -> protocol.Message:
         """The next SIGNAL/EXITED notification (stale replies from
-        faulted exchanges are skipped)."""
+        faulted exchanges are skipped).
+
+        A frame that fails its CRC here may have been the announcement,
+        so it counts as lost: the connection is dropped and
+        :class:`ChannelClosed` raised, and a connector's re-dial makes
+        the nub announce the stop again.  A failed HELLO after the
+        announcement is dropped the same way."""
         if self.pending_events:
             return self.pending_events.popleft()
         if self.channel is None:
@@ -433,16 +441,13 @@ class NubSession(Transport):
         while True:
             try:
                 msg = self.channel.recv(timeout)
-            except protocol.CrcError:
-                continue
-            except protocol.FrameError as err:
+                if msg.mtype == protocol.MSG_SIGNAL:
+                    self.last_signal = protocol.parse_signal(msg)
+                    self._ensure_handshake()
+            except protocol.ProtocolError as err:
                 self._drop_channel()
-                raise ChannelClosed("unrecoverable framing: %s" % err)
-            if msg.mtype == protocol.MSG_SIGNAL:
-                self.last_signal = protocol.parse_signal(msg)
-                self._count_event(msg)
-                return msg
-            if msg.mtype == protocol.MSG_EXITED:
+                raise ChannelClosed("lost the stop announcement: %s" % err)
+            if msg.mtype in _EVENT_TYPES:
                 self._count_event(msg)
                 return msg
 
@@ -456,10 +461,6 @@ class NubSession(Transport):
         self._drop_channel()
 
     # -- internals ---------------------------------------------------------
-
-    def _frame_size(self, msg: protocol.Message) -> int:
-        # after HELLO: a 9-byte sequenced header and a CRC32 trailer
-        return 13 + len(msg.payload)
 
     def _count_event(self, msg: protocol.Message) -> None:
         self.obs.metrics.inc("session.events")
@@ -572,17 +573,15 @@ class NubSession(Transport):
             self._in_callback = False
 
     def _ensure_handshake(self) -> None:
-        """Ask for CRC, SEQ and ACK; every later frame on this
-        connection carries them.
+        """Check, once per connection, that the nub speaks our
+        protocol version.
 
-        The nub's HELLO reply is the one frame no trailer protects.  A
-        reply that is not HELLO, names another version, or grants other
-        trailers than were asked was mangled on the way; a lost one
-        leaves the nub's framing unknown.  Either way the two ends may
-        disagree about framing, so raise
-        :class:`~repro.nub.protocol.FrameError`: that drops the
+        A HELLO reply that is lost, fails its CRC or is not HELLO
+        leaves the exchange in doubt: raise
+        :class:`~repro.nub.protocol.FrameError`, which drops the
         connection (and re-dials through the connector) like any
-        unframeable stream.
+        unframeable stream.  A nub that answers another version cannot
+        be talked to at all: :class:`TransportError`, never retried.
         """
         if self.hello_done:
             return
@@ -592,13 +591,16 @@ class NubSession(Transport):
             while reply.mtype in _EVENT_TYPES:
                 self._note_event(reply)
                 reply = self.channel.recv(self.reply_timeout)
-            granted = (protocol.parse_hello(reply)
-                       if reply.mtype == protocol.MSG_HELLO else None)
+            if reply.mtype != protocol.MSG_HELLO:
+                raise protocol.ProtocolError("%r answered HELLO" % (reply,))
+            version = protocol.parse_hello(reply)
         except (TimeoutError, protocol.ProtocolError) as err:
             raise protocol.FrameError("no usable HELLO reply: %s" % err)
-        if granted != (protocol.PROTOCOL_VERSION, protocol.ALL_FEATURES):
-            raise protocol.FrameError("mangled HELLO reply %r" % (reply,))
-        self.channel.crc = self.channel.seq_mode = True
+        if version != protocol.PROTOCOL_VERSION:
+            self._drop_channel()
+            raise TransportError("the nub speaks protocol version %d, "
+                                 "not %d" % (version,
+                                             protocol.PROTOCOL_VERSION))
         self.hello_done = True
 
     def _flush(self) -> None:

@@ -25,7 +25,7 @@ from typing import Optional
 
 from .metrics import Counter, Gauge, Histogram, Metrics
 from .trace import NONDETERMINISTIC_FIELDS, Span, Tracer
-from .wiretap import describe, feature_names, frame_size, opcode_name
+from .wiretap import describe, opcode_name
 
 
 class Observability:
@@ -47,7 +47,5 @@ __all__ = [
     "Span",
     "Tracer",
     "describe",
-    "feature_names",
-    "frame_size",
     "opcode_name",
 ]

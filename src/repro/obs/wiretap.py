@@ -37,19 +37,6 @@ _ERROR_NAMES = {
     protocol.ERR_BAD_CHECKPOINT: "ERR_BAD_CHECKPOINT",
 }
 
-_FEATURE_NAMES = (
-    (protocol.FEATURE_CRC, "CRC"),
-    (protocol.FEATURE_SEQ, "SEQ"),
-    (protocol.FEATURE_ACK, "ACK"),
-)
-
-
-def feature_names(bits: int) -> str:
-    """Render a HELLO feature mask symbolically (``CRC+SEQ+ACK``)."""
-    names = [name for bit, name in _FEATURE_NAMES if bits & bit]
-    return "+".join(names) if names else "none"
-
-
 def opcode_name(mtype: int) -> str:
     return protocol._NAMES.get(mtype, "UNKNOWN(%d)" % mtype)
 
@@ -57,9 +44,9 @@ def opcode_name(mtype: int) -> str:
 def describe(msg: protocol.Message) -> Dict[str, Any]:
     """One wire message as a flat dict of decoded fields.
 
-    Always contains ``op``; sequenced frames add ``wire_seq``.  The
-    remaining keys depend on the opcode and mirror the payload layout
-    documented in PROTOCOL.md.
+    Always contains ``op``; a frame with a sequence id adds
+    ``wire_seq``.  The remaining keys depend on the opcode and mirror
+    the payload layout documented in PROTOCOL.md.
     """
     out: Dict[str, Any] = {"op": opcode_name(msg.mtype)}
     if msg.seq is not None and msg.seq != protocol.NO_SEQ:
@@ -98,8 +85,7 @@ def _describe_payload(msg: protocol.Message, out: Dict[str, Any]) -> None:
         out.update(count=len(entries),
                    breaks=["0x%x" % address for address, _orig in entries])
     elif mtype == protocol.MSG_HELLO:
-        version, features = protocol.parse_hello(msg)
-        out.update(version=version, features=feature_names(features))
+        out.update(version=protocol.parse_hello(msg))
     elif mtype == protocol.MSG_SIGNAL:
         signo, code, context = protocol.parse_signal(msg)
         out.update(signo=signo, code=code, context="0x%x" % context)
@@ -127,9 +113,3 @@ def _describe_payload(msg: protocol.Message, out: Dict[str, Any]) -> None:
             out.update(payload=_hex(msg.payload))
     else:
         out.update(payload=_hex(msg.payload))
-
-
-def frame_size(msg: protocol.Message, crc: bool = False,
-               seq_mode: bool = False) -> int:
-    """The encoded size of a frame in bytes, without re-encoding it."""
-    return ((9 if seq_mode else 5) + len(msg.payload) + (4 if crc else 0))

@@ -63,7 +63,7 @@ def read_data(name: str) -> str:
         return f.read()
 
 
-def new_interp(stdout: Any = None, prelude: bool = True) -> Interp:
+def new_interp(stdout: Any = None) -> Interp:
     """A fresh interpreter with the shared prelude loaded into userdict.
 
     Reading the initial PostScript is one of the startup phases the paper
@@ -71,10 +71,10 @@ def new_interp(stdout: Any = None, prelude: bool = True) -> Interp:
     files into a template interpreter that is never handed out, and every
     call builds a bare interpreter and gives it a copy of what the read
     added (:func:`copy_initial`).  ``bench_table_startup.py`` times both.
+    A bare ``Interp()`` has the operators and no initial PostScript.
     """
     interp = Interp(stdout=stdout)
-    if prelude:
-        copy_initial(_initial_template(), interp)
+    copy_initial(_initial_template(), interp)
     return interp
 
 
@@ -117,30 +117,28 @@ def _initial_template() -> Interp:
     return template
 
 
-#: objects a copy shares with the template: nothing mutates them
-_SHARED = frozenset((int, float, bool, type(None), Name, String))
+_MISSING = object()
+
+#: objects a copy shares with the template: nothing mutates them, and
+#: an operator works on whichever interpreter runs it
+_SHARED = frozenset((int, float, bool, type(None), Name, String, Operator))
 
 
 def copy_initial(template: Interp, interp: Interp) -> None:
     """Give ``interp`` a structural copy of what reading the initial
-    PostScript added to ``template``: every userdict entry and every
-    systemdict entry a bare interpreter lacks.
+    PostScript left in ``template``'s userdict and systemdict.
 
     Dictionaries, arrays (with their ``items`` lists) and locations are
     copied fresh, each once, so two references to one object in the
     template are two references to one copy in ``interp``.  Names,
-    strings and numbers are shared.  A template operator is replaced by
-    ``interp``'s operator of the same name, so the printer operators
-    write to ``interp``'s stdout.  Anything else (a key other than a
-    string, an operator not in systemdict, a type the read never
-    makes) raises TypeError rather than being shared by mistake.
+    strings, numbers and operators are shared: every interpreter starts
+    with the same operator objects, and the printer operators write to
+    the stdout of the interpreter that runs them.  Anything else (a key
+    other than a string, a type the read never makes) raises TypeError
+    rather than being shared by mistake.
     """
     memo: Dict[int, Any] = {id(template.systemdict): interp.systemdict,
                             id(template.userdict): interp.userdict}
-    own_ops = interp.systemdict.store
-    for name, obj in template.systemdict.store.items():
-        if type(obj) is Operator and name in own_ops:
-            memo[id(obj)] = own_ops[name]
 
     def copy(obj: Any) -> Any:
         kind = type(obj)
@@ -168,18 +166,18 @@ def copy_initial(template: Interp, interp: Interp) -> None:
             return new
         raise TypeError("cannot copy %r from the initial PostScript" % (obj,))
 
-    def copy_entries(source: PSDict, dest: PSDict,
-                     skip: Any = ()) -> None:
+    def copy_entries(source: PSDict, dest: PSDict) -> None:
         store = dest.store
         for key, value in source.store.items():
             if type(key) is not str:
                 raise TypeError("dictionary key %r in the initial PostScript"
                                 " is not a name" % (key,))
-            if key not in skip:
+            # the operators a bare interpreter starts with are there
+            if store.get(key, _MISSING) is not value:
                 store[key] = copy(value)
 
     copy_entries(template.userdict, interp.userdict)
-    copy_entries(template.systemdict, interp.systemdict, skip=own_ops)
+    copy_entries(template.systemdict, interp.systemdict)
 
 
 def load_arch_dict(interp: Interp, arch: str) -> PSDict:

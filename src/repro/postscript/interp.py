@@ -32,6 +32,8 @@ from .objects import (
     Reader,
     String,
 )
+from .ops_core import OPERATORS
+from .printer import PrettyPrinter
 from .scanner import EOF, Scanner
 
 
@@ -39,9 +41,10 @@ class Interp:
     """A PostScript interpreter instance.
 
     ``stdout`` receives the output of the printing operators; pass a
-    ``StringIO`` to capture it.  The standard operator set is installed by
-    default; ldb's debugging extensions (abstract memories, the
-    prettyprinter interface) are added by :func:`repro.postscript.new_interp`.
+    ``StringIO`` to capture it.  The systemdict starts with the whole
+    operator set (:data:`~repro.postscript.ops_core.OPERATORS`, shared by
+    every interpreter); :func:`repro.postscript.new_interp` adds the
+    initial PostScript.
     """
 
     def __init__(self, stdout: Any = None):
@@ -54,11 +57,11 @@ class Interp:
         #: None when it stopped via ``stop`` (the $error analog: hosts
         #: read it to tell "done" from "failed")
         self.stop_error: Optional[PSError] = None
+        #: the prettyprinter ``Put``/``Break``/``Begin``/``End`` drive
+        self.pretty = PrettyPrinter(self)
         self.systemdict["systemdict"] = self.systemdict
         self.systemdict["userdict"] = self.userdict
-        from . import ops_core
-
-        ops_core.install(self)
+        self.systemdict.store.update(OPERATORS)
 
     # ------------------------------------------------------------------
     # operand stack
@@ -164,7 +167,7 @@ class Interp:
         self.dstack[-1][name] = value
 
     def defop(self, name: str, fn: Callable[["Interp"], None]) -> None:
-        """Register a built-in operator in systemdict."""
+        """Register an operator in this interpreter's systemdict."""
         self.systemdict[name] = Operator(name, fn)
 
     # ------------------------------------------------------------------

@@ -1,9 +1,15 @@
-"""Installs the complete operator set of ldb's PostScript dialect.
+"""The complete operator set of ldb's PostScript dialect, built once.
 
 Beyond the standard categories this adds a handful of extension operators
 the prelude's printer procedures need (``chr``, ``hexstring``) plus inert
 compatibility stubs (``readonly``/``executeonly`` — the dialect drops
 access attributes along with ``save``/``restore``).
+
+Every operator is a function of the interpreter running it (the printer
+operators drive ``ip.pretty``), so a process builds the set once, as
+:data:`OPERATORS`, and every interpreter's systemdict starts with these
+same objects.  Each interpreter keeps its own systemdict dictionary, so
+redefining a name in one leaves the others alone.
 """
 
 from __future__ import annotations
@@ -11,7 +17,7 @@ from __future__ import annotations
 import time
 
 from . import memops, ops_array, ops_control, ops_dict, ops_io, ops_math, ops_stack, ops_string, printer
-from .objects import PSError, String
+from .objects import Operator, PSDict, PSError, String
 
 
 def op_chr(interp) -> None:
@@ -52,3 +58,19 @@ def install(interp) -> None:
     interp.defop("executeonly", op_readonly)
     interp.defop("usertime", op_usertime)
     interp.systemdict["version"] = String("ldb-dialect-1")
+
+
+class _Table:
+    """What the ``install`` functions fill: the built-in entries of a
+    systemdict, collected in a dictionary of their own."""
+
+    def __init__(self):
+        self.systemdict = PSDict()
+        install(self)
+
+    def defop(self, name: str, fn) -> None:
+        self.systemdict[name] = Operator(name, fn)
+
+
+#: name -> the built-in systemdict entries every interpreter starts with
+OPERATORS = _Table().systemdict.store

@@ -3,11 +3,18 @@
 Integer arithmetic follows PostScript: ``div`` always yields a real,
 ``idiv`` and ``mod`` are integer-only.  ``and``/``or``/``xor``/``not``
 operate on booleans or integers (bitwise), as in Adobe PostScript.
+
+Every number gives a result or a PostScript error that ``stopped``
+catches: integers are unbounded (the scanner reads any numeral), so a
+result or operand beyond the reals is a ``rangecheck``, as for
+``cvr``, and ``exp`` with no real result is an ``undefinedresult``.
+Numbers compare exactly, integers with reals included.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 from .objects import Name, PSArray, PSDict, PSError, String
 
@@ -18,26 +25,34 @@ def _binary_number(interp):
     return a, b
 
 
-def op_add(interp) -> None:
+def _arithmetic(interp, name: str, fn) -> None:
     a, b = _binary_number(interp)
-    interp.push(a + b)
+    try:
+        interp.push(fn(a, b))
+    except OverflowError:
+        raise PSError("rangecheck", "%s beyond the reals" % name)
+
+
+def _divide(a, b):
+    if b == 0:
+        raise PSError("undefinedresult", "div by zero")
+    return a / b
+
+
+def op_add(interp) -> None:
+    _arithmetic(interp, "add", operator.add)
 
 
 def op_sub(interp) -> None:
-    a, b = _binary_number(interp)
-    interp.push(a - b)
+    _arithmetic(interp, "sub", operator.sub)
 
 
 def op_mul(interp) -> None:
-    a, b = _binary_number(interp)
-    interp.push(a * b)
+    _arithmetic(interp, "mul", operator.mul)
 
 
 def op_div(interp) -> None:
-    a, b = _binary_number(interp)
-    if b == 0:
-        raise PSError("undefinedresult", "div by zero")
-    interp.push(a / b)
+    _arithmetic(interp, "div", _divide)
 
 
 def op_idiv(interp) -> None:
@@ -72,13 +87,18 @@ def op_sqrt(interp) -> None:
     value = interp.pop_number()
     if value < 0:
         raise PSError("rangecheck", "sqrt of negative")
-    interp.push(math.sqrt(value))
+    try:
+        interp.push(math.sqrt(value))
+    except OverflowError:
+        raise PSError("rangecheck", "sqrt beyond the reals")
 
 
 def op_exp(interp) -> None:
-    exponent = interp.pop_number()
-    base = interp.pop_number()
-    interp.push(float(base) ** exponent)
+    try:
+        _arithmetic(interp, "exp", math.pow)
+    except ValueError:
+        # a negative base to a fractional power, or 0 to a negative one
+        raise PSError("undefinedresult", "exp without a real result")
 
 
 def op_ln(interp) -> None:
@@ -88,31 +108,37 @@ def op_ln(interp) -> None:
     interp.push(math.log(value))
 
 
-def op_ceiling(interp) -> None:
+def _to_integral(interp, fn) -> None:
+    """Round a real to an integral real with ``fn``; integers and the
+    infinities are their own."""
     value = interp.pop_number()
-    interp.push(value if isinstance(value, int) else float(math.ceil(value)))
+    if isinstance(value, float) and math.isfinite(value):
+        value = float(fn(value))
+    interp.push(value)
+
+
+def op_ceiling(interp) -> None:
+    _to_integral(interp, math.ceil)
 
 
 def op_floor(interp) -> None:
-    value = interp.pop_number()
-    interp.push(value if isinstance(value, int) else float(math.floor(value)))
+    _to_integral(interp, math.floor)
 
 
 def op_round(interp) -> None:
-    value = interp.pop_number()
-    interp.push(value if isinstance(value, int) else float(math.floor(value + 0.5)))
+    _to_integral(interp, lambda value: math.floor(value + 0.5))
 
 
 def op_truncate(interp) -> None:
-    value = interp.pop_number()
-    interp.push(value if isinstance(value, int) else float(math.trunc(value)))
+    _to_integral(interp, math.trunc)
 
 
 def op_bitshift(interp) -> None:
     shift = interp.pop_int()
     value = interp.pop_int()
     if shift >= 0:
-        interp.push((value << shift) & 0xFFFFFFFF)
+        # 32 places shift every bit out: no need to build a huge integer
+        interp.push((value << min(shift, 32)) & 0xFFFFFFFF)
     else:
         interp.push((value & 0xFFFFFFFF) >> -shift)
 
@@ -138,7 +164,7 @@ def _equatable(obj):
     if isinstance(obj, bool):
         return ("bool", obj)
     if isinstance(obj, (int, float)):
-        return ("number", float(obj))
+        return ("number", obj)  # int == float compares exactly
     return ("other", obj)
 
 

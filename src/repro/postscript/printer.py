@@ -129,43 +129,34 @@ class PrettyPrinter:
             # breaks are invisible when the group renders flat
 
 
+# The operators drive the running interpreter's own printer,
+# ``ip.pretty``, which writes to that interpreter's stdout.
+
+def op_put(ip) -> None:
+    obj = ip.pop()
+    ip.pretty.put(obj.text if isinstance(obj, String) else to_string(obj))
+
+
+def op_break(ip) -> None:
+    ip.pretty.brk(ip.pop_int())
+
+
+def op_begin(ip) -> None:
+    ip.pretty.begin(ip.pop_int())
+
+
+def op_end(ip) -> None:
+    ip.pretty.end()
+
+
+def op_newline(ip) -> None:
+    ip.pretty.newline()
+
+
 def install(interp) -> None:
-    """Install ``Put``/``Break``/``Begin``/``End`` over a PrettyPrinter.
-
-    The printer writes to the interpreter's stdout and is exposed to host
-    code as ``interp.pretty``.
-    """
-    printer = PrettyPrinter(_InterpOut(interp))
-    interp.pretty = printer
-
-    def op_put(ip) -> None:
-        obj = ip.pop()
-        printer.put(obj.text if isinstance(obj, String) else to_string(obj))
-
-    def op_break(ip) -> None:
-        printer.brk(ip.pop_int())
-
-    def op_begin(ip) -> None:
-        printer.begin(ip.pop_int())
-
-    def op_end(ip) -> None:
-        printer.end()
-
-    def op_newline(ip) -> None:
-        printer.newline()
-
+    """Install ``Put``/``Break``/``Begin``/``End`` and ``Newline``."""
     interp.defop("Put", op_put)
     interp.defop("Break", op_break)
     interp.defop("Begin", op_begin)
     interp.defop("End", op_end)
     interp.defop("Newline", op_newline)
-
-
-class _InterpOut:
-    """Adapter so the prettyprinter always follows ``interp.stdout``."""
-
-    def __init__(self, interp):
-        self._interp = interp
-
-    def write(self, text: str) -> None:
-        self._interp.write(text)

@@ -364,10 +364,10 @@ class Recording:
                              % (len(body) - offset))
         return stops, inputs
 
-    def dump(self, path: str, fs=None) -> None:
+    def dump(self, path: str) -> None:
         """Write the recording crash-consistently: after this returns
         (or fails, or the process dies) ``path`` is never torn."""
-        atomic_write_bytes(path, self.to_bytes(), fs=fs)
+        atomic_write_bytes(path, self.to_bytes())
 
     @classmethod
     def load(cls, path: str, salvage: bool = False) -> "Recording":

@@ -38,4 +38,4 @@ def ps():
 def bare_ps():
     """A fresh interpreter without the prelude (standard operators only)."""
     out = io.StringIO()
-    return CapturingInterp(new_interp(stdout=out, prelude=False), out)
+    return CapturingInterp(Interp(stdout=out), out)

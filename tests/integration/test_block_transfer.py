@@ -78,11 +78,11 @@ class TestWorkloadIdentity:
             uncached.kill()
 
     def test_session_moves_blocks(self):
-        # the handshake negotiates only the framing trailers; blocks
-        # need no negotiation
+        # blocks are base protocol: a session over the wire moves them
+        # with nothing negotiated
         ldb, target = stopped_target("rsparc", wire=True)
         try:
-            assert target.channel.crc and target.channel.seq_mode
+            assert target.session.hello_done
             assert target.stats.of("wire", "blockfetch") > 0
         finally:
             target.kill()

@@ -101,7 +101,6 @@ class TestInjection:
 
     def test_corrupt_detected_by_crc(self):
         a, b = pair()
-        a.crc = b.crc = True
         faulty = FaultInjectingChannel(a, FaultSchedule(script=["corrupt"]))
         faulty.send(protocol.fetch("d", 0x100, 4))
         with pytest.raises(protocol.CrcError):
@@ -135,7 +134,8 @@ class TestChannelHardening:
 
     def test_hostile_length_drops_connection(self):
         a, b = pair()
-        a.sock.sendall(b"\x12" + (protocol.MAX_PAYLOAD + 1).to_bytes(4, "little"))
+        a.sock.sendall(b"\x12" + (protocol.MAX_PAYLOAD + 1).to_bytes(4, "little")
+                       + bytes(4))
         with pytest.raises(protocol.FrameError):
             b.recv(0.5)
         # the connection was dropped, not left mis-framed
@@ -313,8 +313,7 @@ class TestServeLoopFuzz:
                     mtype = rng.choice(self.GARBAGE_TYPES)
                     body = bytes(rng.randrange(256)
                                  for _ in range(rng.randrange(0, 16)))
-                    payload = (bytes([mtype])
-                               + len(body).to_bytes(4, "little") + body)
+                    payload = protocol.encode(protocol.Message(mtype, body))
                 try:
                     sock.sendall(payload)
                 except OSError:

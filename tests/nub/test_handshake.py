@@ -1,27 +1,28 @@
-"""The HELLO handshake against a mangled reply.
+"""The first frames of a connection, damaged.
 
-The nub answers HELLO before any trailer is on, so its reply is the one
-frame no CRC protects.  Each seed below flips a different bit of that
-reply (the nub's second frame, after the stop announcement).  A
-debugger that believed the damage would leave the two ends framing
-differently, or would think the nub could not time-travel or dump
-cores.  Instead the session treats the reply as a mangled handshake:
-it drops the connection and re-dials when it has a connector, and
-otherwise fails typed.
+Every frame is CRC-checked from a connection's first byte, so a flipped
+bit in the stop announcement (the nub's frame 0) or in the HELLO reply
+(frame 1) is never believed: a debugger that believed the announcement
+would stop at a wrong signal, code or context address.  Each seed below
+flips a different bit of the frame.  The session counts the frame as
+lost and drops the connection.  Over a socketpair, which cannot be
+re-dialled, the target is reported ``disconnected`` at once; attached
+through a listener, the debugger re-dials once and ends stopped at the
+true stop, as debuggable as an undamaged session.
 """
 
 import io
+import time
 
 import pytest
 
 from repro.cc.driver import compile_and_link, loader_table_ps
 from repro.ldb import Ldb
 from repro.ldb.debugger import load_over_wire
-from repro.ldb.target import TargetError
 from repro.machines import Process, SIGSEGV, SIGTRAP
-from repro.nub import FaultSchedule, Listener, Nub, NubRunner, RetryPolicy
+from repro.nub import (FaultSchedule, Listener, Nub, NubRunner, RetryPolicy,
+                       connect, protocol)
 from repro.nub.session import TransportError
-from repro.postscript import PSError
 
 BOOM = """int g;
 void poke(int *p) { *p = 42; }
@@ -36,15 +37,18 @@ int main(void) {
 
 SEEDS = range(10)
 
+#: the nub's frame 0 is the stop announcement, frame 1 the HELLO reply
+ANNOUNCEMENT, HELLO_REPLY = 0, 1
+
 
 @pytest.fixture(scope="module")
 def boom_exe():
     return compile_and_link({"boom.c": BOOM}, "rmips", debug=True)
 
 
-def mangled_hello(seed):
-    """Frame 0 is the stop announcement, frame 1 the HELLO reply."""
-    return FaultSchedule(seed=seed, script=["ok", "corrupt"])
+def damaged(frame, seed):
+    """One flipped bit in the nub's ``frame``-th frame."""
+    return FaultSchedule(seed=seed, script=["ok"] * frame + ["corrupt"])
 
 
 def debug_through(ldb, target, core_path):
@@ -60,59 +64,84 @@ def debug_through(ldb, target, core_path):
     assert target.dump_core(core_path).arch_name == "rmips"
 
 
-def assert_framing_agrees(target, nub):
-    """Both ends run CRC + SEQ, and every frame the debugger sent was
-    answered: the controls were acknowledged, as ACK promises."""
-    ends = (target.channel, nub.channel)
-    assert [(end.crc, end.seq_mode) for end in ends] == [(True, True)] * 2
-    assert nub.ack_active
+def assert_disconnected(frame, seed, boom_exe):
+    ldb = Ldb(stdout=io.StringIO())
+    started = time.monotonic()
+    target = load_over_wire(ldb, boom_exe,
+                            fault_schedule=damaged(frame, seed))
+    assert time.monotonic() - started < target.session.reply_timeout
+    # no stop was taken from the damaged conversation
+    assert target.state == "disconnected"
+    assert (target.signo, target.sigcode, target.context_addr) == (0, 0, 0)
+    assert target.channel is None
+    # nobody can debug the target any more, so the nub lets it go
+    target.runner.join(10.0)
+    assert not target.runner.thread.is_alive()
+    assert target.nub.killed
+
+
+def assert_redials_to_the_true_stop(frame, seed, boom_exe, tmp_path):
+    listener = Listener()
+    nub = Nub(Process(boom_exe), listener=listener, accept_timeout=10.0,
+              fault_schedule=damaged(frame, seed))
+    runner = NubRunner(nub).start()
+    ldb = Ldb(stdout=io.StringIO())
+    target = ldb.attach("127.0.0.1", listener.port, loader_table_ps(boom_exe))
+    assert target.state == "stopped"
+    assert target.session.reconnects == 1
+    assert (target.signo, target.sigcode, target.context_addr) == \
+        (SIGTRAP, 0, Nub.CONTEXT_ADDR)
+    assert target.stop_pc() == boom_exe.symbols["__nub_pause"]
+    target.session.policy = RetryPolicy(max_attempts=4, base_delay=0.001)
+    debug_through(ldb, target, str(tmp_path / "boom.core"))
+    # every request was answered, the controls included
     metrics = target.obs.metrics
     assert metrics.get("session.sends") == metrics.get("session.replies")
-
-
-def transport_failure(err):
-    """Did the session give up on the connection, as opposed to the
-    debugger refusing a verb?  The memory layer carries the transport
-    error on its PSError (the command API answers it ERR_TARGET_DIED);
-    the target layer raises its TargetError from it."""
-    while err is not None:
-        if isinstance(err, TransportError):
-            return True
-        err = getattr(err, "transport_error", None) or err.__context__
-    return False
+    target.kill()
+    runner.join(10.0)
+    listener.close()
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_mangled_hello_reply_without_a_connector(boom_exe, tmp_path, seed):
-    ldb = Ldb(stdout=io.StringIO())
-    target = load_over_wire(ldb, boom_exe,
-                            fault_schedule=mangled_hello(seed))
-    target.session.policy = RetryPolicy(max_attempts=3, base_delay=0.001)
-    try:
-        debug_through(ldb, target, str(tmp_path / "boom.core"))
-    except (TargetError, TransportError, PSError) as err:
-        # no re-dial path: the only safe answer is a typed failure
-        assert transport_failure(err), err
-        target.runner.join(10.0)
-        assert not target.runner.thread.is_alive()
-        return
-    assert_framing_agrees(target, target.nub)
-    target.kill()
+def test_damaged_announcement_without_a_connector(boom_exe, seed):
+    assert_disconnected(ANNOUNCEMENT, seed, boom_exe)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_damaged_announcement_redials_through_the_connector(boom_exe,
+                                                            tmp_path, seed):
+    assert_redials_to_the_true_stop(ANNOUNCEMENT, seed, boom_exe, tmp_path)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_mangled_hello_reply_without_a_connector(boom_exe, seed):
+    assert_disconnected(HELLO_REPLY, seed, boom_exe)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_mangled_hello_reply_redials_through_the_connector(boom_exe,
                                                            tmp_path, seed):
+    assert_redials_to_the_true_stop(HELLO_REPLY, seed, boom_exe, tmp_path)
+
+
+def test_a_nub_of_another_version_is_a_typed_failure(boom_exe):
+    """A nub that answers HELLO with another version cannot be talked
+    to: the session drops the connection and fails typed, once, with
+    no retry loop and no re-dial."""
     listener = Listener()
-    nub = Nub(Process(boom_exe), listener=listener, accept_timeout=10.0,
-              fault_schedule=mangled_hello(seed))
+    nub = Nub(Process(boom_exe), listener=listener, accept_timeout=2.0)
+    nub._do_hello = lambda msg: nub._reply(protocol.hello(2))
     runner = NubRunner(nub).start()
+    dials = []
+
+    def connector():
+        dials.append(listener.port)
+        return connect("127.0.0.1", listener.port)
+
     ldb = Ldb(stdout=io.StringIO())
-    target = ldb.attach("127.0.0.1", listener.port, loader_table_ps(boom_exe))
-    target.session.policy = RetryPolicy(max_attempts=4, base_delay=0.001)
-    debug_through(ldb, target, str(tmp_path / "boom.core"))
-    assert target.session.reconnects == 1
-    assert_framing_agrees(target, nub)
-    target.kill()
-    runner.join(10.0)
+    with pytest.raises(TransportError, match="protocol version 2, not 3"):
+        ldb.adopt_channel(connector(), loader_table_ps(boom_exe),
+                          connector=connector)
+    assert len(dials) == 1
     listener.close()
+    runner.join(10.0)

@@ -32,6 +32,7 @@ def skip_pause(chan, ctx=Nub.CONTEXT_ADDR, advance=4):
     chan.send(protocol.store("d", ctx, (pc + advance).to_bytes(4, "little")))
     chan.recv(10.0)
     chan.send(protocol.cont())
+    assert chan.recv(10.0).mtype == protocol.MSG_OK  # every control is acked
 
 
 def start_nub(src, arch="rmips", stop_at_entry=True, **kw):
@@ -217,14 +218,16 @@ class TestBlockService:
         assert int.from_bytes(chan.recv(10.0).payload, "little") == 123
         self.teardown_channel(chan, runner)
 
-    def test_nub_grants_only_the_trailers(self):
-        # blocks, time travel and cores are base protocol: an offer of
-        # every bit is masked to the three framing trailers
+    def test_nub_answers_hello_with_its_own_version(self):
+        # whatever the debugger speaks, the nub names its own version
+        # and the framing stays as it was
         exe, process, nub, runner, chan = self.setup_stopped()
-        chan.send(protocol.hello(features=0xFFFFFFFF))
-        assert protocol.parse_hello(chan.recv(10.0)) == \
-            (protocol.PROTOCOL_VERSION, protocol.ALL_FEATURES)
-        chan.crc = chan.seq_mode = True
+        for version in (protocol.PROTOCOL_VERSION, 2, 255):
+            chan.send(protocol.hello(version))
+            assert protocol.parse_hello(chan.recv(10.0)) == \
+                protocol.PROTOCOL_VERSION
+        chan.send(protocol.fetch("d", exe.symbols["_tag"], 4))
+        assert int.from_bytes(chan.recv(10.0).payload, "little") == 99
         self.teardown_channel(chan, runner)
 
 
@@ -266,6 +269,7 @@ class TestSignals:
                                  .to_bytes(4, "little")))
         chan.recv(10.0)
         chan.send(protocol.cont())
+        assert chan.recv(10.0).mtype == protocol.MSG_OK
         msg = chan.recv(10.0)
         assert protocol.parse_exited(msg) == 3
         runner.join()

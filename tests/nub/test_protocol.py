@@ -5,6 +5,7 @@ for exhaustive round-trip property tests.
 """
 
 import struct
+import zlib
 
 import pytest
 from hypothesis import given
@@ -150,9 +151,9 @@ class TestBlockMessages:
 
 
 class TestHardening:
-    """Satellite of the fault-tolerance work: wire input can never
-    surface a raw struct.error, hostile lengths are capped, and the
-    negotiated framing extras (CRC trailer, sequence ids) round-trip."""
+    """Wire input can never surface a raw struct.error, hostile lengths
+    are capped, and the frame's CRC trailer and sequence id
+    round-trip."""
 
     # (parser, a valid message to truncate, payload prefix lengths that
     # happen to parse as a shorter valid message — the ambiguity the CRC
@@ -199,21 +200,22 @@ class TestHardening:
             p.parse_breaklist(p.Message(p.MSG_BREAKLIST, raw[:-1]))
 
     def test_oversized_length_is_frame_error(self):
-        hostile = b"\x12" + (p.MAX_PAYLOAD + 1).to_bytes(4, "little")
+        hostile = (b"\x12" + (p.MAX_PAYLOAD + 1).to_bytes(4, "little")
+                   + bytes(4))
         with pytest.raises(p.FrameError):
             p.decode(hostile)
 
     def test_crc_round_trip(self):
         msg = p.fetch("d", 0x1234, 4)
-        decoded, rest = p.decode(p.encode(msg, crc=True), crc=True)
+        decoded, rest = p.decode(p.encode(msg))
         assert decoded == msg and rest == b""
 
     def test_crc_mismatch_consumes_the_frame(self):
-        first = bytearray(p.encode(p.data(b"\x01\x02"), crc=True))
-        second = p.encode(p.ok(), crc=True)
-        first[6] ^= 0x40  # flip a payload bit
+        first = bytearray(p.encode(p.data(b"\x01\x02")))
+        second = p.encode(p.ok())
+        first[p.HEADER_SIZE + 1] ^= 0x40  # flip a payload bit
         try:
-            p.decode(bytes(first) + second, crc=True)
+            p.decode(bytes(first) + second)
         except p.CrcError as err:
             assert err.rest == second  # the stream is still framed
         else:
@@ -222,18 +224,33 @@ class TestHardening:
     def test_seq_header_round_trip(self):
         msg = p.fetch("d", 0x10, 4)
         msg.seq = 77
-        decoded, rest = p.decode(p.encode(msg, seq_mode=True), seq_mode=True)
+        decoded, rest = p.decode(p.encode(msg))
         assert decoded == msg and decoded.seq == 77 and rest == b""
 
     def test_events_carry_no_seq(self):
-        raw = p.encode(p.signal(5, 0, 0x100), seq_mode=True)
-        decoded, _ = p.decode(raw, seq_mode=True)
+        decoded, _ = p.decode(p.encode(p.signal(5, 0, 0x100)))
         assert decoded.seq == p.NO_SEQ
 
     def test_hello_round_trip(self):
-        msg = p.hello(p.PROTOCOL_VERSION, p.FEATURE_CRC | p.FEATURE_ACK)
-        assert p.parse_hello(msg) == (p.PROTOCOL_VERSION,
-                                      p.FEATURE_CRC | p.FEATURE_ACK)
+        assert p.parse_hello(p.hello()) == p.PROTOCOL_VERSION
+        assert p.parse_hello(p.hello(7)) == 7
+
+    def test_frame_size_matches_encode(self):
+        for msg in (p.ok(), p.fetch("d", 0, 4), p.data(bytes(300))):
+            assert p.frame_size(msg) == len(p.encode(msg))
+            msg.seq = 1
+            assert p.frame_size(msg) == len(p.encode(msg))
+
+    def test_frame_layout(self):
+        """type(1) length(4) seq(4) payload crc32(4), little-endian."""
+        msg = p.data(b"\xab\xcd")
+        msg.seq = 0x01020304
+        raw = p.encode(msg)
+        assert raw[:p.HEADER_SIZE] == struct.pack("<BII", p.MSG_DATA, 2,
+                                                  0x01020304)
+        assert raw[p.HEADER_SIZE:-p.TRAILER_SIZE] == b"\xab\xcd"
+        assert raw[-p.TRAILER_SIZE:] == struct.pack(
+            "<I", zlib.crc32(raw[:-p.TRAILER_SIZE]))
 
 
 class TestProperties:
@@ -267,28 +284,39 @@ class TestProperties:
             out.append(msg)
         assert out == msgs
 
-    @given(st.binary(max_size=48), st.booleans(), st.booleans(),
-           st.data())
-    def test_split_stream_reassembles_in_every_mode(self, payload, crc,
-                                                    seq_mode, data):
-        """Frames survive arbitrary segmentation under all framing modes
-        — the property Channel.recv depends on."""
+    @given(st.binary(max_size=48), st.data())
+    def test_split_stream_reassembles(self, payload, data):
+        """Frames survive arbitrary segmentation — the property
+        Channel.recv depends on."""
         msgs = [p.data(payload), p.ok()]
-        if seq_mode:
-            msgs[0].seq = 5
-            msgs[1].seq = 6
-        stream = b"".join(p.encode(m, crc=crc, seq_mode=seq_mode)
-                          for m in msgs)
+        msgs[0].seq = 5
+        stream = b"".join(p.encode(m) for m in msgs)
         cut = data.draw(st.integers(0, len(stream)))
         buffer, out = b"", []
         for chunk in (stream[:cut], stream[cut:]):
             buffer += chunk
             while True:
-                msg, buffer = p.decode(buffer, crc=crc, seq_mode=seq_mode)
+                msg, buffer = p.decode(buffer)
                 if msg is None:
                     break
                 out.append(msg)
         assert buffer == b"" and out == msgs
+        assert [m.seq for m in out] == [5, p.NO_SEQ]
+
+    @given(st.sampled_from([p.signal(5, 0, 0x100), p.hello(), p.ok(),
+                            p.data(b"\x00" * 10), p.error(3)]),
+           st.integers(0, 2**32 - 2), st.data())
+    def test_no_flipped_bit_is_believed(self, msg, seq, data):
+        """One flipped bit anywhere outside the length field — the type,
+        the sequence id, the payload or the trailer — fails the CRC,
+        so no damaged frame is ever decoded as a message."""
+        msg.seq = seq
+        raw = bytearray(p.encode(msg))
+        index = data.draw(st.sampled_from(
+            [0] + list(range(5, len(raw)))), label="byte")
+        raw[index] ^= 1 << data.draw(st.integers(0, 7), label="bit")
+        with pytest.raises(p.CrcError):
+            p.decode(bytes(raw))
 
     @given(st.binary(max_size=20))
     def test_truncated_frame_never_decodes(self, payload):

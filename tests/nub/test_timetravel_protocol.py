@@ -83,8 +83,8 @@ class TestMessages:
 
 class TestNegotiation:
     def test_time_travel_needs_no_hello(self):
-        # base protocol: a client that never shakes hands still gets
-        # checkpoints, on plain frames
+        # base protocol: a client that never sends HELLO still gets
+        # checkpoints
         exe, process, nub, runner, chan = start_nub()
         chan.recv(10.0)  # the entry pause
         reply = transact(chan, protocol.icount())
@@ -153,6 +153,7 @@ class TestNubHandlers:
         _, ic0 = protocol.parse_ckpt(transact(chan, protocol.icount()))
         resume_past_pause(chan)
         chan.send(protocol.runto(ic0 + 10))
+        assert chan.recv(10.0).mtype == protocol.MSG_OK  # the control's ack
         msg = chan.recv(10.0)
         signo, code, _ctx = protocol.parse_signal(msg)
         assert signo == SIGTRAP
@@ -167,12 +168,6 @@ class TestNubHandlers:
         # sequence id; the nub must answer again, not mint a new image
         exe, process, nub, runner, chan = start_nub()
         chan.recv(10.0)
-        reply = transact(chan, protocol.hello(
-            features=protocol.FEATURE_SEQ))
-        _, accepted = protocol.parse_hello(reply)
-        assert accepted & protocol.FEATURE_SEQ
-        chan.seq_mode = True
-
         first = protocol.checkpoint()
         first.seq = 7
         cid_a, _ = protocol.parse_ckpt(transact(chan, first))

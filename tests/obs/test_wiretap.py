@@ -1,7 +1,7 @@
 """The protocol trace recorder: decoded frames, graceful bad payloads."""
 
 from repro.nub import protocol
-from repro.obs import describe, feature_names, frame_size
+from repro.obs import describe
 
 
 class TestDescribe:
@@ -23,10 +23,9 @@ class TestDescribe:
         assert d["len"] == 256
         assert d["bytes"].endswith("...(256 bytes)")
 
-    def test_hello_renders_feature_names(self):
-        d = describe(protocol.hello())
-        assert d["version"] == protocol.PROTOCOL_VERSION
-        assert d["features"] == "CRC+SEQ+ACK"
+    def test_hello_renders_version(self):
+        assert describe(protocol.hello()) == {
+            "op": "HELLO", "version": protocol.PROTOCOL_VERSION}
 
     def test_signal_and_exited(self):
         assert describe(protocol.signal(5, 0, 0xFF00)) == {
@@ -71,15 +70,3 @@ class TestDescribe:
                 d = describe(protocol.Message(value, b""))
                 assert "op" in d
 
-
-class TestHelpers:
-    def test_feature_names_empty(self):
-        assert feature_names(0) == "none"
-
-    def test_frame_size_matches_encode(self):
-        msg = protocol.fetch("d", 0, 4)
-        for crc in (False, True):
-            for seq in (False, True):
-                msg.seq = 1 if seq else None
-                assert (frame_size(msg, crc=crc, seq_mode=seq)
-                        == len(protocol.encode(msg, crc=crc, seq_mode=seq)))

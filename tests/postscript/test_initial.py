@@ -34,7 +34,7 @@ class Correspondence:
     """Holds ``b`` to be a structural copy of ``a``: the same types,
     values, literal flags and keys, one copy per mutable object (a
     dictionary, an array, an array's ``items`` list, a location), never
-    the object itself, and each interpreter's own operators."""
+    the object itself, and the operators each systemdict names."""
 
     def __init__(self, a: Interp, b: Interp):
         self.a_ops = a.systemdict.store
@@ -170,6 +170,22 @@ class TestIsolation:
         for other in (before.interp, after.interp,
                       postscript._initial_template()):
             Correspondence(fresh, other)
+
+    def test_replacing_an_operator_stays_in_its_interpreter(self):
+        """Interpreters share the operator objects but not the
+        dictionaries that hold them."""
+        one, two = new_interp(stdout=io.StringIO()), Ldb(stdout=io.StringIO())
+        one.run("systemdict /add { mul } put "
+                "systemdict /Put { pop (*) = } put")
+        assert one.systemdict["add"] is not two.interp.systemdict["add"]
+        one.run("3 4 add (x) Put")
+        assert one.pop() == 12 and one.stdout.getvalue() == "*\n"
+        for other in (two.interp, Interp(stdout=io.StringIO()),
+                      new_interp(stdout=io.StringIO())):
+            other.run("3 4 add (x) Put")
+            assert other.pop() == 7 and other.stdout.getvalue() == "x"
+            assert isinstance(other.systemdict["add"], Operator)
+        Correspondence(reference(), postscript._initial_template())
 
     def test_a_store_into_a_location_stays_in_its_debugger(self):
         one, two = Ldb(stdout=io.StringIO()), Ldb(stdout=io.StringIO())

@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.postscript import Name, PSArray, PSError, String, new_interp
+from repro.postscript import Interp, Name, PSArray, PSError, String
 
 
 def _fresh_interp():
     import io
-    return new_interp(stdout=io.StringIO(), prelude=False)
+    return Interp(stdout=io.StringIO())
 
 
 class TestArithmetic:
@@ -98,6 +98,75 @@ class TestComparison:
     def test_ordering_strings_and_numbers_raises(self, bare_ps):
         with pytest.raises(PSError):
             bare_ps.interp.run("(a) 1 lt")
+
+
+#: a 400-digit integer: the scanner reads it, no real can hold it
+HUGE = "1" + "0" * 399
+
+
+def huge_ids(value):
+    """Test ids that name the 400-digit integer instead of spelling it."""
+    return str(value).replace(HUGE, "HUGE")
+
+
+class TestNumbersGiveAResultOrATypedError:
+    """Integers are unbounded, reals are not: every operation on either
+    answers a number or a PostScript error ``stopped`` catches, never a
+    Python exception or a non-PostScript value."""
+
+    @staticmethod
+    def stopped_with(bare_ps, source):
+        interp = bare_ps.interp
+        interp.run("{ %s } stopped" % source)
+        assert interp.pop() is True, source
+        return interp.stop_error.errname
+
+    @pytest.mark.parametrize("source", [
+        HUGE + " 1.5 add", HUGE + " 2.0 sub", HUGE + " 1.5 mul",
+        "2.5 " + HUGE + " mul", HUGE + " 3 div", HUGE + " 0.5 div",
+        HUGE + " sqrt", "10 400 exp", HUGE + " 1 exp", "2 " + HUGE + " exp",
+    ], ids=huge_ids)
+    def test_beyond_the_reals_is_a_rangecheck(self, bare_ps, source):
+        assert self.stopped_with(bare_ps, source) == "rangecheck"
+
+    @pytest.mark.parametrize("source", ["-8 0.5 exp", "-8 1 3 div exp",
+                                        "0 -1 exp", "0.0 -1.5 exp"])
+    def test_exp_without_a_real_result_is_undefinedresult(self, bare_ps,
+                                                         source):
+        assert self.stopped_with(bare_ps, source) == "undefinedresult"
+
+    @pytest.mark.parametrize("src,expected", [
+        ("9007199254740993 9007199254740992 eq", False),
+        ("9007199254740993 9007199254740992 ne", True),
+        ("9007199254740993 9007199254740992.0 eq", False),
+        ("9007199254740992 9007199254740992.0 eq", True),
+        (HUGE + " " + HUGE + " eq", True),
+        (HUGE + " " + HUGE + " ne", False),
+        (HUGE + " 1e300 eq", False),
+        (HUGE + " 1 add " + HUGE + " sub", 1),
+        (HUGE + " " + HUGE + " mul " + HUGE + " idiv", int(HUGE)),
+        ("-8 3 exp", -512.0),
+        ("-8 2.0 exp", 64.0),
+        ("1 1000000000000 bitshift", 0),
+    ], ids=huge_ids)
+    def test_exact_results(self, bare_ps, src, expected):
+        result = bare_ps.eval(src)
+        assert result == expected and type(result) is type(expected)
+
+    @pytest.mark.parametrize("op", ["ceiling", "floor", "round", "truncate"])
+    def test_rounding_an_infinity_keeps_it(self, bare_ps, op):
+        assert bare_ps.eval("1e308 10 mul %s" % op) == float("inf")
+        assert bare_ps.eval("1e308 -10 mul %s" % op) == float("-inf")
+
+    @given(st.one_of(st.integers(), st.integers(2**53 - 4, 2**53 + 4),
+                     st.integers(10**399, 10**399 + 4)),
+           st.one_of(st.integers(), st.integers(2**53 - 4, 2**53 + 4),
+                     st.integers(10**399, 10**399 + 4)))
+    def test_eq_on_integers_is_integer_equality(self, a, b):
+        interp = _fresh_interp()
+        interp.run("%d %d eq %d %d ne" % (a, b, a, b))
+        assert interp.pop() is (a != b)
+        assert interp.pop() is (a == b)
 
 
 class TestArrays:

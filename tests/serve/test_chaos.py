@@ -27,13 +27,12 @@ from tests.serve.helpers import COUNTER
 SEEDS = list(range(24))  # >= 20 seeded schedules
 
 #: errors a chaos run may legitimately answer; anything else is a bug.
-#: ERR_EVAL/ERR_BAD_ARGS appear when pre-CRC handshake frames are
-#: corrupted: the session survives with garbage state and honestly
-#: reports reads it cannot serve — typed, which is the contract
+#: Every frame is CRC-checked from the first byte, so no damaged frame
+#: leaves a session with garbage state: reads never fail as ERR_EVAL or
+#: ERR_BAD_ARGS here
 TYPED_CODES = {
     "ERR_TARGET_DIED", "ERR_DEADLINE", "ERR_SESSION_EXPIRED",
     "ERR_POST_MORTEM", "ERR_TARGET_STATE", "ERR_BUSY", "ERR_INTERNAL",
-    "ERR_EVAL", "ERR_BAD_ARGS",
 }
 
 

@@ -41,6 +41,30 @@ def test_checker_ignores_prose_that_is_not_a_constant():
     assert checker.defined_names("# MSG_OLD = 9\n    MSG_INNER = 3\n") == set()
 
 
+def test_checker_holds_the_framing_sections_to_the_frame_layout():
+    checker = _load_checker()
+    source = ("HEADER_SIZE = 9\nTRAILER_SIZE = 4\nNO_SEQ = 0xFFFFFFFF\n"
+              "PROTOCOL_VERSION = 3\n")
+    stated = ("intro `HEADER_SIZE` = 5\n## 1. Framing\n`HEADER_SIZE` = 9, "
+              "`TRAILER_SIZE` = 4 and `NO_SEQ` = `0xFFFFFFFF`.\n"
+              "## 2. Setup\nThe current `PROTOCOL_VERSION` = 3.\n"
+              "## 3. Messages\n`TRAILER_SIZE` = 0\n")
+    # statements outside Secs. 1-2 are not the framing sections' business
+    assert checker.layout_problems(source, stated) == []
+    drifted = stated.replace("`HEADER_SIZE` = 9", "`HEADER_SIZE` = 5")
+    assert checker.layout_problems(source, drifted) == [
+        "PROTOCOL.md Secs. 1-2 state HEADER_SIZE as [5], but protocol.py "
+        "defines 9"]
+    silent = stated.replace("`PROTOCOL_VERSION` = 3", "version three")
+    assert checker.layout_problems(source, silent) == [
+        "PROTOCOL.md Secs. 1-2 do not state `PROTOCOL_VERSION` = 3"]
+    two_framings = stated.replace("## 2. Setup", "plain `HEADER_SIZE` = 5\n"
+                                  "## 2. Setup")
+    assert checker.layout_problems(source, two_framings) == [
+        "PROTOCOL.md Secs. 1-2 state HEADER_SIZE as [5, 9], but "
+        "protocol.py defines 9"]
+
+
 def test_checker_runs_as_a_script():
     import subprocess
     proc = subprocess.run([sys.executable, str(CHECKER)],

@@ -2,12 +2,17 @@
 """Doc-consistency check: PROTOCOL.md vs. the defining modules.
 
 The wire-protocol spec is only useful while it matches the code, so CI
-fails when they drift.  The check is a two-way set comparison of the
-symbolic names — every ``MSG_*``, ``FEATURE_*``, and ``ERR_*`` constant
-*defined* in the protocol's source modules must be documented in
-``PROTOCOL.md``, and the spec must not document a name the code does
-not define (a renamed or removed message would otherwise live on in
-the spec).
+fails when they drift.  Two checks:
+
+* a two-way set comparison of the symbolic names — every ``MSG_*`` and
+  ``ERR_*`` constant *defined* in the protocol's source modules must be
+  documented in ``PROTOCOL.md``, and the spec must not document a name
+  the code does not define (a renamed or removed message would
+  otherwise live on in the spec);
+* the frame layout — Secs. 1-2 of ``PROTOCOL.md`` must state the
+  header size, the trailer size, ``NO_SEQ`` and ``PROTOCOL_VERSION``
+  as ``protocol.py`` defines them, each written `` `NAME` = value``,
+  so the spec cannot drift back to describing another framing.
 
 Three modules define wire-visible vocabularies:
 
@@ -37,10 +42,18 @@ SOURCES = (
 PROTOCOL_MD = ROOT / "PROTOCOL.md"
 
 #: a protocol constant *definition*: the name at column 0, assigned
-_DEF = re.compile(r"^((?:MSG|FEATURE|ERR)_[A-Z0-9_]+)\s*=", re.MULTILINE)
+_DEF = re.compile(r"^((?:MSG|ERR)_[A-Z0-9_]+)\s*=", re.MULTILINE)
 
 #: any *mention* of a protocol constant name
-_MENTION = re.compile(r"\b((?:MSG|FEATURE|ERR)_[A-Z0-9_]+)\b")
+_MENTION = re.compile(r"\b((?:MSG|ERR)_[A-Z0-9_]+)\b")
+
+#: the frame-layout constants Secs. 1-2 must state with their values
+LAYOUT = ("HEADER_SIZE", "TRAILER_SIZE", "NO_SEQ", "PROTOCOL_VERSION")
+_NUMBER = r"(0x[0-9A-Fa-f]+|\d+)"
+_LAYOUT_DEF = re.compile(r"^(%s)\s*=\s*%s\s*$" % ("|".join(LAYOUT), _NUMBER),
+                         re.MULTILINE)
+_LAYOUT_STATED = re.compile(r"`(%s)`\s*=\s*`?%s`?" % ("|".join(LAYOUT),
+                                                      _NUMBER))
 
 
 def defined_names(source: str) -> set:
@@ -49,6 +62,30 @@ def defined_names(source: str) -> set:
 
 def documented_names(text: str) -> set:
     return set(_MENTION.findall(text))
+
+
+def layout_problems(source: str, doc: str) -> list:
+    """What Secs. 1-2 of ``doc`` state wrongly, or leave out, of the
+    frame layout ``source`` defines; empty when they agree."""
+    defined = {name: int(value, 0)
+               for name, value in _LAYOUT_DEF.findall(source)}
+    start, end = doc.find("\n## 1."), doc.find("\n## 3.")
+    sections = doc[start:end] if 0 <= start < end else ""
+    stated: dict = {}
+    for name, value in _LAYOUT_STATED.findall(sections):
+        stated.setdefault(name, set()).add(int(value, 0))
+    problems = []
+    for name in LAYOUT:
+        if name not in defined:
+            problems.append("protocol.py defines no %s" % name)
+        elif name not in stated:
+            problems.append("PROTOCOL.md Secs. 1-2 do not state `%s` = %d"
+                            % (name, defined[name]))
+        elif stated[name] != {defined[name]}:
+            problems.append("PROTOCOL.md Secs. 1-2 state %s as %s, but "
+                            "protocol.py defines %d"
+                            % (name, sorted(stated[name]), defined[name]))
+    return problems
 
 
 def check() -> int:
@@ -72,10 +109,13 @@ def check() -> int:
     for name in phantom:
         print("check_protocol_doc: PROTOCOL.md documents %s, which "
               "no source module defines" % name, file=sys.stderr)
-    if undocumented or phantom:
+    layout = layout_problems(SOURCES[0].read_text(), PROTOCOL_MD.read_text())
+    for problem in layout:
+        print("check_protocol_doc: %s" % problem, file=sys.stderr)
+    if undocumented or phantom or layout:
         return 1
     print("check_protocol_doc: PROTOCOL.md documents all %d protocol "
-          "constants" % len(code))
+          "constants and the frame layout" % len(code))
     return 0
 
 
