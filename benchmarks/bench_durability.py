@@ -40,6 +40,7 @@ from repro.machines.atomicio import (
     SalvagedArtifact,
     atomic_write_bytes,
     cleanup_stale_temps,
+    use_fs,
 )
 from repro.machines.core import CoreError, CoreFile
 from repro.trace.format import Recording, TraceError
@@ -169,7 +170,8 @@ def measure_fault_matrix(scratch: Path, rec_raw: bytes, seeds: int) -> dict:
         fs = FaultyFS(FsFaultSchedule(seed=seed, enospc=0.08, torn=0.08,
                                       powercut=0.08, eio=0.08))
         try:
-            atomic_write_bytes(path, rec_raw, fs=fs)
+            with use_fs(fs):
+                atomic_write_bytes(path, rec_raw)
             landed = True
         except PowerCut:
             landed = False

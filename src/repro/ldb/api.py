@@ -1,13 +1,14 @@
 """A machine-readable command/response layer over the debugger.
 
-The paper's ldb is "usable by other programs" — the CLI is just one
-client.  This module is the client interface for *programs*: every
-debugger verb is a ``(command, args)`` pair executed against an
-:class:`~repro.ldb.debugger.Ldb`, answering a JSON-able dict or raising
-a typed :class:`ApiError` whose ``code`` a remote caller can switch on.
-The session server (:mod:`repro.serve`) speaks exactly this vocabulary
-over its gateway, and a batch triage pipeline can drive cores through
-the same surface without ever parsing human-formatted text.
+The paper's ldb is "usable by other programs".  This module is the
+one command vocabulary: every debugger verb is a ``(command, args)``
+pair executed against an :class:`~repro.ldb.debugger.Ldb`, answering a
+JSON-able dict or raising a typed :class:`ApiError` whose ``code`` a
+remote caller can switch on.  The session server (:mod:`repro.serve`)
+speaks exactly this vocabulary over its gateway, the REPL
+(:mod:`repro.ldb.cli`) prints its answers, and a batch triage pipeline
+drives cores through the same surface without ever parsing
+human-formatted text.  PROTOCOL.md App. A.4 lists the verbs.
 
 Two properties matter more than the verb list:
 
@@ -62,7 +63,8 @@ class ApiError(Exception):
 #: verbs that change target state — refused on a post-mortem target
 #: before anything else runs, with the dedicated code
 MUTATING = frozenset(("continue", "step", "next", "set", "break",
-                      "delete_breaks", "kill"))
+                      "delete_breaks", "kill", "reverse_continue",
+                      "reverse_step", "reverse_next", "goto"))
 
 
 class DebugAPI:
@@ -91,6 +93,10 @@ class DebugAPI:
             "record_save": self._cmd_record_save,
             "record_stop": self._cmd_record_stop,
             "replay_open": self._cmd_replay_open,
+            "reverse_continue": self._cmd_reverse_continue,
+            "reverse_step": self._cmd_reverse_step,
+            "reverse_next": self._cmd_reverse_next,
+            "goto": self._cmd_goto,
         }
 
     def commands(self):
@@ -158,10 +164,29 @@ class DebugAPI:
 
     def _arg(self, args: dict, name: str, kind=str):
         value = args.get(name)
-        if not isinstance(value, kind):
+        if not isinstance(value, kind) or isinstance(value, bool):
             raise ApiError(ERR_BAD_ARGS, "command needs %r (a %s), got %r"
                            % (name, kind.__name__, value))
         return value
+
+    def _where(self, target: Target) -> Optional[dict]:
+        try:
+            proc, filename, line = self.ldb.where_am_i(target)
+        except Exception:
+            # a smashed stack must not turn a stop report into a
+            # crash: the stop is real even if unlocatable
+            return None
+        return {"proc": proc, "file": filename, "line": line}
+
+    def _landing(self, target: Target, icount: Optional[int] = None) -> dict:
+        """Where a time-travel verb left the target: its state and, at
+        a stop, the icount and location."""
+        out: dict = {"state": target.state, "icount": None, "where": None}
+        if target.state == "stopped":
+            out["icount"] = (target.current_icount() if icount is None
+                             else icount)
+            out["where"] = self._where(target)
+        return out
 
     def _event_dict(self, event) -> dict:
         out: dict = {"event": event.kind}
@@ -169,13 +194,7 @@ class DebugAPI:
             if event.kind == "signal":
                 out["signo"] = event.signo
                 out["code"] = event.code
-            try:
-                proc, filename, line = self.ldb.where_am_i(event.target)
-                out["where"] = {"proc": proc, "file": filename, "line": line}
-            except Exception:
-                # a smashed stack must not turn a stop report into a
-                # crash: the stop is real even if unlocatable
-                out["where"] = None
+            out["where"] = self._where(event.target)
         elif event.kind == "exit":
             out["status"] = event.status
         elif event.kind == "died":
@@ -199,16 +218,11 @@ class DebugAPI:
     def _cmd_break(self, args, timeout) -> dict:
         target = self._target()
         spec = self._arg(args, "at")
-        if ":" in spec:
-            filename, _, line_text = spec.rpartition(":")
-            try:
-                line = int(line_text)
-            except ValueError:
-                raise ApiError(ERR_BAD_ARGS, "bad line number %r" % line_text)
-            addresses = self.ldb.break_at_line(filename, line, target)
-        else:
-            addresses = [self.ldb.break_at_function(spec, target)]
-        condition = args.get("condition")
+        # a condition is checked before anything is planted: one that
+        # is not text would kill the expression server at the first hit
+        condition = (None if args.get("condition") is None
+                     else self._arg(args, "condition"))
+        addresses = self.ldb.break_at(spec, target)
         if condition is not None:
             for address in addresses:
                 self.ldb.events.add_condition(address, condition)
@@ -257,22 +271,8 @@ class DebugAPI:
         return {"expr": expr, "value": value}
 
     def _cmd_backtrace(self, args, timeout) -> dict:
-        target = self._target()
-        limit = args.get("limit", 64)
-        frames = []
-        for frame in target.frames(limit):
-            filename, line = frame.location_line()
-            row = {"level": frame.level, "proc": frame.proc_name(),
-                   "file": filename, "line": line, "pc": frame.pc,
-                   "corrupt": frame.corrupt, "offset": None}
-            if not frame.corrupt:
-                hit = target.linker.proc_containing(frame.pc)
-                if hit is not None:
-                    # pc relative to the procedure's entry: what the
-                    # triage normalizer folds to "proc+0xoff"
-                    row["offset"] = frame.pc - hit[0]
-            frames.append(row)
-        return {"frames": frames}
+        limit = self._arg(args, "limit", int) if "limit" in args else 64
+        return {"frames": self.ldb.backtrace(self._target(), limit)}
 
     def _cmd_where(self, args, timeout) -> dict:
         proc, filename, line = self.ldb.where_am_i(self._target())
@@ -305,17 +305,7 @@ class DebugAPI:
         return out
 
     def _cmd_registers(self, args, timeout) -> dict:
-        target = self._target()
-        frame = target.top_frame()
-        reg_names = target.arch_dict.get("RegNames")
-        if reg_names is None:
-            names = target.machdep.reg_names()
-        else:
-            names = [item.text for item in reg_names]
-        registers = {}
-        for index, name in enumerate(names):
-            registers[name] = frame.read_reg(index) & 0xFFFFFFFF
-        return {"registers": registers}
+        return {"registers": self.ldb.registers(self._target())}
 
     def _cmd_kill(self, args, timeout) -> dict:
         target = self._target()
@@ -371,6 +361,26 @@ class DebugAPI:
                 "spills": len(recording.spills),
                 "base_icount": recording.meta.base_icount,
                 "final_icount": recording.final_icount}
+
+    def _cmd_reverse_continue(self, args, timeout) -> dict:
+        target = self._target()
+        return self._landing(target, self.ldb.reverse_continue(target).icount)
+
+    def _cmd_reverse_step(self, args, timeout) -> dict:
+        target = self._target()
+        return self._landing(target, self.ldb.reverse_step(target).icount)
+
+    def _cmd_reverse_next(self, args, timeout) -> dict:
+        target = self._target()
+        return self._landing(target, self.ldb.reverse_next(target).icount)
+
+    def _cmd_goto(self, args, timeout) -> dict:
+        target = self._target()
+        icount = self._arg(args, "icount", int)
+        if not 0 <= icount < 1 << 64:
+            raise ApiError(ERR_BAD_ARGS, "icount %d is out of range" % icount)
+        self.ldb.goto_icount(icount, target)
+        return self._landing(target)
 
     def _cmd_sim_stats(self, args, timeout) -> dict:
         # non-mutating: reads the simulator engine's own counters, so

@@ -1,49 +1,19 @@
 """The ldb command-line user interface.
 
-A small client of the :class:`~repro.ldb.debugger.Ldb` interface —
-like the paper's ldb, the debugger proper exposes a client interface so
-other front ends (GUIs, event-action debuggers) could be built on it.
+Like the paper's ldb, the debugger proper exposes a client interface
+that other front ends (GUIs, event-action debuggers, the session
+server) are built on; this REPL renders the answers of
+:class:`~repro.ldb.api.DebugAPI`, the same verbs the gateway serves.
 
 Usage::
 
     ldb program.img              # image produced by `rcc -g ... -o program.img`
     ldb --source fib.c --target rmips
-
-Commands::
-
-    break <function> | break <file>:<line>
-    run / continue / c
-    record [interval]
-    record --save <file> [interval]
-    record save [file]
-    record stop
-    replay <file>
-    reverse-continue / rc
-    reverse-step / rs
-    reverse-next / rn
-    goto <icount>
-    icount / checkpoint
-    print <expression> | p <expression>
-    set <var> = <expression>
-    backtrace / bt
-    where
-    core <file>
-    dumpcore <file>
-    registers / regs
-    info breaks | info checkpoints
-    stats
-    sim
-    trace on | trace off | trace dump [file]
-    triage <dir|manifest.json|artifact>
-    targets / target <name>
-    kill / quit
-
-Batch mode::
-
     ldb triage <dir|manifest.json> [--workers N] [--json report.json]
         [--top N]
 
-See docs/ldb.md for the full command reference.
+An unknown command lists the verbs; docs/ldb.md is the full command
+reference.
 """
 
 from __future__ import annotations
@@ -55,19 +25,53 @@ from typing import List, Optional
 
 from ..cc.driver import compile_and_link
 from ..cc.lexer import CError
-from .breakpoints import BreakpointError
 from ..postscript import PSError
 from ..trace import DivergenceError
-from .debugger import Ldb
+from .api import ERR_DIVERGED, ApiError, DebugAPI
+from .breakpoints import BreakpointError
+from .debugger import Ldb, format_backtrace
 from .exprserver import EvalError
 from .target import TargetError
 
+#: verbs that need an argument, with the line that says so
+USAGE = {
+    "break": "break <function> | break <file>:<line>",
+    "condition": "condition <function | file:line> <expression>",
+    "print": "print <expression>",
+    "set": "set <var> = <expression>",
+    "goto": "goto <icount>",
+    "replay": "replay <file>",
+    "core": "core <file>",
+    "dumpcore": "dumpcore <file>",
+    "target": "target <name>",
+}
+
+#: short and long spellings of the verbs, by the name each one runs as
+ALIASES = {"q": "quit", "exit": "quit", "b": "break", "run": "continue",
+           "c": "continue", "r": "continue", "s": "step", "n": "next",
+           "rc": "reverse-continue", "rs": "reverse-step",
+           "rn": "reverse-next", "p": "print", "bt": "backtrace",
+           "regs": "registers"}
+
+#: the automatic-checkpoint interval ``record`` uses unless given one
+RECORD_INTERVAL = 5_000
+
 
 class Cli:
+    """The REPL: a renderer over :class:`~repro.ldb.api.DebugAPI`.
+
+    Each verb that acts on the current target turns its text into one
+    ``DebugAPI.execute`` call and prints the answer, so the REPL and
+    the session server's gateway share one implementation of every
+    such verb, and the REPL's errors are the API's messages.  The verbs
+    only a terminal needs (recording start, cores, checkpoints,
+    observability, serving) are methods of this class alone."""
+
     def __init__(self, stdin=None, stdout=None):
         self.stdin = stdin if stdin is not None else sys.stdin
         self.out = stdout if stdout is not None else sys.stdout
         self.ldb = Ldb(stdout=self.out)
+        self.api = DebugAPI(self.ldb)
         self.done = False
         self.server = None  # the session server, once `serve` runs
 
@@ -116,280 +120,255 @@ class Cli:
         rest = rest.strip()
         try:
             self.dispatch(verb, rest)
-        except DivergenceError as err:
-            # replay stopped matching the file: the session is suspect
-            # from here on, say so loudly but keep the REPL alive
-            self.say("ldb: REPLAY DIVERGED: %s" % err)
-        except (TargetError, BreakpointError, EvalError, CError, PSError) as err:
-            self.say("ldb: %s" % err)
-
-    def dispatch(self, verb: str, rest: str) -> None:
-        if verb in ("quit", "q", "exit"):
-            self.done = True
-        elif verb == "break" or verb == "b":
-            self.cmd_break(rest)
-        elif verb in ("run", "continue", "c", "r"):
-            self.cmd_continue()
-        elif verb in ("step", "s"):
-            self.cmd_step(over=False)
-        elif verb in ("next", "n"):
-            self.cmd_step(over=True)
-        elif verb == "record":
-            self.cmd_record(rest)
-        elif verb == "replay":
-            self.cmd_replay(rest)
-        elif verb in ("reverse-continue", "rc"):
-            self.cmd_reverse("continue")
-        elif verb in ("reverse-step", "rs"):
-            self.cmd_reverse("step")
-        elif verb in ("reverse-next", "rn"):
-            self.cmd_reverse("next")
-        elif verb == "goto":
-            self.cmd_goto(rest)
-        elif verb == "icount":
-            self.say("icount %d" % self.ldb.current.current_icount())
-        elif verb == "checkpoint":
-            cid, icount = self.ldb.current.take_checkpoint()
-            self.say("checkpoint %d at icount %d" % (cid, icount))
-        elif verb == "condition":
-            spec, _, expr = rest.partition(" ")
-            self.ldb.break_if(spec, expr.strip())
-            self.say("conditional breakpoint at %s when %s" % (spec, expr))
-        elif verb in ("print", "p"):
-            self.cmd_print(rest)
-        elif verb == "set":
-            self.ldb.assign(rest)
-        elif verb in ("backtrace", "bt"):
-            self.out.write(self.ldb.backtrace_text())
-        elif verb == "where":
-            proc, filename, line = self.ldb.where_am_i()
-            self.say("%s () at %s:%d" % (proc, filename, line))
-        elif verb == "core":
-            self.cmd_core(rest)
-        elif verb == "dumpcore":
-            self.cmd_dumpcore(rest)
-        elif verb in ("registers", "regs"):
-            self.out.write(self.ldb.registers_text())
-        elif verb == "info":
-            self.cmd_info(rest)
-        elif verb == "stats":
-            self.cmd_stats()
-        elif verb == "sim":
-            self.cmd_sim()
-        elif verb == "trace":
-            self.cmd_trace(rest)
-        elif verb == "triage":
-            self.cmd_triage(rest)
-        elif verb == "targets":
-            for name, target in self.ldb.targets.items():
-                marker = "*" if target is self.ldb.current else " "
-                self.say("%s %s (%s) %s" % (marker, name, target.arch_name,
-                                            target.state))
-        elif verb == "target":
-            target = self.ldb.switch_target(rest)
-            self.say("now debugging %s (%s)" % (target.name, target.arch_name))
-        elif verb == "kill":
-            self.ldb.current.kill()
-            self.say("killed")
-        elif verb == "serve":
-            self.cmd_serve(rest)
-        elif verb == "sessions":
-            self.cmd_sessions()
-        else:
-            self.say("ldb: unknown command %r (try: break condition run step next "
-                     "record replay reverse-continue reverse-step reverse-next "
-                     "goto print set backtrace where core dumpcore registers "
-                     "stats sim trace triage targets serve sessions quit)" % verb)
-
-    def _open_salvageable(self, opener, path: str):
-        """Run ``opener(path)`` surfacing any SalvagedArtifact warning
-        as a visible CLI line (damaged artifacts open read-only on
-        their valid prefix — the user should know)."""
-        from ..machines.atomicio import SalvagedArtifact
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", SalvagedArtifact)
-            target = opener(path)
-        for entry in caught:
-            if issubclass(entry.category, SalvagedArtifact):
-                self.say("warning: %s" % entry.message)
-        return target
-
-    def cmd_core(self, path: str) -> None:
-        """Open a core file: a post-mortem target with no nub behind it."""
-        if not path:
-            self.say("usage: core <file>")
-            return
-        target = self._open_salvageable(self.ldb.open_core, path)
-        self.say("post-mortem target %s (%s): signal %d, icount %d"
-                 % (target.name, target.arch_name, target.signo,
-                    target.core.icount))
-        try:
-            proc, filename, line = self.ldb.where_am_i()
-            self.say("died in %s () at %s:%d" % (proc, filename, line))
-        except Exception:
-            self.say("died at an unknown location (saved context unreadable)")
-
-    def cmd_dumpcore(self, path: str) -> None:
-        """Snapshot the stopped target into a core file."""
-        if not path:
-            self.say("usage: dumpcore <file>")
-            return
-        core = self.ldb.current.dump_core(path)
-        self.say("core written to %s (%d memory segments, icount %d)"
-                 % (path, len(core.segments), core.icount))
-
-    def cmd_record(self, rest: str) -> None:
-        words = rest.split()
-        if words and words[0] == "stop":
-            # `record stop`: detach the writer without saving
-            spills, inputs = self.ldb.record_stop()
-            self.say("recording stopped without saving (%d checkpoint "
-                     "spills and %d inputs not saved; time travel stays "
-                     "on)"
-                     % (spills, inputs))
-            return
-        if words and words[0] == "save":
-            # `record save [file]`: write the accumulated recording
-            path = words[1] if len(words) > 1 else None
-            recording = self.ldb.record_save(path)
-            writer = self.ldb.current.trace_writer
-            self.say("recording saved to %s (%d checkpoint spills, "
-                     "%d stops, %d inputs)"
-                     % (writer.path, len(recording.spills),
-                        len(recording.stops), len(recording.inputs)))
-            return
-        if words and words[0] == "--save":
-            # `record --save <file> [interval]`: persistent recording
-            if len(words) < 2:
-                self.say("usage: record --save <file> [interval]")
-                return
-            path = words[1]
-            interval = int(words[2]) if len(words) > 2 else 5_000
-            writer = self.ldb.start_recording(path=path, interval=interval)
-            self.say("recording to %s: checkpoint spill every %d "
-                     "instructions (write it with: record save)"
-                     % (writer.path, writer.interval))
-            return
-        interval = int(rest) if rest else 5_000
-        replay = self.ldb.enable_time_travel(interval=interval)
-        self.say("recording: checkpoint every %d instructions"
-                 % replay.interval)
-
-    def cmd_replay(self, path: str) -> None:
-        """Reopen a saved recording: a replay target with no nub."""
-        if not path:
-            self.say("usage: replay <file>")
-            return
-        target = self._open_salvageable(self.ldb.open_recording, path)
-        recording = target.recording
-        self.say("replay target %s (%s): %d checkpoint spills, "
-                 "icounts %d..%d"
-                 % (target.name, target.arch_name, len(recording.spills),
-                    recording.meta.base_icount, recording.final_icount))
-        try:
-            proc, filename, line = self.ldb.where_am_i()
-            self.say("recording ends in %s () at %s:%d (signal %d)"
-                     % (proc, filename, line, target.signo))
-        except Exception:
-            self.say("recording ends at an unknown location")
-
-    def cmd_reverse(self, how: str) -> None:
-        if how == "continue":
-            hit = self.ldb.reverse_continue()
-        elif how == "step":
-            hit = self.ldb.reverse_step()
-        else:
-            hit = self.ldb.reverse_next()
-        proc, filename, line = self.ldb.where_am_i()
-        self.say("back at icount %d: %s () at %s:%d"
-                 % (hit.icount, proc, filename, line))
-
-    def cmd_goto(self, rest: str) -> None:
-        state = self.ldb.goto_icount(int(rest))
-        if state == "stopped":
-            self.say("now at icount %d" % self.ldb.current.current_icount())
-        else:
-            self.say("target is %s" % state)
-
-    def cmd_break(self, spec: str) -> None:
-        if ":" in spec:
-            filename, _, line_text = spec.rpartition(":")
-            addresses = self.ldb.break_at_line(filename, int(line_text))
-            for address in addresses:
-                self.say("breakpoint at 0x%x (%s)" % (address, spec))
-        else:
-            address = self.ldb.break_at_function(spec)
-            self.say("breakpoint at 0x%x (%s)" % (address, spec))
-
-    def cmd_step(self, over: bool) -> None:
-        event = self.ldb.step_over() if over else self.ldb.step()
-        if event.kind in ("step", "breakpoint"):
-            proc, filename, line = self.ldb.where_am_i()
-            self.say("%s () at %s:%d" % (proc, filename, line))
-        elif event.kind == "exit":
-            self.say("program exited with status %s" % event.status)
-        else:
-            self.say("stopped: %s" % event.kind)
-
-    def cmd_continue(self) -> None:
-        # the event engine applies breakpoint conditions (Sec. 7.1)
-        try:
-            event = self.ldb.events.wait()
+        except (ApiError, DivergenceError) as err:
+            # a replay that stopped matching its file leaves the session
+            # suspect from here on: say so loudly, but keep going
+            diverged = getattr(err, "code", ERR_DIVERGED) == ERR_DIVERGED
+            self.say("ldb: %s%s" % ("REPLAY DIVERGED: " if diverged else "",
+                                    err))
         except TimeoutError as err:
             self.say("target %s is still running (%s)"
                      % (self.ldb.current.name, err))
-            return
-        target = self.ldb.current
-        if event.kind in ("breakpoint", "step"):
-            proc, filename, line = self.ldb.where_am_i()
-            self.say("stopped in %s () at %s:%d" % (proc, filename, line))
-        elif event.kind == "signal":
-            proc, filename, line = self.ldb.where_am_i()
-            self.say("signal %d in %s () at %s:%d"
-                     % (event.signo, proc, filename, line))
-        elif event.kind == "exit":
-            self.say("program exited with status %s" % event.status)
-            if hasattr(target, "process"):
-                self.out.write(target.process.output())
-        elif event.kind == "died":
-            self.say("target died: %s" % event.reason)
-            if event.core_path:
-                self.say("a core was written; open it with: core %s"
-                         % event.core_path)
+        except (TargetError, BreakpointError, EvalError, CError, PSError,
+                OSError) as err:
+            self.say("ldb: %s" % err)
+
+    def dispatch(self, verb: str, rest: str) -> None:
+        verb = ALIASES.get(verb, verb)
+        handler = getattr(self, "cmd_" + verb.replace("-", "_"), None)
+        if handler is None:
+            self.say("ldb: unknown command %r (try: %s)" % (verb, " ".join(
+                sorted(name[4:].replace("_", "-") for name in dir(self)
+                       if name.startswith("cmd_")))))
+        elif verb in USAGE and not rest:
+            self.say("usage: %s" % USAGE[verb])
         else:
-            self.say("target is %s" % event.kind)
+            handler(rest)
+
+    def cmd_quit(self, rest: str) -> None:
+        self.done = True
+
+    # -- verbs answered by the API ------------------------------------------
+
+    def cmd_break(self, spec: str) -> None:
+        result = self.api.execute("break", {"at": spec})
+        for address in result["addresses"]:
+            self.say("breakpoint at 0x%x (%s)" % (address, spec))
+
+    def cmd_condition(self, rest: str) -> None:
+        spec, _, expr = rest.partition(" ")
+        expr = expr.strip()
+        if not expr:
+            self.say("usage: %s" % USAGE["condition"])
+            return
+        self.api.execute("break", {"at": spec, "condition": expr})
+        self.say("conditional breakpoint at %s when %s" % (spec, expr))
+
+    def cmd_continue(self, rest: str) -> None:
+        # the event engine applies breakpoint conditions (Sec. 7.1)
+        self._say_event(self.api.execute("continue"))
+
+    def cmd_step(self, rest: str) -> None:
+        self._say_event(self.api.execute("step"))
+
+    def cmd_next(self, rest: str) -> None:
+        self._say_event(self.api.execute("next"))
+
+    def _say_event(self, result: dict) -> None:
+        event = result["event"]
+        if event == "breakpoint":
+            self.say("stopped in %s" % _place(result["where"]))
+        elif event == "step":
+            self.say(_place(result["where"]))
+        elif event == "signal":
+            self.say("signal %d in %s"
+                     % (result["signo"], _place(result["where"])))
+        elif event == "exit":
+            self.say("program exited with status %s" % result["status"])
+            process = getattr(self.ldb.current, "process", None)
+            if process is not None:
+                self.out.write(process.output())
+        elif event == "died":
+            self.say("target died: %s" % result["reason"])
+            if result["core_path"]:
+                self.say("a core was written; open it with: core %s"
+                         % result["core_path"])
+        else:
+            self.say("target is %s" % event)
 
     def cmd_print(self, expr: str) -> None:
-        # a bare variable name prints via its type's printer procedure;
-        # anything else goes through the expression server
-        if expr.isidentifier():
-            try:
-                self.ldb.print_variable(expr)
-                return
-            except TargetError:
-                pass
-        value = self.ldb.evaluate(expr)
-        self.say(str(value))
+        result = self.api.execute("print", {"expr": expr})
+        # a variable's printer procedure has already written its text
+        # to this REPL's output; an evaluated expression answers a value
+        if "value" in result:
+            self.say(str(result["value"]))
+
+    def cmd_set(self, expr: str) -> None:
+        self.say(str(self.api.execute("set", {"expr": expr})["value"]))
+
+    def cmd_backtrace(self, rest: str) -> None:
+        self.out.write(format_backtrace(
+            self.api.execute("backtrace")["frames"]))
+
+    def cmd_where(self, rest: str) -> None:
+        self.say(_place(self.api.execute("where")))
+
+    def cmd_kill(self, rest: str) -> None:
+        self.api.execute("kill")
+        self.say("killed")
+
+    def cmd_dumpcore(self, path: str) -> None:
+        """Snapshot the stopped target into a core file."""
+        result = self.api.execute("dumpcore", {"path": path})
+        self.say("core written to %s (%d memory segments, icount %d)"
+                 % (path, result["segments"], result["icount"]))
+
+    def cmd_sim(self, rest: str) -> None:
+        """Print the current target's simulator-engine counters."""
+        info = self.api.execute("sim_stats")
+        self.say("engine %s" % info.pop("engine"))
+        if info:
+            width = max(len(name) for name in info)
+            for name in sorted(info):
+                self.say("%-*s  %s" % (width, name, info[name]))
+
+    def cmd_replay(self, path: str) -> None:
+        """Reopen a saved recording: a replay target with no nub."""
+        result = self._open_salvageable(
+            lambda: self.api.execute("replay_open", {"path": path}))
+        target = result["target"]
+        self.say("replay target %s (%s): %d checkpoint spills, "
+                 "icounts %d..%d, ends with signal %d"
+                 % (target["name"], target["arch"], result["spills"],
+                    result["base_icount"], result["final_icount"],
+                    target["signo"]))
+
+    def cmd_reverse_continue(self, rest: str) -> None:
+        self._say_landing(self.api.execute("reverse_continue"))
+
+    def cmd_reverse_step(self, rest: str) -> None:
+        self._say_landing(self.api.execute("reverse_step"))
+
+    def cmd_reverse_next(self, rest: str) -> None:
+        self._say_landing(self.api.execute("reverse_next"))
+
+    def _say_landing(self, result: dict) -> None:
+        self.say("back at icount %d: %s"
+                 % (result["icount"], _place(result["where"])))
+
+    def cmd_goto(self, rest: str) -> None:
+        try:
+            icount = int(rest)
+        except ValueError:
+            self.say("usage: %s" % USAGE["goto"])
+            return
+        result = self.api.execute("goto", {"icount": icount})
+        if result["state"] == "stopped":
+            self.say("now at icount %d" % result["icount"])
+        else:
+            self.say("target is %s" % result["state"])
+
+    def cmd_record(self, rest: str) -> None:
+        words = rest.split()
+        if words[:1] == ["stop"]:
+            # `record stop`: detach the writer without saving
+            result = self.api.execute("record_stop")
+            self.say("recording stopped without saving (%d checkpoint "
+                     "spills and %d inputs not saved; time travel stays "
+                     "on)" % (result["discarded_spills"],
+                              result["discarded_inputs"]))
+        elif words[:1] == ["save"]:
+            # `record save [file]`: write the accumulated recording
+            result = self.api.execute(
+                "record_save", {"path": words[1] if len(words) > 1
+                                else None})
+            self.say("recording saved to %s (%d checkpoint spills, "
+                     "%d stops, %d inputs)"
+                     % (result["path"], result["spills"], result["stops"],
+                        result["inputs"]))
+        else:
+            # `record [interval]`, or `record --save <file> [interval]`
+            # for a persistent recording
+            saving = words[:1] == ["--save"]
+            interval = _interval(words[2:] if saving else words)
+            if interval is None or saving and len(words) < 2:
+                self.say("usage: record [interval] | record --save <file> "
+                         "[interval] | record save [file] | record stop")
+            elif saving:
+                writer = self.ldb.start_recording(path=words[1],
+                                                  interval=interval)
+                self.say("recording to %s: checkpoint spill every %d "
+                         "instructions (write it with: record save)"
+                         % (writer.path, writer.interval))
+            else:
+                replay = self.ldb.enable_time_travel(interval=interval)
+                self.say("recording: checkpoint every %d instructions"
+                         % replay.interval)
 
     def cmd_info(self, what: str) -> None:
         if what.startswith("break"):
-            target = self.ldb.current
-            for address, bp in sorted(target.breakpoints.planted.items()):
-                self.say("0x%x %s" % (address, bp.note))
+            for row in self.api.execute("breaks")["breakpoints"]:
+                self.say("0x%x %s" % (row["address"], row["note"]))
         elif what.startswith("checkpoint"):
-            target = self.ldb.current
-            if target.replay is None:
+            replay = self.ldb._need_target().replay
+            if replay is None:
                 self.say("not recording")
                 return
-            for ck in target.replay.ring.entries:
+            for ck in replay.ring.entries:
                 self.say("ckpt %d at icount %d pc=0x%x (%s)"
                          % (ck.cid, ck.icount, ck.pc, ck.kind))
         else:
             self.say("info: breaks | checkpoints")
 
+    # -- verbs only the REPL has --------------------------------------------
+
+    def _open_salvageable(self, opener):
+        """Run ``opener()`` surfacing any SalvagedArtifact warning as a
+        visible CLI line (damaged artifacts open read-only on their
+        valid prefix — the user should know)."""
+        from ..machines.atomicio import SalvagedArtifact
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", SalvagedArtifact)
+            result = opener()
+        for entry in caught:
+            if issubclass(entry.category, SalvagedArtifact):
+                self.say("warning: %s" % entry.message)
+        return result
+
+    def cmd_core(self, path: str) -> None:
+        """Open a core file: a post-mortem target with no nub behind it."""
+        target = self._open_salvageable(lambda: self.ldb.open_core(path))
+        self.say("post-mortem target %s (%s): signal %d, icount %d"
+                 % (target.name, target.arch_name, target.signo,
+                    target.core.icount))
+        # the defensive unwinder answers even for a smashed context
+        top = self.api.execute("backtrace", {"limit": 1})["frames"][0]
+        self.say("died at an unknown location (saved context unreadable)"
+                 if top["corrupt"] else "died in %s" % _place(top))
+
+    def cmd_registers(self, rest: str) -> None:
+        self.out.write(self.ldb.registers_text())
+
+    def cmd_icount(self, rest: str) -> None:
+        self.say("icount %d" % self.ldb._need_target().current_icount())
+
+    def cmd_checkpoint(self, rest: str) -> None:
+        cid, icount = self.ldb._need_target().take_checkpoint()
+        self.say("checkpoint %d at icount %d" % (cid, icount))
+
+    def cmd_targets(self, rest: str) -> None:
+        for name, target in self.ldb.targets.items():
+            marker = "*" if target is self.ldb.current else " "
+            self.say("%s %s (%s) %s" % (marker, name, target.arch_name,
+                                        target.state))
+
+    def cmd_target(self, name: str) -> None:
+        target = self.ldb.switch_target(name)
+        self.say("now debugging %s (%s)" % (target.name, target.arch_name))
+
     # -- observability ------------------------------------------------------
 
-    def cmd_stats(self) -> None:
+    def cmd_stats(self, rest: str) -> None:
         """Print every nonzero metric in the debugger's registry."""
         snapshot = self.ldb.obs.metrics.snapshot()
         if not snapshot:
@@ -400,25 +379,6 @@ class Cli:
             value = snapshot[name]
             text = "%g" % value if isinstance(value, float) else str(value)
             self.say("%-*s  %s" % (width, name, text))
-
-    def cmd_sim(self) -> None:
-        """Print the current target's simulator-engine counters."""
-        target = self.ldb.current
-        if target is None:
-            self.say("no target")
-            return
-        process = getattr(target, "process", None)
-        if process is None:
-            self.say("target %s has no in-process simulator" % target.name)
-            return
-        engine = process.cpu.engine
-        info = engine.describe()
-        self.say("engine %s" % engine.name)
-        if not info:
-            return
-        width = max(len(name) for name in info)
-        for name in sorted(info):
-            self.say("%-*s  %s" % (width, name, info[name]))
 
     def cmd_trace(self, rest: str) -> None:
         tracer = self.ldb.obs.tracer
@@ -471,13 +431,19 @@ class Cli:
             self.say("session server already listening on %s:%d"
                      % (self.server.host, self.server.port))
             return
+        try:
+            port = int(rest) if rest else 0
+        except ValueError:
+            port = -1
+        if not 0 <= port <= 65535:
+            self.say("usage: serve [port]")
+            return
         from ..serve import DebugServer
-        port = int(rest) if rest else 0
         self.server = DebugServer(port=port)
         self.say("session server listening on %s:%d"
                  % (self.server.host, self.server.port))
 
-    def cmd_sessions(self) -> None:
+    def cmd_sessions(self, rest: str) -> None:
         if self.server is None:
             self.say("no session server (start one with: serve [port])")
             return
@@ -490,6 +456,23 @@ class Cli:
                      % (row["session"], row["state"], row["queued"],
                         "y" if row["busy"] else "n", row["idle_seconds"],
                         row["commands_done"], row.get("reason", "")))
+
+
+def _place(where: Optional[dict]) -> str:
+    """An API ``where`` as ``<proc> () at <file>:<line>``."""
+    if where is None:
+        return "an unknown location"
+    return "%s () at %s:%d" % (where["proc"], where["file"], where["line"])
+
+
+def _interval(words: List[str]) -> Optional[int]:
+    """``record``'s optional interval: the default when absent, None
+    when it is not one positive integer."""
+    if not words:
+        return RECORD_INTERVAL
+    if len(words) == 1 and words[0].isdecimal() and int(words[0]) > 0:
+        return int(words[0])
+    return None
 
 
 def triage_main(argv: List[str]) -> int:
@@ -549,9 +532,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.source:
         cli.compile_source(args.source, args.target)
     elif args.core:
-        cli.cmd_core(args.core)
+        cli.command("core %s" % args.core)
     elif args.replay:
-        cli.cmd_replay(args.replay)
+        cli.command("replay %s" % args.replay)
     elif args.image:
         cli.load_image(args.image)
     else:

@@ -181,25 +181,26 @@ class Ldb:
         """Switch targets — possibly to a different architecture; the
         per-architecture dictionary rebinds the machine-dependent names
         (paper Sec. 5)."""
-        self.current = self.targets[name]
-        return self.current
-
-    def drop_target(self, name: str) -> None:
-        """Forget a target and close its transport: the session-server
-        detach path.  Closing an in-thread host ends its target, and
-        closing a wire tells the nub nobody is debugging, so a stopped
-        target is released rather than preserved forever."""
-        target = self.targets.pop(name, None)
+        target = self.targets.get(name)
         if target is None:
-            return
-        try:
-            target.transport.close()
-        except Exception:
-            pass  # a dead transport is already what "dropped" means
-        if self.current is target:
-            self.current = next(iter(self.targets.values()), None)
+            raise TargetError("no target named %r (targets: %s)"
+                              % (name, " ".join(self.targets) or "none"))
+        self.current = target
+        return target
 
     # -- breakpoints -------------------------------------------------------------
+
+    def break_at(self, spec: str, target: Target) -> List[int]:
+        """Plant breakpoints at ``spec``: ``<file>:<line>`` (every
+        stopping point on the line) or a procedure name."""
+        if ":" not in spec:
+            return [self.break_at_function(spec, target)]
+        filename, _, line_text = spec.rpartition(":")
+        try:
+            line = int(line_text)
+        except ValueError:
+            raise BreakpointError("bad line number %r" % line_text)
+        return self.break_at_line(filename, line, target)
 
     def break_at_function(self, name: str,
                           target: Optional[Target] = None) -> int:
@@ -296,38 +297,57 @@ class Ldb:
         target.print_value(entry, frame)
         return _read_back(self.stdout, before)
 
-    def backtrace_text(self, target: Optional[Target] = None,
-                       limit: int = 64) -> str:
-        target = target or self._need_target()
-        lines = []
+    def backtrace(self, target: Target, limit: int) -> List[dict]:
+        """One row per frame, innermost first: ``level``, ``proc``,
+        ``file``, ``line``, ``pc``, ``corrupt``, and ``offset`` (the pc
+        relative to its procedure's entry, what the triage normalizer
+        folds to "proc+0xoff"; None when unknown)."""
+        rows = []
         for frame in target.frames(limit):
             filename, line = frame.location_line()
-            lines.append("#%-2d %s () at %s:%d"
-                         % (frame.level, frame.proc_name(), filename, line))
-        return "\n".join(lines) + "\n"
+            row = {"level": frame.level, "proc": frame.proc_name(),
+                   "file": filename, "line": line, "pc": frame.pc,
+                   "corrupt": frame.corrupt, "offset": None}
+            if not frame.corrupt:
+                hit = target.linker.proc_containing(frame.pc)
+                if hit is not None:
+                    row["offset"] = frame.pc - hit[0]
+            rows.append(row)
+        return rows
 
-    def registers_text(self, target: Optional[Target] = None) -> str:
-        """Enumerate the target's registers.
+    def backtrace_text(self, target: Optional[Target] = None,
+                       limit: int = 64) -> str:
+        return format_backtrace(self.backtrace(target or self._need_target(),
+                                               limit))
+
+    def registers(self, target: Target) -> Dict[str, int]:
+        """The integer registers at the top frame, name -> value.
 
         The register names come from the machine-dependent PostScript
         (the RegNames array in data/<arch>.ps) — "ldb uses machine-
         dependent PostScript to ... enumerate a target's registers"
         (paper Sec. 4.3)."""
-        target = target or self._need_target()
         frame = target.top_frame()
         reg_names = target.arch_dict.get("RegNames")
         if reg_names is None:
             names = target.machdep.reg_names()
         else:
             names = [item.text for item in reg_names]
-        parts = []
-        for index, name in enumerate(names):
-            parts.append("%-4s 0x%08x" % (name, frame.read_reg(index) & 0xFFFFFFFF))
+        return {name: frame.read_reg(index) & 0xFFFFFFFF
+                for index, name in enumerate(names)}
+
+    def registers_text(self, target: Optional[Target] = None) -> str:
+        """:meth:`registers`, then the floating-point registers the
+        FRegNames array names, one per line."""
+        target = target or self._need_target()
+        parts = ["%-4s 0x%08x" % item
+                 for item in self.registers(target).items()]
         freg_names = target.arch_dict.get("FRegNames")
         if freg_names is not None:
             from ..postscript import Location
+            memory = target.top_frame().memory
             for index, item in enumerate(freg_names):
-                value = frame.memory.fetch(Location.absolute("f", index), "f64")
+                value = memory.fetch(Location.absolute("f", index), "f64")
                 parts.append("%-4s %g" % (item.text, value))
         return "\n".join(parts) + "\n"
 
@@ -539,20 +559,14 @@ class Ldb:
         """Source-level next: skip stops in deeper frames."""
         return self.events.next(target or self._need_target())
 
-    def break_if(self, name_or_line: str, condition: str,
+    def break_if(self, spec: str, condition: str,
                  target: Optional[Target] = None) -> int:
         """A conditional breakpoint: stop only when the expression is
         true (event-driven debugging subsumes these, Sec. 7.1)."""
-        target = target or self._need_target()
-        if ":" in name_or_line:
-            filename, _, line = name_or_line.rpartition(":")
-            addresses = self.break_at_line(filename, int(line), target)
-            for address in addresses:
-                self.events.add_condition(address, condition)
-            return addresses[0]
-        address = self.break_at_function(name_or_line, target)
-        self.events.add_condition(address, condition)
-        return address
+        addresses = self.break_at(spec, target or self._need_target())
+        for address in addresses:
+            self.events.add_condition(address, condition)
+        return addresses[0]
 
     # -- expressions (via the expression server) ------------------------------------------
 
@@ -573,6 +587,14 @@ class Ldb:
                target: Optional[Target] = None):
         """Assignments are expressions (``a = 5``)."""
         return self.evaluate(expression, frame, target)
+
+
+def format_backtrace(rows: List[dict]) -> str:
+    """:meth:`Ldb.backtrace` rows as ``#<level> <proc> () at
+    <file>:<line>`` lines."""
+    return "\n".join("#%-2d %s () at %s:%d" % (row["level"], row["proc"],
+                                               row["file"], row["line"])
+                     for row in rows) + "\n"
 
 
 def _tell(stream) -> Optional[int]:

@@ -372,6 +372,12 @@ class ExpressionServer:
         except (CError, EvalError) as err:
             self._emit("%s ExpressionServer.error\n" % _ps_quote(str(err)))
             return
+        except RecursionError:
+            # the recursive-descent parser ran out of stack: answer, or
+            # this thread dies and the debugger waits for it forever
+            self._emit("(expression nested too deeply) "
+                       "ExpressionServer.error\n")
+            return
         self._emit("%s\nExpressionServer.result\n" % ps_code)
 
     def compile_expression(self, text: str) -> str:
@@ -475,6 +481,11 @@ class ExpressionClient:
         server = ExpressionServer(
             cmd_b.makefile("r", encoding="latin-1", newline="\n"),
             ps_b.makefile("w", encoding="latin-1", newline="\n"))
+        for sock in (cmd_a, cmd_b, ps_a, ps_b):
+            # each file keeps its socket open until the file is closed,
+            # so a collected client ends the conversation: the server
+            # reads end-of-file and its thread returns
+            sock.close()
         self.server = server
         self.thread = threading.Thread(target=server.serve_forever, daemon=True)
         self.thread.start()

@@ -53,9 +53,6 @@ class LinkerInterface:
                 return address
         return None
 
-    def anchor_names(self) -> List[str]:
-        return [key for key in self._anchormap.keys()]
-
     # -- procedures ----------------------------------------------------------
 
     def proc_containing(self, pc: int) -> Optional[Tuple[int, str]]:
@@ -77,12 +74,6 @@ class LinkerInterface:
         if not self._proctable:
             return None
         return (self._proctable[0][0], self._proctable[-1][0] + _TEXT_SLACK)
-
-    def proc_name_for(self, address: int) -> Optional[str]:
-        for addr, name in self._proctable:
-            if addr == address:
-                return name
-        return None
 
     # -- frame information ------------------------------------------------------
 

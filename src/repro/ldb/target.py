@@ -254,6 +254,7 @@ class Target:
         elif msg.mtype == protocol.MSG_EXITED:
             self.exit_status = protocol.parse_exited(msg)
             self.state = "exited"
+            self.transport.close()  # the nub hangs up after an exit
             self.obs.metrics.inc("target.exits")
             self.obs.tracer.event("target.exit", target=self.name,
                                   status=self.exit_status)
@@ -307,6 +308,7 @@ class Target:
         self.obs.tracer.event("target.kill", target=self.name)
         self.state = "exited"
         self.wire.invalidate()
+        self.transport.close()  # the nub hangs up after a kill
 
     def detach(self) -> None:
         """Break the connection; the nub preserves the target's state."""

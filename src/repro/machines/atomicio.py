@@ -150,10 +150,10 @@ def _temp_name(path: str) -> str:
                                                  os.getpid()))
 
 
-def stale_temps(path: str, fs=None) -> List[str]:
+def stale_temps(path: str) -> List[str]:
     """Leftover temporaries of ``path`` from writers that died
     mid-write (any pid)."""
-    fs = fs or current_fs()
+    fs = current_fs()
     directory, name = os.path.split(os.path.abspath(path))
     prefix = ".%s%s." % (name, _TEMP_MARK)
     try:
@@ -164,12 +164,12 @@ def stale_temps(path: str, fs=None) -> List[str]:
             if entry.startswith(prefix)]
 
 
-def cleanup_stale_temps(path: str, fs=None) -> int:
+def cleanup_stale_temps(path: str) -> int:
     """Sweep dead writers' temporaries for ``path``; returns the count
     removed.  Best effort: an unremovable temp is not an error."""
-    fs = fs or current_fs()
+    fs = current_fs()
     removed = 0
-    for temp in stale_temps(path, fs):
+    for temp in stale_temps(path):
         try:
             fs.remove(temp)
             removed += 1
@@ -178,14 +178,15 @@ def cleanup_stale_temps(path: str, fs=None) -> int:
     return removed
 
 
-def atomic_write_bytes(path: str, data: bytes, fs=None) -> int:
+def atomic_write_bytes(path: str, data: bytes) -> int:
     """Write ``data`` to ``path`` crash-consistently; returns the byte
     count.  After this returns, ``path`` holds exactly ``data``; if it
     raises (or the process dies), ``path`` holds whatever it held
     before — never a torn mixture.  OSErrors propagate for the
-    caller's typed wrapper."""
-    fs = fs or current_fs()
-    cleanup_stale_temps(path, fs)
+    caller's typed wrapper.  The write goes through :func:`current_fs`
+    (:func:`use_fs` swaps in the fault harness)."""
+    fs = current_fs()
+    cleanup_stale_temps(path)
     temp = _temp_name(path)
     handle = fs.open(temp)
     try:
@@ -220,10 +221,10 @@ def atomic_write_bytes(path: str, data: bytes, fs=None) -> int:
     return len(data)
 
 
-def atomic_write_text(path: str, text: str, fs=None) -> int:
+def atomic_write_text(path: str, text: str) -> int:
     """:func:`atomic_write_bytes` for text artifacts (triage reports,
     JSONL trace dumps)."""
-    return atomic_write_bytes(path, text.encode("utf-8"), fs=fs)
+    return atomic_write_bytes(path, text.encode("utf-8"))
 
 
 # -- the fault harness ----------------------------------------------------

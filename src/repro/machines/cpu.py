@@ -19,6 +19,7 @@ from typing import Callable, Optional, Tuple
 from .engine import StopSpec, make_engine
 from .isa import (
     Arch,
+    DEFAULT_MAX_STEPS,
     SIGSEGV,
     TargetFault,
 )
@@ -145,22 +146,19 @@ class Cpu:
                 if not (reg == 0 and self.arch.zero_reg):
                     self.regs[reg] = value
 
-    def run(self, *, max_steps: Optional[int] = None,
-            stop_at_icount: Optional[int] = None,
-            stop: Optional[StopSpec] = None) -> int:
+    def run(self, *, max_steps: int = DEFAULT_MAX_STEPS,
+            stop_at_icount: Optional[int] = None) -> int:
         """Run until exit; returns the exit status.
 
-        Stop conditions are keyword-only: pass ``max_steps`` /
-        ``stop_at_icount``, or a prebuilt :class:`StopSpec` as
-        ``stop`` (not both).  TargetFaults propagate to the caller
+        Stop conditions are keyword-only (a :class:`StopSpec`
+        documents them).  TargetFaults propagate to the caller
         (normally the nub).  With ``stop_at_icount`` the engine raises
         :class:`~repro.machines.isa.IcountReached` once the
         retired-instruction counter reaches the target — checked
         *between* instructions, so a target at or below the current
         count stops immediately without executing anything.
         """
-        spec = StopSpec.coerce(stop, max_steps, stop_at_icount)
-        return self.engine.run(self, spec)
+        return self.engine.run(self, StopSpec(max_steps, stop_at_icount))
 
     def syscall(self, code: int) -> None:
         if self.syscall_handler is None:

@@ -66,10 +66,9 @@ DEFAULT_ENGINE = "block"
 class StopSpec:
     """One shared description of when a run must stop.
 
-    ``Cpu.run`` and ``Process.run_until_event`` both accept these
-    (or build one from their keyword-only ``max_steps`` /
-    ``stop_at_icount``), so the two stop-condition vocabularies cannot
-    drift apart again.
+    ``Cpu.run`` builds one from its keyword-only ``max_steps`` /
+    ``stop_at_icount`` (``Process.run_until_event`` passes its own
+    through), and every engine runs against it.
 
     * ``max_steps`` — runaway guard: after this many retired
       instructions the run raises the SIGILL/99 runaway fault.
@@ -88,20 +87,6 @@ class StopSpec:
             raise ValueError("stop_at_icount must be >= 0")
         self.max_steps = max_steps
         self.stop_at_icount = stop_at_icount
-
-    @classmethod
-    def coerce(cls, stop: Optional["StopSpec"],
-               max_steps: Optional[int],
-               stop_at_icount: Optional[int]) -> "StopSpec":
-        """Fold the (stop | max_steps/stop_at_icount) keyword surface
-        into one spec; passing both forms is a caller bug."""
-        if stop is not None:
-            if max_steps is not None or stop_at_icount is not None:
-                raise ValueError(
-                    "pass either stop= or max_steps=/stop_at_icount=, not both")
-            return stop
-        return cls(DEFAULT_MAX_STEPS if max_steps is None else max_steps,
-                   stop_at_icount)
 
     def __repr__(self) -> str:
         return "<stop max_steps=%d stop_at_icount=%r>" % (

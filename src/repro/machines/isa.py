@@ -286,7 +286,3 @@ def to_i16(value: int) -> int:
     value &= 0xFFFF
     return value - (1 << 16) if value >= 1 << 15 else value
 
-
-def to_i8(value: int) -> int:
-    value &= 0xFF
-    return value - (1 << 8) if value >= 1 << 7 else value

@@ -93,12 +93,6 @@ class TargetMemory:
         including checkpoint rewinds."""
         self._write_hooks.append(hook)
 
-    def remove_write_hook(self, hook) -> None:
-        try:
-            self._write_hooks.remove(hook)
-        except ValueError:
-            pass  # removed twice, or never added
-
     def _check(self, address: int, size: int) -> None:
         if address < 0 or address + size > self.size:
             raise MemoryFault(address, size)

@@ -18,9 +18,9 @@ import re
 from typing import Optional, Union
 
 from .cpu import Cpu, CpuSnapshot
-from .engine import StopSpec
 from .isa import (
     CODE_ICOUNT,
+    DEFAULT_MAX_STEPS,
     Halt,
     IcountReached,
     SIGTRAP,
@@ -130,20 +130,18 @@ class Process:
 
     # -- events ------------------------------------------------------------
 
-    def run_until_event(self, *, max_steps: Optional[int] = None,
+    def run_until_event(self, *, max_steps: int = DEFAULT_MAX_STEPS,
                         stop_at_icount: Optional[int] = None,
-                        stop: Optional[StopSpec] = None,
                         ) -> Union[ExitEvent, FaultEvent]:
         """Run until the target exits, faults, or (with
         ``stop_at_icount``) retires the requested instruction count.
 
         Stop conditions are keyword-only and shared with
-        :meth:`Cpu.run`: either ``max_steps``/``stop_at_icount`` or a
-        prebuilt :class:`StopSpec` as ``stop``.
+        :meth:`Cpu.run`.
         """
         try:
-            status = self.cpu.run(
-                stop=StopSpec.coerce(stop, max_steps, stop_at_icount))
+            status = self.cpu.run(max_steps=max_steps,
+                                  stop_at_icount=stop_at_icount)
         except IcountReached as stop:
             return IcountStopEvent(stop.icount, stop.pc)
         except TargetFault as fault:

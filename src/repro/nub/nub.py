@@ -248,12 +248,7 @@ class Nub:
             self.obs.metrics.inc("nub.process_deaths")
             if self.last_stop is not None:
                 self._write_auto_core(self.last_stop)
-            if self.channel is not None:
-                try:
-                    self.channel.close()
-                except Exception:
-                    pass
-                self.channel = None
+            self._drop_channel()
             if self.listener is not None:
                 self.listener.close()
                 self.listener = None
@@ -283,11 +278,11 @@ class Nub:
             event = self.advance()
             if isinstance(event, ExitEvent):
                 self._send(protocol.exited(event.status))
-                if self.channel is not None:
-                    self.channel.close()
+                self._drop_channel()
                 return event.status
             outcome = self.handle_signal(event)
             if outcome == "killed":
+                self._drop_channel()
                 self.killed = True
                 return None
 
@@ -379,7 +374,7 @@ class Nub:
                 outcome = self.serve()
             except ChannelClosed:
                 # debugger crash: preserve state, wait for a new debugger
-                self.channel = None
+                self._drop_channel()
                 continue
             if outcome == "continue":
                 self.resume()
@@ -388,7 +383,7 @@ class Nub:
                 return "killed"
             # detached, or an unframeable stream was dropped: keep the
             # target stopped and await a new connection
-            self.channel = None
+            self._drop_channel()
 
     def serve(self) -> str:
         """Service fetch/store requests until continue/kill/detach.
@@ -764,7 +759,13 @@ class Nub:
             try:
                 self.channel.send(msg)
             except ChannelClosed:
-                self.channel = None
+                self._drop_channel()
+
+    def _drop_channel(self) -> None:
+        """Forget the debugger's connection, closing its socket."""
+        if self.channel is not None:
+            self.channel.close()
+            self.channel = None
 
 
 class NubRunner:

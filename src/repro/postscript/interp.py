@@ -125,12 +125,6 @@ class Interp:
             raise PSError("typecheck", "expected array, got %r" % (obj,))
         return obj
 
-    def pop_proc(self) -> PSArray:
-        obj = self.pop()
-        if not isinstance(obj, PSArray) or obj.literal:
-            raise PSError("typecheck", "expected procedure, got %r" % (obj,))
-        return obj
-
     def pop_dict(self) -> PSDict:
         obj = self.pop()
         if not isinstance(obj, PSDict):

@@ -62,12 +62,6 @@ class Name:
         self.text = text
         self.literal = literal
 
-    def as_literal(self) -> "Name":
-        return Name(self.text, literal=True)
-
-    def as_executable(self) -> "Name":
-        return Name(self.text, literal=False)
-
     def __eq__(self, other: Any) -> bool:
         return isinstance(other, Name) and other.text == self.text
 

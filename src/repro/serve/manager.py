@@ -27,6 +27,7 @@ from __future__ import annotations
 import asyncio
 import hmac
 import io
+import math
 import os
 import random
 import secrets
@@ -39,6 +40,7 @@ from ..nub.faults import FaultSchedule
 from ..nub.session import RetryPolicy
 from .errors import (
     ERR_AUTH,
+    ERR_BAD_REQUEST,
     ERR_BUSY,
     ERR_DEADLINE,
     ERR_NO_SESSION,
@@ -51,6 +53,17 @@ from .session import SessionWorker
 
 #: session states that count as "serving" for the live gauge
 ACTIVE_STATES = ("starting", "live", "core")
+
+
+def _positive(value, name: str, code: str, kind=(int, float)):
+    """A client's setting, if it is a finite number above zero (and of
+    ``kind``); otherwise a typed refusal that names the field."""
+    if isinstance(value, bool) or not isinstance(value, kind) \
+            or not 0 < value < math.inf:
+        raise GatewayError(code, "%r must be a %s above zero, got %r"
+                           % (name, "whole number" if kind is int
+                              else "finite number", value))
+    return value
 
 
 class SessionManager:
@@ -224,8 +237,9 @@ class SessionManager:
     async def replay(self, args: Optional[dict] = None) -> dict:
         """Host a replay session over a saved recording: no nub, no
         live process — the worker's debugger stack re-executes the
-        file, so the whole command vocabulary (including reverse
-        commands) works against a crash that happened elsewhere."""
+        file, so the whole command vocabulary works against a crash
+        that happened elsewhere, ``continue``, ``reverse_continue``,
+        ``reverse_step``, ``reverse_next`` and ``goto`` included."""
         args = args or {}
         worker = self._admit(args)
         path = args.get("path")
@@ -293,7 +307,8 @@ class SessionManager:
         """Run one command on a session, under its deadline.  Always
         answers: a result, or a :class:`GatewayError` with a code."""
         worker = self._authorized(sid, token)
-        deadline = self.default_deadline if deadline is None else deadline
+        deadline = self.default_deadline if deadline is None else \
+            _positive(deadline, "deadline", ERR_BAD_REQUEST)
         future = worker.submit(cmd, args, deadline=deadline)
         self.obs.metrics.inc("serve.requests")
         try:
@@ -329,6 +344,12 @@ class SessionManager:
         with a retryable code — it does not queue them into the dark."""
         if self._closing:
             raise GatewayError(ERR_SHUTTING_DOWN, "server is shutting down")
+        queue_limit = _positive(args.get("queue_limit", self.queue_limit),
+                                "queue_limit", ERR_SPAWN_FAILED, int)
+        deadline = float(_positive(args.get("deadline", self.default_deadline),
+                                   "deadline", ERR_SPAWN_FAILED))
+        idle_ttl = float(_positive(args.get("idle_ttl", self.idle_ttl),
+                                   "idle_ttl", ERR_SPAWN_FAILED))
         with self._lock:
             if len(self.sessions) >= self.max_sessions:
                 self.obs.metrics.inc("serve.rejects.sessions")
@@ -340,11 +361,8 @@ class SessionManager:
             token = self._mint_token()
             worker = SessionWorker(
                 sid, factory=None,
-                queue_limit=int(args.get("queue_limit", self.queue_limit)),
-                default_deadline=float(args.get("deadline",
-                                                self.default_deadline)),
-                idle_ttl=float(args.get("idle_ttl", self.idle_ttl)),
-                obs=self.obs)
+                queue_limit=queue_limit, default_deadline=deadline,
+                idle_ttl=idle_ttl, obs=self.obs)
             self.sessions[sid] = worker
             self.tokens[sid] = token
         return worker

@@ -219,7 +219,7 @@ class TraceWriter:
             return recording.meta.loader_ps
         return getattr(self.target, "loader_ps", None)
 
-    def save(self, path: Optional[str] = None, fs=None,
+    def save(self, path: Optional[str] = None,
              partial: bool = False) -> Recording:
         """Write the recording to ``path`` (or the attached default).
 
@@ -237,7 +237,7 @@ class TraceWriter:
         if partial:
             recording.partial = True
         raw = recording.to_bytes()
-        atomic_write_bytes(path, raw, fs=fs)
+        atomic_write_bytes(path, raw)
         self.obs.metrics.inc("trace.saves")
         if partial:
             self.obs.metrics.inc("trace.partial_saves")

@@ -5,7 +5,7 @@ durable; this package makes them *countable*.  See ``docs/artifacts.md``
 for the user-facing story and DESIGN.md Sec. 14 for the architecture.
 """
 
-from .engine import (DEFAULT_FRAME_LIMIT, KIND_CORE, KIND_RECORDING,
+from .engine import (FRAME_LIMIT, KIND_CORE, KIND_RECORDING,
                      TriageEngine, TriageError, classify, scan_dir,
                      triage_artifact)
 from .report import (ERROR_CORRUPT_CORE, ERROR_CORRUPT_RECORDING,
@@ -22,5 +22,5 @@ __all__ = [
     "fold_api_frames", "KIND_CORE", "KIND_RECORDING", "ERROR_KINDS",
     "ERROR_UNREADABLE", "ERROR_NOT_ARTIFACT", "ERROR_CORRUPT_CORE",
     "ERROR_CORRUPT_RECORDING", "ERROR_DIVERGED", "ERROR_SYMBOLIZE",
-    "MAX_HASH_FRAMES", "CORRUPT_TOKEN", "DEFAULT_FRAME_LIMIT",
+    "MAX_HASH_FRAMES", "CORRUPT_TOKEN", "FRAME_LIMIT",
 ]

@@ -60,7 +60,7 @@ KIND_RECORDING = "recording"
 
 #: how many frames the exemplar backtrace keeps (the hash uses fewer;
 #: see stackhash.MAX_HASH_FRAMES)
-DEFAULT_FRAME_LIMIT = 32
+FRAME_LIMIT = 32
 
 
 class TriageError(Exception):
@@ -83,8 +83,7 @@ def classify(path: str) -> str:
     return ERROR_NOT_ARTIFACT
 
 
-def triage_artifact(path: str,
-                    frame_limit: int = DEFAULT_FRAME_LIMIT) -> dict:
+def triage_artifact(path: str) -> dict:
     """Triage one artifact; always returns a JSON-able dict — either
     ``{"ok": True, ...record fields...}`` or ``{"ok": False, "kind":
     <error kind>, "message": ...}``.
@@ -108,14 +107,13 @@ def triage_artifact(path: str,
                 "message": "%s is neither a core (LDBC) nor a recording "
                            "(LDBT); %d bytes" % (path, size)}
     try:
-        return _symbolize(path, kind, frame_limit, started)
+        return _symbolize(path, kind, started)
     except Exception as err:  # the batch contract: a dict, whatever broke
         return {"ok": False, "path": path, "kind": ERROR_SYMBOLIZE,
                 "message": "%s: %s" % (type(err).__name__, err)}
 
 
-def _symbolize(path: str, kind: str, frame_limit: int,
-               started: float) -> dict:
+def _symbolize(path: str, kind: str, started: float) -> dict:
     # deferred imports: a process-pool worker pays them once, and the
     # triage package stays importable without dragging the whole stack
     import warnings
@@ -156,7 +154,7 @@ def _symbolize(path: str, kind: str, frame_limit: int,
 
     api = DebugAPI(ldb)
     fault = api.execute("fault")
-    bt = api.execute("backtrace", {"limit": frame_limit})
+    bt = api.execute("backtrace", {"limit": FRAME_LIMIT})
     try:
         where = api.execute("where")
     except ApiError:
@@ -186,8 +184,7 @@ class TriageEngine:
     """Fan a corpus of crash artifacts through the post-mortem stack
     and bucket the results into ranked crash groups."""
 
-    def __init__(self, *, workers: int = 1,
-                 frame_limit: int = DEFAULT_FRAME_LIMIT, obs=None):
+    def __init__(self, *, workers: int = 1, obs=None):
         if workers < 1:
             raise TriageError("workers must be >= 1, not %r" % workers)
         if obs is None:
@@ -195,7 +192,6 @@ class TriageEngine:
             obs = Observability()
         self.obs = obs
         self.workers = workers
-        self.frame_limit = frame_limit
 
     # -- ingestion ----------------------------------------------------------
 
@@ -263,14 +259,13 @@ class TriageEngine:
 
     def _map(self, paths: List[str]) -> List[dict]:
         if self.workers == 1:
-            return [triage_artifact(path, self.frame_limit)
-                    for path in paths]
+            return [triage_artifact(path) for path in paths]
         # one artifact = one worker-owned debugger stack; futures keep
         # submission order so reports (and exemplar choice) are
         # deterministic regardless of scheduling
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=self.workers) as pool:
-            futures = [pool.submit(triage_artifact, path, self.frame_limit)
+            futures = [pool.submit(triage_artifact, path)
                        for path in paths]
             return [future.result() for future in futures]
 

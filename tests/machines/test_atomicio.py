@@ -76,7 +76,8 @@ class TestFailureAtomicity:
         fs = FaultyFS(FsFaultSchedule(seed=7, script=[kind]))
         exc = PowerCut if kind == "powercut" else OSError
         with pytest.raises(exc):
-            atomic_write_bytes(path, b"NEW" * 1000, fs=fs)
+            with use_fs(fs):
+                atomic_write_bytes(path, b"NEW" * 1000)
         with open(path, "rb") as handle:
             assert handle.read() == old
         return path, fs
@@ -101,7 +102,8 @@ class TestFailureAtomicity:
     def test_next_writer_sweeps_stale_temps(self, tmp_path):
         path, fs = self._fail_write(tmp_path, "powercut")
         fs.revive()
-        atomic_write_bytes(path, b"second try", fs=fs)
+        with use_fs(fs):
+            atomic_write_bytes(path, b"second try")
         with open(path, "rb") as handle:
             assert handle.read() == b"second try"
         assert stale_temps(path) == []
@@ -121,7 +123,8 @@ class TestFailureAtomicity:
         # scheduled ops: the write and fsync land; the rename faults
         fs = FaultyFS(FsFaultSchedule(script=["ok", "ok", "eio"]))
         with pytest.raises(OSError):
-            atomic_write_bytes(path, b"NEW", fs=fs)
+            with use_fs(fs):
+                atomic_write_bytes(path, b"NEW")
         with open(path, "rb") as handle:
             assert handle.read() == b"OLD"
 
@@ -201,7 +204,8 @@ class TestFaultyFS:
         path = str(tmp_path / "x.bin")
         fs = FaultyFS(FsFaultSchedule(script=["powercut"]))
         with pytest.raises(PowerCut):
-            atomic_write_bytes(path, b"doomed", fs=fs)
+            with use_fs(fs):
+                atomic_write_bytes(path, b"doomed")
         with pytest.raises(PowerCut):
             fs.listdir(str(tmp_path))
         fs.revive()
@@ -215,7 +219,8 @@ class TestFaultyFS:
                                       script=["ok", "ok", "powercut"]))
         path = str(tmp_path / "y.bin")
         with pytest.raises(PowerCut):
-            atomic_write_bytes(path, b"Z" * 4096, fs=fs)
+            with use_fs(fs):
+                atomic_write_bytes(path, b"Z" * 4096)
         fs.revive()
         (temp,) = [entry for entry in os.listdir(temp_dir)
                    if ".ldbtmp." in entry]
@@ -237,7 +242,8 @@ class TestFaultyFS:
                 fs = FaultyFS(schedule)
                 path = os.path.join(workdir, "d.bin")
                 try:
-                    atomic_write_bytes(path, b"Q" * 9000, fs=fs)
+                    with use_fs(fs):
+                        atomic_write_bytes(path, b"Q" * 9000)
                     outcome = ("ok", os.path.getsize(path))
                 except PowerCut:
                     outcome = ("powercut",)

@@ -498,20 +498,12 @@ class TestEngineSelection:
 
 class TestStopSpec:
     def test_defaults(self):
-        spec = StopSpec.coerce(None, None, None)
+        spec = StopSpec()
         assert spec.max_steps > 0 and spec.stop_at_icount is None
 
     def test_keywords(self):
-        spec = StopSpec.coerce(None, 10, 99)
+        spec = StopSpec(max_steps=10, stop_at_icount=99)
         assert spec.max_steps == 10 and spec.stop_at_icount == 99
-
-    def test_spec_passes_through(self):
-        spec = StopSpec(max_steps=5)
-        assert StopSpec.coerce(spec, None, None) is spec
-
-    def test_both_forms_is_an_error(self):
-        with pytest.raises(ValueError):
-            StopSpec.coerce(StopSpec(), 10, None)
 
     def test_validation(self):
         with pytest.raises(ValueError):

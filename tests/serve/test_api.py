@@ -45,6 +45,17 @@ def test_bad_args_are_typed(api):
     with pytest.raises(ApiError) as err:
         api.execute("print", ["not", "a", "dict"])
     assert err.value.code == ERR_BAD_ARGS
+    # a condition that is not text, a limit or icount that is not a
+    # whole number, an icount past the wire's 64 bits
+    for cmd, args in (("break", {"at": "fib", "condition": 5}),
+                      ("backtrace", {"limit": "x"}),
+                      ("goto", {"icount": "abc"}),
+                      ("goto", {"icount": True}),
+                      ("goto", {"icount": 1 << 64})):
+        with pytest.raises(ApiError) as err:
+            api.execute(cmd, args)
+        assert err.value.code == ERR_BAD_ARGS, (cmd, args)
+    assert api.execute("breaks") == {"breakpoints": []}
 
 
 def test_status_describes_target(api):

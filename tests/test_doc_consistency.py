@@ -70,3 +70,24 @@ def test_checker_runs_as_a_script():
     proc = subprocess.run([sys.executable, str(CHECKER)],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_checker_holds_the_verb_table_to_the_api():
+    checker = _load_checker()
+    source = ('        self._verbs = {\n'
+              '            "ping": self._cmd_ping,\n'
+              '            "goto": self._cmd_goto,\n'
+              '        }\n')
+    doc = ("## Appendix A\n| op | fields |\n|---|---|\n| `spawn` | x |\n"
+           "### A.4 The command verbs\n| verb | args |\n|---|---|\n"
+           "| `ping` | — |\n| `goto` | `icount` |\n\n## Appendix B\n"
+           "| `other` | y |\n")
+    # rows outside A.4 (the ops table, other appendices) are not verbs
+    assert checker.verb_problems(source, doc) == []
+    missing = doc.replace("| `goto` | `icount` |\n", "")
+    assert checker.verb_problems(source, missing) == [
+        "DebugAPI verb goto is not in PROTOCOL.md App. A.4"]
+    extra = doc.replace("| `ping` | — |\n",
+                        "| `ping` | — |\n| `rewind` | — |\n")
+    assert checker.verb_problems(source, extra) == [
+        "PROTOCOL.md App. A.4 lists rewind, which DebugAPI does not answer"]

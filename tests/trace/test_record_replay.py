@@ -14,6 +14,7 @@ import pytest
 from repro.cc.driver import compile_and_link
 from repro.ldb import Ldb
 from repro.ldb.api import ApiError, DebugAPI, ERR_DIVERGED
+from repro.ldb.cli import Cli
 from repro.ldb.target import TargetError
 from repro.machines import ARCH_NAMES, ENGINE_ENV, SIGSEGV, SIGTRAP
 from repro.trace import DivergenceError, Recording, TraceError
@@ -254,6 +255,24 @@ class TestDivergenceDetection:
             for _ in range(8):  # recorded breakpoints stop us on the way
                 api.execute("continue")
         assert info.value.code == ERR_DIVERGED
+
+    def test_the_repl_prints_the_divergence_banner(self, tmp_path):
+        path = str(tmp_path / "boom.ldbrec")
+        record_crash("rmips", path)
+        tampered, bad_icount = self.tampered(path, tmp_path)
+        out = io.StringIO()
+        cli = Cli(stdout=out)
+        cli.command("replay %s" % tampered)
+        cli.command("goto %d"
+                    % cli.ldb.current.recording.meta.base_icount)
+        for _ in range(8):
+            cli.command("continue")
+        text = out.getvalue()
+        assert ("ldb: REPLAY DIVERGED: " in text
+                and "icount %d" % bad_icount in text), text
+        before = len(text)
+        cli.command("where")
+        assert " () at " in out.getvalue()[before:]
 
     def test_session_stays_debuggable_after_divergence(self, tmp_path):
         # the error is loud, but it must not wedge the session: the

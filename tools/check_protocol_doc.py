@@ -2,7 +2,7 @@
 """Doc-consistency check: PROTOCOL.md vs. the defining modules.
 
 The wire-protocol spec is only useful while it matches the code, so CI
-fails when they drift.  Two checks:
+fails when they drift.  Three checks:
 
 * a two-way set comparison of the symbolic names — every ``MSG_*`` and
   ``ERR_*`` constant *defined* in the protocol's source modules must be
@@ -12,7 +12,9 @@ fails when they drift.  Two checks:
 * the frame layout — Secs. 1-2 of ``PROTOCOL.md`` must state the
   header size, the trailer size, ``NO_SEQ`` and ``PROTOCOL_VERSION``
   as ``protocol.py`` defines them, each written `` `NAME` = value``,
-  so the spec cannot drift back to describing another framing.
+  so the spec cannot drift back to describing another framing;
+* the command verbs — the table of Appendix A.4 must list exactly the
+  verbs of ``DebugAPI``'s verb table in ``ldb/api.py``, one row each.
 
 Three modules define wire-visible vocabularies:
 
@@ -56,6 +58,13 @@ _LAYOUT_STATED = re.compile(r"`(%s)`\s*=\s*`?%s`?" % ("|".join(LAYOUT),
                                                       _NUMBER))
 
 
+#: an entry of DebugAPI's verb table: ``"verb": self._cmd_verb,``
+_VERB_DEF = re.compile(r'^\s+"([a-z_]+)": self\._cmd_[a-z_]+,$', re.MULTILINE)
+
+#: a row of the A.4 table: the verb in its first column
+_VERB_ROW = re.compile(r"^\| `([a-z_]+)` \|", re.MULTILINE)
+
+
 def defined_names(source: str) -> set:
     return set(_DEF.findall(source))
 
@@ -88,6 +97,23 @@ def layout_problems(source: str, doc: str) -> list:
     return problems
 
 
+def verb_problems(source: str, doc: str) -> list:
+    """The verbs ``source`` (``ldb/api.py``) answers that ``doc``'s
+    Appendix A.4 table leaves out, and the rows it has for verbs the
+    API does not answer; empty when they agree."""
+    defined = set(_VERB_DEF.findall(source))
+    start = doc.find("\n### A.4")
+    end = doc.find("\n## ", start + 1)
+    documented = set(_VERB_ROW.findall(doc[start:end])) if start >= 0 \
+        else set()
+    if not defined:
+        return ["no DebugAPI verbs found in api.py (extraction broken?)"]
+    return (["DebugAPI verb %s is not in PROTOCOL.md App. A.4" % verb
+             for verb in sorted(defined - documented)]
+            + ["PROTOCOL.md App. A.4 lists %s, which DebugAPI does not "
+               "answer" % verb for verb in sorted(documented - defined)])
+
+
 def check() -> int:
     if not PROTOCOL_MD.exists():
         print("check_protocol_doc: PROTOCOL.md is missing", file=sys.stderr)
@@ -109,13 +135,15 @@ def check() -> int:
     for name in phantom:
         print("check_protocol_doc: PROTOCOL.md documents %s, which "
               "no source module defines" % name, file=sys.stderr)
-    layout = layout_problems(SOURCES[0].read_text(), PROTOCOL_MD.read_text())
-    for problem in layout:
+    text = PROTOCOL_MD.read_text()
+    problems = (layout_problems(SOURCES[0].read_text(), text)
+                + verb_problems(SOURCES[2].read_text(), text))
+    for problem in problems:
         print("check_protocol_doc: %s" % problem, file=sys.stderr)
-    if undocumented or phantom or layout:
+    if undocumented or phantom or problems:
         return 1
     print("check_protocol_doc: PROTOCOL.md documents all %d protocol "
-          "constants and the frame layout" % len(code))
+          "constants, the frame layout and the command verbs" % len(code))
     return 0
 
 

@@ -38,6 +38,7 @@ from repro.machines.atomicio import (  # noqa: E402
     FsFaultSchedule,
     PowerCut,
     SalvagedArtifact,
+    use_fs,
 )
 from repro.trace import Recording  # noqa: E402
 
@@ -93,7 +94,8 @@ def main(argv=None):
     # 2. power cut mid-rewrite: the baseline survives untouched
     fs = FaultyFS(FsFaultSchedule(seed=11, script=["ok", "powercut"]))
     try:
-        target.trace_writer.save(rec_path, fs=fs)
+        with use_fs(fs):
+            target.trace_writer.save(rec_path)
         check(False, "power cut was injected")
     except PowerCut:
         check(True, "power cut killed the writer mid-save")
@@ -102,7 +104,8 @@ def main(argv=None):
 
     # 3. reboot the disk; the retry lands whole
     fs.revive()
-    target.trace_writer.save(rec_path, fs=fs)
+    with use_fs(fs):
+        target.trace_writer.save(rec_path)
     relanded = open(rec_path, "rb").read()
     check(Recording.from_bytes(relanded).spills is not None,
           "retry after revive landed a clean file")
