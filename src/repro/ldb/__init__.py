@@ -17,7 +17,7 @@ Quick start::
 
 from .breakpoints import Breakpoint, BreakpointError, BreakpointTable
 from .debugger import Ldb
-from .frames import Frame, backtrace
+from .frames import Frame
 from .linker import LinkerInterface, MipsLinkerInterface, linker_for
 from .memories import (
     AliasMemory,
@@ -47,6 +47,5 @@ __all__ = [
     "Target",
     "TargetError",
     "WireMemory",
-    "backtrace",
     "linker_for",
 ]

@@ -79,6 +79,7 @@ class Cli:
         if self.server is not None:
             self.server.close()
             self.server = None
+        self.ldb.close()
 
     def say(self, text: str) -> None:
         self.out.write(text + "\n")

@@ -328,13 +328,8 @@ class Ldb:
         dependent PostScript to ... enumerate a target's registers"
         (paper Sec. 4.3)."""
         frame = target.top_frame()
-        reg_names = target.arch_dict.get("RegNames")
-        if reg_names is None:
-            names = target.machdep.reg_names()
-        else:
-            names = [item.text for item in reg_names]
-        return {name: frame.read_reg(index) & 0xFFFFFFFF
-                for index, name in enumerate(names)}
+        return {item.text: frame.read_reg(index) & 0xFFFFFFFF
+                for index, item in enumerate(target.arch_dict["RegNames"])}
 
     def registers_text(self, target: Optional[Target] = None) -> str:
         """:meth:`registers`, then the floating-point registers the
@@ -342,13 +337,11 @@ class Ldb:
         target = target or self._need_target()
         parts = ["%-4s 0x%08x" % item
                  for item in self.registers(target).items()]
-        freg_names = target.arch_dict.get("FRegNames")
-        if freg_names is not None:
-            from ..postscript import Location
-            memory = target.top_frame().memory
-            for index, item in enumerate(freg_names):
-                value = memory.fetch(Location.absolute("f", index), "f64")
-                parts.append("%-4s %g" % (item.text, value))
+        from ..postscript import Location
+        memory = target.top_frame().memory
+        for index, item in enumerate(target.arch_dict["FRegNames"]):
+            value = memory.fetch(Location.absolute("f", index), "f64")
+            parts.append("%-4s %g" % (item.text, value))
         return "\n".join(parts) + "\n"
 
     # -- time travel (checkpoint/replay) -----------------------------------
@@ -569,6 +562,15 @@ class Ldb:
         return addresses[0]
 
     # -- expressions (via the expression server) ------------------------------------------
+
+    def close(self) -> None:
+        """End the expression server's conversation and close every
+        target's transport.  A second call does nothing."""
+        client, self._expr_client = self._expr_client, None
+        if client is not None:
+            client.close()
+        for target in self.targets.values():
+            target.transport.close()
 
     def expression_client(self):
         if self._expr_client is None:

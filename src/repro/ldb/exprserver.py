@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 import socket
 import threading
+import weakref
 from typing import Dict, List, Optional
 
 from ..cc import tree as ast
@@ -338,51 +339,51 @@ class ExpressionServer:
         self.cmd_in = cmd_in
         self.ps_out = ps_out
         self.types: Optional[TypeSystem] = None
+        #: the last RESET's payload, read when the next EXPR needs types
+        self._reset = '{"arch": "rmips"}'
         #: persistent type source text (saved until the target changes)
         self.type_defs: List[str] = []
         self._known_defs = set()
 
     def serve_forever(self) -> None:
+        """Answer each EXPR with exactly one result or error, whatever
+        fails while handling it — an escaping exception would end this
+        thread and leave the debugger waiting for an answer forever."""
         while True:
             line = self.cmd_in.readline()
             if not line:
                 return
-            line = line.strip()
-            if not line:
-                continue
-            verb, _, payload = line.partition(" ")
+            verb, _, payload = line.strip().partition(" ")
             if verb == "QUIT":
                 return
             if verb == "RESET":
-                arch = json.loads(payload)["arch"]
-                self.types = TypeSystem(arch)
+                # RESET has no answer, so the next EXPR builds the type
+                # system and answers a bad payload as its error
+                self._reset = payload
+                self.types = None
                 self.type_defs = []
                 self._known_defs = set()
-                continue
-            if verb == "EXPR":
-                self.evaluate_one(json.loads(payload)["text"])
-                continue
+            elif verb == "EXPR":
+                try:
+                    self.evaluate_one(json.loads(payload)["text"])
+                except (CError, EvalError) as err:
+                    self._emit_error(str(err))
+                except RecursionError:
+                    # the recursive-descent parser ran out of stack
+                    self._emit_error("expression nested too deeply")
+                except Exception as err:
+                    self._emit_error("%s: %s" % (type(err).__name__, err))
             # stray SYM/NOSYM outside a lookup: ignore
 
     # -- one expression ------------------------------------------------------
 
     def evaluate_one(self, text: str) -> None:
-        try:
-            ps_code = self.compile_expression(text)
-        except (CError, EvalError) as err:
-            self._emit("%s ExpressionServer.error\n" % _ps_quote(str(err)))
-            return
-        except RecursionError:
-            # the recursive-descent parser ran out of stack: answer, or
-            # this thread dies and the debugger waits for it forever
-            self._emit("(expression nested too deeply) "
-                       "ExpressionServer.error\n")
-            return
-        self._emit("%s\nExpressionServer.result\n" % ps_code)
+        self._emit("%s\nExpressionServer.result\n"
+                   % self.compile_expression(text))
 
     def compile_expression(self, text: str) -> str:
         if self.types is None:
-            self.types = TypeSystem("rmips")
+            self.types = TypeSystem(json.loads(self._reset)["arch"])
         parser = self._primed_parser()
         parser.tokens = tokenize(text, "<expr>")
         parser.pos = 0
@@ -453,6 +454,24 @@ class ExpressionServer:
         self.ps_out.write(text)
         self.ps_out.flush()
 
+    def _emit_error(self, message: str) -> None:
+        self._emit("%s ExpressionServer.error\n" % _ps_quote(message))
+
+
+def _serve(server: ExpressionServer) -> None:
+    """The server thread's body: converse until QUIT or end-of-file,
+    then close the server's end of both pipes."""
+    try:
+        server.serve_forever()
+    finally:
+        server.cmd_in.close()
+        server.ps_out.close()
+
+
+def _close_files(*files) -> None:
+    for stream in files:
+        stream.close()
+
 
 def _ps_quote(text: str) -> str:
     out = []
@@ -482,16 +501,27 @@ class ExpressionClient:
             cmd_b.makefile("r", encoding="latin-1", newline="\n"),
             ps_b.makefile("w", encoding="latin-1", newline="\n"))
         for sock in (cmd_a, cmd_b, ps_a, ps_b):
-            # each file keeps its socket open until the file is closed,
-            # so a collected client ends the conversation: the server
-            # reads end-of-file and its thread returns
+            # each file keeps its socket open until the file is closed
             sock.close()
         self.server = server
-        self.thread = threading.Thread(target=server.serve_forever, daemon=True)
+        self.thread = threading.Thread(target=_serve, args=(server,),
+                                       daemon=True)
         self.thread.start()
         self.reader = Reader(self.ps_in, "expression-server")
         self._arch_sent: Optional[str] = None
         self._error: Optional[str] = None
+        #: closes this end's two files, at :meth:`close` or when the
+        #: client is collected — before the collector can finalize a
+        #: socket ahead of the file that owns it; the server then reads
+        #: end-of-file and its thread closes the other end
+        self._hang_up = weakref.finalize(self, _close_files, self.cmd_out,
+                                         self.ps_in)
+
+    def close(self) -> None:
+        """End the conversation and join the server thread."""
+        self._send("QUIT")
+        self._hang_up()
+        self.thread.join(5.0)
 
     # -- interpreter operators the server conversation uses ---------------------
 

@@ -7,6 +7,11 @@ compute scopes for name resolution.  Machine-dependent subtypes (in
 the stack and one that restores registers from the stack — together
 they build the caller's abstract memory, reusing aliases from the called
 frame for callee-saved registers it did not modify (Sec. 4.1).
+
+:class:`Machine` is the rest of a target as the debugger sees it: the
+facts each machine-dependent module states, and the machine-independent
+code that reads them to lay out the nub's saved context and build the
+top frame.
 """
 
 from __future__ import annotations
@@ -41,13 +46,16 @@ class Frame:
     corrupt = False
 
     def __init__(self, target, pc: int, memory: JoinedMemory,
-                 frame_base: int, sp: int, level: int = 0):
+                 frame_base: int, sp: int, level: int = 0,
+                 stats: Optional[MemoryStats] = None):
         self.target = target
         self.pc = pc
         self.memory = memory
         self.frame_base = frame_base
         self.sp = sp
         self.level = level
+        #: the counters the top frame's DAG and its callers' DAGs share
+        self.stats = stats
 
     # -- machine-independent methods ------------------------------------
 
@@ -190,18 +198,9 @@ def guard_down_stack(target, caller_pc: int, caller_sp: int, callee_sp: int,
             % (caller_sp, callee_sp))
 
 
-def backtrace(frame: Optional[Frame], limit: int = 64) -> List[Frame]:
-    """The frames from ``frame`` outward."""
-    frames: List[Frame] = []
-    while frame is not None and len(frames) < limit:
-        frames.append(frame)
-        frame = frame.caller()
-    return frames
-
-
 def build_stack(frame: Optional[Frame], limit: int = 64) -> List[Frame]:
-    """A defensive :func:`backtrace`: given a frame it never raises and
-    always returns at least that frame.
+    """The frames from ``frame`` outward, walked defensively: given a
+    frame it never raises and always returns at least that frame.
 
     Any evidence of corruption — a walker's :class:`CorruptStackError`,
     unreadable frame memory, or a frame cycle — truncates the walk with
@@ -280,3 +279,100 @@ def make_register_dag(target, aliases: Dict[Tuple[str, int], Location],
         routes[space] = register
     routes["x"] = register
     return JoinedMemory(routes, stats=stats)
+
+
+class Machine:
+    """A target machine as the debugger sees it (paper Sec. 4.3).
+
+    A subclass states facts: the breakpoint data, the register counts,
+    the float kind, the sp and fp register numbers and the frame class.
+    The code here reads them to lay out the nub's saved context — the
+    pc, then the integer registers, then the floats, then the flags, as
+    ``Arch.context_fields()`` lays it out on the target side — and to
+    build the top frame from it.
+    """
+
+    arch_name: str
+    #: the data/<arch>.ps dictionary the target's symbol tables use
+    ps_arch: str
+    byteorder: str
+    #: the four breakpoint items (paper Sec. 3): the break and no-op bit
+    #: patterns as little-endian values, the instruction fetch size, and
+    #: the pc advance that "interprets" a skipped no-op
+    break_bytes_le: bytes
+    nop_bytes_le: bytes
+    insn_fetch_size: int
+    noop_advance: int
+    nregs: int
+    nfregs: int
+    #: the kind of a floating register and of its context slot
+    float_kind = "f64"
+    sp_reg: int
+    #: None when the machine has no frame pointer
+    fp_reg: Optional[int] = None
+    frame_class: type
+    #: the pc's offset in the saved context
+    pc_slot = 0
+
+    def __init__(self):
+        #: register spaces and the kinds of their registers
+        self.regset_widths = {"r": "i32", "f": self.float_kind}
+
+    def reg_slot(self, index: int) -> int:
+        """The offset of integer register ``index`` in the context."""
+        return self.pc_slot + 4 + 4 * index
+
+    def freg_slot(self, index: int) -> int:
+        """The offset of floating register ``index`` in the context."""
+        return self.reg_slot(self.nregs) + KIND_BYTES[self.float_kind] * index
+
+    def context_size(self) -> int:
+        return self.freg_slot(self.nfregs) + 4  # the flags word
+
+    def pc_context_location(self, context_addr: int) -> Location:
+        return Location.absolute("d", context_addr + self.pc_slot)
+
+    def context_aliases(self, context_addr: int, pc: int,
+                        frame_base: int) -> Dict[Tuple[str, int], Location]:
+        """The top frame's aliases: each register for its context
+        slot, the extra register ``x0`` for the pc."""
+        aliases: Dict[Tuple[str, int], Location] = {}
+        for i in range(self.nregs):
+            aliases[("r", i)] = Location.absolute(
+                "d", context_addr + self.reg_slot(i))
+        for i in range(self.nfregs):
+            aliases[("f", i)] = Location.absolute(
+                "d", context_addr + self.freg_slot(i))
+        aliases[("x", 0)] = Location.immediate(pc)
+        return aliases
+
+    def frame_base(self, target, pc: int, sp: int, fp: Optional[int]) -> int:
+        """The value the PostScript binds as ``FrameBase`` in the top frame."""
+        return fp
+
+    def cache_fixup(self, target):
+        """A fixup for values sliced out of cached blocks, or None:
+        saved contexts need no per-value fixing by default."""
+        return None
+
+    def new_top_frame(self, target, context_addr: int) -> Frame:
+        """The paper's Frame.New: the nub's saved context -> the
+        topmost frame."""
+        wire = target.wire
+        # the whole context in one block transfer (when the nub speaks
+        # blocks): the fetches below and the DAG's then hit the cache
+        wire.prefetch("d", context_addr, self.context_size())
+
+        def word(offset: int) -> int:
+            return wire.fetch(Location.absolute("d", context_addr + offset),
+                              "i32") & 0xFFFFFFFF
+
+        pc = word(self.pc_slot)
+        fp = None if self.fp_reg is None else word(self.reg_slot(self.fp_reg))
+        sp = word(self.reg_slot(self.sp_reg))
+        base = self.frame_base(target, pc, sp, fp)
+        stats = MemoryStats()
+        memory = make_register_dag(
+            target, self.context_aliases(context_addr, pc, base),
+            self.regset_widths, stats=stats)
+        return self.frame_class(target, pc, memory, base, sp, stats=stats)

@@ -1,27 +1,32 @@
 """ldb's machine-dependent modules: one per target architecture.
 
-Each module supplies the debugger's own machine-dependent data and the
-stack-frame subtype (paper Sec. 4.3):
+Each module states its target's facts as a
+:class:`~repro.ldb.frames.Machine` subclass (paper Sec. 4.3):
 
 * the four items of breakpoint data — the break and no-op bit patterns,
   the instruction fetch size, and the pc advance that "interprets" a
   skipped no-op;
-* the context-field description parameterizing the machine-independent
-  context access code;
-* the frame subtype's two methods (walk down, restore registers);
-* which register spaces exist and how wide their registers are.
+* the byte order, the register counts, the float kind, and the sp and
+  fp register numbers;
+* the frame subtype, whose ``caller()`` is the target's two
+  machine-dependent methods: walk down the stack, restore registers.
+
+The context layout, the context aliases and the top frame are
+machine-independent code in :class:`~repro.ldb.frames.Machine`, which
+reads these facts; rmips alone adds its vfp frame base, the ``x1``
+alias for it, and a word-swapping cache fixup.
 
 These descriptions deliberately do not import the simulator's Arch
 classes: the debugger carries its own copies of machine facts, exactly
-as the paper's ldb does — agreement is enforced by the integration
-tests, not by sharing code with the target.
+as the paper's ldb does — tests/ldb/test_machdep.py checks that the two
+agree, without sharing code with the target.
 """
 
 from __future__ import annotations
 
 
 def machdep_for(arch_name: str):
-    """The machine-dependent module for a target architecture name."""
+    """The machine description for a target architecture name."""
     if arch_name in ("rmips", "rmipsel"):
         from . import mips
         return mips.MipsMachine(arch_name)

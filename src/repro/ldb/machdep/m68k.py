@@ -10,81 +10,19 @@ from the register-save mask the compiler adds to its symbol-table entry
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from ...postscript import Location
 from ..frames import (
     CorruptStackError,
     Frame,
+    Machine,
     guard_down_stack,
     make_register_dag,
 )
-from ..memories import MemoryStats
-
-NREGS = 16
-NFREGS = 8
-SP_REG = 15  # a7
-FP_REG = 14  # a6
-
-CTX_PC = 0
-CTX_REGS = 4
-CTX_FREGS = CTX_REGS + 4 * NREGS
-CTX_SIZE = CTX_FREGS + 10 * NFREGS + 4
-
-REGSET_WIDTHS = {"r": "i32", "f": "f80"}
-
-
-class M68kMachine:
-    noop_advance = 2
-    insn_fetch_size = 2
-    ps_arch = "rm68k"
-    frame_base_is_vfp = False
-    arch_name = "rm68k"
-    byteorder = "big"
-
-    break_bytes_le = bytes([0x48, 0x48])  # BKPT as a little-endian value
-    nop_bytes_le = bytes([0x71, 0x4E])    # NOP (0x4E71)
-
-    def cache_fixup(self, target):
-        return None  # saved contexts need no per-value fixing
-
-    def reg_names(self):
-        return ["d0", "d1", "d2", "d3", "d4", "d5", "d6", "d7",
-                "a0", "a1", "a2", "a3", "a4", "a5", "fp", "sp"]
-
-    def context_aliases(self, context_addr: int, pc: int):
-        aliases: Dict[Tuple[str, int], Location] = {}
-        for i in range(NREGS):
-            aliases[("r", i)] = Location.absolute("d", context_addr + CTX_REGS + 4 * i)
-        for i in range(NFREGS):
-            aliases[("f", i)] = Location.absolute("d", context_addr + CTX_FREGS + 10 * i)
-        aliases[("x", 0)] = Location.immediate(pc)
-        return aliases
-
-    def pc_context_location(self, context_addr: int) -> Location:
-        return Location.absolute("d", context_addr + CTX_PC)
-
-    def new_top_frame(self, target, context_addr: int) -> "M68kFrame":
-        wire = target.wire
-        wire.prefetch("d", context_addr, CTX_SIZE)  # one block transfer
-        pc = wire.fetch(self.pc_context_location(context_addr), "i32") & 0xFFFFFFFF
-        fp = wire.fetch(Location.absolute(
-            "d", context_addr + CTX_REGS + 4 * FP_REG), "i32") & 0xFFFFFFFF
-        sp = wire.fetch(Location.absolute(
-            "d", context_addr + CTX_REGS + 4 * SP_REG), "i32") & 0xFFFFFFFF
-        stats = MemoryStats()
-        memory = make_register_dag(target, self.context_aliases(context_addr, pc),
-                                   REGSET_WIDTHS, stats=stats)
-        frame = M68kFrame(target, pc, memory, fp, sp)
-        frame.machine = self
-        frame.stats = stats
-        return frame
 
 
 class M68kFrame(Frame):
-    machine: M68kMachine = None
-    stats = None
-
     def _saved_reg_slots(self) -> Dict[int, int]:
         """Use the compiler's register-save mask from the symbol table."""
         entry = self.proc_entry()
@@ -92,7 +30,8 @@ class M68kFrame(Frame):
             return {}
         mask = entry["savemask"]
         offset = entry["saveoffset"]
-        regs = sorted(bit for bit in range(NREGS) if mask & (1 << bit))
+        regs = sorted(bit for bit in range(M68kMachine.nregs)
+                      if mask & (1 << bit))
         base = self.frame_base + offset
         return {reg: base + 4 * k for k, reg in enumerate(regs)}
 
@@ -114,16 +53,28 @@ class M68kFrame(Frame):
         hit = self.target.linker.proc_containing(caller_pc)
         if hit is None or hit[1].startswith("__"):  # startup code
             return None
+        machine = self.target.machdep
         aliases = dict(self.memory.routes["r"].underlying.aliases)
         for reg, address in self._saved_reg_slots().items():
             aliases[("r", reg)] = Location.absolute("d", address)
-        aliases[("r", SP_REG)] = Location.immediate(fp + 8)
-        aliases[("r", FP_REG)] = Location.immediate(old_fp)
+        aliases[("r", machine.sp_reg)] = Location.immediate(fp + 8)
+        aliases[("r", machine.fp_reg)] = Location.immediate(old_fp)
         aliases[("x", 0)] = Location.immediate(caller_pc)
-        memory = make_register_dag(self.target, aliases, REGSET_WIDTHS,
-                                   stats=self.stats)
-        frame = M68kFrame(self.target, caller_pc, memory, old_fp, fp + 8,
-                          level=self.level + 1)
-        frame.machine = self.machine
-        frame.stats = self.stats
-        return frame
+        memory = make_register_dag(self.target, aliases,
+                                   machine.regset_widths, stats=self.stats)
+        return M68kFrame(self.target, caller_pc, memory, old_fp, fp + 8,
+                         level=self.level + 1, stats=self.stats)
+
+
+class M68kMachine(Machine):
+    arch_name = ps_arch = "rm68k"
+    byteorder = "big"
+    break_bytes_le = bytes([0x48, 0x48])  # BKPT as a little-endian value
+    nop_bytes_le = bytes([0x71, 0x4E])    # NOP (0x4E71)
+    insn_fetch_size = noop_advance = 2
+    nregs = 16
+    nfregs = 8
+    float_kind = "f80"
+    sp_reg = 15  # a7
+    fp_reg = 14  # a6
+    frame_class = M68kFrame

@@ -5,123 +5,22 @@ virtual frame pointer vfp = sp + frame size; the frame size, the
 register-save mask, and the save-area offset come from the runtime
 procedure table through the MIPS linker interface (paper Sec. 4.1, 4.3).
 Saved registers lie at the save offset in ascending register number,
-with the return address (r31) last.
-
-``MipsFrame.new`` takes the context from the nub and creates the
-top-frame abstract memory: general and floating registers alias their
-saved slots in the context; the extra registers (pc and vfp) are
-aliases for immediate locations.
+with the return address (r31) last.  The vfp is the extra register
+``x1``: an alias for an immediate location, like the pc's ``x0``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from ...postscript import Location
-from ..frames import Frame, guard_down_stack, make_register_dag
-from ..memories import MemoryStats
+from ..frames import Frame, Machine, guard_down_stack, make_register_dag
 
-NREGS = 32
-NFREGS = 16
-SP_REG = 29
 RA_REG = 31
-
-#: context layout: pc, then 32 integer registers, then 16 doubles, flags
-CTX_PC = 0
-CTX_REGS = 4
-CTX_FREGS = CTX_REGS + 4 * NREGS
-CTX_SIZE = CTX_FREGS + 8 * NFREGS + 4
-
-#: register spaces and widths (r integer words, f doubles)
-REGSET_WIDTHS = {"r": "i32", "f": "f64"}
-
-
-class MipsMachine:
-    """Machine-dependent data and constructors for rmips/rmipsel."""
-
-    #: the four machine-dependent breakpoint items (paper Sec. 3)
-    noop_advance = 4
-    insn_fetch_size = 4
-    ps_arch = "rmips"
-    frame_base_is_vfp = True
-
-    def __init__(self, arch_name: str = "rmips"):
-        self.arch_name = arch_name
-        big = arch_name == "rmips"
-        self.byteorder = "big" if big else "little"
-        self.break_bytes_le = bytes([0, 0, 0, 4])  # break, little-endian value
-        self.nop_bytes_le = bytes(4)
-
-    def reg_names(self):
-        return (["r%d" % i for i in range(29)] + ["sp", "r30", "ra"])
-
-    # -- context ------------------------------------------------------------
-
-    def context_aliases(self, context_addr: int, pc: int, vfp: int):
-        aliases: Dict[Tuple[str, int], Location] = {}
-        for i in range(NREGS):
-            aliases[("r", i)] = Location.absolute("d", context_addr + CTX_REGS + 4 * i)
-        for i in range(NFREGS):
-            aliases[("f", i)] = Location.absolute("d", context_addr + CTX_FREGS + 8 * i)
-        aliases[("x", 0)] = Location.immediate(pc)
-        aliases[("x", 1)] = Location.immediate(vfp)
-        return aliases
-
-    def pc_context_location(self, context_addr: int) -> Location:
-        return Location.absolute("d", context_addr + CTX_PC)
-
-    def cache_fixup(self, target):
-        """The debugger-side replica of the nub's ``fix_fetched`` hook.
-
-        On rmips the kernel-saved context stores doubleword floating
-        registers least-significant word first (footnote 3); the nub
-        swaps the words when answering a per-value FETCH, so values
-        sliced out of raw blocks must be swapped the same way.  The
-        closure reads ``target.context_addr`` at fetch time — the
-        region moves with each stop announcement.
-        """
-        if self.byteorder != "big":
-            return None  # rmipsel contexts need no fixing
-
-        def fixup(space: str, address: int, raw_le: bytes) -> bytes:
-            base = target.context_addr
-            if (base and len(raw_le) == 8
-                    and base + CTX_FREGS <= address
-                    < base + CTX_FREGS + 8 * NFREGS):
-                return raw_le[4:] + raw_le[:4]
-            return raw_le
-
-        return fixup
-
-    # -- frames ---------------------------------------------------------------
-
-    def new_top_frame(self, target, context_addr: int) -> "MipsFrame":
-        """MipsFrame.New of the paper: context -> topmost frame."""
-        wire = target.wire
-        # the whole saved context in one block transfer (when the nub
-        # speaks blocks): the pc/sp reads below and the register DAG's
-        # fetches then hit the cache
-        wire.prefetch("d", context_addr, CTX_SIZE)
-        pc = wire.fetch(self.pc_context_location(context_addr), "i32") & 0xFFFFFFFF
-        sp = wire.fetch(Location.absolute(
-            "d", context_addr + CTX_REGS + 4 * SP_REG), "i32") & 0xFFFFFFFF
-        framesize = target.linker.frame_size(pc) or 0
-        vfp = sp + framesize
-        stats = MemoryStats()
-        memory = make_register_dag(
-            target, self.context_aliases(context_addr, pc, vfp),
-            REGSET_WIDTHS, stats=stats)
-        frame = MipsFrame(target, pc, memory, vfp, sp)
-        frame.machine = self
-        frame.stats = stats
-        return frame
 
 
 class MipsFrame(Frame):
     """The rmips frame subtype: its two machine-dependent methods."""
-
-    machine: MipsMachine = None
-    stats = None
 
     def _saved_reg_slots(self) -> Dict[int, int]:
         """reg number -> stack address of its save slot in this frame."""
@@ -158,16 +57,63 @@ class MipsFrame(Frame):
             return None
         framesize = self.target.linker.frame_size(caller_pc) or 0
         caller_vfp = caller_sp + framesize
+        machine = self.target.machdep
         aliases = dict(self.memory.routes["r"].underlying.aliases)
         for reg, address in self._saved_reg_slots().items():
             aliases[("r", reg)] = Location.absolute("d", address)
-        aliases[("r", SP_REG)] = Location.immediate(caller_sp)
+        aliases[("r", machine.sp_reg)] = Location.immediate(caller_sp)
         aliases[("x", 0)] = Location.immediate(caller_pc)
         aliases[("x", 1)] = Location.immediate(caller_vfp)
-        memory = make_register_dag(self.target, aliases, REGSET_WIDTHS,
-                                   stats=self.stats)
-        frame = MipsFrame(self.target, caller_pc, memory, caller_vfp,
-                          caller_sp, level=self.level + 1)
-        frame.machine = self.machine
-        frame.stats = self.stats
-        return frame
+        memory = make_register_dag(self.target, aliases,
+                                   machine.regset_widths, stats=self.stats)
+        return MipsFrame(self.target, caller_pc, memory, caller_vfp,
+                         caller_sp, level=self.level + 1, stats=self.stats)
+
+
+class MipsMachine(Machine):
+    """The facts of rmips and its little-endian twin rmipsel."""
+
+    ps_arch = "rmips"
+    break_bytes_le = bytes([0, 0, 0, 4])  # break, little-endian value
+    nop_bytes_le = bytes(4)
+    insn_fetch_size = noop_advance = 4
+    nregs = 32
+    nfregs = 16
+    sp_reg = 29
+    frame_class = MipsFrame
+
+    def __init__(self, arch_name: str = "rmips"):
+        super().__init__()
+        self.arch_name = arch_name
+        self.byteorder = "big" if arch_name == "rmips" else "little"
+
+    def frame_base(self, target, pc: int, sp: int, fp: Optional[int]) -> int:
+        return sp + (target.linker.frame_size(pc) or 0)  # the vfp
+
+    def context_aliases(self, context_addr: int, pc: int, frame_base: int):
+        aliases = super().context_aliases(context_addr, pc, frame_base)
+        aliases[("x", 1)] = Location.immediate(frame_base)
+        return aliases
+
+    def cache_fixup(self, target):
+        """The debugger-side replica of the nub's ``fix_fetched`` hook.
+
+        On rmips the kernel-saved context stores doubleword floating
+        registers least-significant word first (footnote 3); the nub
+        swaps the words when answering a per-value FETCH, so values
+        sliced out of raw blocks must be swapped the same way.  The
+        closure reads ``target.context_addr`` at fetch time — the
+        region moves with each stop announcement.
+        """
+        if self.byteorder != "big":
+            return None  # rmipsel contexts need no fixing
+        low, high = self.freg_slot(0), self.freg_slot(self.nfregs)
+
+        def fixup(space: str, address: int, raw_le: bytes) -> bytes:
+            base = target.context_addr
+            if (base and len(raw_le) == 8
+                    and base + low <= address < base + high):
+                return raw_le[4:] + raw_le[:4]
+            return raw_le
+
+        return fixup

@@ -7,84 +7,21 @@ machine-independent linker interface (paper Sec. 4.3).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Optional
 
 from ...postscript import Location
 from ..frames import (
     CorruptStackError,
     Frame,
+    Machine,
     guard_down_stack,
     make_register_dag,
 )
-from ..memories import MemoryStats
 
-NREGS = 32
-NFREGS = 8
-SP_REG = 14
 RA_REG = 15
-FP_REG = 30
-
-CTX_PC = 0
-CTX_REGS = 4
-CTX_FREGS = CTX_REGS + 4 * NREGS
-CTX_SIZE = CTX_FREGS + 8 * NFREGS + 4
-
-REGSET_WIDTHS = {"r": "i32", "f": "f64"}
-
-
-class SparcMachine:
-    noop_advance = 4
-    insn_fetch_size = 4
-    ps_arch = "rsparc"
-    frame_base_is_vfp = False
-    arch_name = "rsparc"
-    byteorder = "big"
-
-    break_bytes_le = bytes([0, 0, 0, 1])
-    nop_bytes_le = bytes(4)
-
-    def cache_fixup(self, target):
-        return None  # saved contexts need no per-value fixing
-
-    def reg_names(self):
-        return (["g%d" % i for i in range(8)]
-                + ["o0", "o1", "o2", "o3", "o4", "o5", "sp", "o7"]
-                + ["l%d" % i for i in range(8)]
-                + ["i0", "i1", "i2", "i3", "i4", "i5", "fp", "i7"])
-
-    def context_aliases(self, context_addr: int, pc: int):
-        aliases: Dict[Tuple[str, int], Location] = {}
-        for i in range(NREGS):
-            aliases[("r", i)] = Location.absolute("d", context_addr + CTX_REGS + 4 * i)
-        for i in range(NFREGS):
-            aliases[("f", i)] = Location.absolute("d", context_addr + CTX_FREGS + 8 * i)
-        aliases[("x", 0)] = Location.immediate(pc)
-        return aliases
-
-    def pc_context_location(self, context_addr: int) -> Location:
-        return Location.absolute("d", context_addr + CTX_PC)
-
-    def new_top_frame(self, target, context_addr: int) -> "SparcFrame":
-        wire = target.wire
-        wire.prefetch("d", context_addr, CTX_SIZE)  # one block transfer
-        pc = wire.fetch(self.pc_context_location(context_addr), "i32") & 0xFFFFFFFF
-        fp = wire.fetch(Location.absolute(
-            "d", context_addr + CTX_REGS + 4 * FP_REG), "i32") & 0xFFFFFFFF
-        sp = wire.fetch(Location.absolute(
-            "d", context_addr + CTX_REGS + 4 * SP_REG), "i32") & 0xFFFFFFFF
-        stats = MemoryStats()
-        memory = make_register_dag(target, self.context_aliases(context_addr, pc),
-                                   REGSET_WIDTHS, stats=stats)
-        frame = SparcFrame(target, pc, memory, fp, sp)
-        frame.machine = self
-        frame.stats = stats
-        return frame
 
 
 class SparcFrame(Frame):
-    machine: SparcMachine = None
-    stats = None
-
     def caller(self) -> Optional["SparcFrame"]:
         fp = self.frame_base
         if fp == 0:
@@ -105,15 +42,26 @@ class SparcFrame(Frame):
         hit = self.target.linker.proc_containing(caller_pc)
         if hit is None or hit[1].startswith("__"):  # startup code
             return None
+        machine = self.target.machdep
         aliases = dict(self.memory.routes["r"].underlying.aliases)
-        aliases[("r", SP_REG)] = Location.immediate(fp)
-        aliases[("r", FP_REG)] = Location.immediate(old_fp)
+        aliases[("r", machine.sp_reg)] = Location.immediate(fp)
+        aliases[("r", machine.fp_reg)] = Location.immediate(old_fp)
         aliases[("r", RA_REG)] = Location.immediate(ra)
         aliases[("x", 0)] = Location.immediate(caller_pc)
-        memory = make_register_dag(self.target, aliases, REGSET_WIDTHS,
-                                   stats=self.stats)
-        frame = SparcFrame(self.target, caller_pc, memory, old_fp, fp,
-                           level=self.level + 1)
-        frame.machine = self.machine
-        frame.stats = self.stats
-        return frame
+        memory = make_register_dag(self.target, aliases,
+                                   machine.regset_widths, stats=self.stats)
+        return SparcFrame(self.target, caller_pc, memory, old_fp, fp,
+                          level=self.level + 1, stats=self.stats)
+
+
+class SparcMachine(Machine):
+    arch_name = ps_arch = "rsparc"
+    byteorder = "big"
+    break_bytes_le = bytes([0, 0, 0, 1])
+    nop_bytes_le = bytes(4)
+    insn_fetch_size = noop_advance = 4
+    nregs = 32
+    nfregs = 8
+    sp_reg = 14
+    fp_reg = 30
+    frame_class = SparcFrame

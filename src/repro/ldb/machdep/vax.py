@@ -7,82 +7,19 @@ byte, the real VAX BPT opcode.  No register variables, so no save masks.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Optional
 
 from ...postscript import Location
 from ..frames import (
     CorruptStackError,
     Frame,
+    Machine,
     guard_down_stack,
     make_register_dag,
 )
-from ..memories import MemoryStats
-
-NREGS = 16
-NFREGS = 4
-AP_REG = 12
-FP_REG = 13
-SP_REG = 14
-
-CTX_PC = 0
-CTX_REGS = 4
-CTX_FREGS = CTX_REGS + 4 * NREGS
-CTX_SIZE = CTX_FREGS + 8 * NFREGS + 4
-
-REGSET_WIDTHS = {"r": "i32", "f": "f64"}
-
-
-class VaxMachine:
-    noop_advance = 1
-    insn_fetch_size = 1
-    ps_arch = "rvax"
-    frame_base_is_vfp = False
-    arch_name = "rvax"
-    byteorder = "little"
-
-    break_bytes_le = bytes([0x03])  # BPT
-    nop_bytes_le = bytes([0x01])    # NOP
-
-    def cache_fixup(self, target):
-        return None  # saved contexts need no per-value fixing
-
-    def reg_names(self):
-        return ["r0", "r1", "r2", "r3", "r4", "r5", "r6", "r7",
-                "r8", "r9", "r10", "r11", "ap", "fp", "sp", "pc"]
-
-    def context_aliases(self, context_addr: int, pc: int):
-        aliases: Dict[Tuple[str, int], Location] = {}
-        for i in range(NREGS):
-            aliases[("r", i)] = Location.absolute("d", context_addr + CTX_REGS + 4 * i)
-        for i in range(NFREGS):
-            aliases[("f", i)] = Location.absolute("d", context_addr + CTX_FREGS + 8 * i)
-        aliases[("x", 0)] = Location.immediate(pc)
-        return aliases
-
-    def pc_context_location(self, context_addr: int) -> Location:
-        return Location.absolute("d", context_addr + CTX_PC)
-
-    def new_top_frame(self, target, context_addr: int) -> "VaxFrame":
-        wire = target.wire
-        wire.prefetch("d", context_addr, CTX_SIZE)  # one block transfer
-        pc = wire.fetch(self.pc_context_location(context_addr), "i32") & 0xFFFFFFFF
-        fp = wire.fetch(Location.absolute(
-            "d", context_addr + CTX_REGS + 4 * FP_REG), "i32") & 0xFFFFFFFF
-        sp = wire.fetch(Location.absolute(
-            "d", context_addr + CTX_REGS + 4 * SP_REG), "i32") & 0xFFFFFFFF
-        stats = MemoryStats()
-        memory = make_register_dag(target, self.context_aliases(context_addr, pc),
-                                   REGSET_WIDTHS, stats=stats)
-        frame = VaxFrame(target, pc, memory, fp, sp)
-        frame.machine = self
-        frame.stats = stats
-        return frame
 
 
 class VaxFrame(Frame):
-    machine: VaxMachine = None
-    stats = None
-
     def caller(self) -> Optional["VaxFrame"]:
         fp = self.frame_base
         if fp == 0:
@@ -102,14 +39,25 @@ class VaxFrame(Frame):
         hit = self.target.linker.proc_containing(caller_pc)
         if hit is None or hit[1].startswith("__"):  # startup code
             return None
+        machine = self.target.machdep
         aliases = dict(self.memory.routes["r"].underlying.aliases)
-        aliases[("r", SP_REG)] = Location.immediate(fp + 8)
-        aliases[("r", FP_REG)] = Location.immediate(old_fp)
+        aliases[("r", machine.sp_reg)] = Location.immediate(fp + 8)
+        aliases[("r", machine.fp_reg)] = Location.immediate(old_fp)
         aliases[("x", 0)] = Location.immediate(caller_pc)
-        memory = make_register_dag(self.target, aliases, REGSET_WIDTHS,
-                                   stats=self.stats)
-        frame = VaxFrame(self.target, caller_pc, memory, old_fp, fp + 8,
-                         level=self.level + 1)
-        frame.machine = self.machine
-        frame.stats = self.stats
-        return frame
+        memory = make_register_dag(self.target, aliases,
+                                   machine.regset_widths, stats=self.stats)
+        return VaxFrame(self.target, caller_pc, memory, old_fp, fp + 8,
+                        level=self.level + 1, stats=self.stats)
+
+
+class VaxMachine(Machine):
+    arch_name = ps_arch = "rvax"
+    byteorder = "little"
+    break_bytes_le = bytes([0x03])  # BPT
+    nop_bytes_le = bytes([0x01])    # NOP
+    insn_fetch_size = noop_advance = 1
+    nregs = 16
+    nfregs = 4
+    sp_reg = 14
+    fp_reg = 13
+    frame_class = VaxFrame

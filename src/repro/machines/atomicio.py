@@ -36,9 +36,10 @@ from __future__ import annotations
 
 import errno
 import os
-import random
 from contextlib import contextmanager
-from typing import Dict, List, Optional
+from typing import List, Optional
+
+from .faultschedule import SeededSchedule
 
 __all__ = ["SalvagedArtifact", "PowerCut", "RealFS", "FaultyFS",
            "FsFaultSchedule", "FS_FAULT_KINDS", "atomic_write_bytes",
@@ -233,22 +234,13 @@ def atomic_write_text(path: str, text: str) -> int:
 FS_FAULT_KINDS = ("enospc", "torn", "powercut", "eio")
 
 
-class FsFaultSchedule:
+class FsFaultSchedule(SeededSchedule):
     """A deterministic, seeded schedule of filesystem faults — the
-    shape of :class:`repro.nub.faults.FaultSchedule`, aimed at disks
-    instead of wires.
+    sibling of :class:`repro.nub.faults.FaultSchedule`, aimed at disks
+    instead of wires (see :class:`SeededSchedule` for the modes).
 
-    Two modes:
-
-    * probabilistic — per-kind rates (``enospc=0.1, torn=0.05, ...``)
-      drawn from ``random.Random(seed)``; ``limit`` caps total
-      injections so a retried save eventually meets a clean disk;
-    * scripted — an explicit ``script`` of actions (``"ok"`` or a
-      fault kind) consumed one per operation, then clean forever.
-
-    ``after`` spares the first N operations (let the setup writes
-    land, strike mid-artifact).  Fault meanings, applied by
-    :class:`FaultyFS` at the scheduled write/flush/rename:
+    Fault meanings, applied by :class:`FaultyFS` at the scheduled
+    write/flush/rename:
 
     * ``enospc``   — the disk fills: a prefix of the chunk lands, then
       ``OSError(ENOSPC)``;
@@ -261,81 +253,18 @@ class FsFaultSchedule:
       ``OSError(EIO)``, nothing lands.
     """
 
+    KINDS = FS_FAULT_KINDS
     SPEC_KEYS = ("seed", "enospc", "torn", "powercut", "eio", "limit",
                  "script", "after")
+    SPEC_NAME = "fs fault"
 
     def __init__(self, seed: int = 0, enospc: float = 0.0,
                  torn: float = 0.0, powercut: float = 0.0,
                  eio: float = 0.0, limit: Optional[int] = None,
                  script: Optional[List[str]] = None, after: int = 0):
-        self.rates = {"enospc": enospc, "torn": torn,
-                      "powercut": powercut, "eio": eio}
-        for kind, rate in self.rates.items():
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError("bad %s rate %r" % (kind, rate))
-        self.limit = limit
-        self.script = list(script) if script else []
-        for action in self.script:
-            if action != "ok" and action not in FS_FAULT_KINDS:
-                raise ValueError("unknown scripted action %r" % action)
-        if after < 0:
-            raise ValueError("bad after %r" % after)
-        self.after = after
-        self.seed = seed
-        self._rng = random.Random(seed)
-        self._ops = 0
-        self.injected = 0
-        self.counts: Dict[str, int] = {}
-
-    @classmethod
-    def from_spec(cls, spec: Dict) -> "FsFaultSchedule":
-        """Build a schedule from a plain JSON-able dict.  Unknown keys
-        are rejected loudly — a typo'd fault spec that silently
-        injects nothing would make a durability run vacuous."""
-        unknown = sorted(set(spec) - set(cls.SPEC_KEYS))
-        if unknown:
-            raise ValueError("unknown fs fault spec keys: %s"
-                             % ", ".join(unknown))
-        return cls(**spec)
-
-    def spec(self) -> Dict:
-        """The JSON-able configuration (not consumed state);
-        round-trips through :meth:`from_spec`."""
-        out: Dict = {"seed": self.seed}
-        for kind, rate in self.rates.items():
-            if rate:
-                out[kind] = rate
-        if self.limit is not None:
-            out["limit"] = self.limit
-        if self.script:
-            out["script"] = list(self.script)
-        if self.after:
-            out["after"] = self.after
-        return out
-
-    def next_action(self) -> str:
-        """The action for the next filesystem operation."""
-        op = self._ops
-        self._ops += 1
-        if op < self.after:
-            return "ok"
-        if self.script:
-            action = self.script.pop(0)
-        elif self.limit is not None and self.injected >= self.limit:
-            action = "ok"
-        else:
-            action = "ok"
-            roll = self._rng.random()
-            total = 0.0
-            for kind in FS_FAULT_KINDS:
-                total += self.rates[kind]
-                if roll < total:
-                    action = kind
-                    break
-        if action != "ok":
-            self.injected += 1
-            self.counts[action] = self.counts.get(action, 0) + 1
-        return action
+        super().__init__(seed, {"enospc": enospc, "torn": torn,
+                                "powercut": powercut, "eio": eio},
+                         limit, script, after)
 
 
 class _FaultyHandle:

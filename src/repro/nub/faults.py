@@ -35,10 +35,10 @@ serve-loop fuzz tests.
 
 from __future__ import annotations
 
-import random
 import time
 from typing import Dict, List, Optional
 
+from ..machines.faultschedule import SeededSchedule
 from .channel import Channel, ChannelClosed
 from .protocol import HEADER_SIZE, Message, encode
 
@@ -54,18 +54,22 @@ class NubKilled(Exception):
     core behind, if it was configured to."""
 
 
-class FaultSchedule:
-    """A deterministic, seeded schedule of frame faults.
+class FaultSchedule(SeededSchedule):
+    """A deterministic, seeded schedule of frame faults (see
+    :class:`~repro.machines.faultschedule.SeededSchedule` for the
+    probabilistic and scripted modes and ``after``).
 
-    Two modes:
-
-    * probabilistic — per-kind rates (``drop=0.2, corrupt=0.1, ...``)
-      drawn from ``random.Random(seed)``; ``limit`` caps the total
-      number of injected faults so retries eventually meet a clean
-      channel and the workload converges;
-    * scripted — an explicit ``script`` of actions (``"ok"`` or a fault
-      kind) consumed one per frame, then clean forever.
+    Beyond the shared logic it adds the ``delay`` fault's ``latency``
+    and process death: from frame ``kill_after`` on, every action is
+    ``"kill"``.
     """
+
+    KINDS = FAULT_KINDS
+    SCRIPT_EXTRA = ("kill",)
+    #: every key a serialized spec may carry (the JSON gateway accepts
+    #: exactly these in a spawn request's ``fault`` object)
+    SPEC_KEYS = ("seed", "drop", "corrupt", "truncate", "duplicate", "delay",
+                 "latency", "limit", "script", "kill_after", "after")
 
     def __init__(self, seed: int = 0, drop: float = 0.0, corrupt: float = 0.0,
                  truncate: float = 0.0, duplicate: float = 0.0,
@@ -74,95 +78,28 @@ class FaultSchedule:
                  script: Optional[List[str]] = None,
                  kill_after: Optional[int] = None,
                  after: int = 0):
-        self.rates = {"drop": drop, "corrupt": corrupt, "truncate": truncate,
-                      "duplicate": duplicate, "delay": delay}
-        for kind, rate in self.rates.items():
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError("bad %s rate %r" % (kind, rate))
+        super().__init__(seed, {"drop": drop, "corrupt": corrupt,
+                                "truncate": truncate,
+                                "duplicate": duplicate, "delay": delay},
+                         limit, script, after)
         self.latency = latency
-        self.limit = limit
-        self.script = list(script) if script else []
-        for action in self.script:
-            if action != "ok" and action != "kill" and action not in FAULT_KINDS:
-                raise ValueError("unknown scripted action %r" % action)
         if kill_after is not None and kill_after < 0:
             raise ValueError("bad kill_after %r" % kill_after)
         #: kill the process on this (0-based) outgoing frame
         self.kill_after = kill_after
-        if after < 0:
-            raise ValueError("bad after %r" % after)
-        #: frames before this index pass clean — lets a chaos schedule
-        #: spare the spawn handshake and strike mid-session
-        self.after = after
-        self._frames = 0
-        self.seed = seed
-        self._rng = random.Random(seed)
-        self.injected = 0
-        self.counts: Dict[str, int] = {}
-
-    #: every key a serialized spec may carry (the JSON gateway accepts
-    #: exactly these in a spawn request's ``fault`` object)
-    SPEC_KEYS = ("seed", "drop", "corrupt", "truncate", "duplicate", "delay",
-                 "latency", "limit", "script", "kill_after", "after")
-
-    @classmethod
-    def from_spec(cls, spec: Dict) -> "FaultSchedule":
-        """Build a schedule from a plain JSON-able dict — the form a
-        session server receives inside a spawn request.  Unknown keys
-        are rejected loudly: a typo'd chaos spec that silently injects
-        nothing would make a whole chaos run vacuous."""
-        unknown = sorted(set(spec) - set(cls.SPEC_KEYS))
-        if unknown:
-            raise ValueError("unknown fault spec keys: %s"
-                             % ", ".join(unknown))
-        return cls(**spec)
 
     def spec(self) -> Dict:
-        """The JSON-able description of this schedule's *configuration*
-        (not its consumed state): round-trips through :meth:`from_spec`."""
-        out: Dict = {"seed": self.seed}
-        for kind, rate in self.rates.items():
-            if rate:
-                out[kind] = rate
+        out = super().spec()
         if self.latency != 0.01:
             out["latency"] = self.latency
-        if self.limit is not None:
-            out["limit"] = self.limit
-        if self.script:
-            out["script"] = list(self.script)
         if self.kill_after is not None:
             out["kill_after"] = self.kill_after
-        if self.after:
-            out["after"] = self.after
         return out
 
-    def next_action(self) -> str:
-        """The action for the next outgoing frame."""
-        frame = self._frames
-        self._frames += 1
-        if frame < self.after:
-            return "ok"
+    def _draw(self, frame: int) -> str:
         if self.kill_after is not None and frame >= self.kill_after:
-            self.injected += 1
-            self.counts["kill"] = self.counts.get("kill", 0) + 1
             return "kill"
-        if self.script:
-            action = self.script.pop(0)
-        elif self.limit is not None and self.injected >= self.limit:
-            action = "ok"
-        else:
-            action = "ok"
-            roll = self._rng.random()
-            total = 0.0
-            for kind in FAULT_KINDS:
-                total += self.rates[kind]
-                if roll < total:
-                    action = kind
-                    break
-        if action != "ok":
-            self.injected += 1
-            self.counts[action] = self.counts.get(action, 0) + 1
-        return action
+        return super()._draw(frame)
 
 
 class FaultInjectingChannel:

@@ -222,6 +222,8 @@ class SessionWorker:
         runner = getattr(self.target, "runner", None)
         if runner is not None:
             runner.join(2.0)
+        if self.ldb is not None:
+            self.ldb.close()
         with self._lock:
             self.state = "closed"
             self.state_reason = reason

@@ -190,3 +190,75 @@ class TestConversation:
         ldb.run_to_stop()
         assert ldb.evaluate("*ptr") == 55
         assert ldb.evaluate("ptr == &value") == 1
+
+
+def converse(*lines):
+    """Run a server over in-memory streams: its answers, in order, as
+    ``(verb, text)`` with the verb ``error`` or ``result``."""
+    import io
+    from repro.ldb.exprserver import ExpressionServer
+    out = io.StringIO()
+    ExpressionServer(io.StringIO("".join(line + "\n" for line in lines)),
+                     out).serve_forever()
+    answers, pending = [], []
+    for line in out.getvalue().splitlines():
+        body, _, verb = line.rpartition("ExpressionServer.")
+        if verb in ("error", "result"):
+            answers.append((verb, "\n".join(pending + [body]).strip()))
+            pending = []
+        else:
+            pending.append(line)
+    assert pending == []
+    return answers
+
+
+class TestServerLoop:
+    """Every EXPR gets exactly one answer, whatever fails on its line,
+    so the conversation stays in lockstep and the thread lives on."""
+
+    def test_a_non_string_expression_is_answered(self):
+        answers = converse('EXPR {"text": 5}', 'EXPR {"text": "1+2"}',
+                           "QUIT")
+        assert [verb for verb, _ in answers] == ["error", "result"]
+        assert answers[0][1].startswith("(TypeError: ")
+        assert run_ps(answers[1][1]) == 3
+
+    @pytest.mark.parametrize("line,name", [
+        ("EXPR {not json", "JSONDecodeError"),
+        ('EXPR {"txt": "1"}', "KeyError"),
+        ("EXPR", "JSONDecodeError"),
+    ])
+    def test_a_malformed_expr_payload_is_answered(self, line, name):
+        answers = converse(line, 'EXPR {"text": "2*3"}')
+        assert [verb for verb, _ in answers] == ["error", "result"]
+        assert answers[0][1].startswith("(%s: " % name)
+        assert run_ps(answers[1][1]) == 6
+
+    def test_a_malformed_reset_is_answered_by_the_next_expr(self):
+        # RESET itself has no answer: the next EXPR carries its error
+        # until a good RESET replaces it
+        answers = converse("RESET {bad", 'EXPR {"text": "1"}',
+                           'EXPR {"text": "1"}', 'RESET {"arch": "rvax"}',
+                           'EXPR {"text": "7"}', "QUIT", 'EXPR {"text": "8"}')
+        assert [verb for verb, _ in answers] == ["error", "error", "result"]
+        assert all(text.startswith("(JSONDecodeError: ")
+                   for _, text in answers[:2])
+        assert run_ps(answers[2][1]) == 7
+
+
+def test_ldb_close_ends_the_conversation_and_every_transport():
+    from repro.ldb.debugger import load_over_wire
+    ldb, local = session()
+    wired = load_over_wire(ldb, local.process.exe)
+    assert ldb.evaluate("1 + 2", target=wired) == 3
+    client = ldb.expression_client()
+    ldb.close()
+    assert not client.thread.is_alive()
+    assert all(stream.closed for stream in (
+        client.cmd_out, client.ps_in, client.server.cmd_in,
+        client.server.ps_out))
+    assert local.transport.closed
+    assert wired.session.channel is None
+    wired.runner.join(5.0)  # the nub sees its debugger gone and ends
+    assert not wired.runner.thread.is_alive()
+    ldb.close()  # a second call does nothing

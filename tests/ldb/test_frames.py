@@ -104,10 +104,7 @@ class TestRegisterAccess:
         ldb.break_at_function("fib")
         ldb.run_to_stop()
         frame = target.top_frame()
-        machdep = target.machdep
-        names = machdep.reg_names()
-        sp_index = names.index("sp")
-        sp = frame.read_reg(sp_index)
+        sp = frame.read_reg(target.machdep.sp_reg)
         assert 0 < sp <= target.process.exe.stack_top
 
     def test_write_register_via_frame(self, arch):

@@ -1,11 +1,14 @@
 """PROTOCOL.md must track the protocol module (the CI check, as a
-tier-1 test so drift fails locally too, not just in Actions)."""
+tier-1 test so drift fails locally too, not just in Actions), and
+EXPERIMENTS.md's T1 table the line counters of its bench."""
 
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
-CHECKER = Path(__file__).resolve().parent.parent / "tools" / "check_protocol_doc.py"
+ROOT = Path(__file__).resolve().parent.parent
+CHECKER = ROOT / "tools" / "check_protocol_doc.py"
 
 
 def _load_checker():
@@ -91,3 +94,23 @@ def test_checker_holds_the_verb_table_to_the_api():
                         "| `ping` | — |\n| `rewind` | — |\n")
     assert checker.verb_problems(source, extra) == [
         "PROTOCOL.md App. A.4 lists rewind, which DebugAPI does not answer"]
+
+
+def test_t1_measured_table_matches_its_bench_counters():
+    """The per-target cells of T1's "Measured" rows are what
+    benchmarks/bench_table_mdloc.py counts; the shared column is
+    approximate and not held."""
+    from benchmarks import bench_table_mdloc as t1
+    text = (ROOT / "EXPERIMENTS.md").read_text()
+    section = text.split("\n## T1.")[1].split("\n## ")[0]
+    measured = section.split("\nMeasured")[1]
+    # the table's columns: MIPS, 68020, SPARC, VAX, shared
+    order = ("rmips", "rm68k", "rsparc", "rvax")
+    for row, counted in (("Debugger (Py)", t1.debugger_md_loc()),
+                         ("PostScript", t1.postscript_md_loc()),
+                         ("Nub", t1.nub_md_loc())):
+        line = re.search(r"^\| %s +\|(.*)$" % re.escape(row), measured,
+                         re.MULTILINE)
+        assert line is not None, "T1 has no Measured %s row" % row
+        stated = [int(cell) for cell in line.group(1).split("|")[:4]]
+        assert stated == [counted[arch] for arch in order], row
