@@ -14,7 +14,10 @@ dirt").
 """
 
 import inspect
+import io
 import os
+import textwrap
+import tokenize
 
 import pytest
 
@@ -22,36 +25,39 @@ from .conftest import report
 
 SRC_ROOT = os.path.join(os.path.dirname(__file__), "..", "src", "repro")
 
-
-def loc_of_file(path):
-    """Non-blank, non-comment lines (comment = #, %, or docstring-free)."""
-    count = 0
-    in_doc = False
-    with open(path) as f:
-        for line in f:
-            text = line.strip()
-            if not text:
-                continue
-            if text.startswith('"""') or text.startswith("'''"):
-                if not (in_doc is False and text.endswith(('"""', "'''"))
-                        and len(text) > 3):
-                    in_doc = not in_doc
-                continue
-            if in_doc:
-                continue
-            if text.startswith("#") or text.startswith("%"):
-                continue
-            count += 1
-    return count
+#: tokens that are not code: comments, line ends, indentation, the end
+_NOT_CODE = (tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE,
+             tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER)
 
 
 def loc_of_source(source):
-    count = 0
-    for line in source.splitlines():
-        text = line.strip()
-        if text and not text.startswith("#"):
-            count += 1
-    return count
+    """Lines of Python code: every line a token of a statement covers,
+    except blank lines, comments and docstrings (a statement that is
+    nothing but string literals)."""
+    lines = set()
+    statement = []
+    tokens = tokenize.generate_tokens(
+        io.StringIO(textwrap.dedent(source)).readline)
+    for token in tokens:
+        if token.type not in _NOT_CODE:
+            statement.append(token)
+        elif token.type in (tokenize.NEWLINE, tokenize.ENDMARKER):
+            if any(tok.type != tokenize.STRING for tok in statement):
+                for tok in statement:
+                    lines.update(range(tok.start[0], tok.end[0] + 1))
+            statement = []
+    return len(lines)
+
+
+def loc_of_file(path):
+    """Lines of code in a Python file (:func:`loc_of_source`), or the
+    non-blank lines of a PostScript file that are not %-comments."""
+    with open(path) as f:
+        text = f.read()
+    if path.endswith(".py"):
+        return loc_of_source(text)
+    return sum(1 for line in text.splitlines()
+               if line.strip() and not line.strip().startswith("%"))
 
 
 def debugger_md_loc():

@@ -63,10 +63,13 @@ def main():
     print("\n=== the uplink tree of Fig. 2 ===\n")
     fib = symtab["externs"]["fib"]
     # loci arrive deferred (a quoted string, Sec. 5); force them the way
-    # ldb's symbol-table layer does
+    # ldb's symbol-table layer does, with the machine-dependent names and
+    # the table's own definitions in scope
     interp.push_dict(interp.systemdict["ArchDicts"]["rmips"])
+    interp.push_dict(table["names"])
     interp.call(fib["loci"])
     loci = list(interp.pop())
+    interp.pop_dict_stack()
     interp.pop_dict_stack()
     print("  fib has %d stopping points (Fig. 1 shows 14)" % len(loci))
     seen = {}

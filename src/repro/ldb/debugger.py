@@ -108,8 +108,7 @@ class Ldb:
         target.loader_ps = table_ps
         self.targets[target.name] = target
         self.current = target
-        if target.wait_for_stop() == "reconnecting":
-            target.reconnect()
+        self._await_stop(target)
         return target
 
     def open_core(self, path: str, table_ps: Optional[str] = None,
@@ -262,7 +261,18 @@ class Ldb:
                 target.resume_from_breakpoint()
             else:
                 target.cont()
-        return target.wait_for_stop(timeout)
+        return self._await_stop(target, timeout)
+
+    def _await_stop(self, target: Target, timeout: float = 30.0) -> str:
+        """Wait for the target's next stop.  When the connection was
+        dropped under the wait (a damaged stop announcement drops it),
+        re-dial: the nub announces the stop again, or the target is
+        still running and the wait goes on."""
+        if target.wait_for_stop(timeout) == "reconnecting":
+            target.reconnect()
+            if target.state == "running":
+                target.wait_for_stop(timeout)
+        return target.state
 
     def _at_entry_pause(self, target: Target) -> bool:
         from ..machines.isa import SIGTRAP

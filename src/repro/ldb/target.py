@@ -103,11 +103,12 @@ class Target:
             self.wire = self.wiremem
         self.linker = linker_for(self.arch_name, loader_table, self.wire)
         self.symtab = SymbolTable(interp, toplevel, target=self)
-        # the same per-architecture dictionary the loader-table PostScript
-        # pushed with UseArchitecture: symbol definitions made while the
-        # table was interpreted live there, and deferred values forced
-        # later must resolve against them
+        # the dictionaries the loader-table PostScript pushed with
+        # UseArchitecture: deferred values forced later must resolve
+        # against the machine-dependent names and against this table's
+        # own symbol definitions (never another table's)
         self.arch_dict = interp.systemdict["ArchDicts"][self.machdep.ps_arch]
+        self.names = loader_table["names"]
         self.target_dict = self._make_target_dict()
         self.breakpoints = BreakpointTable(self)
         #: is this a post-mortem target (a core file, nothing live)?
@@ -202,8 +203,9 @@ class Target:
 
     def eval_dicts(self) -> List[PSDict]:
         """Dictionaries to push when interpreting this target's
-        PostScript: machine-dependent names first, then target ops."""
-        return [self.arch_dict, self.target_dict]
+        PostScript: machine-dependent names first, then the loader
+        table's definitions, then target ops."""
+        return [self.arch_dict, self.names, self.target_dict]
 
     # -- nub conversation -----------------------------------------------------
 

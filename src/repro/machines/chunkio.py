@@ -21,21 +21,33 @@ Every error raises the *caller's* exception class with the caller's
 noun (``core``, ``trace``...), so ``CoreError`` messages are unchanged
 from when this code lived in ``core.py`` — and core bytes are
 byte-identical: same zlib level, same header layout, same CRC.
+
+The passes over a whole memory image work page by page (the 4 KB page
+of the copy-on-write snapshots), because a target writes few of its
+pages and the rest stay zero:
+
+* :func:`nonzero_pages` compares each page against a zero page, one
+  C-level comparison per page;
+* :func:`sparse_segments` inspects chunks only inside those pages;
+* :func:`crc32_zeros` continues a CRC32 over a run of zero bytes
+  without reading them, so a digest reads only the non-zero pages.
 """
 
 from __future__ import annotations
 
-import re
 import struct
+import threading
 import zlib
+from array import array
 from typing import List, Tuple, Type
+
+from .memory import PAGE
 
 #: granularity of the sparse scan: a run of memory is kept when any of
 #: its bytes is non-zero; adjacent kept runs merge into one segment
 _CHUNK = 256
-#: a zero run long enough to hold a whole chunk, or one that ends the
-#: image (it may cover the short last chunk)
-_ZERO_RUN = re.compile(rb"\0{%d,}|\0+\Z" % _CHUNK)
+_ZERO_CHUNK = bytes(_CHUNK)
+_ZERO_PAGE = bytes(PAGE)
 
 #: zlib level shared by every container/block (part of the format: core
 #: bytes must stay stable across refactors)
@@ -50,29 +62,97 @@ _CRC = struct.Struct("<I")
 _BLOCK_HEAD = struct.Struct("<BII")
 
 
+def nonzero_pages(image: bytes) -> List[int]:
+    """The offsets of the pages of ``image`` (the last may be short)
+    that hold a non-zero byte."""
+    size = len(image)
+    return [page for page in range(0, size, PAGE)
+            if not image.startswith(_ZERO_PAGE[:size - page], page)]
+
+
 def sparse_segments(image: bytes) -> List[Tuple[int, bytes]]:
     """The non-zero runs of ``image``, chunk-aligned and merged.
 
     A chunk (the last one may be short) is kept when any of its bytes is
-    non-zero.  One C-level search finds the zero runs that can hold a
-    whole chunk; each is snapped inwards to chunk boundaries, and what
-    lies between them is kept.
+    non-zero.  Chunks are inspected only inside the pages
+    :func:`nonzero_pages` names; a page is a whole number of chunks.
     """
     size = len(image)
     segments: List[Tuple[int, bytes]] = []
-    kept = 0  # start of the run being kept
-    for zeros in _ZERO_RUN.finditer(image):
-        lo = -(-zeros.start() // _CHUNK) * _CHUNK
-        hi = zeros.end()
-        if hi < size:
-            hi -= hi % _CHUNK
-        if lo < hi:
-            if kept < lo:
-                segments.append((kept, bytes(image[kept:lo])))
-            kept = hi
-    if kept < size:
-        segments.append((kept, bytes(image[kept:])))
+    lo = hi = 0  # the run being kept, [lo, hi)
+    for page in nonzero_pages(image):
+        for chunk in range(page, min(page + PAGE, size), _CHUNK):
+            end = min(chunk + _CHUNK, size)
+            if image.startswith(_ZERO_CHUNK[:end - chunk], chunk):
+                continue
+            if chunk != hi:
+                if lo < hi:
+                    segments.append((lo, bytes(image[lo:hi])))
+                lo = chunk
+            hi = end
+    if lo < hi:
+        segments.append((lo, bytes(image[lo:hi])))
     return segments
+
+
+#: the zero-page maps, one per power of two: ``_zero_maps[k]`` is the
+#: linear map a CRC register goes through while it reads 2**k zero
+#: pages, as four 256-entry byte tables (one per register byte) in one
+#: array.  The same maps zlib's crc32_combine squares its way up to.
+_zero_maps: List[array] = []
+_zero_maps_lock = threading.Lock()
+
+
+def _apply(table: array, register: int) -> int:
+    return (table[register & 0xFF] ^ table[256 | register >> 8 & 0xFF]
+            ^ table[512 | register >> 16 & 0xFF] ^ table[768 | register >> 24])
+
+
+def _byte_tables(columns: List[int]) -> array:
+    """The byte tables of the linear map whose image of bit ``i`` is
+    ``columns[i]``."""
+    table = array("I", [0]) * 1024
+    for index in range(1024):
+        low = index & 0xFF & -index
+        if low:  # the entry for the byte without its lowest bit, plus it
+            table[index] = (table[index ^ low]
+                            ^ columns[8 * (index >> 8) + low.bit_length() - 1])
+    return table
+
+
+def _zero_map(power: int) -> array:
+    """``_zero_maps[power]``, building it and the ones below on first
+    use: the one-page map from zlib itself, each next one by squaring."""
+    if power >= len(_zero_maps):
+        with _zero_maps_lock:
+            while power >= len(_zero_maps):
+                if _zero_maps:
+                    half = _zero_maps[-1]
+                    columns = [_apply(half, _apply(half, 1 << bit))
+                               for bit in range(32)]
+                else:
+                    # zlib inverts the register on entry and exit
+                    columns = [zlib.crc32(_ZERO_PAGE, ~(1 << bit) & 0xFFFFFFFF)
+                               ^ 0xFFFFFFFF for bit in range(32)]
+                _zero_maps.append(_byte_tables(columns))
+    return _zero_maps[power]
+
+
+def crc32_zeros(crc: int, length: int) -> int:
+    """``zlib.crc32(bytes(length), crc)``, in time logarithmic in
+    ``length``: the whole pages go through the zero-page maps and only
+    the rest is read."""
+    pages, rest = divmod(length, PAGE)
+    if rest:
+        crc = zlib.crc32(_ZERO_PAGE[:rest], crc)
+    register = ~crc & 0xFFFFFFFF
+    power = 0
+    while pages:
+        if pages & 1:
+            register = _apply(_zero_map(power), register)
+        pages >>= 1
+        power += 1
+    return ~register & 0xFFFFFFFF
 
 
 def pack_container(magic: bytes, version: int, body: bytes) -> bytes:

@@ -252,7 +252,7 @@ def core_from_process(process, signo: int, code: int, fault_pc: int,
         context_addr=context_addr,
         icount=process.cpu.icount,
         signo=signo, code=code, fault_pc=fault_pc,
-        segments=sparse_segments(bytes(mem.bytes)),
+        segments=sparse_segments(mem.bytes),
         planted=sorted((planted or {}).items()) if isinstance(planted, dict)
         else list(planted or []),
         loader_ps=loader_ps,

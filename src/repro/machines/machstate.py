@@ -23,6 +23,12 @@ two legitimately differ in representation:
   exist at replay time (and vice versa);
 * the **nub context area is zeroed** — it holds a saved pc and
   scratch state that differs between a stop and a pass-through.
+
+The digest reads only the pages that hold a non-zero byte (copies of
+the few that normalization patches); each run of zero pages between
+them is folded into the CRC arithmetically
+(:func:`~repro.machines.chunkio.crc32_zeros`).  The result is
+``zlib.crc32`` over the normalized dense image.
 """
 
 from __future__ import annotations
@@ -31,7 +37,9 @@ import struct
 import zlib
 from typing import Dict, List, Optional, Tuple
 
-from .chunkio import pack_container, sparse_segments, unpack_container
+from .chunkio import (crc32_zeros, nonzero_pages, pack_container,
+                      sparse_segments, unpack_container)
+from .memory import PAGE
 
 MAGIC = b"LDBS"
 STATE_VERSION = 1
@@ -106,19 +114,23 @@ class MachineState:
             icount=cpu.icount,
             pending_load=cpu._pending_load,
             wrote_reg=cpu._wrote_reg,
-            segments=sparse_segments(bytes(mem.bytes)),
+            segments=sparse_segments(mem.bytes),
             planted=_pack_planted(planted),
             out_text=out_text,
         )
 
-    def image(self) -> bytearray:
-        """The full (dense) memory image this state describes."""
-        image = bytearray(self.memsize)
+    def _checked_segments(self) -> List[Tuple[int, bytes]]:
         for start, raw in self.segments:
             if start < 0 or start + len(raw) > self.memsize:
                 raise StateError("segment [0x%x, 0x%x) outside the %d-byte "
                                  "image" % (start, start + len(raw),
                                             self.memsize))
+        return self.segments
+
+    def image(self) -> bytearray:
+        """The full (dense) memory image this state describes."""
+        image = bytearray(self.memsize)
+        for start, raw in self._checked_segments():
             image[start:start + len(raw)] = raw
         return image
 
@@ -251,10 +263,14 @@ class MachineState:
 
     def digest(self, context_addr: int, context_size: int) -> int:
         """The normalized CRC32 the event log records (see module doc)."""
+        pages: Dict[int, bytearray] = {}
+        for start, raw in self._checked_segments():
+            _put(pages, self.memsize, start, raw)
         return _digest(self.regs, self.fregs, self.cc_lt, self.cc_eq,
                        self.cc_ltu, self.icount, self.pending_load,
-                       self.wrote_reg, self.image(), dict(self.planted),
-                       self.byteorder, context_addr, context_size)
+                       self.wrote_reg, self.memsize, pages,
+                       dict(self.planted), self.byteorder, context_addr,
+                       context_size)
 
 
 def live_digest(process, planted, context_addr: int,
@@ -262,15 +278,35 @@ def live_digest(process, planted, context_addr: int,
     """The same normalized digest, computed from a live process (the
     replay side, without a serialization round trip)."""
     cpu = process.cpu
+    image = process.mem.bytes
+    view = memoryview(image)
+    pages = {page: view[page:page + PAGE] for page in nonzero_pages(image)}
     return _digest(cpu.regs, cpu.fregs, cpu.cc_lt, cpu.cc_eq, cpu.cc_ltu,
                    cpu.icount, cpu._pending_load, cpu._wrote_reg,
-                   bytearray(process.mem.bytes), dict(planted or {}),
+                   len(image), pages, dict(planted or {}),
                    process.mem.byteorder, context_addr, context_size)
 
 
+def _put(pages: Dict[int, bytes], memsize: int, address: int,
+         data: bytes) -> None:
+    """Write ``data`` at ``address`` into copies of the pages it
+    covers (a page absent from ``pages`` is zero)."""
+    end = address + len(data)
+    for base in range(address - address % PAGE, end, PAGE):
+        page = pages.get(base)
+        page = bytearray(page if page is not None
+                         else min(PAGE, memsize - base))
+        lo, hi = max(address, base), min(end, base + PAGE)
+        page[lo - base:hi - base] = data[lo - address:hi - address]
+        pages[base] = page
+
+
 def _digest(regs, fregs, cc_lt, cc_eq, cc_ltu, icount, pending_load,
-            wrote_reg, image: bytearray, planted: Dict[int, bytes],
-            byteorder: str, context_addr: int, context_size: int) -> int:
+            wrote_reg, memsize: int, pages: Dict[int, bytes],
+            planted: Dict[int, bytes], byteorder: str, context_addr: int,
+            context_size: int) -> int:
+    """The digest of a ``memsize``-byte image that is zero outside
+    ``pages`` (page offset -> content)."""
     head = bytearray()
     head += struct.pack("<%dI" % len(regs),
                         *[r & 0xFFFFFFFF for r in regs])
@@ -288,11 +324,15 @@ def _digest(regs, fregs, cc_lt, cc_eq, cc_ltu, icount, pending_load,
     # planted, zeroes over the nub's context scratch area
     for address, original in planted.items():
         raw = original if byteorder == "little" else original[::-1]
-        if 0 <= address and address + len(raw) <= len(image):
-            image[address:address + len(raw)] = raw
+        if 0 <= address and address + len(raw) <= memsize:
+            _put(pages, memsize, address, raw)
     lo = max(0, context_addr)
-    hi = min(len(image), context_addr + context_size)
+    hi = min(memsize, context_addr + context_size)
     if lo < hi:
-        image[lo:hi] = b"\0" * (hi - lo)
-    crc = zlib.crc32(bytes(head))
-    return zlib.crc32(bytes(image), crc) & 0xFFFFFFFF
+        _put(pages, memsize, lo, bytes(hi - lo))
+    crc = zlib.crc32(head)
+    done = 0  # the image bytes the CRC covers so far
+    for base in sorted(pages):
+        crc = zlib.crc32(pages[base], crc32_zeros(crc, base - done))
+        done = base + len(pages[base])
+    return crc32_zeros(crc, memsize - done)

@@ -251,6 +251,11 @@ class _Transient(Exception):
     """Internal: the nub reported our frame mangled; retry immediately."""
 
 
+class _AnnouncementLost(Exception):
+    """Internal: a frame failed its CRC while a control awaited its
+    acknowledgement; it is taken for the stop announcement after it."""
+
+
 class RetryPolicy:
     """Exponential backoff with *full* jitter, deterministically seeded.
 
@@ -285,6 +290,8 @@ class RetryPolicy:
 
 
 _EVENT_TYPES = (protocol.MSG_SIGNAL, protocol.MSG_EXITED)
+_CONTROL_TYPES = (protocol.MSG_CONTINUE, protocol.MSG_DETACH,
+                  protocol.MSG_KILL, protocol.MSG_RUNTO)
 
 
 class NubSession(Transport):
@@ -401,7 +408,7 @@ class NubSession(Transport):
                 # the request (or its reply) was lost; shed any late
                 # reply still in flight before resending
                 last_err = err
-                self._flush()
+                self._flush(msg)
             except (protocol.ProtocolError, _Transient) as err:
                 last_err = err
         raise SessionError("request %r failed after %d attempts: %s"
@@ -422,8 +429,19 @@ class NubSession(Transport):
     def control(self, msg: protocol.Message) -> None:
         """Send a control message (CONTINUE/DETACH/KILL/RUNTO): the nub
         acknowledges it, so the request engine retries it like any
-        other request."""
-        self.request(msg, expect=(protocol.MSG_OK,))
+        other request.
+
+        A frame that fails its CRC while the acknowledgement is awaited
+        (or flushed after a timeout) is taken, as in :meth:`recv_event`,
+        for the stop announcement that follows the control: the control
+        was acted on, so it is not sent again (on a new connection the
+        nub would act on it twice).  The connection is dropped, and the
+        next :meth:`recv_event` raises :class:`ChannelClosed`; a
+        connector's re-dial makes the nub announce the stop again."""
+        try:
+            self.request(msg, expect=(protocol.MSG_OK,))
+        except _AnnouncementLost:
+            pass
 
     def recv_event(self, timeout: Optional[float] = None) -> protocol.Message:
         """The next SIGNAL/EXITED notification (stale replies from
@@ -478,7 +496,11 @@ class NubSession(Transport):
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 raise TimeoutError("no reply within %s seconds" % timeout)
-            reply = self.channel.recv(remaining)
+            try:
+                reply = self.channel.recv(remaining)
+            except protocol.CrcError as err:
+                self._lost_announcement(msg, err)
+                raise
             if reply.mtype in _EVENT_TYPES:
                 self._note_event(reply)
                 continue
@@ -603,9 +625,9 @@ class NubSession(Transport):
                                              protocol.PROTOCOL_VERSION))
         self.hello_done = True
 
-    def _flush(self) -> None:
-        """Discard stale input (late replies) after a timeout, keeping
-        any SIGNAL/EXITED notifications."""
+    def _flush(self, request: protocol.Message) -> None:
+        """Discard stale input (late replies) after ``request`` timed
+        out, keeping any SIGNAL/EXITED notifications."""
         if self.channel is None:
             return
         try:
@@ -615,7 +637,18 @@ class NubSession(Transport):
                     self._note_event(msg)
         except TimeoutError:
             pass
+        except protocol.CrcError as err:
+            self._lost_announcement(request, err)
         except protocol.ProtocolError:
             pass
         except ChannelClosed:
             self._drop_channel()
+
+    def _lost_announcement(self, request: protocol.Message,
+                           err: protocol.CrcError) -> None:
+        """A frame failed its CRC in answer to ``request``.  After a
+        control it counts as the lost stop announcement: drop the
+        connection and raise :class:`_AnnouncementLost`."""
+        if request.mtype in _CONTROL_TYPES:
+            self._drop_channel()
+            raise _AnnouncementLost("lost the stop announcement: %s" % err)

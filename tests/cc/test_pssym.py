@@ -48,10 +48,12 @@ def force_loci(table, proc_entry):
         interp = _INTERPS[id(table)]
         interp.push_dict(interp.systemdict["ArchDicts"]
                          [table["symtab"]["architecture"].text])
+        interp.push_dict(table["names"])
         try:
             interp.call(value)
             value = interp.pop()
         finally:
+            interp.pop_dict_stack()
             interp.pop_dict_stack()
         proc_entry["loci"] = value
     return value

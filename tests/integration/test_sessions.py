@@ -99,6 +99,31 @@ class TestCrossArchitecture:
                 ldb.print_variable("a", target=target))
         assert values["rmips"] == values["rmipsel"]
 
+    def test_same_architecture_tables_keep_their_own_names(self,
+                                                           monkeypatch):
+        """Symbol ids restart in every compilation (as they do in
+        another compiler process), so each loader table's /S and /T
+        names live in a dictionary of its own: reading a second
+        same-architecture table must not rebind the first's."""
+        from repro.cc.symtab import CSymbol
+
+        first = "int main() {\n  int x = 3;\n  x = x + 1;\n  return x;\n}\n"
+        second = ("int sq(int v) {\n  int w = v * v;\n  return w;\n}\n"
+                  "int main() {\n  int q = 5;\n  q = sq(q);\n  return 0;\n}\n")
+        exes = []
+        for name, source in (("a.c", first), ("b.c", second)):
+            monkeypatch.setattr(CSymbol, "_next_uid", [1])
+            exes.append(compile_and_link({name: source}, "rmips"))
+        ldb = Ldb(stdout=io.StringIO())
+        target = ldb.load_program(exes[0])
+        ldb.load_program(exes[1])
+        ldb.break_at_line("a.c", 3, target)
+        assert ldb.run_to_stop(target) == "stopped"
+        assert ldb.print_variable("x", target=target).strip() == "3"
+        assert ldb.evaluate("x", target=target,
+                            frame=target.top_frame()) == 3
+        ldb.close()
+
     def test_interleaved_multi_target_session(self):
         """Multiple targets at once: no target state in globals (Sec. 7)."""
         out = io.StringIO()

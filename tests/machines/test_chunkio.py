@@ -3,24 +3,30 @@
 The CoreFile container code moved here verbatim; these tests pin the
 byte layout (expected bytes are rebuilt with the runtime's zlib, so
 they stay valid across zlib versions) and the sparse-segment scan, and
-prove CoreFile round-trips are unchanged by the extraction.
+prove CoreFile round-trips are unchanged by the extraction.  The
+page-level scan and the zero-run CRC are held to the regular-expression
+scan they replaced and to ``zlib.crc32`` over dense bytes.
 """
 
 import pathlib
+import re
 import struct
 import zlib
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.machines.chunkio import (
+    crc32_zeros,
+    nonzero_pages,
     pack_block,
     pack_container,
     sparse_segments,
     unpack_block,
     unpack_container,
 )
+from repro.machines.memory import PAGE
 from repro.trace import Recording
 
 GOLDEN = (pathlib.Path(__file__).resolve().parent.parent / "data"
@@ -40,6 +46,61 @@ def reference_segments(image):
             else:
                 spans.append([start, stop])
     return [(lo, image[lo:hi]) for lo, hi in spans]
+
+
+#: the scan sparse_segments made before it went page by page: a zero
+#: run long enough to hold a whole chunk, or one that ends the image
+_ZERO_RUN = re.compile(rb"\0{%d,}|\0+\Z" % CHUNK)
+
+
+def regex_segments(image):
+    """The regular-expression scan: each zero run snapped inwards to
+    chunk boundaries, and what lies between the runs kept."""
+    size = len(image)
+    segments = []
+    kept = 0
+    for zeros in _ZERO_RUN.finditer(image):
+        lo = -(-zeros.start() // CHUNK) * CHUNK
+        hi = zeros.end()
+        if hi < size:
+            hi -= hi % CHUNK
+        if lo < hi:
+            if kept < lo:
+                segments.append((kept, bytes(image[kept:lo])))
+            kept = hi
+    if kept < size:
+        segments.append((kept, bytes(image[kept:])))
+    return segments
+
+
+@st.composite
+def paged_images(draw):
+    """Images of a few pages whose size need not be a multiple of the
+    page or the chunk, all zero, all non-zero, or zero but for bytes
+    drawn mostly at page and chunk edges and in the short last chunk."""
+    length = draw(st.one_of(
+        st.integers(0, 5).map(lambda pages: pages * PAGE),
+        st.integers(0, 5 * PAGE + 300),
+        st.sampled_from([1, CHUNK - 1, CHUNK + 1, PAGE - 1, PAGE + 1,
+                         2 * PAGE + CHUNK, 3 * PAGE - 7])))
+    fill = draw(st.sampled_from(["sparse", "sparse", "zero", "full"]))
+    if fill == "full":
+        first = draw(st.integers(0, 254))
+        return bytes((first + i) % 255 + 1 for i in range(length))
+    image = bytearray(length)
+    if fill == "zero" or not length:
+        return bytes(image)
+    edges = st.one_of(
+        st.integers(0, length // PAGE).map(lambda k: k * PAGE),
+        st.integers(1, length // PAGE + 1).map(lambda k: k * PAGE - 1),
+        st.integers(0, length // CHUNK).map(lambda k: k * CHUNK),
+        st.integers(1, length // CHUNK + 1).map(lambda k: k * CHUNK - 1),
+        st.integers(length - (length % CHUNK or CHUNK), length - 1),
+        st.integers(0, length - 1))
+    for spot in draw(st.lists(edges, max_size=10)):
+        if 0 <= spot < length:
+            image[spot] = draw(st.integers(1, 255))
+    return bytes(image)
 
 
 @st.composite
@@ -192,6 +253,47 @@ class TestSparseSegments:
         for base, data in sparse_segments(image):
             rebuilt[base:base + len(data)] = data
         assert bytes(rebuilt) == image
+
+    @settings(max_examples=300, deadline=None)
+    @given(paged_images())
+    def test_page_scan_equals_the_regex_scan(self, image):
+        assert sparse_segments(image) == regex_segments(image)
+        # memory hands its bytearray over without a copy
+        assert sparse_segments(bytearray(image)) == regex_segments(image)
+
+    @given(paged_images())
+    def test_nonzero_pages_are_the_pages_holding_a_nonzero_byte(self, image):
+        assert nonzero_pages(image) == [
+            page for page in range(0, len(image), PAGE)
+            if any(image[page:page + PAGE])]
+
+    def test_golden_spills_scan_as_the_regex_did(self):
+        for spill in Recording.load(str(GOLDEN)).spills:
+            image = bytes(spill.state.image())
+            assert sparse_segments(image) == regex_segments(image)
+
+
+class TestZeroRunCrc:
+    """crc32_zeros(crc, n) is zlib.crc32 over n zero bytes from crc."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(st.integers(0, 3 * PAGE),
+                     st.integers(0, 64).map(lambda pages: pages * PAGE),
+                     st.integers((1 << 20) - PAGE, (1 << 20) + 3 * PAGE)),
+           st.integers(0, 0xFFFFFFFF))
+    def test_equals_zlib_over_dense_zeros(self, length, crc):
+        assert crc32_zeros(crc, length) == zlib.crc32(bytes(length), crc)
+
+    def test_lengths_around_every_power_of_two_pages(self):
+        for power in range(0, 10):
+            for length in ((PAGE << power) - 1, PAGE << power,
+                           (PAGE << power) + 1):
+                for crc in (0, 1, 0xDEADBEEF, 0xFFFFFFFF):
+                    assert crc32_zeros(crc, length) == \
+                        zlib.crc32(bytes(length), crc), (length, crc)
+
+    def test_zero_length_is_the_identity(self):
+        assert crc32_zeros(0x12345678, 0) == 0x12345678
 
 
 class TestCoreFileUnchanged:

@@ -9,6 +9,10 @@ lost and drops the connection.  Over a socketpair, which cannot be
 re-dialled, the target is reported ``disconnected`` at once; attached
 through a listener, the debugger re-dials once and ends stopped at the
 true stop, as debuggable as an undamaged session.
+
+The same holds for the announcement of a later stop when the
+acknowledgement of the control before it was lost: the damaged frame
+that arrives in its place is the announcement, not a reply to retry.
 """
 
 import io
@@ -20,8 +24,8 @@ from repro.cc.driver import compile_and_link, loader_table_ps
 from repro.ldb import Ldb
 from repro.ldb.debugger import load_over_wire
 from repro.machines import Process, SIGSEGV, SIGTRAP
-from repro.nub import (FaultSchedule, Listener, Nub, NubRunner, RetryPolicy,
-                       connect, protocol)
+from repro.nub import (FaultSchedule, Listener, Nub, NubRunner, NubSession,
+                       RetryPolicy, connect, protocol)
 from repro.nub.session import TransportError
 
 BOOM = """int g;
@@ -145,3 +149,103 @@ def test_a_nub_of_another_version_is_a_typed_failure(boom_exe):
     assert len(dials) == 1
     listener.close()
     runner.join(10.0)
+
+
+#: the nub's frames before the CONTINUE's acknowledgement: the
+#: announcement and the HELLO reply (and on a listener the BREAKLIST an
+#: attach reads), then run_to_stop's stop-pc fetch and resume-pc store
+FRAMES_BEFORE_CONTINUE_ACK = {"socketpair": 4, "listener": 5}
+
+
+def lost_ack_then_damaged_stop(host):
+    """The CONTINUE's acknowledgement dropped, the SIGSEGV announcement
+    after it damaged."""
+    return FaultSchedule(script=["ok"] * FRAMES_BEFORE_CONTINUE_ACK[host]
+                         + ["drop", "corrupt"])
+
+
+def test_lost_control_ack_then_damaged_stop_without_a_connector(boom_exe):
+    ldb = Ldb(stdout=io.StringIO())
+    target = load_over_wire(
+        ldb, boom_exe, fault_schedule=lost_ack_then_damaged_stop("socketpair"))
+    started = time.monotonic()
+    assert ldb.run_to_stop(timeout=5.0) == "disconnected"
+    assert time.monotonic() - started < 1.0
+    assert target.channel is None
+    # the nub did stop at the fault; with nobody left to debug it, it
+    # lets the target go
+    assert target.nub.last_stop.signo == SIGSEGV
+    target.runner.join(10.0)
+    assert target.nub.killed
+
+
+def test_lost_control_ack_then_damaged_stop_redials_to_the_true_stop(
+        boom_exe):
+    clean = Ldb(stdout=io.StringIO())
+    clean.load_program(boom_exe)
+    assert clean.run_to_stop() == "stopped"
+    expected = clean.backtrace_text()
+    clean.close()
+    listener = Listener()
+    nub = Nub(Process(boom_exe), listener=listener, accept_timeout=10.0,
+              fault_schedule=lost_ack_then_damaged_stop("listener"))
+    runner = NubRunner(nub).start()
+    ldb = Ldb(stdout=io.StringIO())
+    target = ldb.attach("127.0.0.1", listener.port, loader_table_ps(boom_exe))
+    started = time.monotonic()
+    assert ldb.run_to_stop(timeout=5.0) == "stopped"
+    assert time.monotonic() - started < 1.0
+    assert target.session.reconnects == 1
+    assert target.signo == SIGSEGV
+    assert ldb.backtrace_text() == expected
+    target.kill()
+    runner.join(10.0)
+    listener.close()
+
+
+class _ScriptedChannel:
+    """A channel whose receives follow a script: an exception is
+    raised, a message is answered under the last request's sequence id."""
+
+    def __init__(self, script):
+        self.script = list(script)
+        self.sent = []
+        self.closed = False
+
+    def send(self, msg):
+        self.sent.append(msg)
+
+    def recv(self, timeout=None):
+        item = self.script.pop(0)
+        if isinstance(item, BaseException):
+            raise item
+        item.seq = self.sent[-1].seq
+        return item
+
+    def close(self):
+        self.closed = True
+
+
+@pytest.mark.parametrize("control", [True, False])
+def test_a_damaged_frame_flushed_after_a_timeout(control):
+    """A control whose acknowledgement timed out: the damaged frame
+    the flush then reads is its stop announcement, so the control is
+    not sent again and the connection is dropped.  After any other
+    request it is a stale reply, dropped alone, and the request
+    retries."""
+    damaged = protocol.CrcError("CRC mismatch on SIGNAL frame")
+    data = protocol.Message(protocol.MSG_DATA, bytes(4))
+    channel = _ScriptedChannel([TimeoutError(), damaged, data])
+    session = NubSession(channel=channel, reply_timeout=0.01,
+                         policy=RetryPolicy(max_attempts=2, base_delay=0.0))
+    session.hello_done = True
+    if control:
+        session.control(protocol.cont())
+        assert session.channel is None and channel.closed
+        assert len(channel.sent) == 1
+    else:
+        reply = session.request(protocol.fetch("d", 0x2000, 4),
+                                expect=(protocol.MSG_DATA,))
+        assert reply is data
+        assert session.channel is channel and not channel.closed
+        assert len(channel.sent) == 2

@@ -7,6 +7,8 @@ import re
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 CHECKER = ROOT / "tools" / "check_protocol_doc.py"
 
@@ -114,3 +116,42 @@ def test_t1_measured_table_matches_its_bench_counters():
         assert line is not None, "T1 has no Measured %s row" % row
         stated = [int(cell) for cell in line.group(1).split("|")[:4]]
         assert stated == [counted[arch] for arch in order], row
+
+
+#: (Python source, its lines of code under T1's rule)
+LOC_CASES = [
+    # a docstring whose closing quotes end a text line
+    ('def f():\n    """Summary.\n\n    More text."""\n    return 1\n', 2),
+    # one-line module docstring, a comment, a blank, a trailing comment
+    ('"""Module."""\n# note\n\nx = 1  # why\n', 1),
+    # a class whose body is its docstring
+    ("class A:\n    '''Doc.'''\n", 1),
+    # a string that is a value, not a statement, counts on every line
+    ('x = """a\nb"""\n', 2),
+    # a call spread over lines, with a comment line and a blank inside
+    ("y = f(\n    1,  # one\n    # nothing\n\n    2)\n", 3),
+    # a backslash continuation, and a docstring followed by code
+    ('x = 1 + \\\n    2\n"""Doc."""; z = 3\n', 3),
+    # indented source, as inspect.getsource gives for a method
+    ('    def g(self):\n        """Doc."""\n        return 2\n', 2),
+    # no newline at the end of the file
+    ("x = 1", 1),
+]
+
+
+@pytest.mark.parametrize("source,expected", LOC_CASES)
+def test_t1_counts_lines_of_code(source, expected):
+    """T1 counts lines of code: blank lines, comments and docstrings
+    excluded, one rule for whole files and for class sources."""
+    from benchmarks import bench_table_mdloc as t1
+    assert t1.loc_of_source(source) == expected
+
+
+def test_t1_counts_a_python_file_and_a_postscript_file(tmp_path):
+    from benchmarks import bench_table_mdloc as t1
+    py = tmp_path / "m.py"
+    py.write_text(LOC_CASES[0][0])
+    ps = tmp_path / "m.ps"
+    ps.write_text("% comment\n\n/x 1 def\n  % indented comment\n(y) = \n")
+    assert t1.loc_of_file(str(py)) == LOC_CASES[0][1]
+    assert t1.loc_of_file(str(ps)) == 2
