@@ -1,22 +1,51 @@
 """F3 — Fig. 3: communication paths between ldb and the expression server.
 
-The figure shows ldb exchanging bytes with the expression server over a
-pair of pipes while fetching values from the nub.  This bench runs live
-evaluations and counts the traffic on each leg: expressions out, lookup
-callbacks back, PostScript in, and nub fetches triggered by interpreting
-the result.
+The figure shows ldb exchanging text with the expression server while
+fetching values from the nub.  This bench runs live evaluations and
+counts the traffic on each leg: expressions out, lookup callbacks back,
+SYM replies out, PostScript in, and nub fetches triggered by
+interpreting the result.  The server answers on the debugger's thread,
+so the bench also counts the threads and sockets the first evaluation
+makes: none.
 """
 
+import gc
 import io
 import json
+import socket
+import threading
+import types
 
 import pytest
 
 from repro.cc.driver import compile_and_link
 from repro.ldb import Ldb
+from repro.ldb.frames import Frame
+from repro.ldb.target import Target
+from repro.postscript import Interp
 
 from .conftest import report
 from .workloads import FIB_C
+
+
+def record_conversation(client, crossed):
+    """Make ``client``'s server append every line that crosses to it and
+    from it to ``crossed``, in order."""
+    answer = client.server.answer
+
+    def recording_answer(line, ask):
+        def recording_ask(lookup):
+            crossed.append(lookup)
+            reply = ask(lookup)
+            crossed.append(reply)
+            return reply
+
+        crossed.append(line)
+        text = answer(line, recording_ask)
+        crossed.append(text)
+        return text
+
+    client.server.answer = recording_answer
 
 
 @pytest.fixture(scope="module")
@@ -33,25 +62,34 @@ def session():
 
 def test_fig3_conversation(benchmark, session):
     ldb, target = session
-    client = ldb.expression_client()
+    started, made = [], []
+    start, init = threading.Thread.start, socket.socket.__init__
 
-    sent = []
-    original_send = client._send
+    def counting_start(thread):
+        started.append(thread)
+        start(thread)
 
-    def counting_send(line):
-        sent.append(line)
-        original_send(line)
+    def counting_init(sock, *args, **kwargs):
+        made.append(sock)
+        init(sock, *args, **kwargs)
 
-    client._send = counting_send
-    wire_before = target.stats.of("wire", "fetch")
+    crossed = []
+    threading.Thread.start, socket.socket.__init__ = counting_start, \
+        counting_init
     try:
+        client = ldb.expression_client()
+        record_conversation(client, crossed)
+        wire_before = target.stats.of("wire", "fetch")
         value = ldb.evaluate("a[j] + n")
+        wire_fetches = target.stats.of("wire", "fetch") - wire_before
     finally:
-        client._send = original_send
-    wire_fetches = target.stats.of("wire", "fetch") - wire_before
+        threading.Thread.start, socket.socket.__init__ = start, init
+        del client.server.answer
 
-    expr_msgs = [line for line in sent if line.startswith("EXPR")]
-    sym_msgs = [line for line in sent if line.startswith("SYM")]
+    expr_msgs = [line for line in crossed if line.startswith("EXPR")]
+    lookups = [line for line in crossed
+               if line.endswith(" ExpressionServer.lookup\n")]
+    sym_msgs = [line for line in crossed if line.startswith("SYM")]
 
     benchmark(ldb.evaluate, "a[j] + n")
 
@@ -59,21 +97,26 @@ def test_fig3_conversation(benchmark, session):
            "  evaluating `a[j] + n` at stopping point 9:",
            "    ldb -> server : %d EXPR message, %d SYM replies"
            % (len(expr_msgs), len(sym_msgs)),
-           "    server -> ldb : /a, /j, /n ExpressionServer.lookup + "
-           "PostScript + .result",
+           "    server -> ldb : %d lookups (%s) + PostScript + .result"
+           % (len(lookups), ", ".join(line.split()[0] for line in lookups)),
            "    ldb -> nub    : %d fetches while interpreting the result"
            % wire_fetches,
-           "    value         : %s" % value)
+           "    value         : %s" % value,
+           "    first evaluation: %d threads started, %d sockets made"
+           % (len(started), len(made)))
 
     # -- shape -------------------------------------------------------------
     assert value == 1 + 10  # a[0] + n at the first j-loop iteration
     assert len(expr_msgs) == 1
     # three unknown identifiers came back as lookups -> three SYM replies
+    assert len(lookups) == 3
     assert len(sym_msgs) == 3
     names = [json.loads(m.split(" ", 1)[1])["name"] for m in sym_msgs]
     assert sorted(names) == ["a", "j", "n"]
     # interpreting the PostScript fetched through the wire
     assert wire_fetches >= 2
+    # the server answers on the debugger's own thread
+    assert (len(started), len(made)) == (0, 0)
 
 
 def test_fig3_symbol_data_is_c_tokens(session):
@@ -87,11 +130,36 @@ def test_fig3_symbol_data_is_c_tokens(session):
 
 
 def test_fig3_server_isolation(session):
-    """The server lives behind byte streams: no shared state with ldb
-    beyond the two pipes (the paper's address-space separation)."""
-    ldb, _target = session
+    """Only text crosses between ldb and the server (the paper's
+    address-space separation): every line either side hands the other
+    is a ``str``, and nothing the server holds is a debugger, target,
+    frame or interpreter."""
+    ldb, target = session
     client = ldb.expression_client()
-    assert client.thread.is_alive()
-    assert client.server.types is not None
-    # the debugger side holds no reference to server symbol objects
-    assert not hasattr(client, "symbols")
+    crossed = []
+    record_conversation(client, crossed)
+    try:
+        assert ldb.evaluate("a[j] + n") == 11
+    finally:
+        del client.server.answer
+    assert sum(line.startswith("SYM") for line in crossed) == 3
+    assert all(type(line) is str for line in crossed)
+    held = _reachable(client.server)
+    assert any(obj is client.server.types for obj in held)
+    assert not [obj for obj in held
+                if isinstance(obj, (Ldb, Target, Frame, Interp))]
+
+
+def _reachable(root):
+    """Every object reachable from ``root`` through containers, instance
+    attributes and bound methods (not through classes, modules or
+    plain functions, which reach everything)."""
+    seen, todo = {}, [root]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(
+                obj, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen[id(obj)] = obj
+        todo.extend(gc.get_referents(obj))
+    return list(seen.values())

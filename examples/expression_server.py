@@ -1,12 +1,13 @@
 #!/usr/bin/env python
 """The expression server conversation (paper Sec. 3, Fig. 3).
 
-Shows the machinery behind `print`: the expression travels to a compiler
-front end behind a byte stream; unknown identifiers come back as
+Shows the machinery behind `print`: the expression travels as text to a
+compiler front end; unknown identifiers come back as
 ``/name ExpressionServer.lookup`` callbacks; the server reconstructs
 symbol and type data from C tokens; and the final answer arrives as a
 *PostScript procedure* that ldb's embedded interpreter evaluates against
-the frame's abstract memory.
+the frame's abstract memory.  Only text lines cross between the two,
+though the server answers on the debugger's own thread.
 
 Run:  python examples/expression_server.py
 """
@@ -73,7 +74,7 @@ def main():
         print("(ldb) print %-32s => %s" % (expression, value))
 
     print("\nNote: the server reconstructed `struct account` from C tokens")
-    print("sent over the pipe; the type persists between expressions.")
+    print("sent as text; the type persists between expressions.")
     print("Procedure calls into the target are not yet supported, exactly")
     print("as the paper reports (Sec. 7.1):")
     try:

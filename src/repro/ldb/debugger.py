@@ -187,6 +187,11 @@ class Ldb:
         self.current = target
         return target
 
+    def close(self) -> None:
+        """Close every target's transport.  A second call does nothing."""
+        for target in self.targets.values():
+            target.transport.close()
+
     # -- breakpoints -------------------------------------------------------------
 
     def break_at(self, spec: str, target: Target) -> List[int]:
@@ -572,15 +577,6 @@ class Ldb:
         return addresses[0]
 
     # -- expressions (via the expression server) ------------------------------------------
-
-    def close(self) -> None:
-        """End the expression server's conversation and close every
-        target's transport.  A second call does nothing."""
-        client, self._expr_client = self._expr_client, None
-        if client is not None:
-            client.close()
-        for target in self.targets.values():
-            target.transport.close()
 
     def expression_client(self):
         if self._expr_client is None:

@@ -1,21 +1,28 @@
 """The expression server (paper Sec. 3, Fig. 3).
 
 Assignment and expression evaluation use an "expression server" — a
-variant of the compiler front end in a separate conversation, connected
-to ldb by byte streams.  To evaluate an expression ldb sends it to the
-server; the server parses and type-checks it and produces an
-intermediate-code tree.  When the server fails to find an identifier
-``a``, it sends ``/a ExpressionServer.lookup`` back to ldb; interpreting
-that procedure makes ldb find ``a``'s symbol-table dictionary and send
-type and symbol data (sequences of C tokens) back, from which the server
-reconstructs the entry on the fly.
+variant of the compiler front end that ldb talks to only in text.  To
+evaluate an expression ldb sends it to the server; the server parses and
+type-checks it and produces an intermediate-code tree.  When the server
+fails to find an identifier ``a``, it sends ``/a ExpressionServer.lookup``
+back to ldb; interpreting that procedure makes ldb find ``a``'s
+symbol-table dictionary and send type and symbol data (sequences of C
+tokens) back, from which the server reconstructs the entry on the fly.
 
 The server's IR tree is not passed to a compiler back end: it is
 **rewritten as a PostScript procedure** (:func:`rewrite_to_ps` — the
 analog of the paper's 124-line rewriter for lcc's 112-operator IR),
 sent to ldb followed by ``ExpressionServer.result``, and interpreted by
 the same embedded interpreter that reads symbol tables.  ldb drives the
-conversation by applying ``cvx stopped`` to the open pipe.
+conversation by applying ``cvx stopped`` to a reader of that text.
+
+Only text lines cross: ldb sends ``EXPR {"text": ...}``, answered by one
+PostScript text ending in ``ExpressionServer.result`` or
+``ExpressionServer.error``, and ``RESET {"arch": ...}``, which has no
+answer; while compiling, the server sends ``/name
+ExpressionServer.lookup``, answered by ``SYM {json}`` or ``NOSYM name``.
+The conversation is lockstep, so the server runs on the debugger's
+thread as plain calls (:meth:`ExpressionServer.answer`).
 
 New symbol entries are discarded after each expression; type
 information persists until the debugger switches targets (RESET).
@@ -26,10 +33,8 @@ paper's future-work limitation.
 from __future__ import annotations
 
 import json
-import socket
-import threading
-import weakref
-from typing import Dict, List, Optional
+import sys
+from typing import Callable, Dict, List, Optional
 
 from ..cc import tree as ast
 from ..cc.ctypes_ import (
@@ -333,55 +338,54 @@ class ServerSema(Sema):
 
 
 class ExpressionServer:
-    """The server process body: speaks the two byte streams of Fig. 3."""
+    """The server of Fig. 3: answers the conversation one line at a
+    time, and holds no debugger, target or frame."""
 
-    def __init__(self, cmd_in, ps_out):
-        self.cmd_in = cmd_in
-        self.ps_out = ps_out
+    def __init__(self):
         self.types: Optional[TypeSystem] = None
         #: the last RESET's payload, read when the next EXPR needs types
         self._reset = '{"arch": "rmips"}'
         #: persistent type source text (saved until the target changes)
         self.type_defs: List[str] = []
         self._known_defs = set()
+        #: is ``ask`` running?  What it raises is the caller's to handle
+        self._asking = False
 
-    def serve_forever(self) -> None:
-        """Answer each EXPR with exactly one result or error, whatever
-        fails while handling it — an escaping exception would end this
-        thread and leave the debugger waiting for an answer forever."""
-        while True:
-            line = self.cmd_in.readline()
-            if not line:
-                return
-            verb, _, payload = line.strip().partition(" ")
-            if verb == "QUIT":
-                return
-            if verb == "RESET":
-                # RESET has no answer, so the next EXPR builds the type
-                # system and answers a bad payload as its error
-                self._reset = payload
-                self.types = None
-                self.type_defs = []
-                self._known_defs = set()
-            elif verb == "EXPR":
-                try:
-                    self.evaluate_one(json.loads(payload)["text"])
-                except (CError, EvalError) as err:
-                    self._emit_error(str(err))
-                except RecursionError:
-                    # the recursive-descent parser ran out of stack
-                    self._emit_error("expression nested too deeply")
-                except Exception as err:
-                    self._emit_error("%s: %s" % (type(err).__name__, err))
-            # stray SYM/NOSYM outside a lookup: ignore
+    def answer(self, line: str, ask: Callable[[str], str]) -> str:
+        """The PostScript that answers one line from the debugger: for
+        an EXPR exactly one result or error, whatever fails while
+        handling it, and ``""`` for RESET or a stray line.  ``ask``
+        returns the debugger's reply to each lookup line; what it raises
+        reaches the caller as it is, but for an EvalError or a
+        RecursionError, which are answered like the server's own."""
+        verb, _, payload = line.strip().partition(" ")
+        if verb == "RESET":
+            # RESET has no answer, so the next EXPR builds the type
+            # system and answers a bad payload as its error
+            self._reset = payload
+            self.types = None
+            self.type_defs = []
+            self._known_defs = set()
+            return ""
+        if verb != "EXPR":
+            return ""  # a stray SYM/NOSYM outside a lookup
+        self._asking = False
+        try:
+            return self.evaluate_one(json.loads(payload)["text"], ask)
+        except (CError, EvalError) as err:
+            message = str(err)
+        except RecursionError:
+            # the recursive-descent parser ran out of stack
+            message = "expression nested too deeply"
+        except Exception as err:
+            if self._asking:
+                raise  # a deadline or a lost nub while ldb looked a name up
+            message = "%s: %s" % (type(err).__name__, err)
+        return "%s ExpressionServer.error\n" % _ps_quote(message)
 
     # -- one expression ------------------------------------------------------
 
-    def evaluate_one(self, text: str) -> None:
-        self._emit("%s\nExpressionServer.result\n"
-                   % self.compile_expression(text))
-
-    def compile_expression(self, text: str) -> str:
+    def evaluate_one(self, text: str, ask: Callable[[str], str]) -> str:
         if self.types is None:
             self.types = TypeSystem(json.loads(self._reset)["arch"])
         parser = self._primed_parser()
@@ -390,11 +394,10 @@ class ExpressionServer:
         expr = parser.expression()
         if parser.peek().kind != "eof":
             raise EvalError("trailing junk after expression")
-        sema = ServerSema(self.types, self._lookup_miss_factory(parser))
+        sema = ServerSema(self.types, self._lookup_miss_factory(parser, ask))
         self._declare_type_constants(parser, sema)
-        typed = sema.expr(expr)
-        tree_ir = PureLowering().lower(typed)
-        return rewrite_to_ps(tree_ir)
+        tree_ir = PureLowering().lower(sema.expr(expr))
+        return "%s\nExpressionServer.result\n" % rewrite_to_ps(tree_ir)
 
     def _primed_parser(self) -> Parser:
         source = "\n".join(self.type_defs)
@@ -407,13 +410,17 @@ class ExpressionServer:
             if isinstance(decl, ast.VarDecl) and decl.storage == "enumconst":
                 sema.global_decl(decl)
 
-    def _lookup_miss_factory(self, parser: Parser):
+    def _lookup_miss_factory(self, parser: Parser, ask: Callable[[str], str]):
         def lookup_miss(name: str) -> Optional[CSymbol]:
+            if not _room_to_ask():
+                # the debugger answers on this stack: running out of it
+                # part way (mapping the procedures, say) would leave its
+                # state half built for later expressions
+                raise RecursionError("no stack left to look %s up" % name)
             # ask the debugger: "/name ExpressionServer.lookup"
-            self._emit("/%s ExpressionServer.lookup\n" % name)
-            reply = self.cmd_in.readline()
-            if not reply:
-                raise EvalError("debugger went away during lookup")
+            self._asking = True
+            reply = ask("/%s ExpressionServer.lookup\n" % name)
+            self._asking = False
             verb, _, payload = reply.strip().partition(" ")
             if verb == "NOSYM":
                 raise EvalError("undeclared identifier %r" % name)
@@ -450,27 +457,21 @@ class ExpressionServer:
         parser.tokens, parser.pos = saved_tokens, saved_pos
         return ctype
 
-    def _emit(self, text: str) -> None:
-        self.ps_out.write(text)
-        self.ps_out.flush()
 
-    def _emit_error(self, message: str) -> None:
-        self._emit("%s ExpressionServer.error\n" % _ps_quote(message))
+#: the frames a lookup leaves the debugger below the recursion limit:
+#: answering one (resolving the name, mapping the procedures on first
+#: use, collecting its types) takes a few dozen
+_LOOKUP_FRAMES = 200
 
 
-def _serve(server: ExpressionServer) -> None:
-    """The server thread's body: converse until QUIT or end-of-file,
-    then close the server's end of both pipes."""
+def _room_to_ask() -> bool:
+    """Is this thread's stack :data:`_LOOKUP_FRAMES` short of the
+    recursion limit?"""
     try:
-        server.serve_forever()
-    finally:
-        server.cmd_in.close()
-        server.ps_out.close()
-
-
-def _close_files(*files) -> None:
-    for stream in files:
-        stream.close()
+        sys._getframe(sys.getrecursionlimit() - _LOOKUP_FRAMES)
+    except ValueError:  # the stack is not that deep
+        return True
+    return False
 
 
 def _ps_quote(text: str) -> str:
@@ -484,44 +485,22 @@ def _ps_quote(text: str) -> str:
 # the debugger side
 
 class ExpressionClient:
-    """ldb's end: two pipes to a server thread (Fig. 3).
+    """ldb's end of the conversation (Fig. 3).
 
-    Putting the server in a separate conversation means the debugger
-    treats each expression as a string and then interprets PostScript
-    until the server tells it to stop (``cvx stopped``).
+    The debugger treats each expression as a string: it hands the
+    string to the server, answers the server's lookups by interpreting
+    them, and interprets the PostScript that comes back until the
+    server tells it to stop (``cvx stopped``).
     """
 
     def __init__(self, debugger):
         self.debugger = debugger
-        cmd_a, cmd_b = socket.socketpair()
-        ps_a, ps_b = socket.socketpair()
-        self.cmd_out = cmd_a.makefile("w", encoding="latin-1", newline="\n")
-        self.ps_in = ps_a.makefile("r", encoding="latin-1", newline="\n")
-        server = ExpressionServer(
-            cmd_b.makefile("r", encoding="latin-1", newline="\n"),
-            ps_b.makefile("w", encoding="latin-1", newline="\n"))
-        for sock in (cmd_a, cmd_b, ps_a, ps_b):
-            # each file keeps its socket open until the file is closed
-            sock.close()
-        self.server = server
-        self.thread = threading.Thread(target=_serve, args=(server,),
-                                       daemon=True)
-        self.thread.start()
-        self.reader = Reader(self.ps_in, "expression-server")
-        self._arch_sent: Optional[str] = None
+        self.server = ExpressionServer()
+        #: the target the server's types were last reset for
+        self._reset_for = None
         self._error: Optional[str] = None
-        #: closes this end's two files, at :meth:`close` or when the
-        #: client is collected — before the collector can finalize a
-        #: socket ahead of the file that owns it; the server then reads
-        #: end-of-file and its thread closes the other end
-        self._hang_up = weakref.finalize(self, _close_files, self.cmd_out,
-                                         self.ps_in)
-
-    def close(self) -> None:
-        """End the conversation and join the server thread."""
-        self._send("QUIT")
-        self._hang_up()
-        self.thread.join(5.0)
+        #: the SYM or NOSYM line the last lookup left for the server
+        self._reply = ""
 
     # -- interpreter operators the server conversation uses ---------------------
 
@@ -533,10 +512,10 @@ class ExpressionClient:
             name = ip.pop_name_or_string_text()
             entry = frame.resolve(name)
             if entry is None:
-                client._send("NOSYM %s" % name)
+                client._reply = "NOSYM %s" % name
                 return
-            client._send("SYM %s" % json.dumps(client._symbol_info(
-                name, entry, target, frame)))
+            client._reply = "SYM %s" % json.dumps(client._symbol_info(
+                name, entry, target, frame))
 
         def op_result(ip) -> None:
             raise PSStop()
@@ -591,9 +570,11 @@ class ExpressionClient:
 
     def evaluate(self, text: str, target, frame):
         interp = self.debugger.interp
-        if self._arch_sent != target.arch_name:
+        if self._reset_for is not target:
+            # types learned from one target's tables (a struct layout)
+            # must not answer for another's, even of the same machine
             self._send("RESET %s" % json.dumps({"arch": target.arch_name}))
-            self._arch_sent = target.arch_name
+            self._reset_for = target
         self._error = None
         ops = self._install_ops(interp, target, frame)
         pushed = 0
@@ -607,9 +588,9 @@ class ExpressionClient:
         pushed += 2
         depth = len(interp.ostack)
         try:
-            self._send("EXPR %s" % json.dumps({"text": text}))
-            # "cvx stopped" applied to the open pipe from the server
-            interp.push(self.reader)
+            program = self._send("EXPR %s" % json.dumps({"text": text}))
+            # "cvx stopped" applied to the server's answer
+            interp.push(Reader(program, "expression-server"))
             interp.run("cvx stopped pop")
             if self._error is not None:
                 raise EvalError(self._error)
@@ -618,7 +599,6 @@ class ExpressionClient:
                 # server's final ``stop`` — a failed fetch/store (bad
                 # address, read-only post-mortem target ...) must not
                 # pass off whatever is on the stack as the result
-                self._drain_failed_program()
                 raise EvalError("expression failed: %s" % interp.stop_error)
             if len(interp.ostack) <= depth:
                 raise EvalError("expression produced no value")
@@ -628,18 +608,16 @@ class ExpressionClient:
             for _ in range(pushed):
                 interp.pop_dict_stack()
 
-    def _send(self, line: str) -> None:
-        self.cmd_out.write(line + "\n")
-        self.cmd_out.flush()
+    def _send(self, line: str) -> str:
+        """One line to the server; the PostScript it answers with."""
+        return self.server.answer(line, self._ask)
 
-    def _drain_failed_program(self) -> None:
-        """An error stopped the run mid-program: the server's final
-        ``ExpressionServer.result`` line is still in the pipe and would
-        prefix (and wreck) the *next* expression — consume the tail."""
-        while True:
-            line = self.ps_in.readline()
-            if not line or line.strip() == "ExpressionServer.result":
-                return
+    def _ask(self, line: str) -> str:
+        """Answer the server's lookup line by interpreting it:
+        ``ExpressionServer.lookup`` leaves the SYM or NOSYM reply."""
+        self._reply = ""
+        self.debugger.interp.run(line, "expression-server")
+        return self._reply
 
 
 def _location_source(loc: Location) -> str:

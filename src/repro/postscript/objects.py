@@ -207,11 +207,11 @@ class Reader:
     """A PostScript file object open for reading.
 
     The paper replaces PostScript files with Modula-3 readers and writers;
-    we wrap any object with a ``readline()``/``read()`` method, e.g. an open
-    pipe from the expression server.  An executable reader, when executed,
-    is scanned and interpreted until end of stream — that is how ldb
-    implements "interpret PostScript until the expression server tells it to
-    stop" via ``cvx stopped``.
+    we wrap a string or any object with a ``readline()``/``read()`` method,
+    e.g. the text the expression server answers with.  An executable
+    reader, when executed, is scanned and interpreted until end of stream —
+    that is how ldb implements "interpret PostScript until the expression
+    server tells it to stop" via ``cvx stopped``.
     """
 
     __slots__ = ("stream", "literal", "name")

@@ -1,8 +1,8 @@
 """Control operators: exec, if, loops, exit, stop, stopped, bind.
 
 ``stopped`` is load-bearing in ldb: the debugger applies ``cvx stopped``
-to the open pipe from the expression server, interpreting PostScript as it
-arrives until the server's final ``ExpressionServer.result`` executes
+to a reader of the expression server's answer, interpreting its
+PostScript until the server's final ``ExpressionServer.result`` executes
 ``stop`` (paper Sec. 3).
 """
 

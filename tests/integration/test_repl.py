@@ -135,8 +135,8 @@ def test_no_target_answers_a_line(text):
 
 def test_a_deeply_nested_expression_answers(fib_exe):
     """The expression server's parser recurses: an expression nested
-    past the interpreter's stack is an error, not the end of the
-    server thread (which left the REPL waiting for it forever)."""
+    past the interpreter's stack is an error the REPL reports, and the
+    next expression is answered as before."""
     out = io.StringIO()
     cli = Cli(stdin=io.StringIO(), stdout=out)
     cli.start_program(fib_exe)

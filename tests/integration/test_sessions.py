@@ -124,6 +124,33 @@ class TestCrossArchitecture:
                             frame=target.top_frame()) == 3
         ldb.close()
 
+    def test_same_architecture_targets_keep_their_own_types(self):
+        """The expression server learns struct layouts from the target
+        it evaluates on; another target of the same machine, with its
+        own ``struct S``, must not be answered with them."""
+        sources = {
+            "a.c": "struct S { int a; int b; };\nstruct S s;\n"
+                   "int main() {\n  s.a = 1; s.b = 2;\n  return s.b;\n}\n",
+            "b.c": "struct S { char c; int pad[3]; int b; };\nstruct S s;\n"
+                   "int main() {\n  s.c = 1; s.b = 3;\n  return s.b;\n}\n",
+        }
+        ldb = Ldb(stdout=io.StringIO())
+        targets = []
+        for name, source in sources.items():
+            target = ldb.load_program(
+                compile_and_link({name: source}, "rmips", debug=True))
+            ldb.break_at_line(name, 5, target)
+            assert ldb.run_to_stop(target) == "stopped"
+            targets.append(target)
+        first, second = targets
+        for target, b, size in ((first, 2, 8), (second, 3, 20),
+                                (first, 2, 8)):
+            frame = target.top_frame()
+            assert ldb.evaluate("s.b", target=target, frame=frame) == b
+            assert ldb.evaluate("sizeof(s)", target=target,
+                                frame=frame) == size
+        ldb.close()
+
     def test_interleaved_multi_target_session(self):
         """Multiple targets at once: no target state in globals (Sec. 7)."""
         out = io.StringIO()

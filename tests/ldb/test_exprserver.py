@@ -1,16 +1,23 @@
 """Expression-server tests: the Fig. 3 conversation and the rewriter."""
 
+import io
+import socket
+import sys
+import threading
+
 import pytest
 
+from repro.cc.driver import compile_and_link
 from repro.cc.ir import BINOP, CNST, CVT, INDIR, IRNode
-from repro.ldb.exprserver import EvalError, rewrite_to_ps
+from repro.ldb import Ldb
+from repro.ldb.exprserver import EvalError, ExpressionServer, rewrite_to_ps
+from repro.nub.session import DeadlineExceeded
 from repro.postscript import new_interp
 
 from .helpers import FIB, session
 
 
 def run_ps(source):
-    import io
     interp = new_interp(stdout=io.StringIO())
     interp.run(source)
     return interp.pop()
@@ -193,32 +200,30 @@ class TestConversation:
 
 
 def converse(*lines):
-    """Run a server over in-memory streams: its answers, in order, as
-    ``(verb, text)`` with the verb ``error`` or ``result``."""
-    import io
-    from repro.ldb.exprserver import ExpressionServer
-    out = io.StringIO()
-    ExpressionServer(io.StringIO("".join(line + "\n" for line in lines)),
-                     out).serve_forever()
-    answers, pending = [], []
-    for line in out.getvalue().splitlines():
-        body, _, verb = line.rpartition("ExpressionServer.")
-        if verb in ("error", "result"):
-            answers.append((verb, "\n".join(pending + [body]).strip()))
-            pending = []
-        else:
-            pending.append(line)
-    assert pending == []
+    """Give a server the lines one at a time: its answer to each, as
+    ``(verb, text)`` with the verb ``error`` or ``result``, or None for a
+    line it does not answer."""
+    server = ExpressionServer()
+    answers = []
+    for line in lines:
+        text = server.answer(line, _no_lookups)
+        body, _, verb = text.rpartition("ExpressionServer.")
+        assert verb in ("result\n", "error\n", "") \
+            and "ExpressionServer." not in body, text
+        answers.append((verb.strip(), body.strip()) if text else None)
     return answers
+
+
+def _no_lookups(line):
+    raise AssertionError("unexpected lookup %r" % line)
 
 
 class TestServerLoop:
     """Every EXPR gets exactly one answer, whatever fails on its line,
-    so the conversation stays in lockstep and the thread lives on."""
+    so the conversation stays in lockstep."""
 
     def test_a_non_string_expression_is_answered(self):
-        answers = converse('EXPR {"text": 5}', 'EXPR {"text": "1+2"}',
-                           "QUIT")
+        answers = converse('EXPR {"text": 5}', 'EXPR {"text": "1+2"}')
         assert [verb for verb, _ in answers] == ["error", "result"]
         assert answers[0][1].startswith("(TypeError: ")
         assert run_ps(answers[1][1]) == 3
@@ -236,27 +241,150 @@ class TestServerLoop:
 
     def test_a_malformed_reset_is_answered_by_the_next_expr(self):
         # RESET itself has no answer: the next EXPR carries its error
-        # until a good RESET replaces it
+        # until a good RESET replaces it; a SYM or NOSYM outside a
+        # lookup gets no answer either
         answers = converse("RESET {bad", 'EXPR {"text": "1"}',
                            'EXPR {"text": "1"}', 'RESET {"arch": "rvax"}',
-                           'EXPR {"text": "7"}', "QUIT", 'EXPR {"text": "8"}')
-        assert [verb for verb, _ in answers] == ["error", "error", "result"]
+                           "NOSYM n", 'EXPR {"text": "7"}')
+        assert [answer and answer[0] for answer in answers] == [
+            None, "error", "error", None, None, "result"]
         assert all(text.startswith("(JSONDecodeError: ")
-                   for _, text in answers[:2])
-        assert run_ps(answers[2][1]) == 7
+                   for _, text in answers[1:3])
+        assert run_ps(answers[5][1]) == 7
+
+    def test_a_deeply_nested_expression_is_answered(self):
+        text = "(" * 3000 + "1" + ")" * 3000
+        answers = converse('EXPR {"text": "%s"}' % text, 'EXPR {"text": "4"}')
+        assert answers[0] == ("error", "(expression nested too deeply)")
+        assert run_ps(answers[1][1]) == 4
+
+    def test_what_ask_raises_reaches_the_caller(self):
+        """A deadline that expires while the debugger answers a lookup
+        is the caller's to handle, not an error line of the server's."""
+        def late(line):
+            raise DeadlineExceeded("deadline passed during %r" % line)
+
+        server = ExpressionServer()
+        with pytest.raises(DeadlineExceeded):
+            server.answer('EXPR {"text": "n + 1"}', late)
+        assert server.answer('EXPR {"text": "5"}', _no_lookups) \
+            == "5\nExpressionServer.result\n"
 
 
-def test_ldb_close_ends_the_conversation_and_every_transport():
+    @pytest.mark.parametrize("frames_left,asked", [(150, False),
+                                                   (400, True)])
+    def test_a_lookup_needs_stack_to_spare(self, frames_left, asked):
+        """The debugger answers a lookup on the server's stack, so the
+        server asks only with room to spare; nearer the recursion limit
+        the expression is answered as too deep, before the debugger's
+        code could run out of stack part way through."""
+        lines = []
+
+        def ask(line):
+            lines.append(line)
+            return "NOSYM n"
+
+        server = ExpressionServer()
+        text = _with_frames_left(frames_left, lambda: server.answer(
+            'EXPR {"text": "n"}', ask))
+        assert lines == (["/n ExpressionServer.lookup\n"] if asked else [])
+        assert text == "(%s) ExpressionServer.error\n" % (
+            "undeclared identifier 'n'" if asked
+            else "expression nested too deeply")
+
+
+def _with_frames_left(frames, call):
+    """``call()`` run ``frames`` frames short of the recursion limit."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+
+    def down(levels):
+        return call() if levels <= 0 else down(levels - 1)
+
+    return down(sys.getrecursionlimit() - frames - depth)
+
+
+class TestLockstepAfterAFailure:
+    """An exception out of an evaluation, such as a deadline, must leave
+    the conversation in step: the next expressions answer right."""
+
+    def stopped(self):
+        exe = compile_and_link({"fib.c": FIB}, "rmips", debug=True)
+        ldb = Ldb(stdout=io.StringIO())
+        # uncached, so interpreting the program reaches the transport
+        target = ldb.load_program(exe, cache=False)
+        ldb.break_at_stop("fib", 9)
+        ldb.run_to_stop()
+        return ldb, target
+
+    def test_a_deadline_while_interpreting_the_program(self, monkeypatch):
+        ldb, target = self.stopped()
+        transact, calls, late_at = target.transport.transact, [], None
+
+        def counting(msg, *args, **kwargs):
+            calls.append(msg)
+            if len(calls) == late_at:
+                raise DeadlineExceeded("deadline passed")
+            return transact(msg, *args, **kwargs)
+
+        # the first evaluation forces n's and j's entries
+        assert ldb.evaluate("n * 100 + j") == 1000
+        monkeypatch.setattr(target.transport, "transact", counting)
+        assert ldb.evaluate("n * 100 + j") == 1000
+        # the last request fetches j, before the program's ``add``
+        late_at, calls[:] = len(calls), []
+        with pytest.raises(DeadlineExceeded):
+            ldb.evaluate("n * 100 + j")
+        assert len(calls) == late_at
+        assert ldb.evaluate("n") == 10
+        assert ldb.evaluate("j") == 0
+
+    def test_a_deadline_while_answering_a_lookup(self, monkeypatch):
+        ldb, _target = self.stopped()
+        client = ldb.expression_client()
+
+        def late(*args):
+            monkeypatch.undo()
+            raise DeadlineExceeded("deadline passed")
+
+        monkeypatch.setattr(client, "_symbol_info", late)
+        with pytest.raises(DeadlineExceeded):
+            ldb.evaluate("n * 100 + j")
+        assert ldb.evaluate("n") == 10
+        assert ldb.evaluate("j") == 0
+
+
+def test_evaluating_starts_no_thread_and_opens_no_socket(monkeypatch):
+    """The server answers on the debugger's thread: the first
+    evaluation on a fresh debugger starts no thread and makes no
+    socket, so closing the debugger has no conversation to end."""
+    ldb, _target = session()
+    ldb.break_at_stop("fib", 9)
+    ldb.run_to_stop()
+    started, made = [], []
+    start, init = threading.Thread.start, socket.socket.__init__
+
+    def counting_start(thread):
+        started.append(thread)
+        start(thread)
+
+    def counting_init(sock, *args, **kwargs):
+        made.append(sock)
+        init(sock, *args, **kwargs)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    monkeypatch.setattr(socket.socket, "__init__", counting_init)
+    assert ldb.evaluate("a[j] + n") == 11
+    assert (len(started), len(made)) == (0, 0)
+
+
+def test_ldb_close_closes_every_transport():
     from repro.ldb.debugger import load_over_wire
     ldb, local = session()
     wired = load_over_wire(ldb, local.process.exe)
     assert ldb.evaluate("1 + 2", target=wired) == 3
-    client = ldb.expression_client()
     ldb.close()
-    assert not client.thread.is_alive()
-    assert all(stream.closed for stream in (
-        client.cmd_out, client.ps_in, client.server.cmd_in,
-        client.server.ps_out))
     assert local.transport.closed
     assert wired.session.channel is None
     wired.runner.join(5.0)  # the nub sees its debugger gone and ends
