@@ -19,6 +19,12 @@ interpreting the loader table in a new debugger;
 connecting -> starting the target under its nub and taking the entry
 stop.  The dbx/gdb baseline is the binary-stabs reader.
 
+A process also interprets each loader-table text once and copies the
+table it built for every later debugger.  So that the paper's rows
+time the read, each timed text is made new with a trailing comment
+line; two extra rows time a debugger that reads, or connects to, the
+large program's table again and gets the copy.
+
 Shape expectations: reading the large program's PostScript table costs
 several times the one-liner's; cross-architecture connection costs about
 the same as same-architecture (the paper's point); and the stabs
@@ -27,6 +33,7 @@ retargetability is paid for in startup time.
 """
 
 import io
+import itertools
 import time
 
 import pytest
@@ -88,6 +95,12 @@ def test_startup_phase_table(benchmark, programs):
     rows.append(("Copy initial PostScript (per debugger)",
                  max(t_copy - t_init, 0.0)))
 
+    serial = itertools.count()
+
+    def unread(ps_source):
+        """``ps_source`` as a text this process has never read."""
+        return ps_source + "%% unread %d\n" % next(serial)
+
     hello_ps = loader_table_ps(hello)
     big_ps = loader_table_ps(big)
     big_sparc_ps = loader_table_ps(big_sparc)
@@ -96,26 +109,32 @@ def test_startup_phase_table(benchmark, programs):
         ldb = Ldb(stdout=io.StringIO())
         ldb.read_loader_table(ps_source)
 
-    t_hello_read = best_of(lambda: read_table(hello_ps))
+    t_hello_read = best_of(lambda: read_table(unread(hello_ps)))
     rows.append(("Read symbol table for hello.c (1 line)", t_hello_read))
-    t_big_read = best_of(lambda: read_table(big_ps))
+    t_big_read = best_of(lambda: read_table(unread(big_ps)))
     rows.append(("Read symbol table for big.c (%d lines)"
                  % len(large_program(120).splitlines()), t_big_read))
+    read_table(big_ps)
+    t_big_reread = best_of(lambda: read_table(big_ps))
+    rows.append(("Read symbol table for big.c again (copy)", t_big_reread))
 
     def connect(exe, ps_source):
         ldb = Ldb(stdout=io.StringIO())
         target = ldb.load_program(exe, table_ps=ps_source)
         target.kill()
 
-    t_hello_connect = best_of(lambda: connect(hello, hello_ps))
+    t_hello_connect = best_of(lambda: connect(hello, unread(hello_ps)))
     rows.append(("Connect to hello.c (one machine)", t_hello_connect))
-    t_big_connect = best_of(lambda: connect(big, big_ps))
+    t_big_connect = best_of(lambda: connect(big, unread(big_ps)))
     rows.append(("Connect to big.c (one machine)", t_big_connect))
+    read_table(big_ps)
+    t_big_reconnect = best_of(lambda: connect(big, big_ps))
+    rows.append(("Connect to big.c again (copy)", t_big_reconnect))
 
     def connect_two():
         ldb = Ldb(stdout=io.StringIO())
-        t1 = ldb.load_program(big, table_ps=big_ps)
-        t2 = ldb.load_program(big, table_ps=big_ps)
+        t1 = ldb.load_program(big, table_ps=unread(big_ps))
+        t2 = ldb.load_program(big, table_ps=unread(big_ps))
         t1.kill()
         t2.kill()
 
@@ -124,7 +143,7 @@ def test_startup_phase_table(benchmark, programs):
 
     def connect_cross():
         ldb = Ldb(stdout=io.StringIO())
-        t1 = ldb.load_program(big_sparc, table_ps=big_sparc_ps)
+        t1 = ldb.load_program(big_sparc, table_ps=unread(big_sparc_ps))
         t1.kill()
 
     t_cross = best_of(connect_cross)
@@ -134,7 +153,8 @@ def test_startup_phase_table(benchmark, programs):
     t_stabs = best_of(lambda: read_stabs_baseline(stabs_blob))
     rows.append(("stabs baseline: read symbols for big.c", t_stabs))
 
-    benchmark.pedantic(read_table, args=(big_ps,), rounds=2, iterations=1)
+    benchmark.pedantic(lambda: read_table(unread(big_ps)), rounds=2,
+                       iterations=1)
 
     report("", "T2. Startup phases (paper Sec. 7 table; shape, not 1992 "
                "absolute times)")

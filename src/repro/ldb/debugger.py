@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import io
 import sys
+import threading
+from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
 from ..cc.driver import loader_table_ps
@@ -19,10 +21,110 @@ from ..nub.channel import Channel, connect, pair
 from ..nub.nub import Nub, NubRunner
 from ..nub.session import LocalTransport
 from ..obs import Observability
-from ..postscript import Interp, PSDict, new_interp
+from ..postscript import (
+    CopyError,
+    Interp,
+    PSDict,
+    copy_table,
+    new_interp,
+    new_reader,
+)
 from .breakpoints import BreakpointError
 from .frames import Frame
 from .target import Target, TargetError
+
+
+#: how much loader-table text the process keeps templates for, in
+#: characters.  A template's objects take about four times its text, so
+#: this keeps about 2.5 MB: the 30 crash-program tables of perfbench's
+#: ``artifacts`` (150 KB) three times over, or T2's large table (440 KB)
+_TABLE_TEXT_BOUND = 512 << 10
+
+
+def read_table(interp: Interp, source: str) -> PSDict:
+    """Interpret loader-table PostScript in ``interp``; the table it
+    builds.  Every template is read this way, and so is every table
+    that is never cached."""
+    interp.run(source, "loader-table")
+    table = interp.pop()
+    if not isinstance(table, PSDict):
+        raise TargetError("loader table did not build a dictionary")
+    return table
+
+
+class _LoaderTables:
+    """The process's loader-table templates, keyed by text and evicted
+    least recently used first once their texts pass
+    :data:`_TABLE_TEXT_BOUND`.
+
+    A template is read in an interpreter of its own, reset to the
+    initial PostScript after every read, and is never handed out:
+    every reader gets a :func:`~repro.postscript.copy_table` of it.
+    A text whose table a copy cannot hold without sharing is kept as
+    ``None`` and read fresh, in the reader's own interpreter, every time.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._templates: "OrderedDict[str, Optional[PSDict]]" = OrderedDict()
+        self._size = 0
+        #: the template reader, the ids of its initial objects, and its
+        #: userdict and systemdict entries as read; made on first use
+        self._reader: Optional[Interp] = None
+        self._foreign: frozenset = frozenset()
+        self._initial: Tuple[dict, dict] = ({}, {})
+
+    def read(self, source: str, interp: Interp) -> Tuple[PSDict, bool]:
+        """``source``'s table for ``interp``, and whether it came from a
+        template read before (False when this call interpreted it)."""
+        with self._lock:
+            if source in self._templates:
+                self._templates.move_to_end(source)
+                template = self._templates[source]
+            elif len(source) > _TABLE_TEXT_BOUND:
+                template = None
+            else:
+                first = self._build(source)
+                if first is not None:
+                    return first, False
+                template = None
+        if template is None:
+            return read_table(interp, source), False
+        return copy_table(template), True
+
+    def _build(self, source: str) -> Optional[PSDict]:
+        """Read ``source`` into a template and cache it; its first copy,
+        or None for a table that is never cached.  A read that raises
+        caches nothing.  The caller holds the lock."""
+        if self._reader is None:
+            self._reader, self._foreign = new_reader()
+            self._initial = (dict(self._reader.userdict.store),
+                             dict(self._reader.systemdict.store))
+        reader = self._reader
+        try:
+            template = read_table(reader, source)
+        finally:
+            # what the read left behind goes, so the next template is
+            # read against the initial PostScript alone
+            reader.ostack.clear()
+            del reader.dstack[2:]
+            reader.userdict.store = dict(self._initial[0])
+            reader.systemdict.store = dict(self._initial[1])
+            reader.stdout = io.StringIO()
+        try:
+            first = copy_table(template, self._foreign)
+        except (CopyError, RecursionError):  # the copy recurses per level
+            template = first = None
+        self._templates[source] = template
+        self._size += len(source)
+        while self._size > _TABLE_TEXT_BOUND:
+            text, _ = self._templates.popitem(last=False)
+            self._size -= len(text)
+        return first
+
+
+#: the templates every debugger in the process reads from
+_tables = _LoaderTables()
 
 
 class Ldb:
@@ -46,11 +148,24 @@ class Ldb:
     # -- connecting to targets ---------------------------------------------
 
     def read_loader_table(self, ps_source: str) -> PSDict:
-        """Interpret loader-table PostScript; returns the table."""
-        self.interp.run(ps_source, "loader-table")
-        table = self.interp.pop()
-        if not isinstance(table, PSDict):
-            raise TargetError("loader table did not build a dictionary")
+        """The table that interpreting loader-table PostScript builds.
+
+        A process interprets each text once, into a template shared by
+        every debugger (:class:`_LoaderTables`), and this debugger gets a
+        structural copy of its own: forcing a deferred value in it
+        (``SymbolTable.force``) changes no other debugger's table.  A
+        table that holds an object of the initial PostScript, keys a
+        dictionary by an array or a dictionary, or nests too deep to
+        copy is read fresh, into this debugger's interpreter, every time.  A read that fails raises
+        the interpreter's :class:`~repro.postscript.PSError`, or
+        :class:`TargetError` when the text leaves no dictionary, and
+        caches nothing.  The registry counts reads served from an earlier
+        read (``ldb.table_reads.cached``) and reads that interpreted the
+        text (``ldb.table_reads.fresh``).
+        """
+        table, cached = _tables.read(ps_source, self.interp)
+        self.obs.metrics.inc("ldb.table_reads.cached" if cached
+                             else "ldb.table_reads.fresh")
         return table
 
     def _new_target_name(self) -> str:

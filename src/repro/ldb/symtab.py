@@ -87,9 +87,10 @@ class SymbolTable:
         the linker interface's job (Sec. 2).
         """
         if self._proc_addr_map is None:
-            self._proc_addr_map = {}
-            for entry in self.procs():
-                self._proc_addr_map[self.proc_address(entry)] = entry
+            # published only once complete: a where that fails to force
+            # must fail the next lookup too, not leave procedures unmapped
+            self._proc_addr_map = {self.proc_address(entry): entry
+                                   for entry in self.procs()}
         if self.target is not None:
             hit = self.target.linker.proc_containing(pc)
             if hit is None:

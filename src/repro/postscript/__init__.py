@@ -12,7 +12,7 @@ from __future__ import annotations
 import io
 import os
 import threading
-from typing import Any, Dict, Optional
+from typing import Any, Dict, FrozenSet, Optional, Tuple
 
 from .interp import Interp
 from .objects import (
@@ -72,6 +72,11 @@ def new_interp(stdout: Any = None) -> Interp:
     call builds a bare interpreter and gives it a copy of what the read
     added (:func:`copy_initial`).  ``bench_table_startup.py`` times both.
     A bare ``Interp()`` has the operators and no initial PostScript.
+
+    Loader tables are read once per process the same way: the debugger
+    reads each new text in one more copy that nobody else uses
+    (:func:`new_reader`) and hands every reader a :func:`copy_table` of
+    what it built (``Ldb.read_loader_table``).
     """
     interp = Interp(stdout=stdout)
     copy_initial(_initial_template(), interp)
@@ -124,21 +129,31 @@ _MISSING = object()
 _SHARED = frozenset((int, float, bool, type(None), Name, String, Operator))
 
 
-def copy_initial(template: Interp, interp: Interp) -> None:
-    """Give ``interp`` a structural copy of what reading the initial
-    PostScript left in ``template``'s userdict and systemdict.
+class CopyError(TypeError):
+    """An object a structural copy cannot hold without sharing it."""
+
+
+def _copier(memo: Dict[int, Any], int_keys: Optional[list] = None,
+            foreign: FrozenSet[int] = frozenset()):
+    """The structural copy behind :func:`copy_initial` and
+    :func:`copy_table`: a function from an object to its copy.
 
     Dictionaries, arrays (with their ``items`` lists) and locations are
-    copied fresh, each once, so two references to one object in the
-    template are two references to one copy in ``interp``.  Names,
-    strings, numbers and operators are shared: every interpreter starts
-    with the same operator objects, and the printer operators write to
-    the stdout of the interpreter that runs them.  Anything else (a key
-    other than a string, a type the read never makes) raises TypeError
-    rather than being shared by mistake.
+    copied fresh, each once (``memo`` maps the id of each object copied
+    to its copy), so two references to one object are two references to
+    one copy.  Names, strings, numbers and operators are shared.  A
+    dictionary key must be a name; with ``int_keys`` an integer key is
+    copied too and appended there, for the caller to check that it is
+    no array's or dictionary's ``id()`` (``ps_key``).  Reaching an
+    object whose id is in ``foreign``, a key of another type, or an
+    object of a type the copy does not know raises :class:`CopyError`.
     """
-    memo: Dict[int, Any] = {id(template.systemdict): interp.systemdict,
-                            id(template.userdict): interp.userdict}
+
+    def key_of(key: Any) -> Any:
+        if type(key) is int and int_keys is not None:
+            int_keys.append(key)
+            return key
+        raise CopyError("dictionary key %r is not a name" % (key,))
 
     def copy(obj: Any) -> Any:
         kind = type(obj)
@@ -147,9 +162,15 @@ def copy_initial(template: Interp, interp: Interp) -> None:
         done = memo.get(id(obj))
         if done is not None:
             return done
+        if id(obj) in foreign:
+            raise CopyError("a %s of the reading interpreter's own"
+                            % type(obj).__name__)
         if kind is PSArray:
             items = memo.get(id(obj.items))
             if items is None:
+                if id(obj.items) in foreign:
+                    raise CopyError("an array sharing the reading"
+                                    " interpreter's items")
                 items = memo[id(obj.items)] = []
                 new = memo[id(obj)] = PSArray(items, obj.literal)
                 items.extend(map(copy, obj.items))
@@ -158,26 +179,74 @@ def copy_initial(template: Interp, interp: Interp) -> None:
             return new
         if kind is PSDict:
             new = memo[id(obj)] = PSDict()
-            copy_entries(obj, new)
+            new.store = {(key if type(key) is str else key_of(key)):
+                         copy(value) for key, value in obj.store.items()}
             return new
         if kind is Location:
             new = memo[id(obj)] = Location(obj.space, obj.offset, obj.mode,
                                            obj.value)
             return new
-        raise TypeError("cannot copy %r from the initial PostScript" % (obj,))
+        raise CopyError("cannot copy a %s" % type(obj).__name__)
 
-    def copy_entries(source: PSDict, dest: PSDict) -> None:
+    return copy
+
+
+def copy_initial(template: Interp, interp: Interp) -> Dict[int, Any]:
+    """Give ``interp`` a structural copy of what reading the initial
+    PostScript left in ``template``'s userdict and systemdict, and
+    return the memo: every template object's id, mapped to its copy.
+
+    Every interpreter starts with the same operator objects, and the
+    printer operators write to the stdout of the interpreter that runs
+    them.  Anything else the copy cannot hold (a key other than a
+    string, a type the read never makes) raises :class:`CopyError`, a
+    TypeError, rather than being shared by mistake.
+    """
+    memo: Dict[int, Any] = {id(template.systemdict): interp.systemdict,
+                            id(template.userdict): interp.userdict}
+    copy = _copier(memo)
+    for source, dest in ((template.userdict, interp.userdict),
+                         (template.systemdict, interp.systemdict)):
         store = dest.store
         for key, value in source.store.items():
             if type(key) is not str:
-                raise TypeError("dictionary key %r in the initial PostScript"
+                raise CopyError("dictionary key %r in the initial PostScript"
                                 " is not a name" % (key,))
             # the operators a bare interpreter starts with are there
             if store.get(key, _MISSING) is not value:
                 store[key] = copy(value)
+    return memo
 
-    copy_entries(template.userdict, interp.userdict)
-    copy_entries(template.systemdict, interp.systemdict)
+
+def copy_table(table: PSDict, foreign: FrozenSet[int] = frozenset()) -> PSDict:
+    """A structural copy of ``table``, a dictionary a loader table
+    built: it shares no dictionary, array, ``items`` list or location
+    with ``table``.  Integer keys (an enum's tags) copy.
+
+    Raises :class:`CopyError` if ``table`` holds an object whose id is
+    in ``foreign``, has an integer key that is the ``id()`` of an object
+    it or ``foreign`` holds (``ps_key`` keys a dictionary by an array's
+    or a dictionary's id, which that object's copy would not have), or
+    holds something else a copy cannot hold.
+    """
+    memo: Dict[int, Any] = {}
+    int_keys: list = []
+    new = _copier(memo, int_keys, foreign)(table)
+    for key in int_keys:
+        if key in memo or key in foreign:
+            raise CopyError("dictionary key %d is an object's id" % key)
+    return new
+
+
+def new_reader() -> Tuple[Interp, FrozenSet[int]]:
+    """An interpreter like :func:`new_interp`'s for reading templates
+    in, and the ids of every dictionary, array, ``items`` list and
+    location it starts with: a template that holds one of those took it
+    from the reader's initial PostScript (``copy_table``'s
+    ``foreign``)."""
+    reader = Interp(stdout=io.StringIO())
+    made = copy_initial(_initial_template(), reader)
+    return reader, frozenset(map(id, made.values()))
 
 
 def load_arch_dict(interp: Interp, arch: str) -> PSDict:
@@ -204,6 +273,7 @@ __all__ = [
     "ABSOLUTE",
     "ARCH_PS",
     "AbstractMemory",
+    "CopyError",
     "EOF",
     "FLOAT_KINDS",
     "IMMEDIATE",
@@ -226,6 +296,7 @@ __all__ = [
     "String",
     "Writer",
     "copy_initial",
+    "copy_table",
     "cvlit",
     "cvx",
     "data_path",
@@ -233,6 +304,7 @@ __all__ = [
     "load_arch_dict",
     "mask_to_kind",
     "new_interp",
+    "new_reader",
     "ps_key",
     "read_data",
     "read_initial",

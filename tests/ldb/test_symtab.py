@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.postscript import Location, String
+from repro.postscript import Location, Operator, PSArray, PSError, String
 
 from .helpers import FIB, session
 
@@ -27,6 +27,45 @@ class TestProcedureMapping:
         ldb, target = session()
         assert target.symtab.extern_entry("main") is not None
         assert target.symtab.extern_entry("nothere") is None
+
+    @staticmethod
+    def failing_where(target, failures):
+        """Make the first procedure's deferred where raise ``failures``
+        times before it forces; every procedure's name, mapped to its pc."""
+        symtab = target.symtab
+        pcs = {}
+        for entry in symtab.procs():
+            hit = target.linker.proc_containing(
+                target.linker.global_address("_" + entry["name"].text))
+            pcs[entry["name"].text] = hit[0]
+        first = symtab.procs()[0]
+        real = first["where"]
+        calls = []
+
+        def flaky(interp):
+            calls.append(1)
+            if len(calls) <= failures:
+                raise PSError("undefined", "where fails")
+            interp.call(real)
+
+        first["where"] = PSArray([Operator("flaky", flaky)], literal=False)
+        return pcs
+
+    def test_a_where_that_fails_once_leaves_no_procedure_unmapped(self):
+        ldb, target = session()
+        pcs = self.failing_where(target, failures=1)
+        with pytest.raises(PSError, match="where fails"):
+            target.symtab.proc_entry_for_pc(pcs["main"])
+        for name, pc in pcs.items():
+            assert target.symtab.proc_entry_for_pc(pc)["name"].text == name
+
+    def test_a_where_that_always_fails_fails_every_lookup(self):
+        ldb, target = session()
+        pcs = self.failing_where(target, failures=10 ** 6)
+        for _ in range(3):
+            for pc in pcs.values():
+                with pytest.raises(PSError, match="where fails"):
+                    target.symtab.proc_entry_for_pc(pc)
 
 
 class TestForcing:

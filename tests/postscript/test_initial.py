@@ -49,43 +49,54 @@ class Correspondence:
     def pair(self, a, b) -> bool:
         """Record that ``a`` became ``b``; False if already recorded."""
         if id(a) in self.forward:
-            assert self.forward[id(a)] is b, "aliasing differs at %r" % (a,)
+            expect(self.forward[id(a)] is b, "aliasing differs at", a)
             return False
-        assert id(b) not in self.backward, "two objects became %r" % (b,)
-        assert a is not b, "mutable %r is shared" % (a,)
+        expect(id(b) not in self.backward, "two objects became", b)
+        expect(a is not b, "this mutable object is shared:", a)
         self.forward[id(a)] = b
         self.backward[id(b)] = a
         return True
 
     def same_entries(self, a: PSDict, b: PSDict) -> None:
-        assert list(a.store) == list(b.store)
+        expect(list(a.store) == list(b.store), "keys differ in", a)
         for key, value in a.store.items():
             self.same(value, b.store[key])
 
     def same(self, a, b) -> None:
-        assert type(a) is type(b), (a, b)
+        expect(type(a) is type(b), "types differ at", a)
         if isinstance(a, PSDict):
             if self.pair(a, b):
                 self.same_entries(a, b)
         elif isinstance(a, PSArray):
-            assert a.literal == b.literal
+            expect(a.literal == b.literal, "literal flags differ at", a)
             self.pair(a, b)
             if self.pair(a.items, b.items):
-                assert len(a.items) == len(b.items)
+                expect(len(a.items) == len(b.items), "lengths differ at", a)
                 for x, y in zip(a.items, b.items):
                     self.same(x, y)
         elif isinstance(a, Location):
             if self.pair(a, b):
-                assert (a.mode, a.space, a.offset, a.value) == \
-                    (b.mode, b.space, b.offset, b.value)
+                expect((a.mode, a.space, a.offset, a.value)
+                       == (b.mode, b.space, b.offset, b.value),
+                       "locations differ:", a)
         elif isinstance(a, Operator):
-            assert a.name == b.name
-            assert a is self.a_ops[a.name] and b is self.b_ops[b.name], \
-                "operator %s is not its interpreter's own" % a.name
+            expect(a.name == b.name, "operators differ:", a)
+            expect(a is self.a_ops[a.name] and b is self.b_ops[b.name],
+                   "not its interpreter's own operator:", a)
         elif isinstance(a, (Name, String)):
-            assert (a.text, a.literal) == (b.text, b.literal)
+            expect((a.text, a.literal) == (b.text, b.literal),
+                   "names or strings differ:", a)
         else:
-            assert a == b
+            expect(a == b, "values differ:", a)
+
+
+def expect(holds: bool, what: str, obj) -> None:
+    """Fail naming ``obj`` by its type and id alone.  A failing frame
+    whose arguments are dictionaries would have them printed, and the
+    repr of a dictionary grows with every path to its shared entries
+    (a loader table's types), so no dictionary reaches an assert."""
+    if not holds:
+        raise AssertionError("%s %s %#x" % (what, type(obj).__name__, id(obj)))
 
 
 def reference() -> Interp:

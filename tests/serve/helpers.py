@@ -17,6 +17,18 @@ int main(void)
 }
 """
 
+#: takes hundreds of milliseconds to run to exit (a continue that
+#: every quick request must overtake)
+SLOW = """int counter;
+int main(void)
+{
+    int i;
+    for (i = 0; i < 100000; i++)
+        counter = counter + i;
+    return counter & 127;
+}
+"""
+
 #: runs to exit immediately — for exit-event tests
 QUICK = """int main(void) { return 42; }
 """

@@ -10,7 +10,7 @@ import pytest
 
 from repro.serve import RemoteError
 
-from tests.serve.helpers import COUNTER, server, spawn
+from tests.serve.helpers import COUNTER, SLOW, server, spawn
 
 
 def raw_lines(srv, payloads, expect, timeout=30.0):
@@ -53,7 +53,7 @@ def test_out_of_order_replies():
     connection never serializes unrelated work."""
     with server() as srv:
         client = srv.client()
-        sid, token = spawn(client)
+        sid, token = spawn(client, source=SLOW)
         # no breakpoint: continue runs the whole loop program (slow);
         # sessions (no session work at all) must answer first
         slow = {"id": 1, "op": "command", "session": sid, "token": token,

@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from repro.ldb import debugger
 from repro.obs import Observability
 from repro.triage import (ERROR_CORRUPT_CORE, ERROR_CORRUPT_RECORDING,
                           ERROR_DIVERGED, ERROR_NOT_ARTIFACT,
@@ -74,19 +75,23 @@ def test_corrupt_artifacts_never_abort_the_batch(corpus):
     assert got == expected
 
 
-def test_corruption_matrix_kinds(corpus):
+def test_corruption_matrix_kinds(corpus, monkeypatch):
     """Truncated core, bad-CRC core, truncated recording, tampered
-    (diverging) recording, empty file, non-artifact text — each typed."""
+    (diverging) recording, empty file, non-artifact text — each typed,
+    the same when their loader tables are read for the first time in
+    the process and when they are copies."""
     directory, manifest = corpus
     expected = {a["path"]: a["expect_error"]
                 for a in manifest["artifacts"] if a["family"] is None}
     assert set(expected.values()) == {ERROR_CORRUPT_CORE,
                                       ERROR_CORRUPT_RECORDING,
                                       ERROR_DIVERGED, ERROR_NOT_ARTIFACT}
-    for name, want in expected.items():
-        row = triage_artifact(os.path.join(directory, name))
-        assert row["ok"] is False and row["kind"] == want, (name, row)
-        assert row["message"]
+    monkeypatch.setattr(debugger, "_tables", debugger._LoaderTables())
+    for _ in range(2):
+        for name, want in expected.items():
+            row = triage_artifact(os.path.join(directory, name))
+            assert row["ok"] is False and row["kind"] == want, (name, row)
+            assert row["message"]
 
 
 def test_unreadable_path_is_a_typed_error(tmp_path):
