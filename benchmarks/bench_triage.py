@@ -1,4 +1,4 @@
-"""T1 — fleet triage: artifacts/second, parallel speedup, dedup quality.
+"""T1 — fleet triage: artifacts/second and dedup quality.
 
 A triage pipeline earns its keep on three axes, measured here over the
 deterministic seeded corpus from ``tools/make_crash_corpus.py`` (known
@@ -6,25 +6,16 @@ duplicate families across ISAs, mixed cores + recordings, plus the
 corrupt-artifact matrix):
 
 * **throughput** — artifacts/second through the full post-mortem
-  symbolization stack, serial and with a pool of 4 worker processes;
+  symbolization stack, in the one serial pass every triage runs;
 * **dedup quality** — *completeness* (every seeded family buckets into
   exactly one crash group) and *purity* (no crash group mixes two
   families), both asserted at 1.0;
 * **robustness** — every corrupt seed answers with its expected typed
   error kind, and the batch always completes.
 
-The parallel-speedup assertion (``>= 2.0`` on 4 workers) is a *machine*
-property as much as a code property: symbolization is CPU-bound Python,
-so the speedup exists only where there are CPUs to spread over.  The
-bench asserts it when the host has 4+ cores, relaxes to >= 1.2 on 2-3
-cores, and on a single-core host records ``single_core: true`` in the
-JSON and asserts completion + equivalence only (the process pool still
-must produce *identical groups* to the serial run everywhere).
-
-Each side runs ``REPS`` times, interleaved with the other and
-alternating which goes first, and the speedup compares the medians:
-one run of each on a shared 2-vCPU host swung between 0.9x and 1.8x
-as the host's own load came and went.
+The batch runs ``REPS`` times and the throughput comes from the
+median run, because one run on a shared 2-vCPU host swings with the
+host's own load.
 
 Emits ``BENCH_triage.json`` at the repository root.  ``BENCH_QUICK=1``
 shrinks the corpus (3 ISAs, 3 dupes) for the CI smoke job.
@@ -44,11 +35,7 @@ from .conftest import report
 _ROOT = Path(__file__).resolve().parent.parent
 _OUT = _ROOT / "BENCH_triage.json"
 
-#: the speedup floors, keyed by how many cores the host really has
-MIN_SPEEDUP_4CORE = 2.0
-MIN_SPEEDUP_2CORE = 1.2
-
-#: interleaved repetitions of the serial run and the pool run
+#: repetitions of the batch; throughput comes from the median
 REPS = 5
 
 
@@ -112,71 +99,46 @@ def error_quality(reporting, manifest: dict) -> dict:
             "unexpected_errors": len(reporting.errors) - len(expected)}
 
 
-def _run(scratch: str, workers: int):
+def _run(scratch: str):
     from repro.triage import TriageEngine
-    engine = TriageEngine(workers=workers)
     started = time.perf_counter()
-    reporting = engine.triage_dir(scratch)
+    reporting = TriageEngine().triage_dir(scratch)
     return reporting, time.perf_counter() - started
 
 
 def measure(scratch: str, quick: bool) -> dict:
     manifest = build_corpus(scratch, quick)
     artifacts = len(manifest["artifacts"])
-    runs = {1: [], 4: []}
-    reports = {}
-    for rep in range(REPS):
-        for workers in ((1, 4) if rep % 2 == 0 else (4, 1)):
-            reports[workers], seconds = _run(scratch, workers=workers)
-            runs[workers].append(seconds)
-    serial, procs = reports[1], reports[4]
-    serial_seconds = statistics.median(runs[1])
-    proc_seconds = statistics.median(runs[4])
-    serial_groups = [(g.stack_hash, sorted(m.path for m in g.members))
-                     for g in serial.groups]
-    out = {
+    runs = []
+    for _ in range(REPS):
+        reporting, seconds = _run(scratch)
+        runs.append(seconds)
+    seconds = statistics.median(runs)
+    return {
         "benchmark": "triage",
         "workload": ("seeded duplicate crash families (%d arches x 3 "
                      "families x %d dupes, cores + recordings) + %d "
                      "corrupt seeds" % (len(manifest["arches"]),
                                         manifest["dupes"],
-                                        artifacts - serial.triaged)),
+                                        artifacts - reporting.triaged)),
         "artifacts": artifacts,
-        "triaged": serial.triaged,
-        "groups": len(serial.groups),
+        "triaged": reporting.triaged,
+        "groups": len(reporting.groups),
         "cpu_count": os.cpu_count(),
-        "single_core": (os.cpu_count() or 1) < 2,
         "reps": REPS,
-        "serial": {"seconds": serial_seconds,
-                   "runs": runs[1],
-                   "artifacts_per_second": artifacts / serial_seconds},
-        "process_x4": {"seconds": proc_seconds,
-                       "runs": runs[4],
-                       "artifacts_per_second": artifacts / proc_seconds,
-                       "speedup": serial_seconds / proc_seconds},
-        "dedup": dedup_quality(serial, manifest, scratch),
-        "errors": error_quality(serial, manifest),
-        "parallel_groups_match_serial": [
-            (g.stack_hash, sorted(m.path for m in g.members))
-            for g in procs.groups] == serial_groups,
+        "serial": {"seconds": seconds,
+                   "runs": runs,
+                   "artifacts_per_second": artifacts / seconds},
+        "dedup": dedup_quality(reporting, manifest, scratch),
+        "errors": error_quality(reporting, manifest),
     }
-    return out
 
 
 def _check(data: dict) -> None:
-    # correctness before speed: the grouping must be right, and the
-    # same from the process pool as from the serial run
     assert data["dedup"]["completeness"] == 1.0, data["dedup"]
     assert data["dedup"]["purity"] == 1.0, data["dedup"]
     assert data["errors"]["mismatched"] == {}, data["errors"]
     assert data["errors"]["unexpected_errors"] == 0, data["errors"]
-    assert data["parallel_groups_match_serial"]
-    cpus = data["cpu_count"] or 1
-    speedup = data["process_x4"]["speedup"]
-    if cpus >= 4:
-        assert speedup >= MIN_SPEEDUP_4CORE, data
-    elif cpus >= 2:
-        assert speedup >= MIN_SPEEDUP_2CORE, data
 
 
 def emit(data: dict) -> None:
@@ -184,21 +146,16 @@ def emit(data: dict) -> None:
 
 
 def _report(data: dict) -> None:
-    report("", "T1. Fleet triage: throughput, speedup, dedup quality",
+    report("", "T1. Fleet triage: throughput and dedup quality",
            "  workload: %s" % data["workload"],
            "  serial      %6.1f artifacts/s"
            % data["serial"]["artifacts_per_second"],
-           "  process x4  %6.1f artifacts/s (%.2fx)"
-           % (data["process_x4"]["artifacts_per_second"],
-              data["process_x4"]["speedup"]),
            "  dedup: completeness %.2f purity %.2f over %d families"
            % (data["dedup"]["completeness"], data["dedup"]["purity"],
               data["dedup"]["families"]),
            "  corrupt seeds typed as expected: %d/%d"
            % (data["errors"]["typed_as_expected"],
               data["errors"]["corrupt_seeds"]))
-    if data["single_core"]:
-        report("  (single-core host: speedup floor not asserted)")
 
 
 def test_triage_fleet(tmp_path):
@@ -218,6 +175,8 @@ if __name__ == "__main__":
     _check(data)
     print(json.dumps({"artifacts": data["artifacts"],
                       "groups": data["groups"],
-                      "speedup": data["process_x4"]["speedup"]}, indent=2))
+                      "artifacts_per_second":
+                          data["serial"]["artifacts_per_second"]},
+                     indent=2))
     print("dedup", data["dedup"])
     print("wrote %s" % _OUT)

@@ -9,8 +9,8 @@ Usage::
 
     ldb program.img              # image produced by `rcc -g ... -o program.img`
     ldb --source fib.c --target rmips
-    ldb triage <dir|manifest.json> [--workers N] [--json report.json]
-        [--top N]
+    ldb triage <dir|manifest.json> [--json report.json] [--top N]
+        [--frames N]
 
 An unknown command lists the verbs; docs/ldb.md is the full command
 reference.
@@ -407,10 +407,9 @@ class Cli:
 
     def cmd_triage(self, rest: str) -> None:
         """Batch-triage a corpus of crash artifacts from inside the
-        REPL, serially in this process:
-        `triage <dir|manifest.json|artifact>`.  The full flag surface
-        (a process pool included) lives on the `ldb triage`
-        subcommand."""
+        REPL: `triage <dir|manifest.json|artifact>`.  The report
+        options (`--json`, `--top`, `--frames`) live on the `ldb
+        triage` subcommand."""
         from ..triage import TriageEngine, TriageError
         words = rest.split()
         if len(words) != 1:
@@ -488,9 +487,6 @@ def triage_main(argv: List[str]) -> int:
     ap.add_argument("corpus",
                     help="a directory of artifacts, a JSON manifest, "
                          "or a single artifact file")
-    ap.add_argument("--workers", type=int, default=1,
-                    help="worker processes (default 1: serial, in this "
-                         "process)")
     ap.add_argument("--json", metavar="FILE",
                     help="also write the full report as JSON")
     ap.add_argument("--top", type=int, default=10,
@@ -501,8 +497,7 @@ def triage_main(argv: List[str]) -> int:
 
     from ..triage import TriageEngine, TriageError
     try:
-        engine = TriageEngine(workers=args.workers)
-        report = engine.triage(args.corpus)
+        report = TriageEngine().triage(args.corpus)
     except TriageError as err:
         sys.stderr.write("ldb triage: %s\n" % err)
         return 2

@@ -156,12 +156,13 @@ class Ldb:
         (``SymbolTable.force``) changes no other debugger's table.  A
         table that holds an object of the initial PostScript, keys a
         dictionary by an array or a dictionary, or nests too deep to
-        copy is read fresh, into this debugger's interpreter, every time.  A read that fails raises
-        the interpreter's :class:`~repro.postscript.PSError`, or
-        :class:`TargetError` when the text leaves no dictionary, and
-        caches nothing.  The registry counts reads served from an earlier
-        read (``ldb.table_reads.cached``) and reads that interpreted the
-        text (``ldb.table_reads.fresh``).
+        copy is read fresh, into this debugger's interpreter, every
+        time.  A read that fails raises the interpreter's
+        :class:`~repro.postscript.PSError`, or :class:`TargetError` when
+        the text leaves no dictionary, and caches nothing.  The registry
+        counts reads served from an earlier read
+        (``ldb.table_reads.cached``) and reads that interpreted the text
+        (``ldb.table_reads.fresh``).
         """
         table, cached = _tables.read(ps_source, self.interp)
         self.obs.metrics.inc("ldb.table_reads.cached" if cached

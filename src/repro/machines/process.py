@@ -23,6 +23,7 @@ from .isa import (
     DEFAULT_MAX_STEPS,
     Halt,
     IcountReached,
+    SIGSEGV,
     SIGTRAP,
     SYS_EXIT,
     SYS_PRINTF,
@@ -145,7 +146,12 @@ class Process:
         except IcountReached as stop:
             return IcountStopEvent(stop.icount, stop.pc)
         except TargetFault as fault:
-            return FaultEvent(fault.signo, fault.code, fault.address,
+            # a data fault's address is the one the instruction touched:
+            # the stop is at the instruction, which the cpu's pc still
+            # names; every other fault's address is its pc
+            data_fault = fault.signo == SIGSEGV and fault.code == 2
+            pc = self.cpu.pc if data_fault else fault.address
+            return FaultEvent(fault.signo, fault.code, pc,
                               icount=self.cpu.icount)
         self.exited = status
         return ExitEvent(status, icount=self.cpu.icount)

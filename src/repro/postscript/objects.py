@@ -120,8 +120,20 @@ class PSArray:
         self.items[index] = value
 
     def __repr__(self) -> str:
-        opener, closer = ("{", "}") if not self.literal else ("[", "]")
-        return opener + " " + " ".join(repr(x) for x in self.items) + " " + closer
+        return _array_text(self, set())
+
+
+def _array_text(array: PSArray, printing: set) -> str:
+    """``array`` as source text; an array already being printed (one
+    that holds itself) prints as ``-array-``."""
+    if id(array) in printing:
+        return "-array-"
+    printing.add(id(array))
+    opener, closer = ("{", "}") if not array.literal else ("[", "]")
+    inner = " ".join(_array_text(x, printing) if isinstance(x, PSArray)
+                     else repr(x) for x in array.items)
+    printing.discard(id(array))
+    return opener + " " + inner + " " + closer
 
 
 class PSDict:
@@ -169,8 +181,10 @@ class PSDict:
         return iter(self.store.items())
 
     def __repr__(self) -> str:
-        inner = " ".join("/%s %r" % (k, v) for k, v in self.store.items())
-        return "<< %s >>" % inner
+        # what PostScript's == prints: a dictionary can hold itself
+        # (systemdict), and a loader table reaches one type
+        # dictionary by many paths
+        return "-dict-"
 
 
 class Operator:

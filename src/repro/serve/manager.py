@@ -265,12 +265,8 @@ class SessionManager:
         server's registry, so ``stats`` exposes the ``triage.*``
         family next to ``serve.*``.  Batch-level failures answer with
         ``ERR_TRIAGE``; per-artifact failures are *results* (the
-        report's typed error ledger), not errors.
-
-        The batch runs serially on the server: this process hosts the
-        session workers' and nubs' threads, so it must not fork a pool,
-        and a remote client does not get to choose how many processes
-        the server forks.  ``path`` is the only argument."""
+        report's typed error ledger), not errors.  ``path`` is the
+        only argument."""
         from ..triage import TriageEngine, TriageError
         args = args or {}
         unknown = sorted(set(args) - {"path"})

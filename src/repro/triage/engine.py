@@ -24,10 +24,9 @@ The batch contract mirrors the session server's: every artifact is
 *answered* — an :class:`~.report.ArtifactRecord` or a typed
 :class:`~.report.ArtifactError` — and a malformed, truncated, or
 actively hostile file never aborts the batch.  Artifacts are triaged
-one after another, each through a fresh debugger stack; ``workers=N``
-fans them out over a pool of N processes instead (symbolization is
-interpreter-bound, so threads would only queue on the lock).
-Everything observable lands in the shared registry under ``triage.*``.
+one after another, in the caller's process, each through a fresh
+debugger stack.  Everything observable lands in the shared registry
+under ``triage.*``.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ import io
 import json
 import os
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List, Union
 
 from ..machines.core import MAGIC as CORE_MAGIC
 from ..trace.format import TRACE_MAGIC
@@ -64,8 +63,8 @@ FRAME_LIMIT = 32
 
 
 class TriageError(Exception):
-    """A *batch*-level failure: nothing to triage, unreadable manifest,
-    bad engine arguments.  Per-artifact failures never raise this —
+    """A *batch*-level failure: no such corpus, nothing to triage, an
+    unreadable manifest.  Per-artifact failures never raise this —
     they land in the report's error ledger."""
 
 
@@ -83,39 +82,36 @@ def classify(path: str) -> str:
     return ERROR_NOT_ARTIFACT
 
 
-def triage_artifact(path: str) -> dict:
-    """Triage one artifact; always returns a JSON-able dict — either
-    ``{"ok": True, ...record fields...}`` or ``{"ok": False, "kind":
-    <error kind>, "message": ...}``.
+def triage_artifact(path: str) -> Union[ArtifactRecord, ArtifactError]:
+    """Triage one artifact into an :class:`ArtifactRecord`, or into an
+    :class:`ArtifactError` that says why it could not be.
 
-    This is the unit of work the pool fans out (a plain function over
-    a path, so a process pool can run it unchanged), and the promise
-    the corruption matrix tests: *whatever* is behind ``path``, this
-    returns a dict — it never raises.
+    This is the promise the corruption matrix tests: *whatever* is
+    behind ``path``, this answers one of the two — it never raises.
     """
     started = time.perf_counter()
     kind = classify(path)
     if kind == ERROR_UNREADABLE:
-        return {"ok": False, "path": path, "kind": kind,
-                "message": "cannot read %s" % path}
+        return ArtifactError(path, kind, "cannot read %s" % path)
     if kind == ERROR_NOT_ARTIFACT:
         try:
             size = os.path.getsize(path)
         except OSError:
             size = 0
-        return {"ok": False, "path": path, "kind": kind,
-                "message": "%s is neither a core (LDBC) nor a recording "
-                           "(LDBT); %d bytes" % (path, size)}
+        return ArtifactError(path, kind,
+                             "%s is neither a core (LDBC) nor a recording "
+                             "(LDBT); %d bytes" % (path, size))
     try:
         return _symbolize(path, kind, started)
-    except Exception as err:  # the batch contract: a dict, whatever broke
-        return {"ok": False, "path": path, "kind": ERROR_SYMBOLIZE,
-                "message": "%s: %s" % (type(err).__name__, err)}
+    except Exception as err:  # the batch contract: an answer, whatever broke
+        return ArtifactError(path, ERROR_SYMBOLIZE,
+                             "%s: %s" % (type(err).__name__, err))
 
 
-def _symbolize(path: str, kind: str, started: float) -> dict:
-    # deferred imports: a process-pool worker pays them once, and the
-    # triage package stays importable without dragging the whole stack
+def _symbolize(path: str, kind: str,
+               started: float) -> Union[ArtifactRecord, ArtifactError]:
+    # deferred imports: the triage package stays importable without
+    # dragging the whole debugger stack
     import warnings
 
     from ..ldb import Ldb
@@ -129,7 +125,7 @@ def _symbolize(path: str, kind: str, started: float) -> dict:
     try:
         # a truncated artifact (a machine that died mid-write without
         # the atomic path, say) still triages: it opens salvaged on
-        # its valid prefix, and the row says so
+        # its valid prefix, and the record says so
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", SalvagedArtifact)
             if kind == KIND_CORE:
@@ -144,13 +140,11 @@ def _symbolize(path: str, kind: str, started: float) -> dict:
         salvaged = any(issubclass(entry.category, SalvagedArtifact)
                        for entry in caught)
     except DivergenceError as err:
-        return {"ok": False, "path": path, "kind": ERROR_DIVERGED,
-                "message": str(err)}
+        return ArtifactError(path, ERROR_DIVERGED, str(err))
     except TargetError as err:
         bad = (ERROR_CORRUPT_CORE if kind == KIND_CORE
                else ERROR_CORRUPT_RECORDING)
-        return {"ok": False, "path": path, "kind": bad,
-                "message": str(err)}
+        return ArtifactError(path, bad, str(err))
 
     api = DebugAPI(ldb)
     fault = api.execute("fault")
@@ -161,37 +155,23 @@ def _symbolize(path: str, kind: str, started: float) -> dict:
         where = None  # an unlocatable fault is still a triagable fault
     stack_hash, tokens = hash_backtrace(fault["arch"], fault["signo"],
                                         fault["code"], bt["frames"])
-    return {
-        "ok": True,
-        "path": path,
-        "artifact": kind,
-        "arch": fault["arch"],
-        "signo": fault["signo"],
-        "code": fault["code"],
-        "fault_pc": fault["fault_pc"],
-        "icount": fault["icount"],
-        "stack_hash": stack_hash,
-        "tokens": tokens,
-        "frames": bt["frames"],
-        "where": where,
-        "corrupt_stack": any(f.get("corrupt") for f in bt["frames"]),
-        "seconds": time.perf_counter() - started,
-        "salvaged": salvaged,
-    }
+    return ArtifactRecord(
+        path, kind, fault["arch"], fault["signo"], fault["code"],
+        fault["fault_pc"], fault["icount"], stack_hash, tokens,
+        bt["frames"], where,
+        any(frame.get("corrupt") for frame in bt["frames"]),
+        time.perf_counter() - started, salvaged=salvaged)
 
 
 class TriageEngine:
-    """Fan a corpus of crash artifacts through the post-mortem stack
-    and bucket the results into ranked crash groups."""
+    """Run a corpus of crash artifacts through the post-mortem stack,
+    one after another, and bucket them into ranked crash groups."""
 
-    def __init__(self, *, workers: int = 1, obs=None):
-        if workers < 1:
-            raise TriageError("workers must be >= 1, not %r" % workers)
+    def __init__(self, *, obs=None):
         if obs is None:
             from ..obs import Observability
             obs = Observability()
         self.obs = obs
-        self.workers = workers
 
     # -- ingestion ----------------------------------------------------------
 
@@ -247,60 +227,38 @@ class TriageEngine:
         if not paths:
             raise TriageError("nothing to triage: no artifact paths")
         started = time.perf_counter()
-        self.obs.tracer.event("triage.batch", artifacts=len(paths),
-                              workers=self.workers)
-        results = self._map(paths)
-        report = self._collect(results, len(paths),
-                               time.perf_counter() - started)
+        self.obs.tracer.event("triage.batch", artifacts=len(paths))
+        results = [triage_artifact(path) for path in paths]
+        report = self._collect(results, time.perf_counter() - started)
         self.obs.metrics.inc("triage.batches")
         self.obs.metrics.observe("triage.batch_seconds",
                                  report.elapsed_seconds)
         return report
 
-    def _map(self, paths: List[str]) -> List[dict]:
-        if self.workers == 1:
-            return [triage_artifact(path) for path in paths]
-        # one artifact = one worker-owned debugger stack; futures keep
-        # submission order so reports (and exemplar choice) are
-        # deterministic regardless of scheduling
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=self.workers) as pool:
-            futures = [pool.submit(triage_artifact, path)
-                       for path in paths]
-            return [future.result() for future in futures]
-
-    def _collect(self, results: List[dict], scanned: int,
+    def _collect(self, results: List[Union[ArtifactRecord, ArtifactError]],
                  elapsed: float) -> TriageReport:
         metrics = self.obs.metrics
         groups: Dict[str, CrashGroup] = {}
         errors: List[ArtifactError] = []
-        for row in results:
+        for result in results:
             metrics.inc("triage.artifacts")
-            if not row["ok"]:
-                error = ArtifactError(row["path"], row["kind"],
-                                      row["message"])
-                errors.append(error)
+            if isinstance(result, ArtifactError):
+                errors.append(result)
                 metrics.inc("triage.errors")
-                metrics.inc("triage.errors.%s" % error.kind)
+                metrics.inc("triage.errors.%s" % result.kind)
                 continue
-            record = ArtifactRecord(
-                row["path"], row["artifact"], row["arch"], row["signo"],
-                row["code"], row["fault_pc"], row["icount"],
-                row["stack_hash"], row["tokens"], row["frames"],
-                row["where"], row["corrupt_stack"], row["seconds"],
-                salvaged=row.get("salvaged", False))
-            metrics.inc("triage.cores" if record.kind == KIND_CORE
+            metrics.inc("triage.cores" if result.kind == KIND_CORE
                         else "triage.recordings")
-            if record.corrupt_stack:
+            if result.corrupt_stack:
                 metrics.inc("triage.corrupt_stacks")
-            if record.salvaged:
+            if result.salvaged:
                 metrics.inc("triage.salvaged")
-            metrics.observe("triage.artifact_seconds", record.seconds)
-            groups.setdefault(record.stack_hash,
-                              CrashGroup(record.stack_hash)
-                              ).members.append(record)
-        report = TriageReport(list(groups.values()), errors, scanned,
-                              elapsed, self.workers)
+            metrics.observe("triage.artifact_seconds", result.seconds)
+            groups.setdefault(result.stack_hash,
+                              CrashGroup(result.stack_hash)
+                              ).members.append(result)
+        report = TriageReport(list(groups.values()), errors, len(results),
+                              elapsed)
         metrics.set_gauge("triage.groups", len(report.groups))
         self.obs.tracer.event("triage.report", groups=len(report.groups),
                               triaged=report.triaged, errors=len(errors))

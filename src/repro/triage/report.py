@@ -126,14 +126,13 @@ class TriageReport:
     """The batch's outcome: ranked groups plus the error ledger."""
 
     def __init__(self, groups: List[CrashGroup], errors: List[ArtifactError],
-                 scanned: int, elapsed_seconds: float, workers: int):
+                 scanned: int, elapsed_seconds: float):
         #: largest group first; ties break on the hash for determinism
         self.groups = sorted(groups,
                              key=lambda g: (-g.count, g.stack_hash))
         self.errors = errors
         self.scanned = scanned
         self.elapsed_seconds = elapsed_seconds
-        self.workers = workers
 
     @property
     def triaged(self) -> int:
@@ -153,7 +152,6 @@ class TriageReport:
             "groups": [group.to_dict() for group in self.groups],
             "errors": [error.to_dict() for error in self.errors],
             "elapsed_seconds": round(self.elapsed_seconds, 6),
-            "workers": self.workers,
         }
 
     def dump_json(self, path: str) -> None:
@@ -170,10 +168,9 @@ class TriageReport:
         """The ranked crash-group report as terminal text."""
         lines: List[str] = []
         lines.append("triaged %d/%d artifacts into %d crash groups "
-                     "(%d errors) in %.2fs with %d worker%s"
+                     "(%d errors) in %.2fs"
                      % (self.triaged, self.scanned, len(self.groups),
-                        len(self.errors), self.elapsed_seconds,
-                        self.workers, "" if self.workers == 1 else "s"))
+                        len(self.errors), self.elapsed_seconds))
         for rank, group in enumerate(self.groups[:top], 1):
             ex = group.exemplar
             lines.append("")

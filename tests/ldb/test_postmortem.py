@@ -31,6 +31,7 @@ from repro.ldb.target import TargetDiedError, TargetError
 from repro.postscript import PSError
 from repro.machines import ARCH_NAMES, Process, SIGSEGV, SIGTRAP
 from repro.machines.core import CoreError, CoreFile
+from repro.machines.engine import ENGINE_ENV
 from repro.nub import (
     FaultSchedule,
     Listener,
@@ -181,6 +182,39 @@ class TestCoreRoundTrip:
         target.dump_core(str(again))  # DUMPCORE served from the core itself
         ldb2, target2 = open_core(again)
         assert ldb2.backtrace_text() == ldb.backtrace_text()
+
+
+class TestDataFault:
+    """A wild write stops at the store that made it, not at the
+    address it wrote to: live, from the core, and from the reopened
+    recording, on every ISA and under both engines."""
+
+    @pytest.mark.parametrize("engine", ["block", "step"])
+    @pytest.mark.parametrize("arch", ARCH_NAMES)
+    def test_stops_at_the_faulting_store(self, arch, engine, tmp_path,
+                                         monkeypatch):
+        monkeypatch.setenv(ENGINE_ENV, engine)
+        core_path = str(tmp_path / "boom.core")
+        recording_path = str(tmp_path / "boom.ldbrec")
+        ldb = Ldb(stdout=io.StringIO())
+        live = ldb.load_program(exe_for(arch, "boom.c", BOOM),
+                                core_path=core_path)
+        ldb.start_recording(path=recording_path, interval=37)
+        assert ldb.run_to_stop() == "stopped" and live.signo == SIGSEGV
+        ldb.record_save()
+        process = live.transport.nub.process
+        store = process.cpu.pc
+        assert process.arch.may_write_mem(
+            process.arch.decode(process.mem, store))
+        core_ldb, _ = open_core(core_path)
+        replay_ldb = Ldb(stdout=io.StringIO())
+        replay_ldb.open_recording(recording_path)
+        for debugger in (ldb, core_ldb, replay_ldb):
+            api = DebugAPI(debugger)
+            assert api.execute("fault")["fault_pc"] == store
+            assert api.execute("where")["proc"] == "poke"
+            frames = api.execute("backtrace")["frames"]
+            assert [frame["proc"] for frame in frames] == ["poke", "main"]
 
 
 class TestPostMortemRefusals:

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from benchmarks.workloads import large_program
 from repro.cc.driver import compile_and_link, loader_table_ps
 from repro.ldb import Ldb, debugger
 from repro.ldb.api import ApiError, DebugAPI
@@ -273,6 +274,19 @@ class TestNeverCached:
             for ldb, value in zip(ldbs, held_ones[::2]):
                 assert id(value) == id(ldb.interp.systemdict["ArchDicts"][
                     "rmips"]["PC"])
+
+
+def test_a_large_table_prints_short():
+    """A table reaches one type dictionary by many paths; printing it
+    or its entries spells out none of them (T2's large table, whose
+    entries printed 5.3 times the length of its text)."""
+    exe = compile_and_link({"big.c": large_program(functions=120)},
+                           "rmips", debug=True)
+    text = loader_table_ps(exe)
+    table = Ldb(stdout=io.StringIO()).read_loader_table(text)
+    assert repr(table) == "-dict-"
+    printed = sum(len(repr(value)) for value in table.store.values())
+    assert printed < len(text) // 100
 
 
 class TestReads:

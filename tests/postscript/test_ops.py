@@ -289,3 +289,19 @@ class TestOutput:
         bare_ps.interp.run("1 2")
         bare_ps.run("pstack")
         assert bare_ps.interp.pop_n(2) == [1, 2]
+
+    def test_a_dictionary_prints_as_dict(self, bare_ps):
+        # systemdict holds itself: printing it must still answer
+        assert bare_ps.run("systemdict ==") == "-dict-\n"
+        assert bare_ps.run("userdict pstack") == "-dict-\n"
+
+    def test_an_array_being_printed_prints_as_array(self, bare_ps):
+        assert (bare_ps.run("[ 1 2 ] dup dup 0 exch put ==")
+                == "[ -array- 2 ]\n")
+        # one array reached twice, but not inside itself, prints twice
+        assert (bare_ps.run("[ 1 ] dup 2 array astore ==")
+                == "[ [ 1 ] [ 1 ] ]\n")
+
+    def test_a_procedure_prints_its_body(self, bare_ps):
+        assert (bare_ps.run("{ 1 [ 2 ] (x) /y GlobalData } ==")
+                == "{ 1 [ 2 ] (x) /y GlobalData }\n")

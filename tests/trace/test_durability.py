@@ -26,7 +26,7 @@ from repro.machines.atomicio import (FaultyFS, FsFaultSchedule, PowerCut,
 from repro.machines.core import CoreError, CoreFile
 from repro.trace import Recording, TraceError
 from repro.trace.format import OP_STORE, InputRecord
-from repro.triage.engine import triage_artifact
+from repro.triage import ArtifactRecord, triage_artifact
 
 from .test_format import tiny_recording
 
@@ -278,9 +278,9 @@ class TestMalformedInputLog:
         assert api.execute("continue")["event"] == "breakpoint"
 
     def test_triage_marks_it_salvaged(self, bad_path):
-        row = triage_artifact(bad_path)
-        assert row["ok"] and row["salvaged"]
-        assert row["signo"] == SIGSEGV
+        record = triage_artifact(bad_path)
+        assert isinstance(record, ArtifactRecord) and record.salvaged
+        assert record.signo == SIGSEGV
 
 
 class TestPartialSave:

@@ -1,7 +1,7 @@
 """Triage over damaged and salvaged artifacts: every degenerate file
-yields a *typed* row — zero-length, mid-magic, magic-only — and a
-truncated-but-salvageable artifact triages as a normal record whose
-row says ``salvaged``.  The batch never aborts, whatever the bytes.
+yields a *typed* error — zero-length, mid-magic, magic-only — and a
+truncated-but-salvageable artifact triages as a normal record that
+says ``salvaged``.  The batch never aborts, whatever the bytes.
 """
 
 import os
@@ -11,8 +11,8 @@ from repro.machines.core import MAGIC as CORE_MAGIC
 from repro.obs import Observability
 from repro.trace.format import TRACE_MAGIC
 from repro.triage import (ERROR_CORRUPT_CORE, ERROR_CORRUPT_RECORDING,
-                          ERROR_NOT_ARTIFACT, TriageEngine, classify,
-                          triage_artifact)
+                          ERROR_NOT_ARTIFACT, ArtifactError, ArtifactRecord,
+                          TriageEngine, classify, triage_artifact)
 
 
 def _healthy(manifest, kind):
@@ -20,16 +20,16 @@ def _healthy(manifest, kind):
                 if a["family"] and a["kind"] == kind)
 
 
-# -- degenerate files: typed rows, never an exception ----------------------
+# -- degenerate files: typed errors, never an exception --------------------
 
 def test_zero_length_file_is_not_an_artifact(tmp_path):
     for name in ("empty.core", "empty.ldbrec"):
         path = tmp_path / name
         path.write_bytes(b"")
-        row = triage_artifact(str(path))
-        assert row["ok"] is False
-        assert row["kind"] == ERROR_NOT_ARTIFACT
-        assert "0 bytes" in row["message"]
+        error = triage_artifact(str(path))
+        assert isinstance(error, ArtifactError)
+        assert error.kind == ERROR_NOT_ARTIFACT
+        assert "0 bytes" in error.message
 
 
 def test_mid_magic_truncation_is_not_an_artifact(tmp_path):
@@ -39,8 +39,9 @@ def test_mid_magic_truncation_is_not_an_artifact(tmp_path):
         path = tmp_path / ("half-%s.bin" % magic[:2].decode())
         path.write_bytes(magic[:2])
         assert classify(str(path)) == ERROR_NOT_ARTIFACT
-        row = triage_artifact(str(path))
-        assert row["ok"] is False and row["kind"] == ERROR_NOT_ARTIFACT
+        error = triage_artifact(str(path))
+        assert isinstance(error, ArtifactError)
+        assert error.kind == ERROR_NOT_ARTIFACT
 
 
 def test_magic_only_file_is_corrupt_of_its_kind(tmp_path):
@@ -52,9 +53,9 @@ def test_magic_only_file_is_corrupt_of_its_kind(tmp_path):
     for magic, want in cases:
         path = tmp_path / ("just-magic-%s.bin" % want)
         path.write_bytes(magic)
-        row = triage_artifact(str(path))
-        assert row["ok"] is False and row["kind"] == want, row
-        assert "truncated" in row["message"]
+        error = triage_artifact(str(path))
+        assert isinstance(error, ArtifactError) and error.kind == want, error
+        assert "truncated" in error.message
 
 
 def test_magic_plus_partial_header_is_corrupt(tmp_path):
@@ -62,11 +63,11 @@ def test_magic_plus_partial_header_is_corrupt(tmp_path):
                         (TRACE_MAGIC, ERROR_CORRUPT_RECORDING)]:
         path = tmp_path / ("cut-header-%s.bin" % want)
         path.write_bytes(magic + b"\x01")
-        row = triage_artifact(str(path))
-        assert row["ok"] is False and row["kind"] == want, row
+        error = triage_artifact(str(path))
+        assert isinstance(error, ArtifactError) and error.kind == want, error
 
 
-# -- salvaged artifacts triage as first-class rows -------------------------
+# -- salvaged artifacts triage as first-class records ----------------------
 
 def test_truncated_recording_triages_salvaged(corpus, tmp_path):
     directory, manifest = corpus
@@ -74,35 +75,35 @@ def test_truncated_recording_triages_salvaged(corpus, tmp_path):
     raw = open(source, "rb").read()
     cut = tmp_path / "tail-torn.ldbrec"
     cut.write_bytes(raw[:-1])  # the END block is damaged: salvage path
-    row = triage_artifact(str(cut))
-    assert row["ok"] is True, row
-    assert row["salvaged"] is True
-    assert row["artifact"] == "recording"
-    assert row["stack_hash"]
+    record = triage_artifact(str(cut))
+    assert isinstance(record, ArtifactRecord), record
+    assert record.salvaged is True
+    assert record.kind == "recording"
+    assert record.stack_hash
 
 
 def test_pristine_rows_are_not_salvaged(corpus):
     directory, manifest = corpus
-    row = triage_artifact(os.path.join(directory,
-                                       _healthy(manifest, "recording")))
-    assert row["ok"] is True and row["salvaged"] is False
+    record = triage_artifact(os.path.join(directory,
+                                          _healthy(manifest, "recording")))
+    assert isinstance(record, ArtifactRecord) and record.salvaged is False
 
 
 def test_truncated_core_rows_stay_typed(corpus, tmp_path):
     # a core's symbol table serializes last, so tail truncation usually
     # costs the table and the salvaged open refuses without table_ps —
-    # the row must then be corrupt-core, never an unhandled exception
+    # the answer must then be corrupt-core, never an unhandled exception
     directory, manifest = corpus
     raw = open(os.path.join(directory,
                             _healthy(manifest, "core")), "rb").read()
     for fraction in (0.95, 0.75, 0.5, 0.25, 0.05):
         path = tmp_path / ("core-%d.core" % (fraction * 100))
         path.write_bytes(raw[:int(len(raw) * fraction)])
-        row = triage_artifact(str(path))
-        if row["ok"]:
-            assert row["salvaged"] is True
+        answer = triage_artifact(str(path))
+        if isinstance(answer, ArtifactRecord):
+            assert answer.salvaged is True
         else:
-            assert row["kind"] == ERROR_CORRUPT_CORE
+            assert answer.kind == ERROR_CORRUPT_CORE
 
 
 def test_salvaged_member_dedups_into_its_crash_group(corpus, tmp_path):
@@ -117,7 +118,7 @@ def test_salvaged_member_dedups_into_its_crash_group(corpus, tmp_path):
     raw = open(os.path.join(directory, name), "rb").read()
     (batch / ("torn-" + name)).write_bytes(raw[:-1])
     obs = Observability()
-    report = TriageEngine(workers=1, obs=obs).triage_dir(str(batch))
+    report = TriageEngine(obs=obs).triage_dir(str(batch))
     assert report.scanned == 2 and report.triaged == 2
     group = report.group_of(str(batch / name))
     assert group is report.group_of(str(batch / ("torn-" + name)))
@@ -138,7 +139,7 @@ def test_degenerate_zoo_never_aborts_the_batch(corpus, tmp_path):
     shutil.copy(os.path.join(directory, name), str(zoo / name))
     raw = open(os.path.join(directory, name), "rb").read()
     (zoo / "torn.ldbrec").write_bytes(raw[:-1])
-    report = TriageEngine(workers=1).triage_dir(str(zoo))
+    report = TriageEngine().triage_dir(str(zoo))
     assert report.scanned == 6
     assert report.triaged == 2  # the healthy copy and the salvaged one
     kinds = sorted(e.kind for e in report.errors)
@@ -150,7 +151,7 @@ def test_degenerate_zoo_never_aborts_the_batch(corpus, tmp_path):
 
 def test_dump_json_is_atomic_and_leaves_no_temp(corpus, tmp_path):
     directory, _ = corpus
-    report = TriageEngine(workers=1).triage_dir(directory)
+    report = TriageEngine().triage_dir(directory)
     out = tmp_path / "report.json"
     report.dump_json(str(out))
     assert out.exists()

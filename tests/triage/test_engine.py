@@ -10,12 +10,12 @@ from repro.ldb import debugger
 from repro.obs import Observability
 from repro.triage import (ERROR_CORRUPT_CORE, ERROR_CORRUPT_RECORDING,
                           ERROR_DIVERGED, ERROR_NOT_ARTIFACT,
-                          ERROR_UNREADABLE, TriageEngine, TriageError,
-                          classify, triage_artifact)
+                          ERROR_UNREADABLE, ArtifactError, TriageEngine,
+                          TriageError, classify, triage_artifact)
 
 
-def run_triage(directory, **kw):
-    return TriageEngine(**kw).triage_dir(directory)
+def run_triage(directory):
+    return TriageEngine().triage_dir(directory)
 
 
 # -- dedup quality over the seeded corpus (3 ISAs) ------------------------
@@ -89,15 +89,16 @@ def test_corruption_matrix_kinds(corpus, monkeypatch):
     monkeypatch.setattr(debugger, "_tables", debugger._LoaderTables())
     for _ in range(2):
         for name, want in expected.items():
-            row = triage_artifact(os.path.join(directory, name))
-            assert row["ok"] is False and row["kind"] == want, (name, row)
-            assert row["message"]
+            error = triage_artifact(os.path.join(directory, name))
+            assert isinstance(error, ArtifactError), (name, error)
+            assert error.kind == want and error.message, (name, error)
 
 
 def test_unreadable_path_is_a_typed_error(tmp_path):
     # a directory where a file should be: open() raises, triage types it
-    row = triage_artifact(str(tmp_path))
-    assert row["ok"] is False and row["kind"] == ERROR_UNREADABLE
+    error = triage_artifact(str(tmp_path))
+    assert isinstance(error, ArtifactError)
+    assert error.kind == ERROR_UNREADABLE
 
 
 def test_classify_by_magic(corpus, tmp_path):
@@ -112,23 +113,7 @@ def test_classify_by_magic(corpus, tmp_path):
     assert classify(str(alien)) == ERROR_NOT_ARTIFACT
 
 
-# -- the process pool and batch-level errors ------------------------------
-
-def test_parallel_groups_match_serial(corpus):
-    directory, _ = corpus
-    serial = run_triage(directory)
-    pool = run_triage(directory, workers=2)  # a process pool
-    key = lambda r: [(g.stack_hash, sorted(m.path for m in g.members))
-                     for g in r.groups]
-    assert key(pool) == key(serial)
-    assert ({e.path for e in pool.errors}
-            == {e.path for e in serial.errors})
-
-
-def test_engine_rejects_bad_configuration():
-    with pytest.raises(TriageError):
-        TriageEngine(workers=0)
-
+# -- batch-level errors and ingestion -------------------------------------
 
 def test_empty_and_missing_directories_are_batch_errors(tmp_path):
     with pytest.raises(TriageError):
@@ -139,7 +124,7 @@ def test_empty_and_missing_directories_are_batch_errors(tmp_path):
 
 def test_manifest_ingestion_resolves_relative_paths(corpus):
     directory, manifest = corpus
-    report = TriageEngine(workers=1).triage(
+    report = TriageEngine().triage(
         os.path.join(directory, "manifest.json"))
     assert report.scanned == len(manifest["artifacts"])
     assert report.triaged > 0
@@ -149,7 +134,7 @@ def test_single_artifact_triage(corpus):
     directory, manifest = corpus
     core = next(a["path"] for a in manifest["artifacts"]
                 if a["kind"] == "core")
-    report = TriageEngine(workers=1).triage(os.path.join(directory, core))
+    report = TriageEngine().triage(os.path.join(directory, core))
     assert report.scanned == report.triaged == 1
     assert len(report.groups) == 1
 
@@ -189,7 +174,7 @@ def test_exemplar_carries_fault_record_and_backtrace(corpus):
 def test_triage_metrics_family(corpus):
     directory, manifest = corpus
     obs = Observability()
-    TriageEngine(workers=1, obs=obs).triage_dir(directory)
+    TriageEngine(obs=obs).triage_dir(directory)
     snap = obs.metrics.snapshot()
     assert snap["triage.batches"] == 1
     assert snap["triage.artifacts"] == len(manifest["artifacts"])

@@ -75,13 +75,23 @@ def test_fault_is_a_listed_nonmutating_verb():
 def test_ldb_triage_subcommand(corpus, tmp_path, capsys):
     directory, manifest = corpus
     out_json = tmp_path / "report.json"
-    rc = cli_main(["triage", directory, "--workers", "2",
-                   "--json", str(out_json)])
+    rc = cli_main(["triage", directory, "--json", str(out_json)])
     assert rc == 0
     shown = capsys.readouterr().out
     assert "crash groups" in shown and "could not be triaged" in shown
     data = json.loads(out_json.read_text())
     assert data["scanned"] == len(manifest["artifacts"])
+
+
+def test_ldb_triage_subcommand_has_no_workers_option(corpus, capsys):
+    # triage runs in one serial pass: a worker count is a usage error
+    directory, _ = corpus
+    with pytest.raises(SystemExit) as exit_:
+        cli_main(["triage", directory, "--workers", "2"])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage: ldb triage" in err
+    assert "unrecognized arguments: --workers 2" in err
 
 
 def test_ldb_triage_subcommand_batch_error(tmp_path, capsys):
@@ -108,8 +118,8 @@ def test_repl_triage_verb_usage_and_errors(tmp_path):
     cli = Cli(stdin=io.StringIO(), stdout=out)
     cli.command("triage")
     assert "usage: triage" in out.getvalue()
-    # the verb runs serially in the REPL's process: a worker count is
-    # an extra word, answered with the usage line, never an exception
+    # a worker count is an extra word, answered with the usage line,
+    # never an exception
     for extra in ("abc", "0"):
         out.truncate(0), out.seek(0)
         cli.command("triage %s %s" % (tmp_path, extra))
@@ -145,8 +155,8 @@ def test_gateway_triage_typed_errors():
         with pytest.raises(RemoteError) as err:
             client.triage("/nonexistent/corpus")
         assert err.value.code == "ERR_TRIAGE"
-        # the server runs batches serially: a pool size or mode from a
-        # remote client is refused by name, like an unknown fault key
+        # a pool size or mode is an unknown argument, refused by name
+        # like an unknown fault key
         for extra in ({"workers": 2}, {"mode": "process"}):
             with pytest.raises(RemoteError) as err:
                 client.request("triage", args=dict(extra, path="/tmp"))

@@ -130,7 +130,7 @@ def main(argv=None):
 
     # 5. triage ingests the aftermath without aborting
     from repro.triage import TriageEngine
-    report = TriageEngine(workers=1).triage_dir(workdir)
+    report = TriageEngine().triage_dir(workdir)
     check(report.scanned == 3, "triage scanned all 3 artifacts")
     check(report.triaged == 3, "all 3 triaged (none refused)")
     rows = {os.path.basename(m.path): m.salvaged
