@@ -14,6 +14,13 @@ A second row per ISA runs the same loop the way time travel does: a
 ``Process.snapshot()`` every ``SNAPSHOT_EVERY`` retired instructions,
 all of them kept live, so every store pays the copy-on-write check.
 
+A third row per ISA prices block compilation on a program of many
+small functions: the blocks one run compiles, the block templates they
+need (one per sequence of instruction fragments), and the processor
+time of one block compile with the template memo cold (every template
+compiled afresh) and warm, each the best of several passes, with the
+memo's size.
+
 Timings interleave the two engines over ``reps`` repetitions and take
 each engine's best time (like timeit: noise only ever adds wall
 clock, so the minimum is the cleanest estimate).  Emits
@@ -37,6 +44,7 @@ from repro.machines import (
     Process,
     SIGTRAP,
 )
+from repro.machines.engine import _template
 
 from .conftest import report
 
@@ -53,6 +61,41 @@ HOT_C = """int main(void) {
     return s & 0xff;
 }
 """ % LOOPS
+
+#: many short blocks of every kind: calls, loops, branches, loads and
+#: stores of three widths, division
+BLOCKS_C = r"""
+int buf[32];
+struct P { int x; int y; } pts[8];
+int fib(int n) { return n < 2 ? n : fib(n - 1) + fib(n - 2); }
+int gcd(int a, int b) { while (b) { int t = a % b; a = b; b = t; } return a; }
+int classify(int v) {
+    if (v < 0) return -1;
+    if (v == 0) return 0;
+    if (v < 10) return 1;
+    if (v < 100) return 2;
+    return 3;
+}
+void fill(int n) {
+    int i;
+    for (i = 0; i < n; i++) {
+        buf[i & 31] = i * 7 ^ (i >> 2);
+        pts[i & 7].x += i;
+        pts[i & 7].y -= i;
+    }
+}
+int sum(int *p, int n) { int s = 0; while (n-- > 0) s += *p++; return s; }
+int main(void) {
+    int i, s = 0;
+    char c = 'a';
+    short h = 300;
+    fill(100);
+    for (i = 0; i < 20; i++) s += classify(i * 13 - 40) + gcd(i + 12, 18);
+    s += fib(10) + sum(buf, 32) + pts[3].x - pts[5].y + c + h;
+    printf("%d %d\n", s, buf[7]);
+    return s & 0xff;
+}
+"""
 
 _OUT = Path(__file__).resolve().parent.parent / "BENCH_sim_speed.json"
 _EXES: dict = {}
@@ -126,6 +169,39 @@ def measure_arch(arch: str, reps: int, snapshot_every=None) -> dict:
     return row
 
 
+def _compile_pass(exe, starts) -> float:
+    """Processor microseconds per block for compiling every block that
+    starts at ``starts`` on a fresh engine."""
+    engine = Process(exe, engine="block").cpu.engine
+    started = time.process_time_ns()
+    for pc in starts:
+        engine._compile(pc)
+    return (time.process_time_ns() - started) / len(starts) / 1e3
+
+
+def measure_compile(arch: str, reps: int) -> dict:
+    """Best of ``reps`` cold passes and of ``5 * reps`` warm ones: a
+    pass takes a few milliseconds, less than the host's slow spells."""
+    exe = compile_and_link({"blocks.c": BLOCKS_C}, arch, debug=True)
+    process = Process(exe, engine="block")
+    event = process.run_until_event()
+    process.cpu.pc = event.pc + exe.arch.noop_advance
+    assert isinstance(process.run_until_event(), ExitEvent)
+    engine = process.cpu.engine
+    starts = sorted(engine._blocks)
+    cold = []
+    for _ in range(reps):
+        _template.cache_clear()
+        cold.append(_compile_pass(exe, starts))
+    templates = _template.cache_info().misses
+    warm = min(_compile_pass(exe, starts) for _ in range(5 * reps))
+    cold = min(cold)
+    return {"blocks_compiled": engine.stats.compiled,
+            "templates_compiled": templates,
+            "cold_us_per_block": round(cold, 1),
+            "warm_us_per_block": round(warm, 1)}
+
+
 def measure(reps: int) -> dict:
     out = {
         "benchmark": "sim_speed",
@@ -135,11 +211,16 @@ def measure(reps: int) -> dict:
         "snapshot_every": SNAPSHOT_EVERY,
         "arches": {},
         "with_snapshots": {},
+        "block_compile": {},
     }
     for arch in ARCHES:
         out["arches"][arch] = measure_arch(arch, reps)
         out["with_snapshots"][arch] = measure_arch(arch, reps,
                                                    SNAPSHOT_EVERY)
+    for arch in ARCHES:
+        out["block_compile"][arch] = measure_compile(arch, max(reps, 3))
+    memo = _template.cache_info()
+    out["template_memo"] = {"size": memo.currsize, "bound": memo.maxsize}
     return out
 
 
@@ -153,6 +234,14 @@ def _lines(data: dict):
             yield ("    %-7s %9d insns  step %8d i/s  block %8d i/s  %5.2fx"
                    % (arch, row["icount"], row["step_ips"],
                       row["block_ips"], row["speedup"]))
+    yield "  block compile (%s):" % "a program of many small functions"
+    for arch in ARCHES:
+        row = data["block_compile"][arch]
+        yield ("    %-7s %3d blocks %3d templates  %6.1f us cold  "
+               "%5.1f us warm per block"
+               % (arch, row["blocks_compiled"], row["templates_compiled"],
+                  row["cold_us_per_block"], row["warm_us_per_block"]))
+    yield "  template memo: %(size)d of %(bound)d" % data["template_memo"]
 
 
 def emit(data: dict) -> None:
@@ -165,6 +254,7 @@ def test_sim_speed():
     emit(data)
     report("", "S1. Simulator speed: block dispatch vs. single step",
            "  workload: %s" % data["workload"], *_lines(data))
+    assert data["template_memo"]["size"] <= data["template_memo"]["bound"]
     for arch in ARCHES:
         row = data["arches"][arch]
         assert row["state_identical"]

@@ -21,7 +21,13 @@ against the checkpoint interval on a loop-then-crash workload:
 * ``planted_after`` — the forward run has only the ``poke``
   breakpoint; then ``tick`` replaces it and a reverse-continue goes
   back onto ``tick``'s last hit.  No logged run had that breakpoint,
-  so the log cannot help: this is what a replayed search still costs.
+  so the log cannot help: this is what a replayed search still costs;
+* ``long_history`` — the same program with a loop about a million
+  instructions long, at interval 10,000, under the step and the block
+  engine: the forward record, the reverse-continue from the crash onto
+  the ``poke`` hit, and one onto ``tick`` planted afterwards, which
+  replays a window.  The short rows are too short to show what the
+  simulator costs a user.
 
 Both rows report the windows replayed and the windows answered from
 the log, with the requests and the wall clock of the measured command.
@@ -35,6 +41,7 @@ runs a single timing repetition (the CI smoke mode).
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import os
@@ -43,14 +50,17 @@ from pathlib import Path
 
 from repro.cc.driver import compile_and_link
 from repro.ldb import Ldb
-from repro.machines import SIGSEGV, SIGTRAP
+from repro.machines import ENGINE_ENV, SIGSEGV, SIGTRAP
 
 from .conftest import report
 
 INTERVALS = (50, 200, 800)
 LOOPS = 40
+#: the long-history row: about a million instructions on rmips
+LONG_LOOPS = 30_000
+LONG_INTERVAL = 10_000
 
-BOOM_C = """int g;
+_BOOM = """int g;
 void tick(int i) { g = g + i; }
 void poke(int *p) { *p = 42; }
 int main(void) {
@@ -60,17 +70,17 @@ int main(void) {
     poke((int *)0x7fffffff);
     return 0;
 }
-""" % LOOPS
+"""
 
 _OUT = Path(__file__).resolve().parent.parent / "BENCH_time_travel.json"
-_EXE = None
+_EXES: dict = {}
 
 
-def _exe():
-    global _EXE
-    if _EXE is None:
-        _EXE = compile_and_link({"boom.c": BOOM_C}, "rmips", debug=True)
-    return _EXE
+def _exe(loops=LOOPS):
+    if loops not in _EXES:
+        _EXES[loops] = compile_and_link({"boom.c": _BOOM % loops}, "rmips",
+                                        debug=True)
+    return _EXES[loops]
 
 
 def _run_to_crash(ldb, target):
@@ -215,6 +225,47 @@ def run_planted_after(interval: int):
     return row
 
 
+@contextlib.contextmanager
+def _engine(name: str):
+    """Targets loaded inside run on execution engine ``name``."""
+    saved = os.environ.get(ENGINE_ENV)
+    os.environ[ENGINE_ENV] = name
+    try:
+        yield
+    finally:
+        if saved is None:
+            del os.environ[ENGINE_ENV]
+        else:
+            os.environ[ENGINE_ENV] = saved
+
+
+def run_long(engine: str):
+    """The long history under one engine: record forward to the crash,
+    reverse-continue onto the last ``poke`` hit (the stop log answers
+    it), then onto ``tick``'s last hit, planted afterwards (a replayed
+    window)."""
+    ldb = Ldb(stdout=io.StringIO())
+    with _engine(engine):
+        target = ldb.load_program(_exe(LONG_LOOPS))
+    ldb.enable_time_travel(interval=LONG_INTERVAL, capacity=256)
+    started = time.perf_counter()
+    last_hit = _run_to_crash(ldb, target)
+    row = {"engine": engine,
+           "record_seconds": time.perf_counter() - started,
+           "crash_icount": target.current_icount(),
+           "last_hit": last_hit}
+    started = time.perf_counter()
+    row["landed_icount"] = ldb.reverse_continue().icount
+    row["reverse_seconds"] = time.perf_counter() - started
+    ldb.clear_breakpoints()
+    ldb.break_at_function("tick")
+    started = time.perf_counter()
+    row["replayed_landed_icount"] = ldb.reverse_continue().icount
+    row["replayed_reverse_seconds"] = time.perf_counter() - started
+    target.kill()
+    return row
+
+
 def _timed(fn, *args, reps=3):
     """Best wall clock over ``reps`` runs (fresh session each time)."""
     best = None
@@ -247,6 +298,15 @@ def measure(reps: int) -> dict:
         for name, fn in (("from_log", run_from_log),
                          ("planted_after", run_planted_after)):
             out[name][str(interval)] = _timed(fn, interval, reps=reps)
+    engines = {engine: _timed(run_long, engine, reps=reps)
+               for engine in ("step", "block")}
+    out["long_history"] = {
+        "interval": LONG_INTERVAL,
+        "trace_instructions": engines["block"]["crash_icount"],
+        "engines": engines,
+        "record_speedup": round(engines["step"]["record_seconds"]
+                                / engines["block"]["record_seconds"], 2),
+    }
     return out
 
 
@@ -297,6 +357,27 @@ def test_time_travel_latency():
         assert row["windows_replayed"] == 0 and row["windows_from_log"] > 1
     for row in data["planted_after"].values():
         assert row["windows_replayed"] > 0
+    long = data["long_history"]
+    for engine, row in sorted(long["engines"].items()):
+        report("  long history (%d instructions, interval %d) %-5s record "
+               "%.3fs, reverse-continue %.4fs, onto a planted "
+               "breakpoint %.4fs"
+               % (long["trace_instructions"], long["interval"], engine,
+                  row["record_seconds"], row["reverse_seconds"],
+                  row["replayed_reverse_seconds"]))
+    _check_long(long)
+
+
+def _check_long(long: dict) -> None:
+    """Both engines record the same history and land every reverse
+    command on the same icount, the first on the final forward hit."""
+    step, block = long["engines"]["step"], long["engines"]["block"]
+    for key in ("crash_icount", "last_hit", "landed_icount",
+                "replayed_landed_icount"):
+        assert step[key] == block[key], key
+    assert block["landed_icount"] == block["last_hit"]
+    assert block["replayed_landed_icount"] < block["landed_icount"]
+    assert long["trace_instructions"] > 500_000
 
 
 if __name__ == "__main__":
@@ -322,4 +403,12 @@ if __name__ == "__main__":
                   % (name, interval, row["seconds"], row["requests"],
                      row["windows_replayed"], row["windows_from_log"],
                      row["landed_icount"]))
+    long = data["long_history"]
+    _check_long(long)
+    for engine, row in sorted(long["engines"].items()):
+        print("long history %d instructions %-5s record %.3fs reverse "
+              "%.4fs planted %.4fs landed=%s/%s"
+              % (long["trace_instructions"], engine, row["record_seconds"],
+                 row["reverse_seconds"], row["replayed_reverse_seconds"],
+                 row["landed_icount"], row["replayed_landed_icount"]))
     print("wrote %s" % _OUT)

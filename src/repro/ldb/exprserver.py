@@ -345,9 +345,16 @@ class ExpressionServer:
         self.types: Optional[TypeSystem] = None
         #: the last RESET's payload, read when the next EXPR needs types
         self._reset = '{"arch": "rmips"}'
-        #: persistent type source text (saved until the target changes)
+        #: persistent type definitions (saved until the target changes):
+        #: every one learned, once each, in the order learned
         self.type_defs: List[str] = []
         self._known_defs = set()
+        #: tag ("struct S") -> its definition in force, the last one a
+        #: lookup delivered: two compilation units may define one tag
+        #: differently, and each lookup brings its own unit's
+        self._tag_defs: Dict[str, str] = {}
+        #: tag -> the definition this expression's lookups delivered
+        self._expr_tags: Dict[str, str] = {}
         #: is ``ask`` running?  What it raises is the caller's to handle
         self._asking = False
 
@@ -366,6 +373,7 @@ class ExpressionServer:
             self.types = None
             self.type_defs = []
             self._known_defs = set()
+            self._tag_defs = {}
             return ""
         if verb != "EXPR":
             return ""  # a stray SYM/NOSYM outside a lookup
@@ -388,6 +396,7 @@ class ExpressionServer:
     def evaluate_one(self, text: str, ask: Callable[[str], str]) -> str:
         if self.types is None:
             self.types = TypeSystem(json.loads(self._reset)["arch"])
+        self._expr_tags = {}
         parser = self._primed_parser()
         parser.tokens = tokenize(text, "<expr>")
         parser.pos = 0
@@ -400,7 +409,14 @@ class ExpressionServer:
         return "%s\nExpressionServer.result\n" % rewrite_to_ps(tree_ir)
 
     def _primed_parser(self) -> Parser:
-        source = "\n".join(self.type_defs)
+        # the definitions parse in the order learned, so each binds the
+        # tags it names as they were when it was learned; then a tag
+        # whose definition in force is not the last of its tag parses
+        # that one again
+        last = {_tag(cdef): cdef for cdef in self.type_defs}
+        again = [cdef for tag, cdef in self._tag_defs.items()
+                 if last[tag] != cdef]
+        source = "\n".join(cdef + ";" for cdef in self.type_defs + again)
         parser = Parser(source, "<types>", self.types)
         self._pending_decls = parser.parse_translation_unit().decls
         return parser
@@ -437,10 +453,22 @@ class ExpressionServer:
         return lookup_miss
 
     def _learn_type(self, cdef: str, parser: Parser) -> None:
-        if cdef in self._known_defs:
+        tag = _tag(cdef)
+        if tag:
+            if self._expr_tags.setdefault(tag, cdef) != cdef:
+                raise EvalError("%s has two definitions in this "
+                                "expression (one per compilation unit)"
+                                % tag)
+            if self._tag_defs.get(tag) == cdef:
+                return
+            # a lookup whose definition redefines a learned tag puts
+            # its own back in force
+            self._tag_defs[tag] = cdef
+        elif cdef in self._known_defs:
             return
-        self._known_defs.add(cdef)
-        self.type_defs.append(cdef + ";")
+        if cdef not in self._known_defs:
+            self._known_defs.add(cdef)
+            self.type_defs.append(cdef)
         # feed it to the current parser so this expression sees it too
         saved_tokens, saved_pos = parser.tokens, parser.pos
         parser.tokens = tokenize(cdef + ";", "<cdef>")
@@ -456,6 +484,13 @@ class ExpressionServer:
         _name, ctype, _token = parser.declarator(base)
         parser.tokens, parser.pos = saved_tokens, saved_pos
         return ctype
+
+
+def _tag(cdef: str) -> str:
+    """The tag a struct or union definition names (``"struct S"``), or
+    ``""`` for an untagged one."""
+    words = cdef.partition("{")[0].split()
+    return " ".join(words) if len(words) == 2 else ""
 
 
 #: the frames a lookup leaves the debugger below the recursion limit:

@@ -11,20 +11,26 @@ interface:
   execute one instruction at a time, exactly ``Cpu.step`` in a loop.
 * :class:`BlockEngine` — a decoded-basic-block core in the spirit of
   the DiVM bitcode simulator (PAPERS.md): decode from the pc to the
-  next control transfer *once*, fuse the block's prebuilt execute
-  bodies into one generated function keyed by ``(addr, code-bytes
-  generation)``, and dispatch whole blocks between icount/stop checks.
+  next control transfer *once*, and run the block as one generated
+  function whose body is its instructions' own source — each ISA's
+  ``compile_insn`` gives a :class:`~repro.machines.isa.Fragment` per
+  instruction, with loads and stores inlined on the memory's bytes by
+  :mod:`.memory`'s builders.  Blocks are cached by ``(addr, code-bytes
+  generation)`` and dispatched whole between icount/stop checks.
 
 Both engines must produce byte-identical architectural state: the same
 stops, registers, memory, faults, and icount.  The subtle rules that
 make that true are concentrated in :func:`_block_source`, which emits
-``Cpu.step``'s exact prologue/epilogue inline around every body — the
-rmips load-delay commit and ``_wrote_reg`` reset, the
+``Cpu.step``'s exact prologue/epilogue inline around every fragment —
+the rmips load-delay commit and ``_wrote_reg``, the
 faulting-instruction-retires rule, and MemoryFault→SIGSEGV — and in
 the dispatch loop, which keeps the decode-fault-does-not-retire rule
 (a decode fault drops the pending load and retires nothing; see the
 zero-step fault blocks) and runs a block that a stop cuts short
-through ``Cpu.step`` itself.
+through ``Cpu.step`` itself.  A block's source depends on its
+fragments and two arch flags, never on operand values, so one compiled
+template serves every block with the same sequence of instruction
+kinds (:func:`_template`).
 
 Cache invalidation: the engine marks every byte it decoded from in a
 per-byte code map and registers a write hook on the target memory.
@@ -33,7 +39,7 @@ BLOCKSTORE, a self-modifying store, or a checkpoint restore rewriting
 a code page — bumps the generation counter and drops every cached
 block, so the next dispatch re-decodes current bytes.  A store that
 lands inside the *currently executing* block is caught by a
-generation check after every instruction that may write memory.
+generation check after every fragment that may write memory.
 """
 
 from __future__ import annotations
@@ -44,13 +50,17 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from .isa import (
     DEFAULT_MAX_STEPS,
+    Fragment,
     Halt,
     IcountReached,
+    SIGFPE,
     SIGILL,
     SIGSEGV,
+    SIGTRAP,
     TargetFault,
+    to_i32,
 )
-from .memory import MemoryFault
+from .memory import FRAGMENT_BINDINGS, MemoryFault
 
 #: Environment variable consulted when no engine is requested
 #: explicitly; value "step" or "block".
@@ -155,69 +165,105 @@ class StepEngine(ExecutionEngine):
         raise TargetFault(SIGILL, code=99, address=cpu.pc)  # runaway
 
 
-#: Per-instruction shape flags (see :func:`_block_source`).
-_WRITES = 1  # may write target memory: re-check the generation after it
-_LOADS = 2   # a delayed load: the next instruction lands its commit
+def _land(zero_reg: bool, wrote: Optional[str]) -> List[str]:
+    """Cpu.step's delay-slot commit, after an instruction that left
+    ``wrote`` in ``_wrote_reg`` (source; None: no register)."""
+    test = "commit is not None"
+    if zero_reg:
+        test += " and commit[0]"
+    if wrote is not None:
+        test += " and commit[0] != %s" % wrote
+    return ["if %s:" % test, "    regs[commit[0]] = commit[1]"]
 
 
-def _block_source(shape: Tuple[int, ...], delay: bool,
+def _block_source(frags: Tuple[Fragment, ...], delay: bool,
                   zero_reg: bool) -> str:
-    """Python source of the factory for one block *shape*.
+    """Python source of the factory for one sequence of fragments.
 
-    ``make(engine, gen, b0, ..., bN)`` returns ``block(cpu)``, which
-    calls the bodies back to back with ``Cpu.step``'s bookkeeping
-    emitted inline, so that after it returns or raises the state is
-    exactly what N calls of ``Cpu.step`` would leave:
+    ``make(engine, gen, mem, pcs, values)`` returns ``block(cpu)``,
+    which runs the fragments' source back to back with ``Cpu.step``'s
+    bookkeeping emitted inline, so that after it returns or raises the
+    state is exactly what N calls of ``Cpu.step`` would leave.
+    ``pcs`` holds each instruction's address and the block's end, and
+    ``values`` every fragment's operands in order; both become free
+    variables of ``block``.
 
     * icount: every retired instruction counts, and a faulting one
-      retires (``n`` tracks how many finished before it);
+      retires (``n`` tracks how many finished before it); the pc is
+      stored only where it is observed: before a fragment that
+      ``calls`` out, at a fault (the faulting instruction's own), on an
+      early return and at the end;
     * a MemoryFault becomes SIGSEGV code 2, every other exception is
       re-raised unchanged;
-    * with a load delay (``delay``), ``_wrote_reg`` is reset before
-      every instruction, and a pending load is taken and committed
-      around the first instruction (its state on entry is unknown) and
-      around every instruction that follows a load — the others cannot
-      have one;
-    * after a ``_WRITES`` instruction that is not the block's last, a
+    * with a load delay (``delay``), a pending load is taken and
+      committed around the first instruction (its state on entry is
+      unknown) and around every instruction that follows a ``loads``
+      fragment — the others cannot have one.  ``_wrote_reg`` is reset
+      once on entry and after every fragment that ``calls`` out (which
+      records it itself); a commit compares against each fragment's
+      static ``wrote``, and the end stores the last one's;
+    * after a ``writes`` fragment that is not the block's last, a
       changed generation ends the block early (its store hit decoded
       code; the dispatcher resumes at ``cpu.pc`` with fresh bytes).
 
-    The source depends only on ``shape`` (one flag word per
-    instruction) and the two arch flags, never on target bytes, so one
-    compiled template serves every block of that shape.
+    The source depends only on the fragments and the two arch flags,
+    never on operand values or target bytes.
     """
-    count = len(shape)
-    land = ["if commit is not None and commit[0]%s != cpu._wrote_reg:"
-            % (" and commit[0]" if zero_reg else ""),
-            "    cpu.regs[commit[0]] = commit[1]"]
-    body = []
-    for i, flags in enumerate(shape):
-        takes = delay and (i == 0 or shape[i - 1] & _LOADS)
+    count = len(frags)
+    names: List[str] = []
+    body: List[str] = []
+    for i, frag in enumerate(frags):
+        fields = {name: "%s_%d" % (name, i) for name in frag.params}
+        names += fields.values()
+        fields["pc"] = "pc_%d" % i
+        fields["npc"] = "pc_%d" % (i + 1)
+        takes = delay and (i == 0 or frags[i - 1].loads)
         if takes:
             body += ["commit = cpu._pending_load",
                      "cpu._pending_load = None"]
-        if delay:
-            body.append("cpu._wrote_reg = None")
-        body.append("b%d(cpu)" % i)
+        if frag.calls:
+            body.append("cpu.pc = pc_%d" % i)
+        body += frag.source.format(**fields).split("\n")
+        if frag.calls:
+            wrote = "cpu._wrote_reg"
+        else:
+            wrote = frag.wrote and frag.wrote.format(**fields)
         if i + 1 < count:
             body.append("n = %d" % (i + 1))
             if takes:
-                body += land + ["commit = None"]
-            if flags & _WRITES:
-                body += ["if engine.generation != gen:",
-                         "    cpu.icount += %d" % (i + 1),
-                         "    return"]
-    handler = ["cpu.icount += n + 1"] + (land if delay else []) + [
+                body += _land(zero_reg, wrote) + ["commit = None"]
+            if frag.writes:
+                body += ["if engine.generation != gen:"]
+                if not frag.jumps:
+                    body += ["    cpu.pc = pc_%d" % (i + 1)]
+                body += ["    cpu.icount += %d" % (i + 1), "    return"]
+            if delay and frag.calls:
+                body.append("cpu._wrote_reg = None")
+    handler = ["cpu.pc = pcs[n]", "cpu.icount += n + 1"]
+    if delay:
+        handler += _land(zero_reg, "cpu._wrote_reg")
+    handler += [
         "if isinstance(exc, MemoryFault):",
         "    raise TargetFault(SIGSEGV, code=2, address=exc.address)",
         "raise"]
-    # ``takes`` is the last instruction's: its commit lands after it
-    tail = (land if takes else []) + ["cpu.icount += %d" % count]
-    lines = (["def make(engine, gen, %s):"
-              % ", ".join("b%d" % i for i in range(count)),
-              "    def block(cpu):",
-              "        n = 0",
-              "        try:"]
+    # ``takes``, ``frag`` and ``wrote`` are the last instruction's
+    tail = _land(zero_reg, wrote) if takes else []
+    if not frag.jumps:
+        tail.append("cpu.pc = pc_%d" % count)
+    if delay and wrote is not None and not frag.calls:
+        tail.append("cpu._wrote_reg = %s" % wrote)
+    tail.append("cpu.icount += %d" % count)
+    head = ["def make(engine, gen, mem, pcs, values):"]
+    if names:
+        head.append("    %s, = values" % ", ".join(names))
+    head.append("    %s, = pcs" % ", ".join(
+        "pc_%d" % i for i in range(count + 1)))
+    head += ["    " + line for line in FRAGMENT_BINDINGS]
+    head += ["    def block(cpu):",
+             "        regs = cpu.regs"]
+    if delay:
+        head.append("        cpu._wrote_reg = None")
+    lines = (head + ["        n = 0", "        try:"]
              + ["            " + line for line in body]
              + ["        except BaseException as exc:"]
              + ["            " + line for line in handler]
@@ -226,16 +272,28 @@ def _block_source(shape: Tuple[int, ...], delay: bool,
     return "\n".join(lines) + "\n"
 
 
-@functools.lru_cache(maxsize=256)
-def _template(shape: Tuple[int, ...], delay: bool,
+#: what block code may name beside its own bindings
+_GLOBALS = {"MemoryFault": MemoryFault, "TargetFault": TargetFault,
+            "Halt": Halt, "SIGSEGV": SIGSEGV, "SIGFPE": SIGFPE,
+            "SIGTRAP": SIGTRAP, "to_i32": to_i32}
+
+
+@functools.lru_cache(maxsize=1024)
+def _template(frags: Tuple[Fragment, ...], delay: bool,
               zero_reg: bool) -> Callable:
-    """The compiled factory for one shape; the memo holds code only
-    (a process meets a few dozen shapes, each compiled once)."""
-    namespace = {"MemoryFault": MemoryFault, "TargetFault": TargetFault,
-                 "SIGSEGV": SIGSEGV}
-    exec(compile(_block_source(shape, delay, zero_reg),
-                 "<block of %d>" % len(shape), "exec"), namespace)
+    """The compiled factory for one sequence of fragments; the memo
+    holds code only, keyed by fragment identity, never by operands."""
+    namespace = dict(_GLOBALS)
+    exec(compile(_block_source(frags, delay, zero_reg),
+                 "<block of %d>" % len(frags), "exec"), namespace)
     return namespace["make"]
+
+
+#: an op the arch leaves to :meth:`Arch.execute`: its decode is done once
+#: and its semantics are the arch's own, so every flag is conservative
+_EXECUTE = Fragment("execute", "{execute}(cpu, {insn})",
+                    ("execute", "insn"), loads=True,
+                    jumps=True, calls=True)
 
 
 class _Block:
@@ -327,11 +385,12 @@ class BlockEngine(ExecutionEngine):
         arch = self.arch
         mem = self.mem
         gen = self.generation
-        bodies: List[Callable] = []
-        shape: List[int] = []
+        frags: List[Fragment] = []
+        values: List = []
+        pcs = [pc]
         fault: Optional[Tuple[int, int, int]] = None
         addr = pc
-        while len(bodies) < self.MAX_BLOCK:
+        while len(frags) < self.MAX_BLOCK:
             try:
                 insn = arch.decode(mem, addr)
             except MemoryFault as exc:
@@ -340,31 +399,27 @@ class BlockEngine(ExecutionEngine):
             except TargetFault as exc:
                 fault = (exc.signo, exc.code, exc.address)
                 break
-            body = arch.compile_insn(insn, addr)
-            if body is None:
-                body = _generic_body(arch.execute, insn)
-                flags = _WRITES  # unknown semantics: stay conservative
+            compiled = arch.compile_insn(insn, addr)
+            if compiled is None:
+                frags.append(_EXECUTE)
+                values += (arch.execute, insn)
             else:
-                flags = _WRITES if arch.may_write_mem(insn) else 0
-            if insn.op in arch.loads():
-                flags |= _LOADS
-            bodies.append(body)
-            shape.append(flags)
+                frags.append(compiled[0])
+                values += compiled[1]
             addr += insn.size
+            pcs.append(addr & 0xFFFFFFFF)
             if arch.is_block_end(insn):
                 break
-        if bodies:
+        if frags:
             # A decode fault after at least one instruction is *not*
             # part of this block: execution may never get there (a
             # mid-block stop, an exception, a patched branch).  The
             # faulting pc gets its own zero-step fault block on demand.
             fault = None
             size = addr - pc
-            # nothing follows the last instruction inside the block, so
-            # its flags do not change the source: one template fewer
-            shape[-1] = 0
-            run = _template(tuple(shape), arch.has_load_delay,
-                            arch.zero_reg)(self, gen, *bodies)
+            run = _template(tuple(frags), arch.has_load_delay,
+                            arch.zero_reg)(self, gen, mem, tuple(pcs),
+                                           tuple(values))
         else:
             # Zero-step fault block.  Its *cause* is the undecodable
             # bytes at pc, so mark a conservative span: a write there
@@ -372,7 +427,7 @@ class BlockEngine(ExecutionEngine):
             # must invalidate this block too.
             size = min(16, self.mem.size - pc) if pc < self.mem.size else 0
             run = None
-        block = _Block(gen, run, len(bodies), fault, pc, size)
+        block = _Block(gen, run, len(frags), fault, pc, size)
         if size > 0:
             marks = self._code_marks
             if pc + size > len(marks):
@@ -436,15 +491,6 @@ class BlockEngine(ExecutionEngine):
         info["blocks_cached"] = len(self._blocks)
         info["generation"] = self.generation
         return info
-
-
-def _generic_body(execute, insn):
-    """Fallback body: the arch's own execute with the decode pre-done.
-    Used for every instruction the arch does not specialize — semantics
-    are the arch's single source of truth."""
-    def body(cpu):
-        execute(cpu, insn)
-    return body
 
 
 _ENGINES = {"step": StepEngine, "block": BlockEngine}

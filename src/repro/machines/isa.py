@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
+from .memory import STORE_MARK
+
 # Signal numbers (UNIX-flavored).
 SIGILL = 4
 SIGTRAP = 5
@@ -143,6 +145,85 @@ class ContextField:
         self.kind = kind  # "pc", "reg", "freg", "flags"
 
 
+class Fragment:
+    """One instruction kind's semantics as Python source, which the
+    block engine pastes into a block's generated function.
+
+    ``source`` is statements over ``cpu``, ``regs`` (``cpu.regs``), the
+    names :mod:`.memory`'s load and store builders use, and
+    ``{name}`` for each of ``params``: an operand, whose value reaches
+    the function as a free variable, so that one compiled template
+    serves every block with the same fragments whatever its operands.
+    ``{pc}`` and ``{npc}`` are the instruction's address and the next
+    one's.  Scratch names are short (``a``, ``v``, ``sp``) and are
+    dead once the fragment ends.  A fragment is made once, at import,
+    and its identity is its kind: templates are keyed by the sequence
+    of fragment objects.
+
+    What the engine emits around it follows the flags:
+
+    * ``writes`` — it may store to target memory (it holds a store
+      from :func:`.memory.store_source`, or calls out), so after it the
+      block checks the code-cache generation and returns early on a
+      change; derived, so no store can go unflagged;
+    * ``loads`` — it may leave a delayed load in ``cpu._pending_load``
+      (the rmips delay slot): the next instruction lands it;
+    * ``jumps`` — it sets ``cpu.pc`` itself (a control transfer, or a
+      trap that always raises); the engine stores the next pc of any
+      other fragment only where it is observed;
+    * ``wrote`` — on a load-delay arch, the register ``Cpu.set_reg``
+      would record in ``_wrote_reg``, as source (``"{rd}"``), or None;
+    * ``calls`` — it hands the cpu to code outside the block (a
+      syscall, ``execute``), which reads ``cpu.pc`` and records
+      ``_wrote_reg`` itself.
+    """
+
+    __slots__ = ("kind", "source", "params", "writes", "loads", "jumps",
+                 "wrote", "calls")
+
+    def __init__(self, kind: str, source, params: Sequence[str] = (), *,
+                 loads: bool = False, jumps: bool = False,
+                 wrote: Optional[str] = None, calls: bool = False):
+        self.kind = kind
+        if not isinstance(source, str):
+            source = "\n".join(source)
+        self.source = source or "pass"
+        self.params = tuple(params)
+        self.writes = calls or STORE_MARK in source
+        self.loads = loads
+        self.jumps = jumps
+        self.wrote = wrote
+        self.calls = calls
+
+    def __repr__(self) -> str:
+        return "<fragment %s>" % self.kind
+
+
+#: The condition tests of the condition-code targets (rm68k, rvax), as
+#: source over the flags ``Cpu.set_cc`` leaves.
+CC_TESTS = {
+    "eq": "cpu.cc_eq",
+    "ne": "not cpu.cc_eq",
+    "lt": "cpu.cc_lt",
+    "le": "cpu.cc_lt or cpu.cc_eq",
+    "gt": "not (cpu.cc_lt or cpu.cc_eq)",
+    "ge": "not cpu.cc_lt",
+    "ltu": "cpu.cc_ltu",
+    "leu": "cpu.cc_ltu or cpu.cc_eq",
+    "gtu": "not (cpu.cc_ltu or cpu.cc_eq)",
+    "geu": "not cpu.cc_ltu",
+}
+
+
+def set_cc_source(a: str, b: str) -> List[str]:
+    """``Cpu.set_cc(a, b)`` as source, for names ``a`` and ``b`` that
+    hold unsigned 32-bit values (flipping the sign bit orders them as
+    signed)."""
+    return ["cpu.cc_lt = (%s ^ 0x80000000) < (%s ^ 0x80000000)" % (a, b),
+            "cpu.cc_eq = %s == %s" % (a, b),
+            "cpu.cc_ltu = %s < %s" % (a, b)]
+
+
 class Arch:
     """Base class for architecture descriptions."""
 
@@ -230,44 +311,26 @@ class Arch:
     #: *every* instruction a block of one, which is step-equivalent.
     block_enders: Optional[frozenset] = None
 
-    #: Opcodes whose execution may write target memory.  ``None`` (the
-    #: conservative default) means *any* instruction may write.  The
-    #: block engine only re-checks its code-cache generation after
-    #: instructions that can write, so this set must be sound: listing
-    #: too many ops costs a cheap check, missing one breaks
-    #: self-modifying-code invalidation.
-    mem_write_ops: Optional[frozenset] = None
-
     def is_block_end(self, insn: Insn) -> bool:
         enders = self.block_enders
         return True if enders is None else insn.op in enders
 
-    def may_write_mem(self, insn: Insn) -> bool:
-        ops = self.mem_write_ops
-        return True if ops is None else insn.op in ops
-
     def compile_insn(self, insn: Insn, pc: int):
-        """Return a prebuilt fast-path body ``f(cpu) -> None`` for this
-        instruction at this pc, or None to fall back to
+        """Return ``(fragment, values)`` for this instruction at this
+        pc — a :class:`Fragment` and its operands' values, in the order
+        of ``fragment.params`` — or None to fall back to
         :meth:`execute`.
 
         The contract is byte-identical equivalence with
         ``execute(cpu, insn)`` for an instruction decoded at ``pc``:
-        the same register writes (including ``set_reg``'s masking,
-        zero-register suppression, and ``_wrote_reg`` tracking for the
-        delay-slot commit), the same memory and condition-code effects
-        in the same order, the same faults with the same addresses —
-        and it must leave ``cpu.pc`` at the next instruction exactly as
-        execute would.  The engine supplies the step prologue/epilogue
-        (pending-load commit, icount); bodies never touch those.
+        the same register writes (including ``set_reg``'s masking and
+        zero-register suppression), the same memory and condition-code
+        effects in the same order, the same faults with the same
+        addresses, and the same next pc.  The engine supplies the step
+        prologue/epilogue (pending-load commit, ``_wrote_reg``, icount,
+        the pc of a sequential fragment); fragments never touch those.
         """
         return None
-
-    # -- conventions ------------------------------------------------------
-
-    def loads(self) -> Sequence[str]:
-        """Opcodes with a load delay slot (empty except rmips)."""
-        return ()
 
     def __repr__(self) -> str:
         return "<arch %s>" % self.name

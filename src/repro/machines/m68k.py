@@ -18,6 +18,8 @@ import math
 
 from .isa import (
     Arch,
+    CC_TESTS,
+    Fragment,
     Insn,
     SIGFPE,
     SIGILL,
@@ -26,7 +28,9 @@ from .isa import (
     to_i16,
     to_i32,
     to_u32,
+    set_cc_source,
 )
+from .memory import load_source, store_source
 
 NOP_WORD = 0x4E71
 BKPT_WORD = 0x4848
@@ -113,27 +117,6 @@ _OPTABLE = {
 }
 _OPS = {name: (byte, ext) for byte, (name, ext) in _OPTABLE.items()}
 
-_FAST_ALU = frozenset(["add", "sub", "muls", "and", "or", "eor",
-                       "lsl", "lsr", "asr"])
-_CC_BRANCHES = frozenset(["beq", "bne", "blt", "ble", "bgt", "bge",
-                          "bltu", "bleu", "bgtu", "bgeu"])
-_CC_SETS = frozenset(["seq", "sne", "slt", "sle", "sgt", "sge",
-                      "sltu", "sgtu", "sleu", "sgeu"])
-#: condition tests as prebuilt closures (same table as _cc_test, but
-#: resolvable at block-compile time)
-_CC_FUNCS = {
-    "eq": lambda cpu: cpu.cc_eq,
-    "ne": lambda cpu: not cpu.cc_eq,
-    "lt": lambda cpu: cpu.cc_lt,
-    "le": lambda cpu: cpu.cc_lt or cpu.cc_eq,
-    "gt": lambda cpu: not (cpu.cc_lt or cpu.cc_eq),
-    "ge": lambda cpu: not cpu.cc_lt,
-    "ltu": lambda cpu: cpu.cc_ltu,
-    "leu": lambda cpu: cpu.cc_ltu or cpu.cc_eq,
-    "gtu": lambda cpu: not (cpu.cc_ltu or cpu.cc_eq),
-    "geu": lambda cpu: not cpu.cc_ltu,
-}
-
 REG_SP = 15  # a7
 REG_FP = 14  # a6
 REG_RETVAL = 0  # d0
@@ -144,6 +127,138 @@ SAVED_REGS = (4, 5, 6, 7)        # d4-d7: callee-saved (register variables)
 ADDR_TEMP = 8                    # a0: address scratch
 FTEMP_REGS = (1, 2, 3)
 FRET_REG = 0
+
+
+# -- fragments: each op's execute semantics as block-engine source ------------
+#
+# Registers hold unsigned 32-bit values, so ``to_i32`` of one is a sign-bit
+# flip, and the low word of a product is the same signed or unsigned.
+
+_SP = "regs[%d]" % REG_SP
+_FP = "regs[%d]" % REG_FP
+
+
+def _rd_rs(insn, pc):
+    return insn.rd, insn.rs
+
+
+def _taken(insn, pc):
+    return ((pc + insn.size + insn.imm) & 0xFFFFFFFF,)
+
+
+_FRAGMENTS = {
+    "nop": (Fragment("nop", ""), lambda insn, pc: ()),
+    "break": (Fragment(
+        "break", "raise TargetFault(SIGTRAP, code=0, address={pc})",
+        jumps=True), lambda insn, pc: ()),
+    "syscall": (Fragment("syscall", "cpu.syscall({code})", ("code",),
+                         calls=True),
+                lambda insn, pc: (insn.imm or 0,)),
+    "movei": (Fragment("movei", "regs[{rd}] = {val}", ("rd", "val")),
+              lambda insn, pc: (insn.rd, insn.imm & 0xFFFFFFFF)),
+    "move": (Fragment("move", "regs[{rd}] = regs[{rs}]", ("rd", "rs")),
+             _rd_rs),
+    "lea": (Fragment("lea", "regs[{rd}] = (regs[{rs}] + {imm}) & 0xFFFFFFFF",
+                     ("rd", "rs", "imm")),
+            lambda insn, pc: (insn.rd, insn.rs, insn.imm)),
+    "not": (Fragment("not", "regs[{rd}] = ~regs[{rd}] & 0xFFFFFFFF",
+                     ("rd",)), lambda insn, pc: (insn.rd,)),
+    "neg": (Fragment("neg", "regs[{rd}] = -regs[{rd}] & 0xFFFFFFFF",
+                     ("rd",)), lambda insn, pc: (insn.rd,)),
+    "cmp": (Fragment("cmp", ["a = regs[{rd}]", "b = regs[{rs}]"]
+                     + set_cc_source("a", "b"), ("rd", "rs")), _rd_rs),
+    "tst": (Fragment("tst", ["a = regs[{rd}]"] + set_cc_source("a", "0"),
+                     ("rd",)), lambda insn, pc: (insn.rd,)),
+    "bra": (Fragment("bra", "cpu.pc = {taken}", ("taken",), jumps=True),
+            _taken),
+    # -- stack and calls ---------------------------------------------------
+    "push": (Fragment("push", ["sp = (%s - 4) & 0xFFFFFFFF" % _SP,
+                               "%s = sp" % _SP]
+                      + store_source("sp", 4, "regs[{rs}]"),
+                      ("rs",)),
+             lambda insn, pc: (insn.rs,)),
+    "link": (Fragment("link", ["sp = (%s - 4) & 0xFFFFFFFF" % _SP]
+                      + store_source("sp", 4, _FP)
+                      + ["%s = sp" % _FP,
+                         "%s = (sp - {frame}) & 0xFFFFFFFF" % _SP],
+                      ("frame",)),
+             lambda insn, pc: (insn.imm or 0,)),
+    "jsr": (Fragment("jsr", ["sp = (%s - 4) & 0xFFFFFFFF" % _SP,
+                             "%s = sp" % _SP]
+                     + store_source("sp", 4, "{npc}")
+                     + ["cpu.pc = {target}"],
+                     ("target",), jumps=True),
+            lambda insn, pc: (insn.target & 0xFFFFFFFF,)),
+    "jsrr": (Fragment("jsrr", ["sp = (%s - 4) & 0xFFFFFFFF" % _SP,
+                               "%s = sp" % _SP]
+                      + store_source("sp", 4, "{npc}")
+                      + ["cpu.pc = regs[{rs}]"],
+                      ("rs",), jumps=True),
+             lambda insn, pc: (insn.rs,)),
+}
+_check, _value = load_source("sp", 4)
+_FRAGMENTS["pop"] = (Fragment(
+    "pop", ["sp = " + _SP, _check, "regs[{rd}] = " + _value,
+            "%s = (sp + 4) & 0xFFFFFFFF" % _SP], ("rd",)),
+    lambda insn, pc: (insn.rd,))
+_FRAGMENTS["rts"] = (Fragment(
+    "rts", ["sp = " + _SP, _check, "t = " + _value,
+            "%s = (sp + 4) & 0xFFFFFFFF" % _SP, "cpu.pc = t"],
+    jumps=True), lambda insn, pc: ())
+_check, _value = load_source("fp", 4)
+_FRAGMENTS["unlk"] = (Fragment(
+    "unlk", ["fp = " + _FP, "%s = (fp + 4) & 0xFFFFFFFF" % _SP, _check,
+             "%s = %s" % (_FP, _value)]), lambda insn, pc: ())
+
+# -- loads and stores: a displacement off a register ------------------------
+_ADDRESS = "a = (regs[{base}] + {imm}) & 0xFFFFFFFF"
+for _op, _size, _signed in (("load32", 4, False), ("load16s", 2, True),
+                            ("load16u", 2, False), ("load8s", 1, True),
+                            ("load8u", 1, False)):
+    _check, _value = load_source("a", _size, _signed)
+    if _signed:
+        _value += " & 0xFFFFFFFF"
+    _FRAGMENTS[_op] = (Fragment(
+        _op, [_ADDRESS, _check, "regs[{rd}] = " + _value],
+        ("rd", "base", "imm")),
+        lambda insn, pc: (insn.rd, insn.rs, insn.imm))
+for _op, _size in (("store32", 4), ("store16", 2), ("store8", 1)):
+    _FRAGMENTS[_op] = (Fragment(
+        _op, [_ADDRESS] + store_source("a", _size, "regs[{rs}]"),
+        ("base", "rs", "imm")),
+        lambda insn, pc: (insn.rd, insn.rs, insn.imm))
+
+# -- two-address ALU (dst also the left operand) ----------------------------
+for _op, _value in (
+        ("add", "(regs[{rd}] + regs[{rs}]) & 0xFFFFFFFF"),
+        ("sub", "(regs[{rd}] - regs[{rs}]) & 0xFFFFFFFF"),
+        ("muls", "(regs[{rd}] * regs[{rs}]) & 0xFFFFFFFF"),
+        ("and", "regs[{rd}] & regs[{rs}]"),
+        ("or", "regs[{rd}] | regs[{rs}]"),
+        ("eor", "regs[{rd}] ^ regs[{rs}]"),
+        ("lsl", "(regs[{rd}] << (regs[{rs}] & 31)) & 0xFFFFFFFF"),
+        ("lsr", "regs[{rd}] >> (regs[{rs}] & 31)"),
+        ("asr", "(((regs[{rd}] ^ 0x80000000) - 0x80000000) "
+                ">> (regs[{rs}] & 31)) & 0xFFFFFFFF")):
+    _FRAGMENTS[_op] = (Fragment(_op, "regs[{rd}] = " + _value,
+                                ("rd", "rs")), _rd_rs)
+for _op, _value in (
+        ("lsli", "(regs[{rd}] << {sh}) & 0xFFFFFFFF"),
+        ("lsri", "regs[{rd}] >> {sh}"),
+        ("asri", "(((regs[{rd}] ^ 0x80000000) - 0x80000000) >> {sh}) "
+                 "& 0xFFFFFFFF")):
+    _FRAGMENTS[_op] = (Fragment(_op, "regs[{rd}] = " + _value,
+                                ("rd", "sh")),
+                       lambda insn, pc: (insn.rd, insn.imm & 31))
+
+# -- condition codes --------------------------------------------------------
+for _cond, _test in CC_TESTS.items():
+    _FRAGMENTS["b" + _cond] = (Fragment(
+        "b" + _cond, "cpu.pc = {taken} if %s else {npc}" % _test,
+        ("taken",), jumps=True), _taken)
+    _FRAGMENTS["s" + _cond] = (Fragment(
+        "s" + _cond, "regs[{rd}] = 1 if %s else 0" % _test, ("rd",)),
+        lambda insn, pc: (insn.rd,))
 
 
 class RM68kArch(Arch):
@@ -257,252 +372,13 @@ class RM68kArch(Arch):
         "jsr", "jsrr", "rts",
     ])
 
-    mem_write_ops = frozenset([
-        "store32", "store16", "store8", "push", "link", "jsr", "jsrr",
-        "fstore32", "fstore64", "fstore80", "syscall"])
-
     def compile_insn(self, insn: Insn, pc: int):
-        """Prebuilt execute bodies for the hot integer subset; division
-        and float ops fall back to :meth:`execute`."""
-        op = insn.op
-        rd = insn.rd
-        rs = insn.rs
-        imm = insn.imm
-        M = 0xFFFFFFFF
-        npc = (pc + insn.size) & M
-
-        if op == "nop":
-            def body(cpu):
-                cpu.pc = npc
-            return body
-        if op == "break":
-            def body(cpu):
-                raise TargetFault(SIGTRAP, code=0, address=pc)
-            return body
-        if op == "syscall":
-            code = imm or 0
-
-            def body(cpu):
-                cpu.syscall(code)
-                cpu.pc = npc
-            return body
-
-        # -- moves and loads ---------------------------------------------
-        if op == "movei":
-            val = imm & M
-
-            def body(cpu):
-                cpu.regs[rd] = val
-                cpu.pc = npc
-            return body
-        if op == "move":
-            def body(cpu):
-                cpu.regs[rd] = cpu.regs[rs]
-                cpu.pc = npc
-            return body
-        if op == "lea":
-            def body(cpu):
-                cpu.regs[rd] = (cpu.regs[rs] + imm) & M
-                cpu.pc = npc
-            return body
-        if op in ("load32", "load16s", "load16u", "load8s", "load8u"):
-            if op == "load32":
-                def load(cpu):
-                    return cpu.mem.read_u32((cpu.regs[rs] + imm) & M)
-            elif op == "load16s":
-                def load(cpu):
-                    return cpu.mem.read_i16((cpu.regs[rs] + imm) & M) & M
-            elif op == "load16u":
-                def load(cpu):
-                    return cpu.mem.read_u16((cpu.regs[rs] + imm) & M)
-            elif op == "load8s":
-                def load(cpu):
-                    return cpu.mem.read_i8((cpu.regs[rs] + imm) & M) & M
-            else:
-                def load(cpu):
-                    return cpu.mem.read_u8((cpu.regs[rs] + imm) & M)
-
-            def body(cpu):
-                cpu.regs[rd] = load(cpu)
-                cpu.pc = npc
-            return body
-        if op == "store32":
-            def body(cpu):
-                cpu.mem.write_u32((cpu.regs[rd] + imm) & M, cpu.regs[rs])
-                cpu.pc = npc
-            return body
-        if op == "store16":
-            def body(cpu):
-                cpu.mem.write_u16((cpu.regs[rd] + imm) & M,
-                                  cpu.regs[rs] & 0xFFFF)
-                cpu.pc = npc
-            return body
-        if op == "store8":
-            def body(cpu):
-                cpu.mem.write_u8((cpu.regs[rd] + imm) & M,
-                                 cpu.regs[rs] & 0xFF)
-                cpu.pc = npc
-            return body
-
-        # -- two-address ALU (dst also the left operand) -----------------
-        if op in _FAST_ALU:
-            if op == "add":
-                def compute(a, b):
-                    return (a + b) & M
-            elif op == "sub":
-                def compute(a, b):
-                    return (a - b) & M
-            elif op == "muls":
-                def compute(a, b):
-                    return (to_i32(a) * to_i32(b)) & M
-            elif op == "and":
-                def compute(a, b):
-                    return a & b
-            elif op == "or":
-                def compute(a, b):
-                    return a | b
-            elif op == "eor":
-                def compute(a, b):
-                    return a ^ b
-            elif op == "lsl":
-                def compute(a, b):
-                    return (a << (b & 31)) & M
-            elif op == "lsr":
-                def compute(a, b):
-                    return a >> (b & 31)
-            else:  # asr
-                def compute(a, b):
-                    return (to_i32(a) >> (b & 31)) & M
-
-            def body(cpu):
-                regs = cpu.regs
-                regs[rd] = compute(regs[rd], regs[rs])
-                cpu.pc = npc
-            return body
-        if op == "not":
-            def body(cpu):
-                cpu.regs[rd] = ~cpu.regs[rd] & M
-                cpu.pc = npc
-            return body
-        if op == "neg":
-            def body(cpu):
-                cpu.regs[rd] = -cpu.regs[rd] & M
-                cpu.pc = npc
-            return body
-        if op in ("lsli", "lsri", "asri"):
-            sh = imm & 31
-            if op == "lsli":
-                def body(cpu):
-                    cpu.regs[rd] = (cpu.regs[rd] << sh) & M
-                    cpu.pc = npc
-            elif op == "lsri":
-                def body(cpu):
-                    cpu.regs[rd] = cpu.regs[rd] >> sh
-                    cpu.pc = npc
-            else:
-                def body(cpu):
-                    cpu.regs[rd] = (to_i32(cpu.regs[rd]) >> sh) & M
-                    cpu.pc = npc
-            return body
-
-        # -- condition codes ---------------------------------------------
-        if op == "cmp":
-            def body(cpu):
-                regs = cpu.regs
-                cpu.set_cc(regs[rd], regs[rs])
-                cpu.pc = npc
-            return body
-        if op == "tst":
-            def body(cpu):
-                cpu.set_cc(cpu.regs[rd], 0)
-                cpu.pc = npc
-            return body
-        if op == "bra":
-            taken = (pc + insn.size + imm) & M
-
-            def body(cpu):
-                cpu.pc = taken
-            return body
-        if op in _CC_BRANCHES:
-            taken = (pc + insn.size + imm) & M
-            test = _CC_FUNCS[op[1:]]
-
-            def body(cpu):
-                cpu.pc = taken if test(cpu) else npc
-            return body
-        if op in _CC_SETS:
-            test = _CC_FUNCS[op[1:]]
-
-            def body(cpu):
-                cpu.regs[rd] = 1 if test(cpu) else 0
-                cpu.pc = npc
-            return body
-
-        # -- stack and calls ---------------------------------------------
-        if op == "push":
-            def body(cpu):
-                regs = cpu.regs
-                sp = (regs[REG_SP] - 4) & M
-                regs[REG_SP] = sp
-                cpu.mem.write_u32(sp, regs[rs])
-                cpu.pc = npc
-            return body
-        if op == "pop":
-            def body(cpu):
-                regs = cpu.regs
-                sp = regs[REG_SP]
-                value = cpu.mem.read_u32(sp)
-                regs[rd] = value
-                regs[REG_SP] = (sp + 4) & M
-                cpu.pc = npc
-            return body
-        if op == "link":
-            size = imm or 0
-
-            def body(cpu):
-                regs = cpu.regs
-                sp = (regs[REG_SP] - 4) & M
-                cpu.mem.write_u32(sp, regs[REG_FP])
-                regs[REG_FP] = sp
-                regs[REG_SP] = (sp - size) & M
-                cpu.pc = npc
-            return body
-        if op == "unlk":
-            def body(cpu):
-                regs = cpu.regs
-                fp = regs[REG_FP]
-                regs[REG_SP] = (fp + 4) & M
-                regs[REG_FP] = cpu.mem.read_u32(fp)
-                cpu.pc = npc
-            return body
-        if op == "jsr":
-            target = insn.target & M
-
-            def body(cpu):
-                regs = cpu.regs
-                sp = (regs[REG_SP] - 4) & M
-                regs[REG_SP] = sp
-                cpu.mem.write_u32(sp, npc)
-                cpu.pc = target
-            return body
-        if op == "jsrr":
-            def body(cpu):
-                regs = cpu.regs
-                sp = (regs[REG_SP] - 4) & M
-                regs[REG_SP] = sp
-                cpu.mem.write_u32(sp, npc)
-                cpu.pc = regs[rs]
-            return body
-        if op == "rts":
-            def body(cpu):
-                regs = cpu.regs
-                sp = regs[REG_SP]
-                target = cpu.mem.read_u32(sp)
-                regs[REG_SP] = (sp + 4) & M
-                cpu.pc = target
-            return body
-
-        return None  # divisions, floats: the generic execute path
+        """The op's fragment (see :data:`_FRAGMENTS`) and its operands;
+        division and float ops fall back to :meth:`execute`."""
+        entry = _FRAGMENTS.get(insn.op)
+        if entry is None:
+            return None
+        return entry[0], entry[1](insn, pc)
 
     # -- execution ---------------------------------------------------------
 

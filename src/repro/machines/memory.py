@@ -10,7 +10,7 @@ the nub catches.
 from __future__ import annotations
 
 import struct
-from typing import Dict, List, Set, Union
+from typing import Dict, List, Set, Tuple, Union
 
 from . import float80
 
@@ -27,6 +27,18 @@ class MemoryFault(Exception):
 #: copy-on-write granularity for memory snapshots
 PAGE = 4096
 _PAGE_SHIFT = 12
+
+#: the integer codecs block code reads and writes with, per byte order:
+#: unpack 16/32 unsigned/signed, pack 16/32
+_CODECS = {
+    order: tuple(getattr(struct.Struct(prefix + code), method)
+                 for code, method in (("H", "unpack_from"),
+                                      ("h", "unpack_from"),
+                                      ("I", "unpack_from"),
+                                      ("i", "unpack_from"),
+                                      ("H", "pack_into"),
+                                      ("I", "pack_into")))
+    for order, prefix in (("big", ">"), ("little", "<"))}
 
 
 class MemorySnapshot:
@@ -66,9 +78,13 @@ class TargetMemory:
     def __init__(self, size: int = 1 << 20, byteorder: str = "little"):
         if byteorder not in ("big", "little"):
             raise ValueError("byteorder must be 'big' or 'little'")
+        # ``bytes``, ``size``, ``_snapshots`` and ``_write_hooks`` are
+        # never rebound: a block factory binds them once
+        # (:data:`FRAGMENT_BINDINGS`)
         self.size = size
         self.byteorder = byteorder
         self.bytes = bytearray(size)
+        self._codecs = _CODECS[byteorder]
         #: live snapshots still owed copy-on-write page captures,
         #: oldest first
         self._snapshots: List[MemorySnapshot] = []
@@ -298,3 +314,69 @@ class TargetMemory:
             self.write_f80(address, float(value))
         else:
             raise ValueError("unknown kind %r" % kind)
+
+
+# -- the same rules as block-engine source ----------------------------------
+#
+# The block engine (engine.py) runs a basic block as one generated function
+# whose body is its instructions' own source, and the loads and stores in
+# it come from the two builders below.  So ``_check``'s bounds rule and
+# ``write_int``'s copy-on-write capture and write hooks are stated here
+# twice, as code and as source, and nowhere else.  The lines use the names
+# a block factory binds from its memory ``mem``; ``addr`` must name an
+# unsigned 32-bit address (every ISA masks its effective addresses), for
+# which ``address < 0`` cannot hold.
+
+#: the bindings the lines below rely on, run once per block factory
+FRAGMENT_BINDINGS = (
+    "data = mem.bytes",
+    "size = mem.size",
+    "snapshots = mem._snapshots",
+    "hooks = mem._write_hooks",
+    "u16, s16, u32, s32, p16, p32 = mem._codecs",
+)
+
+
+#: a line every store below holds, and no other source does
+STORE_MARK = "for hook in hooks:"
+
+
+def _check_source(addr: str, size: int) -> str:
+    return "if %s + %d > size: raise MemoryFault(%s, %d)" % (
+        addr, size, addr, size)
+
+
+def load_source(addr: str, size: int, signed: bool = False
+                ) -> Tuple[str, str]:
+    """``(check, value)``: a statement that faults as ``_check`` would,
+    and the expression ``read_uint`` (``read_int`` if ``signed``) then
+    reads, for a ``size`` of 1, 2 or 4."""
+    if size == 1:
+        value = "((data[%s] ^ 128) - 128)" if signed else "data[%s]"
+        value %= addr
+    else:
+        codec = "%s%d" % ("s" if signed else "u", size * 8)
+        value = "%s(data, %s)[0]" % (codec, addr)
+    return _check_source(addr, size), value
+
+
+def store_source(addr: str, size: int, value: str) -> List[str]:
+    """The statements of ``write_int(addr, size, value)`` for a
+    ``size`` of 1, 2 or 4; ``value`` is evaluated last, so it must not
+    fault or change state."""
+    # an integer spans at most two pages: held ones owe no capture
+    held = "%s >> %d in mem._held" % (addr, _PAGE_SHIFT)
+    if size > 1:
+        held += " and (%s + %d) >> %d in mem._held" % (
+            addr, size - 1, _PAGE_SHIFT)
+    mask = (1 << (size * 8)) - 1
+    if size == 1:
+        put = "data[%s] = (%s) & 0xFF" % (addr, value)
+    else:
+        put = "p%d(data, %s, (%s) & 0x%X)" % (size * 8, addr, value, mask)
+    return [_check_source(addr, size),
+            "if snapshots and not (%s):" % held,
+            "    mem._capture(%s, %d)" % (addr, size),
+            put,
+            STORE_MARK,
+            "    hook(%s, %d)" % (addr, size)]

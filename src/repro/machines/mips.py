@@ -24,6 +24,7 @@ import math
 
 from .isa import (
     Arch,
+    Fragment,
     Insn,
     SIGFPE,
     SIGILL,
@@ -33,6 +34,7 @@ from .isa import (
     to_i32,
     to_u32,
 )
+from .memory import load_source, store_source
 
 # Opcode assignments.  I/R/J below indicates the format.
 _OPS = {
@@ -71,11 +73,6 @@ _I_OPS = frozenset([
     "lwc1", "swc1", "ldc1", "sdc1",
 ])
 _LOADS = ("lw", "lh", "lhu", "lb", "lbu")
-_ALU_OPS = frozenset([
-    "lui", "ori", "addi", "add", "sub", "mul", "div", "rem", "divu", "remu",
-    "and", "or", "xor", "nor", "sll", "srl", "sra", "slli", "srli", "srai",
-    "slt", "sltu", "seq", "sne",
-])
 
 REG_ZERO = 0
 REG_AT = 1       # assembler temporary
@@ -87,6 +84,149 @@ TEMP_REGS = tuple(range(8, 16))      # caller-trashed evaluation registers
 SAVED_REGS = tuple(range(16, 24))    # callee-saved (register variables)
 FTEMP_REGS = tuple(range(2, 8))
 FRET_REG = 0
+
+
+# -- fragments: each op's execute semantics as block-engine source ------------
+#
+# Registers hold unsigned 32-bit values, so ``to_i32`` of one is a sign-bit
+# flip, and the low word of a product is the same signed or unsigned.
+
+
+def _signed(field: str) -> str:
+    return "((regs[{%s}] ^ 0x80000000) - 0x80000000)" % field
+
+
+def _alu(op, value, fields, check=(), compute=()):
+    """``rd = value``, and its zero-register variant, which keeps only
+    ``check`` (the div fault)."""
+    return (Fragment(op, list(check) + list(compute)
+                     + ["regs[{rd}] = " + value], ("rd",) + fields,
+                     wrote="{rd}"),
+            Fragment(op + " r0", list(check), fields))
+
+
+_RR = ("rs", "rt")
+_SIGNED_DIVISOR = ["b = " + _signed("rt"), "if not b:",
+                   "    raise TargetFault(SIGFPE, code=0, address={pc})"]
+_DIVISOR = ["if not regs[{rt}]:",
+            "    raise TargetFault(SIGFPE, code=0, address={pc})"]
+
+
+def _rr(insn, pc):
+    return insn.rs, insn.rt
+
+
+_FRAGMENTS = {}
+for _op, _value in (
+        ("add", "(regs[{rs}] + regs[{rt}]) & 0xFFFFFFFF"),
+        ("sub", "(regs[{rs}] - regs[{rt}]) & 0xFFFFFFFF"),
+        ("mul", "(regs[{rs}] * regs[{rt}]) & 0xFFFFFFFF"),
+        ("and", "regs[{rs}] & regs[{rt}]"),
+        ("or", "regs[{rs}] | regs[{rt}]"),
+        ("xor", "regs[{rs}] ^ regs[{rt}]"),
+        ("nor", "~(regs[{rs}] | regs[{rt}]) & 0xFFFFFFFF"),
+        ("sll", "(regs[{rs}] << (regs[{rt}] & 31)) & 0xFFFFFFFF"),
+        ("srl", "regs[{rs}] >> (regs[{rt}] & 31)"),
+        ("sra", "(%s >> (regs[{rt}] & 31)) & 0xFFFFFFFF" % _signed("rs")),
+        ("slt", "1 if (regs[{rs}] ^ 0x80000000) < "
+                "(regs[{rt}] ^ 0x80000000) else 0"),
+        ("sltu", "1 if regs[{rs}] < regs[{rt}] else 0"),
+        ("seq", "1 if regs[{rs}] == regs[{rt}] else 0"),
+        ("sne", "1 if regs[{rs}] != regs[{rt}] else 0")):
+    _FRAGMENTS[_op] = _alu(_op, _value, _RR) + (_rr,)
+_FRAGMENTS["div"] = _alu(
+    "div", "(-q if (a < 0) != (b < 0) else q) & 0xFFFFFFFF", _RR,
+    _SIGNED_DIVISOR, ["a = " + _signed("rs"), "q = abs(a) // abs(b)"]) + (_rr,)
+_FRAGMENTS["rem"] = _alu(
+    "rem", "(-r if a < 0 else r) & 0xFFFFFFFF", _RR,
+    _SIGNED_DIVISOR, ["a = " + _signed("rs"), "r = abs(a) % abs(b)"]) + (_rr,)
+_FRAGMENTS["divu"] = _alu("divu", "regs[{rs}] // regs[{rt}]", _RR,
+                          _DIVISOR) + (_rr,)
+_FRAGMENTS["remu"] = _alu("remu", "regs[{rs}] % regs[{rt}]", _RR,
+                          _DIVISOR) + (_rr,)
+_FRAGMENTS["lui"] = _alu("lui", "{val}", ("val",)) + (
+    lambda insn, pc: ((insn.imm & 0xFFFF) << 16,),)
+_FRAGMENTS["ori"] = _alu("ori", "regs[{rs}] | {iv}", ("rs", "iv")) + (
+    lambda insn, pc: (insn.rs, insn.imm & 0xFFFF),)
+_FRAGMENTS["addi"] = _alu(
+    "addi", "(regs[{rs}] + {imm}) & 0xFFFFFFFF", ("rs", "imm")) + (
+    lambda insn, pc: (insn.rs, insn.imm),)
+for _op, _value in (
+        ("slli", "(regs[{rs}] << {sh}) & 0xFFFFFFFF"),
+        ("srli", "regs[{rs}] >> {sh}"),
+        ("srai", "(%s >> {sh}) & 0xFFFFFFFF" % _signed("rs"))):
+    _FRAGMENTS[_op] = _alu(_op, _value, ("rs", "sh")) + (
+        lambda insn, pc: (insn.rs, insn.imm & 31),)
+
+
+def _memory(insn, pc):
+    return insn.rd, insn.rs, insn.imm
+
+
+_ADDRESS = "a = (regs[{rs}] + {imm}) & 0xFFFFFFFF"
+# loads: the result lands in the delay slot
+for _op, _size, _signed_load in (("lw", 4, False), ("lh", 2, True),
+                                 ("lhu", 2, False), ("lb", 1, True),
+                                 ("lbu", 1, False)):
+    _check, _value = load_source("a", _size, _signed_load)
+    if _signed_load:
+        _value += " & 0xFFFFFFFF"
+    _FRAGMENTS[_op] = (Fragment(
+        _op, [_ADDRESS, _check, "cpu._pending_load = ({rd}, %s)" % _value],
+        ("rd", "rs", "imm"), loads=True), None, _memory)
+for _op, _size in (("sw", 4), ("sh", 2), ("sb", 1)):
+    _FRAGMENTS[_op] = (Fragment(
+        _op, [_ADDRESS] + store_source("a", _size, "regs[{rd}]"),
+        ("rd", "rs", "imm")), None, _memory)
+
+# control transfers
+for _op, _test in (
+        ("beq", "regs[{rd}] == regs[{rs}]"),
+        ("bne", "regs[{rd}] != regs[{rs}]"),
+        ("blez", "regs[{rd}] == 0 or regs[{rd}] >= 0x80000000"),
+        ("bgtz", "0 < regs[{rd}] < 0x80000000"),
+        ("bltz", "regs[{rd}] >= 0x80000000"),
+        ("bgez", "regs[{rd}] < 0x80000000")):
+    _FRAGMENTS[_op] = (Fragment(
+        _op, "cpu.pc = {taken} if %s else {npc}" % _test,
+        ("rd", "rs", "taken"), jumps=True), None,
+        lambda insn, pc: (insn.rd, insn.rs,
+                          (pc + 4 + (insn.imm << 2)) & 0xFFFFFFFF))
+
+
+def _target(insn, pc):
+    return (insn.target & 0xFFFFFFFF,)
+
+
+def _rs(insn, pc):
+    return (insn.rs,)
+
+
+def _code(insn, pc):
+    return (insn.imm or 0,)
+
+
+_FRAGMENTS.update({
+    "nop": (Fragment("nop", ""), None, lambda insn, pc: ()),
+    "break": (Fragment(
+        "break", "raise TargetFault(SIGTRAP, code={code}, address={pc})",
+        ("code",), jumps=True), None, _code),
+    "syscall": (Fragment("syscall", "cpu.syscall({code})", ("code",),
+                         calls=True), None, _code),
+    "j": (Fragment("j", "cpu.pc = {target}", ("target",), jumps=True),
+          None, _target),
+    "jal": (Fragment("jal", ["regs[%d] = {npc}" % REG_RA,
+                             "cpu.pc = {target}"],
+                     ("target",), jumps=True, wrote=str(REG_RA)),
+            None, _target),
+    "jr": (Fragment("jr", "cpu.pc = regs[{rs}]", ("rs",), jumps=True),
+           None, _rs),
+    # execute writes ra before reading rs: jalr through ra jumps to the
+    # *new* value; keep that order
+    "jalr": (Fragment("jalr", ["regs[%d] = {npc}" % REG_RA,
+                              "cpu.pc = regs[{rs}]"],
+                      ("rs",), jumps=True, wrote=str(REG_RA)), None, _rs),
+})
 
 
 class RMipsArch(Arch):
@@ -171,9 +311,6 @@ class RMipsArch(Arch):
     def insn_length(self, insn: Insn) -> int:
         return 4
 
-    def loads(self):
-        return _LOADS
-
     # -- block dispatch ----------------------------------------------------
 
     block_enders = frozenset([
@@ -182,256 +319,22 @@ class RMipsArch(Arch):
         "j", "jal", "jr", "jalr",
     ])
 
-    mem_write_ops = frozenset(["sw", "sh", "sb", "swc1", "sdc1", "syscall"])
-
     def compile_insn(self, insn: Insn, pc: int):
-        """Prebuilt execute bodies for the hot integer subset.
-
-        Operand fields and the next pc are baked in as locals at
-        compile time; each body replicates :meth:`execute` for its op
-        exactly (masking, zero-register suppression, ``_wrote_reg``
-        tracking, fault addresses, evaluation order).  Float and
-        conversion ops fall back to :meth:`execute`.
-        """
-        op = insn.op
-        rd = insn.rd
-        rs = insn.rs
-        imm = insn.imm
-        M = 0xFFFFFFFF
-        npc = (pc + 4) & M
-
-        if op == "nop":
-            def body(cpu):
-                cpu.pc = npc
-            return body
-
-        if op == "break":
-            code = imm or 0
-
-            def body(cpu):
-                raise TargetFault(SIGTRAP, code=code, address=pc)
-            return body
-
-        if op == "syscall":
-            code = imm or 0
-
-            def body(cpu):
-                cpu.syscall(code)
-                cpu.pc = npc
-            return body
-
-        # -- ALU: result into rd (r0 is hardwired zero) ------------------
-        if op in _ALU_OPS:
-            rt = insn.rt
-            if op == "lui":
-                val = ((imm & 0xFFFF) << 16) & M
-
-                def compute(regs):
-                    return val
-            elif op == "ori":
-                iv = imm & 0xFFFF
-
-                def compute(regs):
-                    return regs[rs] | iv
-            elif op == "addi":
-                def compute(regs):
-                    return (regs[rs] + imm) & M
-            elif op == "add":
-                def compute(regs):
-                    return (regs[rs] + regs[rt]) & M
-            elif op == "sub":
-                def compute(regs):
-                    return (regs[rs] - regs[rt]) & M
-            elif op == "mul":
-                def compute(regs):
-                    return (to_i32(regs[rs]) * to_i32(regs[rt])) & M
-            elif op == "div":
-                def compute(regs):
-                    divisor = to_i32(regs[rt])
-                    if divisor == 0:
-                        raise TargetFault(SIGFPE, code=0, address=pc)
-                    return _tdiv(to_i32(regs[rs]), divisor) & M
-            elif op == "rem":
-                def compute(regs):
-                    divisor = to_i32(regs[rt])
-                    if divisor == 0:
-                        raise TargetFault(SIGFPE, code=0, address=pc)
-                    return _trem(to_i32(regs[rs]), divisor) & M
-            elif op == "divu":
-                def compute(regs):
-                    if regs[rt] == 0:
-                        raise TargetFault(SIGFPE, code=0, address=pc)
-                    return regs[rs] // regs[rt]
-            elif op == "remu":
-                def compute(regs):
-                    if regs[rt] == 0:
-                        raise TargetFault(SIGFPE, code=0, address=pc)
-                    return regs[rs] % regs[rt]
-            elif op == "and":
-                def compute(regs):
-                    return regs[rs] & regs[rt]
-            elif op == "or":
-                def compute(regs):
-                    return regs[rs] | regs[rt]
-            elif op == "xor":
-                def compute(regs):
-                    return regs[rs] ^ regs[rt]
-            elif op == "nor":
-                def compute(regs):
-                    return ~(regs[rs] | regs[rt]) & M
-            elif op == "sll":
-                def compute(regs):
-                    return (regs[rs] << (regs[rt] & 31)) & M
-            elif op == "srl":
-                def compute(regs):
-                    return regs[rs] >> (regs[rt] & 31)
-            elif op == "sra":
-                def compute(regs):
-                    return (to_i32(regs[rs]) >> (regs[rt] & 31)) & M
-            elif op == "slli":
-                sh = imm & 31
-
-                def compute(regs):
-                    return (regs[rs] << sh) & M
-            elif op == "srli":
-                sh = imm & 31
-
-                def compute(regs):
-                    return regs[rs] >> sh
-            elif op == "srai":
-                sh = imm & 31
-
-                def compute(regs):
-                    return (to_i32(regs[rs]) >> sh) & M
-            elif op == "slt":
-                def compute(regs):
-                    return int(to_i32(regs[rs]) < to_i32(regs[rt]))
-            elif op == "sltu":
-                def compute(regs):
-                    return int(regs[rs] < regs[rt])
-            elif op == "seq":
-                def compute(regs):
-                    return int(regs[rs] == regs[rt])
-            else:  # sne
-                def compute(regs):
-                    return int(regs[rs] != regs[rt])
-
-            if rd == 0:
-                # the hardwired zero register: side effects (the div
-                # fault check) still happen, the write vanishes and
-                # _wrote_reg stays clear, exactly like set_reg
-                def body(cpu):
-                    compute(cpu.regs)
-                    cpu.pc = npc
-            else:
-                def body(cpu):
-                    cpu.regs[rd] = compute(cpu.regs)
-                    cpu._wrote_reg = rd
-                    cpu.pc = npc
-            return body
-
-        # -- loads: the result lands in the delay slot -------------------
-        if op in _LOADS:
-            if op == "lw":
-                def body(cpu):
-                    cpu._pending_load = (
-                        rd, cpu.mem.read_u32((cpu.regs[rs] + imm) & M))
-                    cpu.pc = npc
-            elif op == "lh":
-                def body(cpu):
-                    cpu._pending_load = (
-                        rd, cpu.mem.read_i16((cpu.regs[rs] + imm) & M) & M)
-                    cpu.pc = npc
-            elif op == "lhu":
-                def body(cpu):
-                    cpu._pending_load = (
-                        rd, cpu.mem.read_u16((cpu.regs[rs] + imm) & M))
-                    cpu.pc = npc
-            elif op == "lb":
-                def body(cpu):
-                    cpu._pending_load = (
-                        rd, cpu.mem.read_i8((cpu.regs[rs] + imm) & M) & M)
-                    cpu.pc = npc
-            else:  # lbu
-                def body(cpu):
-                    cpu._pending_load = (
-                        rd, cpu.mem.read_u8((cpu.regs[rs] + imm) & M))
-                    cpu.pc = npc
-            return body
-
-        if op == "sw":
-            def body(cpu):
-                cpu.mem.write_u32((cpu.regs[rs] + imm) & M, cpu.regs[rd])
-                cpu.pc = npc
-            return body
-        if op == "sh":
-            def body(cpu):
-                cpu.mem.write_u16((cpu.regs[rs] + imm) & M,
-                                  cpu.regs[rd] & 0xFFFF)
-                cpu.pc = npc
-            return body
-        if op == "sb":
-            def body(cpu):
-                cpu.mem.write_u8((cpu.regs[rs] + imm) & M,
-                                 cpu.regs[rd] & 0xFF)
-                cpu.pc = npc
-            return body
-
-        # -- control transfers -------------------------------------------
-        if op in ("beq", "bne", "blez", "bgtz", "bltz", "bgez"):
-            taken = (pc + 4 + (imm << 2)) & M
-            if op == "beq":
-                def body(cpu):
-                    regs = cpu.regs
-                    cpu.pc = taken if regs[rd] == regs[rs] else npc
-            elif op == "bne":
-                def body(cpu):
-                    regs = cpu.regs
-                    cpu.pc = taken if regs[rd] != regs[rs] else npc
-            elif op == "blez":
-                def body(cpu):
-                    v = cpu.regs[rd]
-                    cpu.pc = taken if (v == 0 or v >= 0x80000000) else npc
-            elif op == "bgtz":
-                def body(cpu):
-                    v = cpu.regs[rd]
-                    cpu.pc = taken if 0 < v < 0x80000000 else npc
-            elif op == "bltz":
-                def body(cpu):
-                    cpu.pc = taken if cpu.regs[rd] >= 0x80000000 else npc
-            else:  # bgez
-                def body(cpu):
-                    cpu.pc = taken if cpu.regs[rd] < 0x80000000 else npc
-            return body
-
-        if op == "j":
-            target = insn.target & M
-
-            def body(cpu):
-                cpu.pc = target
-            return body
-        if op == "jal":
-            target = insn.target & M
-
-            def body(cpu):
-                cpu.regs[REG_RA] = npc
-                cpu._wrote_reg = REG_RA
-                cpu.pc = target
-            return body
-        if op == "jr":
-            def body(cpu):
-                cpu.pc = cpu.regs[rs]
-            return body
-        if op == "jalr":
-            def body(cpu):
-                # execute writes ra before reading rs: jalr through ra
-                # jumps to the *new* value; keep that order
-                cpu.regs[REG_RA] = npc
-                cpu._wrote_reg = REG_RA
-                cpu.pc = cpu.regs[rs]
-            return body
-
-        return None  # float/conversion ops: the generic execute path
+        """The op's fragment (see :data:`_FRAGMENTS`) and its operands;
+        float and conversion ops fall back to :meth:`execute`."""
+        entry = _FRAGMENTS.get(insn.op)
+        if entry is None:
+            return None
+        frag, zero_frag, operands = entry
+        values = operands(insn, pc)
+        if zero_frag is None:
+            return frag, values
+        # the hardwired zero register: side effects (the div fault
+        # check) still happen, the write vanishes and _wrote_reg stays
+        # clear, exactly like set_reg
+        if insn.rd == 0:
+            return zero_frag, values
+        return frag, (insn.rd,) + values
 
     # -- execution ---------------------------------------------------------
 

@@ -19,6 +19,7 @@ import math
 
 from .isa import (
     Arch,
+    Fragment,
     Insn,
     SIGFPE,
     SIGILL,
@@ -27,6 +28,7 @@ from .isa import (
     to_i32,
     to_u32,
 )
+from .memory import load_source, store_source
 
 _OPS = {
     "nop": 0, "break": 1, "syscall": 2,
@@ -51,8 +53,6 @@ _OPS = {
 _OP_NAMES = {number: name for name, number in _OPS.items()}
 
 _BRANCHES = frozenset(["beq", "bne", "blez", "bgtz", "bltz", "bgez"])
-_FAST_ALU = frozenset(["add", "sub", "smul", "and", "or", "xor",
-                       "sll", "srl", "sra", "slt", "sltu", "seq", "sne"])
 _MEM_OPS = frozenset(["ld", "ldsb", "ldub", "ldsh", "lduh", "st", "stb", "sth",
                       "ldf", "lddf", "stf", "stdf"])
 
@@ -65,6 +65,107 @@ ARG_REGS = (8, 9, 10, 11, 12, 13)
 TEMP_REGS = tuple(range(16, 24))  # l0..l7, caller-trashed here
 FTEMP_REGS = tuple(range(2, 8))
 FRET_REG = 0
+
+
+# -- fragments: each op's execute semantics as block-engine source ------------
+#
+# Registers hold unsigned 32-bit values, so ``to_i32`` of one is a sign-bit
+# flip, and the low word of a product is the same signed or unsigned.
+
+_SIGNED_RS = "((regs[{rs}] ^ 0x80000000) - 0x80000000)"
+
+#: ALU op -> (immediate form, register form, the immediate's value from
+#: the masked simm13); ``B`` stands for the second operand
+_ALU = {}
+for _op, _value, _imm in (
+        ("add", "(regs[{rs}] + B) & 0xFFFFFFFF", None),
+        ("sub", "(regs[{rs}] - B) & 0xFFFFFFFF", None),
+        ("smul", "(regs[{rs}] * B) & 0xFFFFFFFF", None),
+        ("and", "(regs[{rs}] & B) & 0xFFFFFFFF", None),
+        ("or", "(regs[{rs}] | B) & 0xFFFFFFFF", None),
+        ("xor", "(regs[{rs}] ^ B) & 0xFFFFFFFF", None),
+        ("sll", "(regs[{rs}] << (B & 31)) & 0xFFFFFFFF", None),
+        ("srl", "regs[{rs}] >> (B & 31)", None),
+        ("sra", "(%s >> (B & 31)) & 0xFFFFFFFF" % _SIGNED_RS, None),
+        ("slt", "1 if %s < B else 0" % _SIGNED_RS, to_i32),
+        ("sltu", "1 if regs[{rs}] < B else 0", to_u32),
+        ("seq", "1 if regs[{rs}] == B else 0", to_u32),
+        ("sne", "1 if regs[{rs}] != B else 0", to_u32)):
+    _register = _value.replace("B", "regs[{rt}]")
+    if _op == "slt":
+        _register = ("1 if (regs[{rs}] ^ 0x80000000) < "
+                     "(regs[{rt}] ^ 0x80000000) else 0")
+    _ALU[_op] = (
+        Fragment(_op + " imm", "regs[{rd}] = " + _value.replace("B", "{b}"),
+                 ("rd", "rs", "b")),
+        Fragment(_op, "regs[{rd}] = " + _register, ("rd", "rs", "rt")),
+        _imm or (lambda b: b))
+
+_NOP = Fragment("nop", "")
+
+
+def _memory(insn, pc):
+    return insn.rd, insn.rs, insn.imm or 0
+
+
+_ADDRESS = "a = (regs[{rs}] + {disp}) & 0xFFFFFFFF"
+_FRAGMENTS = {}
+#: op -> its form with g0 as the destination, whose write vanishes: a
+#: load still reads (and may fault)
+_ZERO_FORMS = {"sethi": Fragment("sethi g0", "", ("rd", "val"))}
+for _op, _size, _signed in (("ld", 4, False), ("ldsb", 1, True),
+                            ("ldub", 1, False), ("ldsh", 2, True),
+                            ("lduh", 2, False)):
+    _check, _value = load_source("a", _size, _signed)
+    if _signed:
+        _value += " & 0xFFFFFFFF"
+    _FRAGMENTS[_op] = (Fragment(
+        _op, [_ADDRESS, _check, "regs[{rd}] = " + _value],
+        ("rd", "rs", "disp")), _memory)
+    _ZERO_FORMS[_op] = Fragment(_op + " g0", [_ADDRESS, _check],
+                                ("rd", "rs", "disp"))
+for _op, _size in (("st", 4), ("stb", 1), ("sth", 2)):
+    _FRAGMENTS[_op] = (Fragment(
+        _op, [_ADDRESS] + store_source("a", _size, "regs[{rd}]"),
+        ("rd", "rs", "disp")), _memory)
+
+# control transfers
+for _op, _test in (
+        ("beq", "regs[{rd}] == regs[{rs}]"),
+        ("bne", "regs[{rd}] != regs[{rs}]"),
+        ("blez", "regs[{rd}] == 0 or regs[{rd}] >= 0x80000000"),
+        ("bgtz", "0 < regs[{rd}] < 0x80000000"),
+        ("bltz", "regs[{rd}] >= 0x80000000"),
+        ("bgez", "regs[{rd}] < 0x80000000")):
+    _FRAGMENTS[_op] = (Fragment(
+        _op, "cpu.pc = {taken} if %s else {npc}" % _test,
+        ("rd", "rs", "taken"), jumps=True),
+        lambda insn, pc: (insn.rd, insn.rs,
+                          (pc + 4 + ((insn.imm or 0) << 2)) & 0xFFFFFFFF))
+
+_FRAGMENTS.update({
+    "nop": (_NOP, lambda insn, pc: ()),
+    "break": (Fragment(
+        "break", "raise TargetFault(SIGTRAP, code=0, address={pc})",
+        jumps=True), lambda insn, pc: ()),
+    "syscall": (Fragment("syscall", "cpu.syscall({code})", ("code",),
+                         calls=True),
+                lambda insn, pc: (insn.imm or 0,)),
+    "sethi": (Fragment("sethi", "regs[{rd}] = {val}", ("rd", "val")),
+              lambda insn, pc: (insn.rd,
+                                ((insn.imm & 0x7FFFF) << 13) & 0xFFFFFFFF)),
+    "call": (Fragment("call", ["regs[%d] = {npc}" % REG_RA,
+                               "cpu.pc = {target}"],
+                      ("target",), jumps=True),
+             lambda insn, pc: (insn.target & 0xFFFFFFFF,)),
+    "callr": (Fragment("callr", ["regs[%d] = {npc}" % REG_RA,
+                                 "cpu.pc = regs[{rs}]"],
+                       ("rs",), jumps=True),
+              lambda insn, pc: (insn.rs,)),
+    "jmpl": (Fragment("jmpl", "cpu.pc = (regs[{rs}] + {disp}) & 0xFFFFFFFF",
+                      ("rs", "disp"), jumps=True),
+             lambda insn, pc: (insn.rs, insn.imm or 0)),
+})
 
 
 class RSparcArch(Arch):
@@ -150,298 +251,26 @@ class RSparcArch(Arch):
         "call", "callr", "jmpl",
     ])
 
-    mem_write_ops = frozenset(["st", "stb", "sth", "stf", "stdf", "syscall"])
-
     def compile_insn(self, insn: Insn, pc: int):
-        """Prebuilt execute bodies for the hot integer subset; float
-        and division ops fall back to :meth:`execute`."""
+        """The op's fragment (see :data:`_FRAGMENTS`) and its operands;
+        float and division ops fall back to :meth:`execute`."""
         op = insn.op
-        rd = insn.rd
-        rs = insn.rs
-        rt = insn.rt
-        imm = insn.imm
-        M = 0xFFFFFFFF
-        npc = (pc + 4) & M
-
-        if op == "nop":
-            def body(cpu):
-                cpu.pc = npc
-            return body
-
-        if op == "break":
-            def body(cpu):
-                raise TargetFault(SIGTRAP, code=0, address=pc)
-            return body
-
-        if op == "syscall":
-            code = imm or 0
-
-            def body(cpu):
-                cpu.syscall(code)
-                cpu.pc = npc
-            return body
-
-        if op == "sethi":
-            val = ((imm & 0x7FFFF) << 13) & M
-            if rd == 0:
-                def body(cpu):
-                    cpu.pc = npc
-            else:
-                def body(cpu):
-                    cpu.regs[rd] = val
-                    cpu.pc = npc
-            return body
-
-        # -- ALU: a OP b into rd; b is rs2 or simm13 ---------------------
-        if op in _FAST_ALU:
+        if op in _ALU:
+            if insn.rd == 0:  # the hardwired zero register: the write vanishes
+                return _NOP, ()
+            if insn.imm is None:
+                return _ALU[op][1], (insn.rd, insn.rs, insn.rt)
             # _operand: a positive immediate is masked, a negative one
             # stays a negative python int (set_reg masks the result)
-            use_imm = imm is not None
-            bval = (imm & M if imm >= 0 else imm) if use_imm else 0
-
-            if rd != 0 and op in ("slt", "sltu", "seq", "sne"):
-                if use_imm:
-                    bm = bval & M
-                    bs = to_i32(bval)
-                    if op == "slt":
-                        def body(cpu):
-                            v = cpu.regs[rs]
-                            cpu.regs[rd] = \
-                                1 if (v - 0x100000000 if v >= 0x80000000
-                                      else v) < bs else 0
-                            cpu.pc = npc
-                    elif op == "sltu":
-                        def body(cpu):
-                            cpu.regs[rd] = 1 if cpu.regs[rs] < bm else 0
-                            cpu.pc = npc
-                    elif op == "seq":
-                        def body(cpu):
-                            cpu.regs[rd] = 1 if cpu.regs[rs] == bm else 0
-                            cpu.pc = npc
-                    else:
-                        def body(cpu):
-                            cpu.regs[rd] = 1 if cpu.regs[rs] != bm else 0
-                            cpu.pc = npc
-                else:
-                    if op == "slt":
-                        def body(cpu):
-                            regs = cpu.regs
-                            a = regs[rs]
-                            b = regs[rt]
-                            if a >= 0x80000000:
-                                a -= 0x100000000
-                            if b >= 0x80000000:
-                                b -= 0x100000000
-                            regs[rd] = 1 if a < b else 0
-                            cpu.pc = npc
-                    elif op == "sltu":
-                        def body(cpu):
-                            regs = cpu.regs
-                            regs[rd] = 1 if regs[rs] < regs[rt] else 0
-                            cpu.pc = npc
-                    elif op == "seq":
-                        def body(cpu):
-                            regs = cpu.regs
-                            regs[rd] = 1 if regs[rs] == regs[rt] else 0
-                            cpu.pc = npc
-                    else:
-                        def body(cpu):
-                            regs = cpu.regs
-                            regs[rd] = 1 if regs[rs] != regs[rt] else 0
-                            cpu.pc = npc
-                return body
-
-            # the hottest ops get fully fused bodies (no compute hop)
-            if rd != 0 and op in ("add", "sub", "or"):
-                if use_imm:
-                    if op == "add":
-                        def body(cpu):
-                            regs = cpu.regs
-                            regs[rd] = (regs[rs] + bval) & M
-                            cpu.pc = npc
-                    elif op == "sub":
-                        def body(cpu):
-                            regs = cpu.regs
-                            regs[rd] = (regs[rs] - bval) & M
-                            cpu.pc = npc
-                    else:
-                        def body(cpu):
-                            regs = cpu.regs
-                            regs[rd] = (regs[rs] | bval) & M
-                            cpu.pc = npc
-                else:
-                    if op == "add":
-                        def body(cpu):
-                            regs = cpu.regs
-                            regs[rd] = (regs[rs] + regs[rt]) & M
-                            cpu.pc = npc
-                    elif op == "sub":
-                        def body(cpu):
-                            regs = cpu.regs
-                            regs[rd] = (regs[rs] - regs[rt]) & M
-                            cpu.pc = npc
-                    else:
-                        def body(cpu):
-                            regs = cpu.regs
-                            regs[rd] = (regs[rs] | regs[rt]) & M
-                            cpu.pc = npc
-                return body
-
-            if op == "add":
-                def compute(regs, b):
-                    return (regs[rs] + b) & M
-            elif op == "sub":
-                def compute(regs, b):
-                    return (regs[rs] - b) & M
-            elif op == "smul":
-                def compute(regs, b):
-                    return (to_i32(regs[rs]) * to_i32(b)) & M
-            elif op == "and":
-                def compute(regs, b):
-                    return (regs[rs] & b) & M
-            elif op == "or":
-                def compute(regs, b):
-                    return (regs[rs] | b) & M
-            elif op == "xor":
-                def compute(regs, b):
-                    return (regs[rs] ^ b) & M
-            elif op == "sll":
-                def compute(regs, b):
-                    return (regs[rs] << (b & 31)) & M
-            elif op == "srl":
-                def compute(regs, b):
-                    return (regs[rs] & M) >> (b & 31)
-            elif op == "sra":
-                def compute(regs, b):
-                    return (to_i32(regs[rs]) >> (b & 31)) & M
-            elif op == "slt":
-                def compute(regs, b):
-                    return int(to_i32(regs[rs]) < to_i32(b))
-            elif op == "sltu":
-                def compute(regs, b):
-                    return int(regs[rs] < (b & M))
-            elif op == "seq":
-                def compute(regs, b):
-                    return int(regs[rs] == (b & M))
-            else:  # sne
-                def compute(regs, b):
-                    return int(regs[rs] != (b & M))
-
-            if rd == 0:  # the hardwired zero register: the write vanishes
-                def body(cpu):
-                    cpu.pc = npc
-            elif use_imm:
-                def body(cpu):
-                    cpu.regs[rd] = compute(cpu.regs, bval)
-                    cpu.pc = npc
-            else:
-                def body(cpu):
-                    regs = cpu.regs
-                    regs[rd] = compute(regs, regs[rt])
-                    cpu.pc = npc
-            return body
-
-        # -- memory (loads land immediately: no delay slot here) ---------
-        if op in ("ld", "ldsb", "ldub", "ldsh", "lduh"):
-            disp = imm or 0
-            if rd == 0:
-                # g0: the read (and any fault) happens, the write vanishes
-                reader = {"ld": "read_u32", "ldsb": "read_i8",
-                          "ldub": "read_u8", "ldsh": "read_i16",
-                          "lduh": "read_u16"}[op]
-
-                def body(cpu):
-                    getattr(cpu.mem, reader)((cpu.regs[rs] + disp) & M)
-                    cpu.pc = npc
-            elif op == "ld":
-                def body(cpu):
-                    cpu.regs[rd] = cpu.mem.read_u32((cpu.regs[rs] + disp) & M)
-                    cpu.pc = npc
-            elif op == "ldsb":
-                def body(cpu):
-                    cpu.regs[rd] = cpu.mem.read_i8(
-                        (cpu.regs[rs] + disp) & M) & M
-                    cpu.pc = npc
-            elif op == "ldub":
-                def body(cpu):
-                    cpu.regs[rd] = cpu.mem.read_u8((cpu.regs[rs] + disp) & M)
-                    cpu.pc = npc
-            elif op == "ldsh":
-                def body(cpu):
-                    cpu.regs[rd] = cpu.mem.read_i16(
-                        (cpu.regs[rs] + disp) & M) & M
-                    cpu.pc = npc
-            else:
-                def body(cpu):
-                    cpu.regs[rd] = cpu.mem.read_u16((cpu.regs[rs] + disp) & M)
-                    cpu.pc = npc
-            return body
-
-        if op in ("st", "stb", "sth"):
-            disp = imm or 0
-            if op == "st":
-                def body(cpu):
-                    cpu.mem.write_u32((cpu.regs[rs] + disp) & M, cpu.regs[rd])
-                    cpu.pc = npc
-            elif op == "stb":
-                def body(cpu):
-                    cpu.mem.write_u8((cpu.regs[rs] + disp) & M,
-                                     cpu.regs[rd] & 0xFF)
-                    cpu.pc = npc
-            else:
-                def body(cpu):
-                    cpu.mem.write_u16((cpu.regs[rs] + disp) & M,
-                                      cpu.regs[rd] & 0xFFFF)
-                    cpu.pc = npc
-            return body
-
-        # -- control transfers -------------------------------------------
-        if op in _BRANCHES:
-            taken = (pc + 4 + ((imm or 0) << 2)) & M
-            if op == "beq":
-                def body(cpu):
-                    regs = cpu.regs
-                    cpu.pc = taken if regs[rd] == regs[rs] else npc
-            elif op == "bne":
-                def body(cpu):
-                    regs = cpu.regs
-                    cpu.pc = taken if regs[rd] != regs[rs] else npc
-            elif op == "blez":
-                def body(cpu):
-                    v = cpu.regs[rd]
-                    cpu.pc = taken if (v == 0 or v >= 0x80000000) else npc
-            elif op == "bgtz":
-                def body(cpu):
-                    v = cpu.regs[rd]
-                    cpu.pc = taken if 0 < v < 0x80000000 else npc
-            elif op == "bltz":
-                def body(cpu):
-                    cpu.pc = taken if cpu.regs[rd] >= 0x80000000 else npc
-            else:  # bgez
-                def body(cpu):
-                    cpu.pc = taken if cpu.regs[rd] < 0x80000000 else npc
-            return body
-
-        if op == "call":
-            target = insn.target & M
-
-            def body(cpu):
-                cpu.regs[REG_RA] = npc
-                cpu.pc = target
-            return body
-        if op == "callr":
-            def body(cpu):
-                cpu.regs[REG_RA] = npc
-                cpu.pc = cpu.regs[rs]
-            return body
-        if op == "jmpl":
-            disp = imm or 0
-
-            def body(cpu):
-                cpu.pc = (cpu.regs[rs] + disp) & M
-            return body
-
-        return None  # divisions, floats: the generic execute path
+            b = insn.imm & 0xFFFFFFFF if insn.imm >= 0 else insn.imm
+            return _ALU[op][0], (insn.rd, insn.rs, _ALU[op][2](b))
+        entry = _FRAGMENTS.get(op)
+        if entry is None:
+            return None
+        frag, operands = entry
+        if insn.rd == 0 and op in _ZERO_FORMS:
+            frag = _ZERO_FORMS[op]
+        return frag, operands(insn, pc)
 
     # -- execution ---------------------------------------------------------
 

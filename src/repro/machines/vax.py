@@ -30,6 +30,8 @@ from typing import List
 
 from .isa import (
     Arch,
+    CC_TESTS,
+    Fragment,
     Insn,
     SIGFPE,
     SIGILL,
@@ -37,7 +39,9 @@ from .isa import (
     TargetFault,
     to_i32,
     to_u32,
+    set_cc_source,
 )
+from .memory import load_source, store_source
 
 # mode numbers
 M_REG = 0
@@ -169,102 +173,211 @@ class Operand:
         return "<opnd m%d r%d %r>" % (self.mode, self.reg, self.ext)
 
 
-# -- prebuilt operand accessors for the block engine ------------------------
+# -- fragments: each op's execute semantics as block-engine source ------------
 #
-# Each builder pre-resolves one operand specifier into a closure over the
-# decoded mode/register/extension, replicating ``_address_of``/``_read``/
-# ``_write`` exactly (rvax has no zero register and no load delay, so a
-# register write is a plain masked store).  A builder returns
-# ``None`` for specifiers the fast path does not handle — including the
-# modes ``execute`` faults on — sending that instruction to the generic
-# slow path so the fault (and its address) stays byte-identical.
+# An operand specifier's mode decides its source, and its register and
+# extension are the fragment's parameters ``r<j>`` and ``x<j>``, so an op
+# gets one fragment per combination of operand classes: register, deferred,
+# offset (either displacement), immediate, absolute, float immediate.  The
+# lines replicate ``_address_of``/``_read``/``_write`` exactly (rvax has no
+# zero register and no load delay, so a register write is a plain masked
+# store).  A combination the fragments do not handle — among them every
+# mode ``execute`` faults on — makes no fragment, which sends that
+# instruction to ``execute`` so the fault (and its address) stays the same.
+# Operand values are unsigned 32-bit, so ``to_i32`` of one is a sign-bit
+# flip and the low word of a product is the same signed or unsigned.
 
-_FAST_ALU3 = frozenset([
-    "addl3", "subl3", "mull3", "divl3", "reml3", "divul3", "remul3",
-    "andl3", "orl3", "xorl3", "ashl", "lshr"])
+_CLASS = {M_REG: "r", M_DEFER: "d", M_DISP8: "o", M_DISP32: "o",
+          M_IMM: "i", M_ABS: "a", M_FIMM: "f"}
 
-_SCC_OPS = frozenset([
-    "seql", "sneq", "slss", "sleq", "sgtr", "sgeq", "slssu",
-    "sgtru", "slequ", "sgequ"])
-
-_VAX_CC_FUNCS = {
-    "bneq": lambda cpu: not cpu.cc_eq,
-    "beql": lambda cpu: cpu.cc_eq,
-    "bgtr": lambda cpu: not (cpu.cc_lt or cpu.cc_eq),
-    "bleq": lambda cpu: cpu.cc_lt or cpu.cc_eq,
-    "bgeq": lambda cpu: not cpu.cc_lt,
-    "blss": lambda cpu: cpu.cc_lt,
-    "bgtru": lambda cpu: not (cpu.cc_ltu or cpu.cc_eq),
-    "blequ": lambda cpu: cpu.cc_ltu or cpu.cc_eq,
-    "bgequ": lambda cpu: not cpu.cc_ltu,
-    "blssu": lambda cpu: cpu.cc_ltu,
-}
-
-_VAX_SCC_FUNCS = {
-    "seql": lambda cpu: cpu.cc_eq,
-    "sneq": lambda cpu: not cpu.cc_eq,
-    "slss": lambda cpu: cpu.cc_lt,
-    "sleq": lambda cpu: cpu.cc_lt or cpu.cc_eq,
-    "sgtr": lambda cpu: not (cpu.cc_lt or cpu.cc_eq),
-    "sgeq": lambda cpu: not cpu.cc_lt,
-    "slssu": lambda cpu: cpu.cc_ltu,
-    "sgtru": lambda cpu: not (cpu.cc_ltu or cpu.cc_eq),
-    "slequ": lambda cpu: cpu.cc_ltu or cpu.cc_eq,
-    "sgequ": lambda cpu: not cpu.cc_ltu,
+#: an operand's parameters by class: each one's name and its value
+_FIELDS = {
+    "r": (("r", lambda opnd: opnd.reg),),
+    "d": (("r", lambda opnd: opnd.reg),),
+    "o": (("r", lambda opnd: opnd.reg), ("x", lambda opnd: opnd.ext)),
+    "i": (("x", lambda opnd: opnd.ext),),
+    "a": (("x", lambda opnd: to_u32(opnd.ext)),),
+    "f": (),
 }
 
 
-def _c_addr(opnd: Operand):
-    """Pre-resolved ``_address_of``; None for modes with no address."""
-    reg = opnd.reg
-    if opnd.mode == M_DEFER:
-        return lambda cpu: cpu.regs[reg]
-    if opnd.mode in (M_DISP8, M_DISP32):
-        disp = opnd.ext
-        return lambda cpu: (cpu.regs[reg] + disp) & 0xFFFFFFFF
-    if opnd.mode == M_ABS:
-        address = to_u32(opnd.ext)
-        return lambda cpu: address
+def _params(classes) -> tuple:
+    return tuple("%s%d" % (name, j) for j, cls in enumerate(classes)
+                 for name, _value in _FIELDS[cls])
+
+
+def _address(j: int, cls: str):
+    """Source of ``_address_of`` for operand ``j``; None: no address."""
+    if cls == "d":
+        return "regs[{r%d}]" % j
+    if cls == "o":
+        return "(regs[{r%d}] + {x%d}) & 0xFFFFFFFF" % (j, j)
+    if cls == "a":
+        return "{x%d}" % j
     return None
 
 
-def _c_read(opnd: Operand, size: int = 4):
-    """Pre-resolved unsigned ``_read``; None → generic slow path."""
-    reg = opnd.reg
-    if opnd.mode == M_REG:
-        if size == 4:
-            return lambda cpu: cpu.regs[reg]
-        mask = (1 << (size * 8)) - 1
-        return lambda cpu: cpu.regs[reg] & mask
-    if opnd.mode == M_IMM:
-        value = opnd.ext  # _read returns the raw immediate at any size
-        return lambda cpu: value
-    if opnd.mode == M_FIMM:
+def _read(j: int, cls: str, dest: str, size: int = 4):
+    """Lines setting ``dest`` to the unsigned ``_read`` of operand
+    ``j``; None: not handled."""
+    if cls == "r":
+        mask = "" if size == 4 else " & 0x%X" % ((1 << (size * 8)) - 1)
+        return ["%s = regs[{r%d}]%s" % (dest, j, mask)]
+    if cls == "i":
+        return ["%s = {x%d}" % (dest, j)]  # the raw immediate at any size
+    address = _address(j, cls)
+    if address is None:
         return None
-    addr = _c_addr(opnd)
-    if addr is None:
-        return None
-    if size == 4:
-        return lambda cpu: cpu.mem.read_u32(addr(cpu))
-    return lambda cpu: cpu.mem.read_uint(addr(cpu), size)
+    check, value = load_source("a%d" % j, size)
+    return ["a%d = %s" % (j, address), check, "%s = %s" % (dest, value)]
 
 
-def _c_write(opnd: Operand):
-    """Pre-resolved longword ``_write``; None → generic slow path."""
-    reg = opnd.reg
-    if opnd.mode == M_REG:
-        def write(cpu, value):
-            cpu.regs[reg] = value & 0xFFFFFFFF
-        return write
-    if opnd.mode in (M_IMM, M_FIMM):
-        return None  # execute raises SIGILL; keep that on the slow path
-    addr = _c_addr(opnd)
-    if addr is None:
+def _write(j: int, cls: str, value: str):
+    """Lines of a longword ``_write`` of ``value`` (a name) to operand
+    ``j``; None: not handled (``execute`` raises SIGILL for an
+    immediate)."""
+    if cls == "r":
+        return ["regs[{r%d}] = %s & 0xFFFFFFFF" % (j, value)]
+    address = _address(j, cls)
+    if address is None:
         return None
+    return ["a%d = %s" % (j, address)] + store_source("a%d" % j, 4, value)
 
-    def write(cpu, value):
-        cpu.mem.write_int(addr(cpu), 4, value)
-    return write
+
+_SIGFPE = ["    raise TargetFault(SIGFPE, code=0, address={pc})"]
+#: three-operand ALU: ``v`` from ``a`` (operand 0) and ``b`` (operand 1)
+_ALU3 = {
+    "addl3": ["v = a + b"],
+    "subl3": ["v = b - a"],  # VAX order: dst = min - sub
+    "mull3": ["v = a * b"],
+    "andl3": ["v = a & b"],
+    "orl3": ["v = a | b"],
+    "xorl3": ["v = a ^ b"],
+    "ashl": ["c = to_i32(a)",
+             "v = to_i32(b) << c if c >= 0 else to_i32(b) >> -c"],
+    "lshr": ["v = b >> (a & 31)"],
+    "divl3": ["d = to_i32(a)", "if not d:"] + _SIGFPE + [
+        "e = to_i32(b)", "v = abs(e) // abs(d)",
+        "if (e < 0) != (d < 0):", "    v = -v"],
+    "reml3": ["d = to_i32(a)", "if not d:"] + _SIGFPE + [
+        "e = to_i32(b)", "q = abs(e) // abs(d)",
+        "if (e < 0) != (d < 0):", "    q = -q", "v = e - q * d"],
+    "divul3": ["if not a:"] + _SIGFPE + ["v = b // a"],
+    "remul3": ["if not a:"] + _SIGFPE + ["v = b % a"],
+}
+
+_BRANCH_CONDS = {"bneq": "ne", "beql": "eq", "bgtr": "gt", "bleq": "le",
+                 "bgeq": "ge", "blss": "lt", "bgtru": "gtu", "blequ": "leu",
+                 "bgequ": "geu", "blssu": "ltu"}
+_SCC_CONDS = {"seql": "eq", "sneq": "ne", "slss": "lt", "sleq": "le",
+              "sgtr": "gt", "sgeq": "ge", "slssu": "ltu", "sgtru": "gtu",
+              "slequ": "leu", "sgequ": "geu"}
+
+_SP = "regs[%d]" % REG_SP
+_PUSH = ["sp = (%s - 4) & 0xFFFFFFFF" % _SP, "%s = sp" % _SP]
+
+
+def _move(size: int):
+    return lambda c: [_read(0, c[0], "v", size), _write(1, c[1], "v")]
+
+
+def _moval(c):
+    address = _address(0, c[0])
+    return [address and ["v = " + address], _write(1, c[1], "v")]
+
+
+def _alu3(compute):
+    return lambda c: [_read(0, c[0], "a"), _read(1, c[1], "b"), compute,
+                      _write(2, c[2], "v")]
+
+
+def _scc(test):
+    return lambda c: [["v = 1 if %s else 0" % test], _write(0, c[0], "v")]
+
+
+def _popl(c):
+    check, value = load_source("sp", 4)
+    return [["sp = " + _SP, check, "v = " + value], _write(0, c[0], "v"),
+            ["%s = (sp + 4) & 0xFFFFFFFF" % _SP]]
+
+
+#: op -> the parts of its source over operands of the given classes; a
+#: part that is None (an operand the fragments do not handle) sends the
+#: instruction to ``execute``
+_OPERAND_SOURCES = {
+    "movl": _move(4),
+    "movzbl": _move(1),
+    "movzwl": _move(2),
+    "moval": _moval,
+    "cmpl": lambda c: [_read(0, c[0], "a"), _read(1, c[1], "b"),
+                       set_cc_source("a", "b")],
+    # execute reads the operand after the sp update (argument-evaluation
+    # order); keep that
+    "pushl": lambda c: [_PUSH, _read(0, c[0], "v"),
+                        store_source("sp", 4, "v")],
+    "popl": _popl,
+    # execute reads the target before the sp update
+    "callr": lambda c: [_read(0, c[0], "t"), _PUSH,
+                        store_source("sp", 4, "{npc}"),
+                        ["cpu.pc = t & 0xFFFFFFFF"]],
+}
+_OPERAND_SOURCES.update((op, _alu3(compute)) for op, compute in _ALU3.items())
+_OPERAND_SOURCES.update((op, _scc(CC_TESTS[cond]))
+                        for op, cond in _SCC_CONDS.items())
+
+
+#: (op, operand classes) -> its fragment, or None for ``execute``
+_BUILT = {}
+
+
+def _operand_fragment(op: str, classes: tuple):
+    try:
+        return _BUILT[op, classes]
+    except KeyError:
+        pass
+    source = _OPERAND_SOURCES.get(op)
+    parts = source(classes) if source is not None else [None]
+    frag = None
+    if None not in parts:
+        frag = Fragment("%s %s" % (op, "".join(classes)),
+                        [line for part in parts for line in part],
+                        _params(classes), jumps=op == "callr")
+    # two threads that build one kind at once agree on the first object
+    return _BUILT.setdefault((op, classes), frag)
+
+
+def _taken(insn, pc):
+    return ((pc + insn.size + insn.imm) & 0xFFFFFFFF,)
+
+
+def _no_operands(insn, pc):
+    return ()
+
+
+_check, _value = load_source("sp", 4)
+#: ops without operand specifiers -> (fragment, operand values)
+_FIXED = {
+    "nop": (Fragment("nop", ""), _no_operands),
+    "halt": (Fragment("halt", "raise Halt(regs[%d])" % REG_RETVAL,
+                      jumps=True), _no_operands),
+    "bpt": (Fragment("bpt", "raise TargetFault(SIGTRAP, code=0, "
+                            "address={pc})", jumps=True), _no_operands),
+    "syscall": (Fragment("syscall", "cpu.syscall({code})", ("code",),
+                         calls=True),
+                lambda insn, pc: (insn.imm or 0,)),
+    "brb": (Fragment("brb", "cpu.pc = {taken}", ("taken",), jumps=True),
+            _taken),
+    "call": (Fragment("call", _PUSH + store_source("sp", 4, "{npc}")
+                      + ["cpu.pc = {target}"], ("target",), jumps=True),
+             lambda insn, pc: (insn.target & 0xFFFFFFFF,)),
+    "ret": (Fragment("ret", ["sp = " + _SP, _check, "t = " + _value,
+                             "%s = (sp + 4) & 0xFFFFFFFF" % _SP,
+                             "cpu.pc = t"], jumps=True), _no_operands),
+}
+for _op, _cond in _BRANCH_CONDS.items():
+    _FIXED[_op] = (Fragment(_op, "cpu.pc = {taken} if %s else {npc}"
+                            % CC_TESTS[_cond], ("taken",), jumps=True),
+                   _taken)
 
 
 class RVaxArch(Arch):
@@ -383,257 +496,20 @@ class RVaxArch(Arch):
     block_enders = _BRANCH_OPS | frozenset(
         ["halt", "bpt", "syscall", "ret", "call", "callr"])
 
-    #: result-operand index per opcode; ops without an entry (and not
-    #: handled explicitly in :meth:`may_write_mem`) never store
-    _DST_INDEX = dict(
-        [(name, 1) for name in ("movl", "movb", "movw", "movzbl", "movzwl",
-                                "moval", "cvtld", "cvtdl", "movd", "movf",
-                                "negd")]
-        + [(name, 2) for name in ("addl3", "subl3", "mull3", "divl3",
-                                  "reml3", "divul3", "remul3", "andl3",
-                                  "orl3", "xorl3", "ashl", "lshr",
-                                  "addd3", "subd3", "muld3", "divd3")]
-        + [(name, 0) for name in ("seql", "sneq", "slss", "sleq", "sgtr",
-                                  "sgeq", "slssu", "sgtru", "slequ",
-                                  "sgequ", "popl")])
-
-    def may_write_mem(self, insn: Insn) -> bool:
-        """Byte-granular targets store through operand specifiers, so
-        writer-ness depends on the decoded addressing mode, not just
-        the opcode: a register destination writes no memory."""
-        op = insn.op
-        if op in ("pushl", "call", "callr", "syscall"):
-            return True  # stack pushes (syscall kept conservative)
-        index = self._DST_INDEX.get(op)
-        if index is None:
-            return False  # branches, compares, ret, nop, halt, bpt
-        ops = insn.imm if isinstance(insn.imm, list) else []
-        if index >= len(ops):
-            return True  # malformed: stay conservative
-        return ops[index].mode != M_REG
-
     def compile_insn(self, insn: Insn, pc: int):
-        """Prebuilt execute bodies with pre-resolved operand
-        specifiers; float and byte/word-move ops fall back to
+        """The op's fragment for its operand classes and the operands'
+        values; float and byte/word-move ops fall back to
         :meth:`execute`."""
-        op = insn.op
-        M = 0xFFFFFFFF
-        npc = (pc + insn.size) & M
+        fixed = _FIXED.get(insn.op)
+        if fixed is not None:
+            return fixed[0], fixed[1](insn, pc)
         ops: List[Operand] = insn.imm if isinstance(insn.imm, list) else []
-
-        if op == "nop":
-            def body(cpu):
-                cpu.pc = npc
-            return body
-        if op == "halt":
-            from .isa import Halt
-
-            def body(cpu):
-                raise Halt(cpu.get_reg(REG_RETVAL))
-            return body
-        if op == "bpt":
-            def body(cpu):
-                raise TargetFault(SIGTRAP, code=0, address=pc)
-            return body
-        if op == "syscall":
-            code = insn.imm or 0
-
-            def body(cpu):
-                cpu.syscall(code)
-                cpu.pc = npc
-            return body
-
-        if op in _BRANCH_OPS:
-            taken = (pc + insn.size + insn.imm) & M
-            if op == "brb":
-                def body(cpu):
-                    cpu.pc = taken
-            else:
-                test = _VAX_CC_FUNCS[op]
-
-                def body(cpu):
-                    cpu.pc = taken if test(cpu) else npc
-            return body
-
-        if op == "movl":
-            read0 = _c_read(ops[0])
-            write1 = _c_write(ops[1])
-            if read0 is None or write1 is None:
-                return None
-
-            def body(cpu):
-                write1(cpu, read0(cpu))
-                cpu.pc = npc
-            return body
-
-        if op == "movzbl" or op == "movzwl":
-            size = 1 if op == "movzbl" else 2
-            read0 = _c_read(ops[0], size)
-            write1 = _c_write(ops[1])
-            if read0 is None or write1 is None:
-                return None
-
-            def body(cpu):
-                write1(cpu, read0(cpu))
-                cpu.pc = npc
-            return body
-
-        if op == "moval":
-            addr0 = _c_addr(ops[0])
-            write1 = _c_write(ops[1])
-            if addr0 is None or write1 is None:
-                return None
-
-            def body(cpu):
-                write1(cpu, addr0(cpu))
-                cpu.pc = npc
-            return body
-
-        if op in _FAST_ALU3:
-            read0 = _c_read(ops[0])
-            read1 = _c_read(ops[1])
-            write2 = _c_write(ops[2])
-            if read0 is None or read1 is None or write2 is None:
-                return None
-            if op == "addl3":
-                def compute(a, b):
-                    return a + b
-            elif op == "subl3":
-                def compute(a, b):
-                    return b - a  # VAX order: dst = min - sub
-            elif op == "mull3":
-                def compute(a, b):
-                    return to_i32(a) * to_i32(b)
-            elif op == "andl3":
-                def compute(a, b):
-                    return a & b
-            elif op == "orl3":
-                def compute(a, b):
-                    return a | b
-            elif op == "xorl3":
-                def compute(a, b):
-                    return a ^ b
-            elif op == "ashl":
-                def compute(a, b):
-                    count = to_i32(a)
-                    return (to_i32(b) << count) if count >= 0 \
-                        else (to_i32(b) >> -count)
-            elif op == "lshr":
-                def compute(a, b):
-                    return to_u32(b) >> (to_i32(a) & 31)
-            elif op in ("divl3", "reml3"):
-                signed_rem = op == "reml3"
-
-                def compute(a, b):
-                    divisor = to_i32(a)
-                    if divisor == 0:
-                        raise TargetFault(SIGFPE, code=0, address=pc)
-                    dividend = to_i32(b)
-                    quotient = abs(dividend) // abs(divisor)
-                    if (dividend < 0) != (divisor < 0):
-                        quotient = -quotient
-                    if signed_rem:
-                        return dividend - quotient * divisor
-                    return quotient
-            else:  # divul3 / remul3
-                unsigned_rem = op == "remul3"
-
-                def compute(a, b):
-                    divisor = to_u32(a)
-                    if divisor == 0:
-                        raise TargetFault(SIGFPE, code=0, address=pc)
-                    dividend = to_u32(b)
-                    if unsigned_rem:
-                        return dividend % divisor
-                    return dividend // divisor
-
-            def body(cpu):
-                write2(cpu, compute(read0(cpu), read1(cpu)))
-                cpu.pc = npc
-            return body
-
-        if op == "cmpl":
-            read0 = _c_read(ops[0])
-            read1 = _c_read(ops[1])
-            if read0 is None or read1 is None:
-                return None
-
-            def body(cpu):
-                cpu.set_cc(read0(cpu) & M, read1(cpu) & M)
-                cpu.pc = npc
-            return body
-
-        if op in _SCC_OPS:
-            write0 = _c_write(ops[0])
-            if write0 is None:
-                return None
-            test = _VAX_SCC_FUNCS[op]
-
-            def body(cpu):
-                write0(cpu, 1 if test(cpu) else 0)
-                cpu.pc = npc
-            return body
-
-        if op == "pushl":
-            read0 = _c_read(ops[0])
-            if read0 is None:
-                return None
-
-            def body(cpu):
-                regs = cpu.regs
-                sp = (regs[REG_SP] - 4) & M
-                regs[REG_SP] = sp
-                # execute reads the operand after the sp update
-                # (argument-evaluation order); keep that
-                cpu.mem.write_u32(sp, read0(cpu))
-                cpu.pc = npc
-            return body
-        if op == "popl":
-            write0 = _c_write(ops[0])
-            if write0 is None:
-                return None
-
-            def body(cpu):
-                regs = cpu.regs
-                sp = regs[REG_SP]
-                write0(cpu, cpu.mem.read_u32(sp))
-                regs[REG_SP] = (sp + 4) & M
-                cpu.pc = npc
-            return body
-
-        if op == "call":
-            target = insn.target & M
-
-            def body(cpu):
-                regs = cpu.regs
-                sp = (regs[REG_SP] - 4) & M
-                regs[REG_SP] = sp
-                cpu.mem.write_u32(sp, npc)
-                cpu.pc = target
-            return body
-        if op == "callr":
-            read0 = _c_read(ops[0])
-            if read0 is None:
-                return None
-
-            def body(cpu):
-                target = read0(cpu)  # execute reads before the sp update
-                regs = cpu.regs
-                sp = (regs[REG_SP] - 4) & M
-                regs[REG_SP] = sp
-                cpu.mem.write_u32(sp, npc)
-                cpu.pc = target & M
-            return body
-        if op == "ret":
-            def body(cpu):
-                regs = cpu.regs
-                sp = regs[REG_SP]
-                target = cpu.mem.read_u32(sp)
-                regs[REG_SP] = (sp + 4) & M
-                cpu.pc = target
-            return body
-
-        return None  # movb/movw, floats: the generic execute path
+        classes = tuple([_CLASS[opnd.mode] for opnd in ops])
+        frag = _operand_fragment(insn.op, classes)
+        if frag is None:
+            return None
+        return frag, tuple([value(opnd) for opnd, cls in zip(ops, classes)
+                            for _name, value in _FIELDS[cls]])
 
     # -- operand evaluation -------------------------------------------------
 

@@ -6,6 +6,7 @@ import pytest
 
 from repro.cc.driver import compile_and_link, loader_table_ps
 from repro.ldb import Ldb
+from repro.ldb.exprserver import EvalError
 
 from ..ldb.helpers import FIB, run_to_exit, session
 
@@ -272,6 +273,42 @@ class TestNetworkDebugging:
 
 
 class TestMultiUnit:
+    def test_one_tag_two_definitions(self):
+        """Two compilation units define ``struct S`` differently: each
+        lookup puts its own unit's definition back in force, and one
+        expression that needs both is refused, naming the tag."""
+        sources = {
+            "a.c": "struct S { int a; int b; };\nstruct S s1;\n"
+                   "extern int touch(void);\n"
+                   "int main() {\n  s1.a = 1; s1.b = 2;\n"
+                   "  return touch();\n}\n",
+            "b.c": "struct S { char c; int pad[3]; int b; };\n"
+                   "struct S s2;\n"
+                   "int touch() {\n  s2.c = 1; s2.b = 3;\n"
+                   "  return s2.b;\n}\n",
+        }
+        ldb = Ldb(stdout=io.StringIO())
+        target = ldb.load_program(
+            compile_and_link(sources, "rmips", debug=True))
+        ldb.break_at_line("b.c", 5, target)
+        assert ldb.run_to_stop(target) == "stopped"
+
+        def answer(text):
+            return ldb.evaluate(text, target=target,
+                                frame=target.top_frame())
+
+        assert [answer(text) for text in (
+            "s1.b", "s2.b", "s1.b", "sizeof(s1)", "sizeof(s2)")] \
+            == [2, 3, 2, 8, 20]
+        try:
+            both = answer("s1.b + s2.b")
+        except EvalError as err:
+            assert "struct S" in str(err)
+        else:
+            assert both == 5
+        assert answer("s2.b") == 3 and answer("s1.b") == 2
+        ldb.close()
+
     def test_two_compilation_units(self, arch):
         main_src = """
         extern int helper(int x);

@@ -204,8 +204,9 @@ class TestDataFault:
         ldb.record_save()
         process = live.transport.nub.process
         store = process.cpu.pc
-        assert process.arch.may_write_mem(
-            process.arch.decode(process.mem, store))
+        fragment, _ = process.arch.compile_insn(
+            process.arch.decode(process.mem, store), store)
+        assert fragment.writes
         core_ldb, _ = open_core(core_path)
         replay_ldb = Ldb(stdout=io.StringIO())
         replay_ldb.open_recording(recording_path)

@@ -56,29 +56,46 @@ def _snap(process, event):
     }
 
 
-def _run_trace(exe, engine, splits=(), hook=None):
+def _run_trace(exe, engine, splits=(), hook=None, snapshot_at=()):
     """Run to completion under one engine, stopping at each icount in
-    ``splits`` and snapshotting; returns the list of snapshots."""
+    ``splits`` and snapshotting; returns the list of snapshots.
+
+    At each icount in ``snapshot_at`` it takes a live
+    ``Process.snapshot()`` as well, and the list then ends with what
+    each of those captured and the memory after restoring each one,
+    newest first."""
     process = Process(exe, engine=engine)
     event = process.run_until_event()
     assert isinstance(event, FaultEvent) and event.signo == SIGTRAP
     process.cpu.pc = event.pc + exe.arch.noop_advance
     snaps = []
-    for at in splits:
+    live = []
+    for at in sorted(set(splits) | set(snapshot_at)):
         event = process.run_until_event(stop_at_icount=at)
-        if hook is not None:
-            hook(process, event)
-        snaps.append(_snap(process, event))
+        if at in snapshot_at:
+            live.append(process.snapshot())
+        if at in splits:
+            if hook is not None:
+                hook(process, event)
+            snaps.append(_snap(process, event))
         if isinstance(event, ExitEvent):
-            return snaps
-    event = process.run_until_event()
-    snaps.append(_snap(process, event))
+            break
+    else:
+        event = process.run_until_event()
+        snaps.append(_snap(process, event))
+    if live:
+        captured = [dict(snap.mem.pages) for snap in live]
+        restored = []
+        for snap in reversed(live):
+            process.restore(snap)
+            restored.append(bytes(process.mem.bytes))
+        snaps.append({"pages": captured, "restored": restored})
     return snaps
 
 
-def assert_equivalent(exe, splits=(), hook=None):
-    stepped = _run_trace(exe, "step", splits, hook)
-    blocked = _run_trace(exe, "block", splits, hook)
+def assert_equivalent(exe, splits=(), hook=None, snapshot_at=()):
+    stepped = _run_trace(exe, "step", splits, hook, snapshot_at)
+    blocked = _run_trace(exe, "block", splits, hook, snapshot_at)
     assert len(stepped) == len(blocked)
     for index, (a, b) in enumerate(zip(stepped, blocked)):
         for key in a:
@@ -323,11 +340,16 @@ class TestEquivalenceProperty:
     @given(arch=st.sampled_from(ALL_ARCHES),
            expression=_expr(2),
            iterations=st.integers(1, 30),
-           split=st.integers(1, 2000))
-    def test_block_equals_step(self, arch, expression, iterations, split):
+           split=st.integers(1, 2000),
+           snapshot_at=st.lists(st.integers(1, 2000), max_size=3))
+    def test_block_equals_step(self, arch, expression, iterations, split,
+                               snapshot_at):
+        """Live snapshots make every store capture its page first: the
+        pages each one captured, and the memory each restores, match
+        too."""
         exe = compile_and_link({"t.c": _program(expression, iterations)},
                                arch, debug=True)
-        assert_equivalent(exe, splits=(split,))
+        assert_equivalent(exe, splits=(split,), snapshot_at=snapshot_at)
 
 
 # -- self-modifying code: a guest store into decoded code --------------------
